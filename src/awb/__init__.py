@@ -57,7 +57,6 @@ from .transform import (
     TransformInapplicable,
     dump_transform,
     hms_transform,
-    locate,
     transform_summary,
     transform_to_dict,
 )

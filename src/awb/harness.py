@@ -457,89 +457,102 @@ def check_eventhood(
 @lru_cache(maxsize=64)
 def _lattice(atoms: Tuple[str, ...]):
     """Vocabulary lattice helpers for a fixed atom tuple: all vocabularies,
-    all contained pairs, all three-chains."""
+    and every drop-one-atom (Hasse) edge as a (vocabulary, sub-vocabulary)
+    pair."""
     vocabs = tuple(
         frozenset(c) for size in range(len(atoms) + 1) for c in combinations(atoms, size)
     )
-    pairs = tuple((phi, psi) for phi in vocabs for psi in vocabs if psi <= phi)
-    chains = tuple(
-        (phi, psi, ups)
-        for phi, psi in pairs
-        for ups in vocabs
-        if ups <= psi
-    )
-    return vocabs, pairs, chains
+    edges = tuple((phi, phi - {p}) for phi in vocabs for p in atoms if p in phi)
+    return vocabs, edges
 
 
 def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     """Full structural battery for a transform of ``m``; fails fast with a
-    detail naming the offending element."""
+    detail naming the offending element.
+
+    Projections are checked on the drop-one-atom edges of the vocabulary
+    lattice only, ``members[x] <= members[project(x, phi - {p})]`` for
+    every state ``x`` of every space ``phi`` and every ``p`` in ``phi``,
+    which costs n * 2^(n-1) edges instead of 3^n contained pairs and 4^n
+    three-chains. Nothing is lost, given the per-space checks that run
+    first: in every space the classes are non-empty, pairwise disjoint and
+    cover the worlds, each state's ``rep`` is one of its members, and
+    ``state_of[(V, w)]`` is the state of ``V`` whose class holds ``w``. So
+    two states of one space whose classes share a world are the same state,
+    and ``project(x, V) = state_of[(V, x.rep)]`` is the state of ``V`` whose
+    class holds ``x.rep``. Then:
+
+    * inclusion on every contained pair ``psi <= phi``: walk from ``phi``
+      to ``psi`` dropping one atom at a time, ``x = x0, x1, ..., xk`` with
+      each ``x(j+1)`` the projection of ``xj``. The edge checks give
+      ``members[x] <= members[xk]``, so ``xk`` holds ``x.rep`` and is
+      ``project(x, psi)``;
+    * identity on the own space: ``project(x, phi)`` holds ``x.rep``, as
+      ``x`` does, so it is ``x``;
+    * composition: for ``ups <= psi <= phi``, both ``project(project(x,
+      psi), ups)`` and ``project(x, ups)`` have classes containing
+      ``members[x]`` (by inclusion twice, and once), so they are equal;
+    * surjectivity: a state ``y`` of ``psi`` holds some world ``w``, which
+      lies in the class of some ``x`` of ``phi``. ``project(x, psi)`` then
+      holds ``w`` too, so it is ``y``.
+
+    The possibility, subjective-vocabulary and valuation checks look states
+    up in a per-space table of ``state_of`` rows.
+    """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
         detail.update(extra)
         return "fail", detail
 
-    vocabs, pairs, chains = _lattice(m.atoms)
+    vocabs, edges = _lattice(m.atoms)
     if set(s.vocabs) != set(vocabs) or len(s.vocabs) != len(vocabs):
         return fail("space family does not cover the vocabulary lattice")
 
     n_worlds = len(m.worlds)
     world_set = frozenset(m.worlds)
     total_states = 0
+    # rows[V][w]: the state of space V holding world w, as state_of says
+    rows: Dict[FrozenSet[str], Dict[str, StateId]] = {}
     for vocab in s.vocabs:
         states = s.spaces[vocab]
+        key = vocab_key(vocab)
         if not states:
-            return fail("empty space", space=vocab_key(vocab))
+            return fail("empty space", space=key)
         total_states += len(states)
         if len(states) > min(n_worlds, 2 ** len(vocab)):
-            return fail("space larger than the size bound", space=vocab_key(vocab))
-        seen: set = set()
+            return fail("space larger than the size bound", space=key)
+        row: Dict[str, StateId] = {}
         for idx, x in enumerate(states):
-            if x.space_key != vocab_key(vocab) or x.index != idx:
+            if x.space_key != key or x.index != idx:
                 return fail("state tag inconsistent with its space", state=str(x))
             mem = s.members[x]
             if not mem or x.rep not in mem or x.rep != min(mem, key=m.world_order):
                 return fail("state representative is not the least member", state=str(x))
-            if seen & mem:
-                return fail("overlapping state classes", space=vocab_key(vocab))
-            seen |= mem
+            if not row.keys().isdisjoint(mem):
+                return fail("overlapping state classes", space=key)
             for w in mem:
                 if s.state_of[(vocab, w)] != x:
                     return fail("membership table inconsistent", state=str(x), world=w)
-        if seen != world_set:
-            return fail("state classes do not cover the worlds", space=vocab_key(vocab))
+                row[w] = x
+        if row.keys() != world_set:
+            return fail("state classes do not cover the worlds", space=key)
+        rows[vocab] = row
     if len(s.members) != total_states:
         return fail("spaces share states")
     if len(s.spaces[frozenset()]) != 1:
         return fail("empty-vocabulary space is not a singleton")
 
-    for phi, psi in pairs:
-        image = set()
+    for phi, psi in edges:
+        row = rows[psi]
         for x in s.spaces[phi]:
-            y = s.project(x, psi)
-            image.add(y)
-            if phi == psi and y != x:
-                return fail("projection onto own space is not the identity", state=str(x))
-            if not s.members[x] <= s.members[y]:
+            if not s.members[x] <= s.members[row[x.rep]]:
                 return fail(
                     "projection not independent of representative",
                     edge=f"{vocab_key(phi)}->{vocab_key(psi)}",
                     state=str(x),
                 )
-        if image != set(s.spaces[psi]):
-            return fail(
-                "projection not surjective", edge=f"{vocab_key(phi)}->{vocab_key(psi)}"
-            )
-    for phi, psi, ups in chains:
-        for x in s.spaces[phi]:
-            if s.project(s.project(x, psi), ups) != s.project(x, ups):
-                return fail(
-                    "projection composition incoherent",
-                    chain=f"{vocab_key(phi)}->{vocab_key(psi)}->{vocab_key(ups)}",
-                    state=str(x),
-                )
 
-    top = s.vocabs[-1]
+    top = frozenset(m.atoms)
     for i in m.agents:
         for vocab in s.vocabs:
             for x in s.spaces[vocab]:
@@ -559,10 +572,11 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                         states=f"{x}/{y}",
                     )
         for vocab in s.vocabs:
+            row = rows[vocab]
             from_fibers: Dict[StateId, set] = {y: set() for y in s.spaces[vocab]}
             for t in s.spaces[top]:
-                y = s.project(t, vocab)
-                image = {s.project(z, vocab) for z in s.possibility(i, t)}
+                y = row[t.rep]
+                image = {row[z.rep] for z in s.possibility(i, t)}
                 if not image <= s.possibility(i, y):
                     return fail(
                         "projected possibility set not contained in the lower one",
@@ -572,7 +586,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                     )
                 from_fibers[y] |= image
             for y in s.spaces[vocab]:
-                if from_fibers[y] != set(s.possibility(i, y)):
+                if from_fibers[y] != s.possibility(i, y):
                     return fail(
                         "lower possibility set is not the union over its top fiber",
                         agent=i,
@@ -582,9 +596,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     for i in m.agents:
         aware = m.awareness[i][m.worlds[0]]
         for vocab in s.vocabs:
+            expected = aware & vocab
             for x in s.spaces[vocab]:
                 sv = s.subjective_vocab(i, x)
-                if sv != aware & vocab:
+                if sv != expected:
                     return fail(
                         "subjective vocabulary is not awareness intersected with the space",
                         agent=i,
@@ -595,13 +610,14 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
 
     for p in m.atoms:
         marked = s.val[p]
+        true_at = m.valuation[p]
         for vocab in s.vocabs:
             for x in s.spaces[vocab]:
-                inside = {w in m.valuation[p] for w in s.members[x]}
-                if p in vocab and len(inside) > 1:
+                mem = s.members[x]
+                all_true = mem <= true_at
+                if p in vocab and not all_true and not mem.isdisjoint(true_at):
                     return fail("class members disagree on an in-vocabulary atom", atom=p, state=str(x))
-                should = p in vocab and inside == {True}
-                if (x in marked) != should:
+                if (x in marked) != (p in vocab and all_true):
                     return fail("valuation marks the wrong states", atom=p, state=str(x))
 
     return "pass", {}

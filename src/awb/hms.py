@@ -27,7 +27,8 @@ differ otherwise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
@@ -43,21 +44,35 @@ def vocab_key(vocab: Iterable[str]) -> str:
     return ",".join(sorted(vocab))
 
 
-@dataclass(frozen=True, order=True)
+@lru_cache(maxsize=4096)
+def _parse_vocab_key(key: str) -> FrozenSet[str]:
+    return frozenset(key.split(",")) if key else frozenset()
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class StateId:
     """One state: an equivalence class of worlds within one space.
 
     ``rep`` is the canonical member (least world in the model's declared
     order) and ``index`` the class position within its space's state list.
+    ``vocab``, the vocabulary of the state's space, and the hash are
+    computed once at construction; neither takes part in equality or
+    ordering, and the hash equals that of the ``(space_key, index, rep)``
+    tuple.
     """
 
     space_key: str
     index: int
     rep: str
+    vocab: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def vocab_set(self) -> FrozenSet[str]:
-        """The vocabulary of the state's space, as a set of atoms."""
-        return frozenset(self.space_key.split(",")) if self.space_key else frozenset()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vocab", _parse_vocab_key(self.space_key))
+        object.__setattr__(self, "_hash", hash((self.space_key, self.index, self.rep)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.rep}@{self.space_key}"
@@ -69,8 +84,7 @@ def parse_state_ref(text: str) -> Tuple[str, FrozenSet[str]]:
     rep, sep, vk = text.partition("@")
     if not sep or not rep:
         raise ValueError(f"bad state reference {text!r}: expected 'world@vocab'")
-    vocab = frozenset(vk.split(",")) if vk else frozenset()
-    return rep, vocab
+    return rep, _parse_vocab_key(vk)
 
 
 @dataclass(frozen=True)
@@ -151,7 +165,7 @@ class HmsStructure:
         """Projection of a state onto a space with a smaller vocabulary.
         Well-defined because class membership only coarsens downward: the
         result is the target-space class containing ``x``'s members."""
-        if not vocab <= x.vocab_set():
+        if not vocab <= x.vocab:
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
@@ -307,7 +321,10 @@ def sat_hms(
     s: HmsStructure, x: StateId, f: HmsFormula, variant: str = DEFAULT_VARIANT
 ) -> bool:
     """State-level satisfaction: membership of the state in the extension
-    of the formula's truth event."""
+    of the formula's truth event, decided without building the extension:
+    by definition ``x`` is in it exactly when its space's vocabulary
+    contains the base vocabulary and its projection lies in the base."""
     if x not in s.members:
         raise ValueError(f"unknown state {x}")
-    return x in extension(s, truth_set(s, f, variant))
+    ts = truth_set(s, f, variant)
+    return ts.vocab <= x.vocab and s.project(x, ts.vocab) in ts.base

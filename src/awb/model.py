@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .formula import (
@@ -205,9 +206,30 @@ def _check_names(section: str, mapping: Mapping, declared: Sequence[str]) -> Non
 _MODEL_KEYS = {"atoms", "agents", "worlds", "valuation", "indistinguishability", "awareness"}
 
 
+def _all_string_lists(values) -> bool:
+    """Whether every value is a list of strings. Checks the type of each
+    distinct leaf once, as a model repeats a few names hundreds of times."""
+    if not all(map(isinstance, values, repeat(list))):
+        return False
+    try:
+        leaves = set(chain.from_iterable(values))
+    except TypeError:  # an unhashable leaf, such as a nested list
+        return False
+    return all(map(isinstance, leaves, repeat(str)))
+
+
+def _first_bad_entry(mapping: Mapping):
+    """Key of the first value of ``mapping`` that is not a list of strings,
+    or None."""
+    if _all_string_lists(mapping.values()):
+        return None
+    return next(k for k, v in mapping.items() if not _all_string_lists([v]))
+
+
 def model_from_dict(data: Mapping) -> EpistemicModel:
-    """Build a model from the JSON file schema. Unknown top-level keys and
-    duplicate identifiers are rejected."""
+    """Build a model from the JSON file schema. Unknown top-level keys,
+    duplicate identifiers and leaves of the wrong type are rejected (a
+    string where a list is due would otherwise be read as its characters)."""
     if not isinstance(data, Mapping):
         raise ModelError("model file must contain a JSON object")
     unknown = set(data) - _MODEL_KEYS
@@ -216,19 +238,37 @@ def model_from_dict(data: Mapping) -> EpistemicModel:
     for key in ("atoms", "agents", "worlds"):
         if key not in data:
             raise ModelError(f"missing model key {key!r}")
-        if not isinstance(data[key], list) or not all(isinstance(x, str) for x in data[key]):
+        if not _all_string_lists([data[key]]):
             raise ModelError(f"model key {key!r} must be a list of strings")
     valuation = data.get("valuation", {})
     indist = data.get("indistinguishability", {})
     awareness = data.get("awareness", {})
-    # References to undeclared worlds inside the three maps are caught by the
-    # constructor/validate; shapes are checked here.
+    # References to undeclared names inside the three maps are caught by the
+    # constructor/validate; shapes and leaf types are checked here.
     if not isinstance(valuation, Mapping):
         raise ModelError("'valuation' must map atoms to world lists")
+    bad = _first_bad_entry(valuation)
+    if bad is not None:
+        raise ModelError(f"valuation of atom {bad!r} must be a list of strings")
     if not isinstance(indist, Mapping):
         raise ModelError("'indistinguishability' must map agents to block lists")
+    for i, blocks in indist.items():
+        if not isinstance(blocks, list):
+            raise ModelError(f"indistinguishability of agent {i!r} must be a list of blocks")
+        if not _all_string_lists(blocks):
+            raise ModelError(
+                f"each indistinguishability block of agent {i!r} must be a list of strings"
+            )
     if not isinstance(awareness, Mapping):
         raise ModelError("'awareness' must map agents to per-world atom lists")
+    for i, row in awareness.items():
+        if not isinstance(row, Mapping):
+            raise ModelError(f"awareness of agent {i!r} must map worlds to atom lists")
+        bad = _first_bad_entry(row)
+        if bad is not None:
+            raise ModelError(
+                f"awareness of agent {i!r} at world {bad!r} must be a list of strings"
+            )
     return EpistemicModel(
         atoms=data["atoms"],
         agents=data["agents"],

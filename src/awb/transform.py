@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from .hms import Event, HmsStructure, StateId, vocab_key
 from .model import EpistemicModel, constant_awareness, validate, vocab_partition
@@ -133,11 +133,6 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
         subj_vocab=subj,
         val=val,
     )
-
-
-def locate(s: HmsStructure, world: str, vocab: Iterable[str]) -> StateId:
-    """The state of the given space whose class contains the world."""
-    return s.locate(world, vocab)
 
 
 def transform_summary(s: HmsStructure) -> str:

@@ -237,7 +237,7 @@ def test_criterion_5_golden_fixtures_dual_route(announce):
             for variant in VARIANTS:
                 ext = extension(s, truth_set(s, hf, variant))
                 assert {
-                    (x.vocab_set(), s.members[x]) for x in ext
+                    (x.vocab, s.members[x]) for x in ext
                 } == raw_truth_states(m, hf, variant)
                 for world in m.worlds:
                     x = s.locate(world, atoms_of(hf))

@@ -226,6 +226,34 @@ class TestTransform:
         assert "unknown_key" in capsys.readouterr().err
 
 
+class TestMalformedLeaves:
+    def write(self, tmp_path, **sections):
+        model = {"atoms": ["p", "q"], "agents": ["a"], "worlds": ["w1"]}
+        model.update(sections)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        return str(path)
+
+    def test_awareness_string_not_read_as_characters(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            valuation={"p": ["w1"], "q": ["w1"]},
+            awareness={"a": {"w1": "pq"}},
+        )
+        argv = ["check", path, "--formula", "A[a] (p & q)", "--world", "w1"]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "awareness of agent 'a' at world 'w1' must be a list of strings" in captured.err
+
+    def test_nested_valuation_list(self, tmp_path, capsys):
+        path = self.write(tmp_path, valuation={"p": [["w1"]]})
+        assert main(["check", path, "--formula", "p", "--world", "w1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "valuation of atom 'p' must be a list of strings" in err
+        assert "Traceback" not in err
+
+
 class TestTranslate:
     def test_rewrites_sandwich(self, capsys):
         assert main(["translate", "--formula", "X[a] I[a] X[a] (p & q)"]) == EXIT_TRUE

@@ -20,7 +20,7 @@ from awb.harness import (
     trial_seed,
 )
 from awb.hms import Event, HmsStructure, extension, truth_set
-from awb.model import constant_awareness, validate
+from awb.model import EpistemicModel, constant_awareness, validate
 from awb.transform import hms_transform
 
 
@@ -136,6 +136,37 @@ class TestChecks:
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "possibility set not reflexive"
+        assert detail["state"] == str(victim)
+
+    def test_structure_at_eight_atoms(self):
+        # two agents, indistinguishability blocks of four worlds, fair-coin
+        # valuation and constant awareness: 8 atoms, 64 worlds, 256 spaces
+        rng = random.Random(8064)
+        atoms = ("p", "q", "r", "s", "t", "u", "v", "x")
+        worlds = tuple(f"w{k}" for k in range(1, 65))
+        valuation = {p: [w for w in worlds if rng.random() < 0.5] for p in atoms}
+        indist, awareness = {}, {}
+        for i in ("a", "b"):
+            order = list(worlds)
+            rng.shuffle(order)
+            indist[i] = [order[k : k + 4] for k in range(0, 64, 4)]
+            aware = [p for p in atoms if rng.random() < 0.5]
+            awareness[i] = {w: aware for w in worlds}
+        m = EpistemicModel(atoms, ("a", "b"), worlds, valuation, indist, awareness)
+        s = hms_transform(m)
+        assert len(s.vocabs) == 256
+        assert check_structure(m, s) == ("pass", {})
+        top = frozenset(atoms)
+        victim = next(x for x in s.spaces[top] if x in s.val["p"])
+        val = dict(s.val)
+        val["p"] = val["p"] - {victim}
+        broken = HmsStructure(
+            s.atoms, s.agents, s.worlds, s.vocabs, s.spaces,
+            s.members, s.state_of, s.poss, s.subj_vocab, val,
+        )
+        status, detail = check_structure(m, broken)
+        assert status == "fail"
+        assert detail["reason"] == "valuation marks the wrong states"
         assert detail["state"] == str(victim)
 
     def test_truth_preservation_skips_without_hypothesis(self, M1, T1):

@@ -86,6 +86,24 @@ class TestJson:
                 {"atoms": [], "agents": [], "worlds": ["w"], "valuation": []}
             )
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("valuation", {"p": "w1"}, "valuation of atom 'p'"),
+            ("valuation", {"p": [["w1"]]}, "valuation of atom 'p'"),
+            ("indistinguishability", {"a": "w1"}, "indistinguishability of agent 'a'"),
+            ("indistinguishability", {"a": ["w1"]}, "block of agent 'a'"),
+            ("indistinguishability", {"a": [[1]]}, "block of agent 'a'"),
+            ("awareness", {"a": ["p"]}, "awareness of agent 'a' must map"),
+            ("awareness", {"a": {"w1": "p"}}, "awareness of agent 'a' at world 'w1'"),
+            ("awareness", {"a": {"w1": [None]}}, "awareness of agent 'a' at world 'w1'"),
+        ],
+    )
+    def test_bad_leaves_rejected(self, section, value, message):
+        data = {"atoms": ["p"], "agents": ["a"], "worlds": ["w1"], section: value}
+        with pytest.raises(ModelError, match=message):
+            model_from_dict(data)
+
     def test_load_model_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

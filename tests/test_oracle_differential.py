@@ -85,7 +85,7 @@ def _random_models(master: int, count: int, **overrides):
 
 
 def _to_raw(s, states):
-    return {(x.vocab_set(), s.members[x]) for x in states}
+    return {(x.vocab, s.members[x]) for x in states}
 
 
 class TestRandomDifferential:

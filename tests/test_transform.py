@@ -74,14 +74,14 @@ class TestLocateAndProject:
     def test_projection_identity(self, T1, T2):
         for s in (T1, T2):
             for x in s.all_states():
-                assert s.project(x, x.vocab_set()) == x
+                assert s.project(x, x.vocab) == x
 
     def test_projection_rep_independent(self, T1, T2):
         # projecting a class gives the class containing *all* its members
         for s in (T1, T2):
             for x in s.all_states():
                 for vocab in s.vocabs:
-                    if not vocab <= x.vocab_set():
+                    if not vocab <= x.vocab:
                         continue
                     y = s.project(x, vocab)
                     for w in s.members[x]:
@@ -145,7 +145,7 @@ class TestSubjectiveVocab:
             for agent in s.agents:
                 for x in s.all_states():
                     aw = m.awareness_at(agent, x.rep)
-                    assert s.subjective_vocab(agent, x) == aw & x.vocab_set()
+                    assert s.subjective_vocab(agent, x) == aw & x.vocab
 
 
 class TestPreconditions:
