@@ -6,7 +6,8 @@ a formula into the implicit-knowledge fragment), and ``verify`` (run the
 randomized conjecture suite).
 
 Exit codes: 0 success (or formula true), 1 formula false, 2 input error,
-3 transform precondition violation, 4 conjecture failure.
+3 transform precondition violation, 4 conjecture failure, 5 internal error
+(an unexpected exception, reported in one line without a traceback).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 from .formula import (
     Aware,
     BoxIBox,
+    Implicit,
     ParseError,
     atoms_of,
     format_formula,
@@ -43,6 +45,7 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_CONJECTURE = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,6 +151,8 @@ def _cmd_check(args) -> int:
         return EXIT_TRUE if value else EXIT_FALSE
 
     f = parse_hms(args.formula)
+    if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:
+        raise ModelError(f"unknown agent {f.agent!r}")
     s = hms_transform(m)
     if args.hms_state is not None:
         x = s.resolve_state(args.hms_state)
@@ -234,6 +239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        print(f"error: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

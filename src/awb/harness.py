@@ -2,7 +2,7 @@
 
 The harness repeatedly generates a small random epistemic model with
 constant awareness, a random formula, and the model's quotient structure,
-then runs three conjectures per trial:
+then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
 * ``structure``: the full invariant battery over the quotient structure
   (space shapes, projection laws, possibility-correspondence laws,
@@ -21,6 +21,9 @@ conjecture compares the two operator variants event by event, so the
 report shows whether the variants ever diverge and whether truth
 preservation is sensitive to the choice.
 
+A failing trial is shrunk with the same table entry as its predicate, and
+the shrunk counterexample's detail comes from re-running that entry.
+
 Reports are deterministic for a fixed config: per-trial randomness comes
 from a counter-hashed master seed, every emitted list is sorted, and the
 JSON form carries a zero elapsed time unless timing is explicitly
@@ -36,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (
     AilFormula,
@@ -66,7 +69,7 @@ from .hms import (
     truth_set,
     vocab_key,
 )
-from .model import EpistemicModel, constant_awareness, model_to_dict, sat_ail, validate
+from .model import EpistemicModel, model_to_dict, sat_ail
 from .transform import TransformInapplicable, hms_transform
 
 ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "x", "y", "z", "m", "n")
@@ -703,38 +706,30 @@ def _with_body(f: AilFormula, body: PropFormula) -> AilFormula:
 def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
     """Greedy deterministic minimization: drop worlds, drop atoms unused by
     the formula, then replace the body by one of its subtrees, repeating
-    until a fixed point. Every step re-runs the failing check."""
+    until a fixed point. Every step re-runs the failing check; an exception
+    raised by the check propagates."""
     changed_any = False
     for _ in range(max_rounds):
         changed = False
         for gone in list(m.worlds):
             if gone == w or len(m.worlds) == 1:
                 continue
-            try:
-                candidate = _remove_world(m, gone)
-                if still_fails(candidate, w, f):
-                    m, changed, changed_any = candidate, True, True
-            except Exception:
-                pass
+            candidate = _remove_world(m, gone)
+            if still_fails(candidate, w, f):
+                m, changed, changed_any = candidate, True, True
         used = atoms_of(f) if f is not None else frozenset()
         for gone in list(m.atoms):
             if gone in used or len(m.atoms) == 1:
                 continue
-            try:
-                candidate = _remove_atom(m, gone)
-                if still_fails(candidate, w, f):
-                    m, changed, changed_any = candidate, True, True
-            except Exception:
-                pass
+            candidate = _remove_atom(m, gone)
+            if still_fails(candidate, w, f):
+                m, changed, changed_any = candidate, True, True
         if f is not None:
             for sub in _proper_subtrees(f.body):
                 candidate_f = _with_body(f, sub)
-                try:
-                    if still_fails(m, w, candidate_f):
-                        f, changed, changed_any = candidate_f, True, True
-                        break
-                except Exception:
-                    pass
+                if still_fails(m, w, candidate_f):
+                    f, changed, changed_any = candidate_f, True, True
+                    break
         if not changed:
             break
     return m, w, f, changed_any
@@ -748,143 +743,101 @@ def _other_variant(variant: str) -> str:
     return "cell-union" if variant == "pointwise" else "pointwise"
 
 
+def check_variant_agreement(m: EpistemicModel, s: HmsStructure, f: AilFormula) -> CheckResult:
+    """The two implicit-operator variants agree, for every agent, on the
+    event of the formula's body; the detail is the first failing agent's."""
+    body_event = truth_set(s, Prop(f.body))
+    for agent in m.agents:
+        status, detail = compare_variants(s, agent, body_event)
+        if status == "fail":
+            return status, detail
+    return "pass", {}
+
+
+Check = Callable[[EpistemicModel, HmsStructure, Optional[str], Optional[AilFormula]], CheckResult]
+
+
+def conjecture_table(cfg: TrialConfig) -> Dict[str, Tuple[bool, Check]]:
+    """Every conjecture ``cfg`` runs: id -> (whether the check reads the
+    trial's world and formula, ``check(m, s, w, f) -> (status, detail)``).
+    The same check runs on each trial, decides each shrinking step and
+    gives the detail of a shrunk counterexample."""
+
+    def truth(variant: str) -> Check:
+        return lambda m, s, w, f: check_truth_preservation(
+            m, s, w, f, variant, cfg.require_a_condition
+        )
+
+    table: Dict[str, Tuple[bool, Check]] = {
+        "structure": (False, lambda m, s, w, f: check_structure(m, s)),
+        "eventhood": (True, lambda m, s, w, f: check_eventhood(s, translate(f), cfg.variant)),
+        "truth_preservation": (True, truth(cfg.variant)),
+    }
+    if cfg.both_variants:
+        other = _other_variant(cfg.variant)
+        table[_tp_id(other, cfg)] = (True, truth(other))
+        table["variant_agreement"] = (
+            True, lambda m, s, w, f: check_variant_agreement(m, s, f)
+        )
+    return table
+
+
 def run_suite(cfg: TrialConfig) -> Report:
-    """Run all registered conjectures for ``cfg.trials`` independent trials
-    and collect a deterministic report."""
+    """Run every conjecture of :func:`conjecture_table` for ``cfg.trials``
+    independent trials and collect a deterministic report."""
     cfg.check()
     started = time.perf_counter()
 
-    conjecture_ids = ["structure", "eventhood", _tp_id(cfg.variant, cfg)]
-    if cfg.both_variants:
-        conjecture_ids.append(_tp_id(_other_variant(cfg.variant), cfg))
-        conjecture_ids.append("variant_agreement")
-    tallies = {cid: Tally() for cid in conjecture_ids}
+    table = conjecture_table(cfg)
+    tallies = {cid: Tally() for cid in table}
     stats = {"prop_fallbacks": 0, "body_fallbacks": 0}
-
-    def record(cid: str, trial: int, seed: int, status: str, m, w, f, detail: dict):
-        t = tallies[cid]
-        if status == "pass":
-            t.passed += 1
-            return
-        if status == "skip":
-            t.skipped += 1
-            return
-        t.failed += 1
-        if len(t.counterexamples) >= cfg.max_counterexamples:
-            return
-        mm, ww, ff = m, w, f
-        shrunk = False
-        if cfg.shrink:
-            mm, ww, ff, shrunk = shrink_counterexample(
-                m, w, f, _predicate_for(cid, cfg, detail)
-            )
-            if shrunk:
-                detail = _recheck_detail(cid, cfg, mm, ww, ff, detail)
-        t.counterexamples.append(
-            Counterexample(
-                conjecture=cid,
-                trial=trial,
-                seed=seed,
-                model=model_to_dict(mm),
-                world=ww,
-                formula=format_formula(ff) if ff is not None else None,
-                detail=detail,
-                shrunk=shrunk,
-            )
-        )
 
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.seed, trial)
         rng = random.Random(seed)
         m = gen_model(rng, cfg)
-        if validate(m) or not constant_awareness(m):
-            raise AssertionError("generator produced an invalid model")
-        w = rng.choice(m.worlds)
-        f, fallback = gen_formula(rng, m, w, cfg.require_a_condition, cfg.body_depth)
-        if fallback == "prop":
-            stats["prop_fallbacks"] += 1
-        elif fallback == "body":
-            stats["body_fallbacks"] += 1
-
         try:
             s = hms_transform(m)
-        except TransformInapplicable:
-            for cid in conjecture_ids:
-                tallies[cid].skipped += 1
-            continue
+        except TransformInapplicable as exc:
+            raise AssertionError(f"generator produced an invalid model: {exc}") from exc
+        w = rng.choice(m.worlds)
+        f, fallback = gen_formula(rng, m, w, cfg.require_a_condition, cfg.body_depth)
+        if fallback is not None:
+            stats[f"{fallback}_fallbacks"] += 1
 
-        status, detail = check_structure(m, s)
-        record("structure", trial, seed, status, m, None, None, detail)
-
-        hf = translate(f)
-        status, detail = check_eventhood(s, hf, cfg.variant)
-        record("eventhood", trial, seed, status, m, w, f, detail)
-
-        status, detail = check_truth_preservation(
-            m, s, w, f, cfg.variant, cfg.require_a_condition
-        )
-        record(_tp_id(cfg.variant, cfg), trial, seed, status, m, w, f, detail)
-
-        if cfg.both_variants:
-            other = _other_variant(cfg.variant)
-            status, detail = check_truth_preservation(
-                m, s, w, f, other, cfg.require_a_condition
+        for cid, (reads_trial, check) in table.items():
+            ww, ff = (w, f) if reads_trial else (None, None)
+            status, detail = check(m, s, ww, ff)
+            t = tallies[cid]
+            if status == "pass":
+                t.passed += 1
+                continue
+            if status == "skip":
+                t.skipped += 1
+                continue
+            t.failed += 1
+            if len(t.counterexamples) >= cfg.max_counterexamples:
+                continue
+            mm, shrunk = m, False
+            if cfg.shrink:
+                mm, ww, ff, shrunk = shrink_counterexample(
+                    m, ww, ff,
+                    lambda m_, w_, f_: check(m_, hms_transform(m_), w_, f_)[0] == "fail",
+                )
+                if shrunk:
+                    detail = check(mm, hms_transform(mm), ww, ff)[1]
+            t.counterexamples.append(
+                Counterexample(
+                    conjecture=cid,
+                    trial=trial,
+                    seed=seed,
+                    model=model_to_dict(mm),
+                    world=ww,
+                    formula=format_formula(ff) if ff is not None else None,
+                    detail=detail,
+                    shrunk=shrunk,
+                )
             )
-            record(_tp_id(other, cfg), trial, seed, status, m, w, f, detail)
-
-            body_event = truth_set(s, Prop(f.body))
-            div_status, div_detail = "pass", {}
-            for agent in m.agents:
-                st, dt = compare_variants(s, agent, body_event)
-                if st == "fail":
-                    div_status, div_detail = st, dt
-                    break
-            record("variant_agreement", trial, seed, div_status, m, w, f, div_detail)
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return Report(config=cfg, conjectures=tallies, stats=stats, elapsed_ms=elapsed_ms)
-
-
-def _predicate_for(cid: str, cfg: TrialConfig, detail: dict):
-    variant = detail.get("variant", cfg.variant)
-
-    def still_fails(m, w, f) -> bool:
-        try:
-            s = hms_transform(m)
-        except TransformInapplicable:
-            return False
-        if cid == "structure":
-            return check_structure(m, s)[0] == "fail"
-        if cid == "eventhood":
-            return check_eventhood(s, translate(f), variant)[0] == "fail"
-        if cid.startswith("truth_preservation"):
-            return (
-                check_truth_preservation(m, s, w, f, variant, cfg.require_a_condition)[0]
-                == "fail"
-            )
-        if cid == "variant_agreement":
-            e = truth_set(s, Prop(f.body))
-            return any(
-                compare_variants(s, agent, e)[0] == "fail" for agent in m.agents
-            )
-        return False
-
-    return still_fails
-
-
-def _recheck_detail(cid: str, cfg: TrialConfig, m, w, f, old_detail: dict) -> dict:
-    variant = old_detail.get("variant", cfg.variant)
-    s = hms_transform(m)
-    if cid == "structure":
-        return check_structure(m, s)[1]
-    if cid == "eventhood":
-        return check_eventhood(s, translate(f), variant)[1]
-    if cid.startswith("truth_preservation"):
-        return check_truth_preservation(m, s, w, f, variant, cfg.require_a_condition)[1]
-    if cid == "variant_agreement":
-        e = truth_set(s, Prop(f.body))
-        for agent in m.agents:
-            st, dt = compare_variants(s, agent, e)
-            if st == "fail":
-                return dt
-    return old_detail

@@ -351,9 +351,14 @@ def validate(m: EpistemicModel) -> list:
     return out
 
 
-def constant_awareness(m: EpistemicModel) -> bool:
-    """True when each agent's awareness set is the same at every world."""
-    return all(len(set(m.awareness[i].values())) <= 1 for i in m.agents)
+def awareness_variation(m: EpistemicModel):
+    """First ``(agent, world, world)`` witness of an agent whose awareness
+    set differs between two worlds, or None when awareness is constant."""
+    for i in m.agents:
+        for w in m.worlds[1:]:
+            if m.awareness[i][w] != m.awareness[i][m.worlds[0]]:
+                return i, m.worlds[0], w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import json
 from itertools import combinations
 from typing import Dict, FrozenSet, Tuple
 
-from .hms import Event, HmsStructure, StateId, vocab_key
-from .model import EpistemicModel, constant_awareness, validate, vocab_partition
+from .hms import HmsStructure, StateId, vocab_key
+from .model import EpistemicModel, awareness_variation, validate, vocab_partition
 
 DEFAULT_ATOM_CAP = 12
 
@@ -35,18 +35,6 @@ class TransformInapplicable(ValueError):
     def __init__(self, reasons):
         self.reasons = list(reasons)
         super().__init__("; ".join(self.reasons))
-
-
-def _awareness_variation(m: EpistemicModel):
-    """First (agent, world, world) witness of world-varying awareness, or
-    None when awareness is constant."""
-    for i in m.agents:
-        rows = m.awareness[i]
-        first = m.worlds[0]
-        for w in m.worlds[1:]:
-            if rows[w] != rows[first]:
-                return i, first, w
-    return None
 
 
 def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStructure:
@@ -61,7 +49,7 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
         raise TransformInapplicable(
             ["model fails validation: " + v for v in violations]
         )
-    witness = _awareness_variation(m)
+    witness = awareness_variation(m)
     if witness is not None:
         i, w, v = witness
         raise TransformInapplicable(

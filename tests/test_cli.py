@@ -6,6 +6,7 @@ from awb.cli import (
     EXIT_CONJECTURE,
     EXIT_FALSE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_PRECONDITION,
     EXIT_TRUE,
     main,
@@ -179,6 +180,12 @@ class TestCheckHms:
             "across worlds: ['p'] at 'w1' but [] at 'w2'" in err
         )
 
+    @pytest.mark.parametrize("formula", ["I[b] p", "A[b] p"])
+    def test_undeclared_agent(self, m1_file, formula, capsys):
+        code = main(["check", m1_file, "--formula", formula, "--lang", "hms", "--world", "w1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown agent 'b'\n"
+
 
 class TestTransform:
     def test_summary(self, m1_file, capsys):
@@ -331,3 +338,13 @@ class TestVerify:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["elapsed_ms"] >= 0
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        def crashes(m, s):
+            raise RuntimeError("checker crashed")
+
+        monkeypatch.setattr("awb.harness.check_structure", crashes)
+        assert main(["verify", "--trials", "3", "--seed", "1"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: checker crashed\n"
+        assert "Traceback" not in err

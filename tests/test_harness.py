@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -20,7 +21,7 @@ from awb.harness import (
     trial_seed,
 )
 from awb.hms import Event, HmsStructure, extension, truth_set
-from awb.model import EpistemicModel, constant_awareness, validate
+from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
 
 
@@ -65,7 +66,7 @@ class TestGenerators:
             rng = random.Random(trial_seed(99, k))
             m = gen_model(rng, cfg)
             assert validate(m) == []
-            assert constant_awareness(m)
+            assert awareness_variation(m) is None
             assert 1 <= len(m.worlds) <= cfg.max_worlds
             assert 1 <= len(m.atoms) <= cfg.max_atoms
             assert 1 <= len(m.agents) <= cfg.max_agents
@@ -277,6 +278,13 @@ class TestShrinking:
         assert not changed
         assert (m2, w2, f2) == (m, "w1", f)
 
+    def test_crash_in_check_propagates(self, M2):
+        def crashes(m, w, g):
+            raise RuntimeError("checker crashed")
+
+        with pytest.raises(RuntimeError, match="checker crashed"):
+            shrink_counterexample(M2, "w1", parse_ail("X[a] I[a] X[a] q"), crashes)
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -388,3 +396,59 @@ class TestReportHelpers:
         probe = report.variant_probe()
         assert probe["variant_sensitive"] is True
         assert probe["event_divergences"] == 1
+
+
+class TestCounterexamplePath:
+    """Generated runs never fail ``structure`` or ``eventhood``, so these
+    tests replace each check by one that fails on every model with at
+    least two worlds and follow the counterexamples through shrinking."""
+
+    def test_structure_counterexample_is_shrunk_and_rechecked(self, monkeypatch):
+        def fails_from_two_worlds(m, s):
+            if len(m.worlds) >= 2:
+                return "fail", {"reason": "forced", "worlds": len(m.worlds)}
+            return "pass", {}
+
+        monkeypatch.setattr("awb.harness.check_structure", fails_from_two_worlds)
+        report = run_suite(TrialConfig(seed=11, trials=40))
+        tally = report.conjectures["structure"]
+        assert tally.failed > 0
+        assert len(tally.counterexamples) == 5
+        assert any(ce.shrunk for ce in tally.counterexamples)
+        for ce in tally.counterexamples:
+            assert len(ce.model["worlds"]) == 2
+            assert ce.detail == {"reason": "forced", "worlds": 2}
+            assert ce.world is None and ce.formula is None
+            assert len(ce.model["atoms"]) == 1  # no formula keeps an atom
+        assert report.conjectures["eventhood"].failed == 0
+
+    def test_eventhood_counterexample_is_shrunk_and_rechecked(self, monkeypatch):
+        def fails_from_two_worlds(s, f, variant="pointwise"):
+            if len(s.worlds) >= 2:
+                return "fail", {"reason": "forced", "worlds": len(s.worlds)}
+            return "pass", {}
+
+        monkeypatch.setattr("awb.harness.check_eventhood", fails_from_two_worlds)
+        report = run_suite(TrialConfig(seed=11, trials=40))
+        tally = report.conjectures["eventhood"]
+        assert tally.failed > 0
+        assert len(tally.counterexamples) == 5
+        assert any(ce.shrunk for ce in tally.counterexamples)
+        for ce in tally.counterexamples:
+            assert len(ce.model["worlds"]) == 2
+            assert ce.world in ce.model["worlds"]
+            assert ce.formula is not None
+            assert ce.detail == {"reason": "forced", "worlds": 2}
+        assert report.conjectures["structure"].failed == 0
+
+    def test_waived_hypothesis_both_variants_report_is_pinned(self):
+        # shrinks counterexamples of truth_preservation,
+        # truth_preservation[cell-union] and variant_agreement
+        report = run_suite(
+            TrialConfig(seed=42, trials=1500, require_a_condition=False, both_variants=True)
+        )
+        assert {
+            cid for cid, t in report.conjectures.items() if t.counterexamples
+        } == {"truth_preservation", "truth_preservation[cell-union]", "variant_agreement"}
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "dbd74bef55e22d515c4f6f3e69c90d5a53b6e56ece38f9b23c5358eaf822dad4"

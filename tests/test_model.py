@@ -8,7 +8,7 @@ from awb.model import (
     ModelError,
     Partition,
     awareness_partition,
-    constant_awareness,
+    awareness_variation,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -254,8 +254,8 @@ class TestSatisfaction:
                             )
 
     def test_constant_awareness(self, M1):
-        assert constant_awareness(M1)
-        assert not constant_awareness(
+        assert awareness_variation(M1) is None
+        assert awareness_variation(
             with_awareness(M1, "a", {"w1": ["p"], "w2": ["p", "q"]})
-        )
-        assert constant_awareness(EpistemicModel(("p",), ("a",), ("w1",)))
+        ) == ("a", "w1", "w2")
+        assert awareness_variation(EpistemicModel(("p",), ("a",), ("w1",))) is None
