@@ -5,9 +5,11 @@ Subcommands: ``check`` (evaluate a formula on a model), ``transform``
 a formula into the implicit-knowledge fragment), and ``verify`` (run the
 randomized conjecture suite).
 
-Exit codes: 0 success (or formula true), 1 formula false, 2 input error,
-3 transform precondition violation, 4 conjecture failure, 5 internal error
-(an unexpected exception, reported in one line without a traceback).
+Exit codes: 0 success (or formula true), 1 formula false, 2 input error
+(a parse error, a ``ModelError`` or an OS error), 3 transform precondition
+violation, 4 conjecture failure, 5 internal error (any other exception,
+including a ``ValueError`` from inside the library, reported in one line
+without a traceback).
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TransformInapplicable as exc:
         print(f"error: transform inapplicable: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ModelError, OSError, ValueError) as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

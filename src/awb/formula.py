@@ -469,7 +469,9 @@ def a_condition(f: AilFormula, model, world: str) -> bool:
     """
     undeclared = atoms_of(f) - set(model.atoms)
     if undeclared:
-        raise ValueError(f"undeclared atoms: {sorted(undeclared)}")
+        from .model import ModelError  # model imports this module
+
+        raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
     if isinstance(f, Prop):
         return True
     if isinstance(f, (Aware, BoxIBox)):

@@ -69,7 +69,7 @@ from .hms import (
     truth_set,
     vocab_key,
 )
-from .model import EpistemicModel, model_to_dict, sat_ail
+from .model import EpistemicModel, ModelError, model_to_dict, sat_ail
 from .transform import TransformInapplicable, hms_transform
 
 ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "x", "y", "z", "m", "n")
@@ -92,18 +92,18 @@ class TrialConfig:
 
     def check(self) -> None:
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise ModelError("trials must be >= 0")
         for name in ("max_worlds", "max_atoms", "max_agents"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ModelError(f"{name} must be >= 1")
         if self.max_atoms > len(ATOM_POOL):
-            raise ValueError(f"max_atoms must be <= {len(ATOM_POOL)}")
+            raise ModelError(f"max_atoms must be <= {len(ATOM_POOL)}")
         if self.max_agents > len(AGENT_POOL):
-            raise ValueError(f"max_agents must be <= {len(AGENT_POOL)}")
+            raise ModelError(f"max_agents must be <= {len(AGENT_POOL)}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ModelError(f"unknown variant {self.variant!r}")
         if self.max_counterexamples < 0 or self.body_depth < 0:
-            raise ValueError("max_counterexamples and body_depth must be >= 0")
+            raise ModelError("max_counterexamples and body_depth must be >= 0")
 
 
 def trial_seed(master: int, index: int) -> int:

@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
+from .model import ModelError
 
 VARIANTS = ("pointwise", "cell-union")
 
@@ -83,7 +84,7 @@ def parse_state_ref(text: str) -> Tuple[str, FrozenSet[str]]:
     empty: ``w1@`` names a bottom-space state)."""
     rep, sep, vk = text.partition("@")
     if not sep or not rep:
-        raise ValueError(f"bad state reference {text!r}: expected 'world@vocab'")
+        raise ModelError(f"bad state reference {text!r}: expected 'world@vocab'")
     return rep, _parse_vocab_key(vk)
 
 
@@ -140,7 +141,7 @@ class HmsStructure:
         try:
             return self.spaces[vocab]
         except KeyError:
-            raise ValueError(f"no space with vocabulary {{{vocab_key(vocab)}}}") from None
+            raise ModelError(f"no space with vocabulary {{{vocab_key(vocab)}}}") from None
 
     def all_states(self) -> Iterator[StateId]:
         for vocab in self.vocabs:
@@ -155,11 +156,11 @@ class HmsStructure:
         vocab = frozenset(vocab)
         stray = vocab - self.atom_set
         if stray:
-            raise ValueError(f"undeclared atoms: {sorted(stray)}")
+            raise ModelError(f"undeclared atoms: {sorted(stray)}")
         try:
             return self.state_of[(vocab, world)]
         except KeyError:
-            raise ValueError(f"unknown world {world!r}") from None
+            raise ModelError(f"unknown world {world!r}") from None
 
     def project(self, x: StateId, vocab: FrozenSet[str]) -> StateId:
         """Projection of a state onto a space with a smaller vocabulary.
@@ -250,7 +251,7 @@ def event_atom(s: HmsStructure, p: str) -> Event:
     """The event of an atom: based in the singleton-vocabulary space, with
     base states exactly those whose member worlds make the atom true."""
     if p not in s.atom_set:
-        raise ValueError(f"unknown atom {p!r}")
+        raise ModelError(f"unknown atom {p!r}")
     vocab = frozenset({p})
     base = frozenset(x for x in s.spaces[vocab] if x in s.val[p])
     return Event(vocab, base)

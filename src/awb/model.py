@@ -37,7 +37,9 @@ from .formula import (
 
 
 class ModelError(ValueError):
-    """Malformed model input or a reference to an undeclared name."""
+    """Malformed input (a model file, a state reference or a harness
+    setting) or a reference to an undeclared name. The CLI reports it as an
+    input error."""
 
 
 @dataclass(frozen=True)
@@ -301,6 +303,10 @@ def load_model(path: str) -> EpistemicModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path} is not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
     return model_from_dict(data)
 
 
@@ -380,20 +386,6 @@ def awareness_partition(m: EpistemicModel, agent: str) -> Partition:
             return (s, frozenset(p for p in s if w in m.valuation[p]))
 
         m._cache[key] = Partition.from_key(m.worlds, signature)
-    return m._cache[key]
-
-
-def vocab_partition(m: EpistemicModel, vocab: Iterable[str]) -> Partition:
-    """Partition of worlds by agreement on every atom in ``vocab``."""
-    vocab = frozenset(vocab)
-    stray = vocab - set(m.atoms)
-    if stray:
-        raise ModelError(f"undeclared atoms: {sorted(stray)}")
-    key = ("vocab_partition", vocab)
-    if key not in m._cache:
-        m._cache[key] = Partition.from_key(
-            m.worlds, lambda w: frozenset(p for p in vocab if w in m.valuation[p])
-        )
     return m._cache[key]
 
 

@@ -12,19 +12,34 @@ awareness set intersected with the state's space vocabulary, and the
 valuation marks a state for an atom when the atom belongs to the space's
 vocabulary and holds at the state's members (they agree by construction).
 
+The build works on integer masks over the atom order. Each world has a
+valuation row, the mask of the atoms true there; the classes of the space
+with vocabulary mask ``V`` are the groups of worlds with equal ``row & V``,
+numbered by first occurrence in world order, so a state's representative
+is its first member. For each agent and space, every indistinguishability
+block gets the mask of the class indices it meets, and a state's
+possibility set is the union of the masks of the blocks that meet its own
+class; equal masks within one space share one frozenset. The valuation is
+read off the rows.
+
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
 what they are asking for.
+
+:func:`dump_transform` writes the structure as JSON in one pass over these
+tables, byte for byte as ``json.dumps`` with sorted keys and a two-space
+indent would.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import combinations
-from typing import Dict, FrozenSet, Tuple
+from itertools import combinations, compress, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter, itemgetter
+from typing import Dict, FrozenSet, List, Tuple
 
 from .hms import HmsStructure, StateId, vocab_key
-from .model import EpistemicModel, awareness_variation, validate, vocab_partition
+from .model import EpistemicModel, awareness_variation, validate
 
 DEFAULT_ATOM_CAP = 12
 
@@ -67,60 +82,84 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
             ]
         )
 
-    vocabs: Tuple[FrozenSet[str], ...] = tuple(
-        frozenset(combo)
-        for size in range(len(m.atoms) + 1)
-        for combo in combinations(m.atoms, size)
-    )
+    atoms, worlds = m.atoms, m.worlds
+    atom_bit = {p: 1 << k for k, p in enumerate(atoms)}
+    world_index = {w: k for k, w in enumerate(worlds)}
+    rows = [0] * len(worlds)
+    for p in atoms:
+        for w in m.valuation[p]:
+            rows[world_index[w]] |= atom_bit[p]
+    class_bit = [1 << k for k in range(len(worlds))]
+    blocks_of = {}
+    for i in m.agents:
+        part = m.indist_partition(i)
+        blocks_of[i] = (len(part.blocks), [part.block_of[w] for w in worlds])
 
+    vocabs = []
     spaces: Dict[FrozenSet[str], Tuple[StateId, ...]] = {}
     members: Dict[StateId, FrozenSet[str]] = {}
     state_of: Dict[Tuple[FrozenSet[str], str], StateId] = {}
-    for vocab in vocabs:
-        part = vocab_partition(m, vocab)
-        key = vocab_key(vocab)
-        states = []
-        for idx, block in enumerate(part.blocks):
-            x = StateId(key, idx, min(block, key=m.world_order))
-            states.append(x)
-            members[x] = block
-            for w in block:
-                state_of[(vocab, w)] = x
-        spaces[vocab] = tuple(states)
-
     poss: Dict[Tuple[str, StateId], FrozenSet[StateId]] = {}
     subj: Dict[Tuple[str, StateId], FrozenSet[str]] = {}
-    for i in m.agents:
-        indist = m.indist_partition(i)
-        aware = m.awareness[i][m.worlds[0]]
-        for vocab in vocabs:
-            for x in spaces[vocab]:
-                reached = set()
-                for w in members[x]:
-                    reached.update(indist.block_containing(w))
-                poss[(i, x)] = frozenset(state_of[(vocab, v)] for v in reached)
-                subj[(i, x)] = aware & vocab
-
-    val: Dict[str, FrozenSet[StateId]] = {}
-    for p in m.atoms:
-        marked = []
-        for vocab in vocabs:
-            if p in vocab:
-                marked.extend(x for x in spaces[vocab] if x.rep in m.valuation[p])
-        val[p] = frozenset(marked)
+    marked = {p: [] for p in atoms}
+    for size in range(len(atoms) + 1):
+        for combo in combinations(atoms, size):
+            vocab = frozenset(combo)
+            mask = sum(map(atom_bit.__getitem__, combo))
+            vocabs.append(vocab)
+            # Class index of each world: its row restricted to the vocabulary,
+            # numbered by first occurrence in world order.
+            first = {}
+            cls = [first.setdefault(r & mask, len(first)) for r in rows]
+            groups = [[] for _ in first]
+            for w, c in zip(worlds, cls):
+                groups[c].append(w)
+            key = vocab_key(vocab)
+            states = tuple(StateId(key, c, g[0]) for c, g in enumerate(groups))
+            spaces[vocab] = states
+            members.update(zip(states, map(frozenset, groups)))
+            state_of.update(zip(zip(repeat(vocab), worlds), map(states.__getitem__, cls)))
+            for p in combo:
+                marked[p].extend(x for x, r in zip(states, first) if r & atom_bit[p])
+            # Possibility sets with equal class masks share one frozenset.
+            shared = {}
+            for i in m.agents:
+                n_blocks, blk = blocks_of[i]
+                # A state's possibility set is the union of the classes met by
+                # the indistinguishability blocks that meet its own class.
+                met = [0] * n_blocks
+                for b, c in zip(blk, cls):
+                    met[b] |= class_bit[c]
+                reach = [0] * len(states)
+                for b, c in zip(blk, cls):
+                    reach[c] |= met[b]
+                for r in reach:
+                    if r not in shared:
+                        shared[r] = frozenset(_select(states, r))
+                poss.update(zip(zip(repeat(i), states), map(shared.__getitem__, reach)))
+                subjective = m.awareness[i][worlds[0]] & vocab
+                subj.update(zip(zip(repeat(i), states), repeat(subjective)))
 
     return HmsStructure(
-        atoms=m.atoms,
+        atoms=atoms,
         agents=m.agents,
-        worlds=m.worlds,
-        vocabs=vocabs,
+        worlds=worlds,
+        vocabs=tuple(vocabs),
         spaces=spaces,
         members=members,
         state_of=state_of,
         poss=poss,
         subj_vocab=subj,
-        val=val,
+        val={p: frozenset(xs) for p, xs in marked.items()},
     )
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Tuple, mask: int):
+    """The items whose position bit is set in ``mask``."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def transform_summary(s: HmsStructure) -> str:
@@ -130,38 +169,89 @@ def transform_summary(s: HmsStructure) -> str:
     return f"{len(s.vocabs)} spaces, sizes {sizes}"
 
 
-def transform_to_dict(s: HmsStructure) -> dict:
-    """JSON-ready form of the structure; deterministic for a fixed input
-    model."""
-    world_order = {w: k for k, w in enumerate(s.worlds)}
-    spaces = {
-        vocab_key(vocab): [
-            {"rep": x.rep, "members": sorted(s.members[x], key=world_order.get)}
-            for x in s.spaces[vocab]
-        ]
-        for vocab in s.vocabs
-    }
-    lam = {
-        i: {str(x): [str(y) for y in sorted(s.poss[(i, x)])] for x in s.all_states()}
-        for i in s.agents
-    }
-    alpha = {
-        i: {str(x): vocab_key(s.subj_vocab[(i, x)]) for x in s.all_states()}
-        for i in s.agents
-    }
-    valuation = {p: [str(x) for x in sorted(s.val[p])] for p in s.atoms}
-    return {
-        "atoms": list(s.atoms),
-        "agents": list(s.agents),
-        "worlds": list(s.worlds),
-        "spaces": spaces,
-        "lambda": lam,
-        "alpha": alpha,
-        "valuation": valuation,
-    }
+_index = attrgetter("index")
+_space_and_index = attrgetter("space_key", "index")
+
+
+def _block(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array or object of already encoded items, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at nesting ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _object(pairs, depth: int) -> str:
+    """A JSON object of ``(key, encoded value)`` pairs, keys sorted."""
+    return _block([f"{_quote(k)}: {v}" for k, v in sorted(pairs)], depth, "{}")
 
 
 def dump_transform(s: HmsStructure) -> str:
-    """Byte-stable JSON dump (sorted keys, two-space indent, trailing
-    newline)."""
-    return json.dumps(transform_to_dict(s), sort_keys=True, indent=2) + "\n"
+    """Byte-stable JSON dump of a structure built by :func:`hms_transform`.
+
+    The text is what ``json.dumps(..., sort_keys=True, indent=2)`` gives for
+    the structure's dictionary form, plus a trailing newline: ``spaces``
+    maps each vocabulary key to its states ``{"members": [worlds], "rep":
+    world}`` in index order; ``lambda`` and ``alpha`` map each agent and
+    state name ``rep@space_key`` to the sorted possibility set and to the
+    subjective vocabulary key; ``valuation`` maps each atom to its states,
+    sorted by space key and index; ``atoms``, ``agents`` and ``worlds`` are
+    the declared lists. The fixed schema is written directly because
+    ``json.dumps`` with an indent falls back to its pure-Python encoder.
+    """
+    world_order = {w: k for k, w in enumerate(s.worlds)}
+    quoted_world = {w: _quote(w) for w in s.worlds}
+    quoted_vocab = {v: _quote(vocab_key(v)) for v in s.vocabs}
+    # The quoted names of each space's states, by index; and every state
+    # with its plain and quoted name, for the objects keyed by state name.
+    names: Dict[str, List[str]] = {}
+    named = []
+    for vocab in s.vocabs:
+        key = vocab_key(vocab)
+        plain = [f"{x.rep}@{key}" for x in s.spaces[vocab]]
+        names[key] = [_quote(n) for n in plain]
+        named.extend(zip(plain, names[key], s.spaces[vocab]))
+    named.sort(key=itemgetter(0))
+
+    rendered: Dict[FrozenSet[StateId], str] = {}
+    lam = []
+    alpha = []
+    for i in s.agents:
+        poss_items = []
+        alpha_items = []
+        for _, qx, x in named:
+            ps = s.poss[(i, x)]
+            text = rendered.get(ps)
+            if text is None:
+                space = names[x.space_key]
+                text = rendered[ps] = _block([space[k] for k in sorted(map(_index, ps))], 3)
+            poss_items.append(f"{qx}: {text}")
+            alpha_items.append(f"{qx}: {quoted_vocab[s.subj_vocab[(i, x)]]}")
+        lam.append((i, _block(poss_items, 2, "{}")))
+        alpha.append((i, _block(alpha_items, 2, "{}")))
+
+    spaces = []
+    for vocab in s.vocabs:
+        states = []
+        for x in s.spaces[vocab]:
+            worlds = sorted(s.members[x], key=world_order.__getitem__)
+            members = _block([quoted_world[w] for w in worlds], 4)
+            # The two keys, in sorted order.
+            states.append(_block([f'"members": {members}', f'"rep": {quoted_world[x.rep]}'], 3, "{}"))
+        spaces.append((vocab_key(vocab), _block(states, 2)))
+
+    valuation = [
+        (p, _block([names[x.space_key][x.index] for x in sorted(s.val[p], key=_space_and_index)], 2))
+        for p in s.atoms
+    ]
+    top = [
+        ("agents", _block(list(map(_quote, s.agents)), 1)),
+        ("alpha", _object(alpha, 1)),
+        ("atoms", _block(list(map(_quote, s.atoms)), 1)),
+        ("lambda", _object(lam, 1)),
+        ("spaces", _object(spaces, 1)),
+        ("valuation", _object(valuation, 1)),
+        ("worlds", _block(list(map(_quote, s.worlds)), 1)),
+    ]
+    return _object(top, 0) + "\n"

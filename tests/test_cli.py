@@ -187,6 +187,52 @@ class TestCheckHms:
         assert capsys.readouterr().err == "error: unknown agent 'b'\n"
 
 
+class TestInputErrors:
+    """Bad input exits 2 with a named error; a ValueError raised inside the
+    library is an internal error and exits 5."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["check", "{m1}", "--lang", "hms", "--formula", "z", "--world", "w1"],
+             "error: undeclared atoms: ['z']\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "z", "--hms-state", "w1@p"],
+             "error: unknown atom 'z'\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "p", "--world", "w9"],
+             "error: unknown world 'w9'\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "p", "--hms-state", "w1@z"],
+             "error: undeclared atoms: ['z']\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "p", "--hms-state", "@p"],
+             "error: bad state reference '@p': expected 'world@vocab'\n"),
+            (["verify", "--trials", "-1"], "error: trials must be >= 0\n"),
+        ],
+    )
+    def test_input_error(self, m1_file, capsys, args, message):
+        assert main([a.format(m1=m1_file) for a in args]) == EXIT_INPUT
+        assert capsys.readouterr().err == message
+
+    def test_binary_model_file_names_path(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["transform", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        assert main(["transform", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: invalid JSON in {path}: nested too deeply\n"
+
+    def test_library_value_error_is_internal(self, m1_file, capsys, monkeypatch):
+        def fails(self, agent, x):
+            raise ValueError("lookup failed")
+
+        monkeypatch.setattr("awb.hms.HmsStructure.possibility", fails)
+        argv = ["check", m1_file, "--lang", "hms", "--formula", "I[a] q", "--world", "w1"]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal error: ValueError: lookup failed\n"
+
+
 class TestTransform:
     def test_summary(self, m1_file, capsys):
         assert main(["transform", m1_file]) == EXIT_TRUE

@@ -17,12 +17,18 @@ from awb.model import (
     sat_ail,
     sat_implicit_raw,
     validate,
-    vocab_partition,
 )
+from awb.transform import hms_transform
 
 
 def blocks_of(p: Partition):
     return sorted(sorted(b) for b in p.blocks)
+
+
+def space_partition(s, vocab) -> Partition:
+    """The classes of one space of a quotient structure, as a partition of
+    its worlds."""
+    return Partition.from_blocks((s.members[x] for x in s.states(frozenset(vocab))), s.worlds)
 
 
 def with_awareness(m: EpistemicModel, agent: str, rows: dict) -> EpistemicModel:
@@ -150,29 +156,30 @@ class TestPartitions:
         m = with_awareness(M1, "a", {"w1": ["q"], "w2": ["q"]})
         assert blocks_of(awareness_partition(m, "a")) == [["w1", "w2"]]
 
-    def test_vocab_partition_m1(self, M1):
-        assert blocks_of(vocab_partition(M1, frozenset())) == [["w1", "w2"]]
-        assert blocks_of(vocab_partition(M1, {"p"})) == [["w1"], ["w2"]]
-        assert blocks_of(vocab_partition(M1, {"q"})) == [["w1", "w2"]]
+    def test_vocab_partition_m1(self, T1):
+        assert blocks_of(space_partition(T1, frozenset())) == [["w1", "w2"]]
+        assert blocks_of(space_partition(T1, {"p"})) == [["w1"], ["w2"]]
+        assert blocks_of(space_partition(T1, {"q"})) == [["w1", "w2"]]
 
-    def test_vocab_partition_rejects_undeclared(self, M1):
+    def test_vocab_partition_rejects_undeclared(self, T1):
         with pytest.raises(ModelError):
-            vocab_partition(M1, {"z"})
+            space_partition(T1, {"z"})
 
     def test_constant_awareness_equals_vocab_partition(self, M1, M2):
         # when awareness is constant with set A, the awareness partition is
-        # exactly the vocabulary partition for A
+        # exactly the partition of the structure's space for A
         for m in (M1, M2):
+            s = hms_transform(m)
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
                 assert awareness_partition(m, i).same_blocks(
-                    vocab_partition(m, aware)
+                    space_partition(s, aware)
                 )
 
-    def test_vocab_monotone_refinement(self, M1):
-        fine = vocab_partition(M1, {"p", "q"})
+    def test_vocab_monotone_refinement(self, T1):
+        fine = space_partition(T1, {"p", "q"})
         for sub in (frozenset(), {"p"}, {"q"}):
-            assert fine.refines(vocab_partition(M1, sub))
+            assert fine.refines(space_partition(T1, sub))
 
 
 class TestReach:

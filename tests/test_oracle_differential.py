@@ -18,7 +18,6 @@ from awb.model import (
     awareness_partition,
     reach_composed,
     sat_ail,
-    vocab_partition,
 )
 from awb.oracles import (
     a_equiv_pairs,
@@ -131,12 +130,13 @@ class TestRandomDifferential:
             for agent in m.agents:
                 opt = {frozenset(b) for b in awareness_partition(m, agent).blocks}
                 assert opt == classes_of(m, a_equiv_pairs(m, agent))
+            s = hms_transform(m)
             for p in m.atoms:
                 vocab = frozenset({p})
-                opt = {frozenset(b) for b in vocab_partition(m, vocab).blocks}
+                opt = {s.members[x] for x in s.spaces[vocab]}
                 assert opt == raw_space(m, vocab)
             full = frozenset(m.atoms)
-            opt = {frozenset(b) for b in vocab_partition(m, full).blocks}
+            opt = {s.members[x] for x in s.spaces[full]}
             assert opt == classes_of(m, vocab_pairs(m, full))
 
 

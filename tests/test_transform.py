@@ -1,7 +1,17 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 
+import awb
+from awb import oracles
+from awb.harness import TrialConfig, gen_model, trial_seed
+from awb.hms import vocab_key
 from awb.model import EpistemicModel
 from awb.transform import (
     DEFAULT_ATOM_CAP,
@@ -9,7 +19,6 @@ from awb.transform import (
     dump_transform,
     hms_transform,
     transform_summary,
-    transform_to_dict,
 )
 
 P = frozenset({"p"})
@@ -188,9 +197,84 @@ class TestPreconditions:
             hms_transform(m)
 
 
+def reference_dict(s):
+    """The dump's dictionary form, built directly from its definition; with
+    ``json.dumps(..., sort_keys=True, indent=2)`` it is the reference for
+    the bytes of ``dump_transform``."""
+    world_order = {w: k for k, w in enumerate(s.worlds)}
+    spaces = {
+        vocab_key(vocab): [
+            {"rep": x.rep, "members": sorted(s.members[x], key=world_order.get)}
+            for x in s.spaces[vocab]
+        ]
+        for vocab in s.vocabs
+    }
+    lam = {
+        i: {str(x): [str(y) for y in sorted(s.poss[(i, x)])] for x in s.all_states()}
+        for i in s.agents
+    }
+    alpha = {
+        i: {str(x): vocab_key(s.subj_vocab[(i, x)]) for x in s.all_states()}
+        for i in s.agents
+    }
+    valuation = {p: [str(x) for x in sorted(s.val[p])] for p in s.atoms}
+    return {
+        "atoms": list(s.atoms),
+        "agents": list(s.agents),
+        "worlds": list(s.worlds),
+        "spaces": spaces,
+        "lambda": lam,
+        "alpha": alpha,
+        "valuation": valuation,
+    }
+
+
+def ladder_shaped(seed: int, n_atoms: int = 8, n_worlds: int = 64) -> dict:
+    """A seeded model file of the benchmark's ladder shape: two agents with
+    constant fair-coin awareness, indistinguishability blocks of four
+    shuffled worlds, and a fair-coin valuation."""
+    rng = random.Random(seed)
+    atoms = ["p", "q", "r", "s", "t", "u", "v", "x"][:n_atoms]
+    worlds = [f"w{k}" for k in range(1, n_worlds + 1)]
+    valuation = {p: [w for w in worlds if rng.random() < 0.5] for p in atoms}
+    indist, awareness = {}, {}
+    for i in ("a", "b"):
+        order = worlds[:]
+        rng.shuffle(order)
+        indist[i] = [order[k : k + 4] for k in range(0, n_worlds, 4)]
+        aware = [p for p in atoms if rng.random() < 0.5]
+        awareness[i] = {w: aware for w in worlds}
+    return {
+        "atoms": atoms,
+        "agents": ["a", "b"],
+        "worlds": worlds,
+        "valuation": valuation,
+        "indistinguishability": indist,
+        "awareness": awareness,
+    }
+
+
+# Models whose names make the JSON escapes and the key order matter: in
+# escaped form "w\u00e9" sorts before "w~", in plain form after it.
+ODD_MODELS = [
+    EpistemicModel(
+        ("p", "q"),
+        ("\u00e4gent", 'b"c'),
+        ("w\u00e9", "w~", "w\\", "w\u2603", "w@x"),
+        valuation={"p": ["w~", "w\u2603"], "q": []},
+        indist={"\u00e4gent": [["w\u00e9", "w~"]], 'b"c': [["w\\", "w@x", "w~"]]},
+        awareness={
+            "\u00e4gent": {w: ["p"] for w in ("w\u00e9", "w~", "w\\", "w\u2603", "w@x")},
+        },
+    ),
+    EpistemicModel(("p",), (), ("w1", "w2"), valuation={"p": ["w2"]}),
+    EpistemicModel((), ("a",), ("w1", "w2")),
+]
+
+
 class TestDump:
     def test_schema(self, T1):
-        d = transform_to_dict(T1)
+        d = json.loads(dump_transform(T1))
         assert set(d) == {
             "atoms",
             "agents",
@@ -224,3 +308,87 @@ class TestDump:
         assert d["worlds"] == ["w1", "w2"]
         # q-space has two classes in the second fixture
         assert len(d["spaces"]["q"]) == 2
+
+    def test_matches_json_dumps(self, M1, M2, divergent_model):
+        cfg = TrialConfig(max_atoms=4, max_worlds=6)
+        generated = [gen_model(random.Random(trial_seed(77, k)), cfg) for k in range(60)]
+        for m in [M1, M2, divergent_model, *ODD_MODELS, *generated]:
+            s = hms_transform(m)
+            expected = json.dumps(reference_dict(s), sort_keys=True, indent=2) + "\n"
+            assert dump_transform(s) == expected
+
+    def test_ladder_matches_json_dumps(self):
+        from awb.model import model_from_dict
+
+        s = hms_transform(model_from_dict(ladder_shaped(5)))
+        expected = json.dumps(reference_dict(s), sort_keys=True, indent=2) + "\n"
+        assert dump_transform(s) == expected
+
+
+# sha256 of `awb transform MODEL --dump OUT`, computed with the
+# json.dumps-based dump that preceded the one-pass emitter.
+GOLDEN_DUMPS = {
+    "m1": "1ec099b4e60c868ea9da1b9404930c27cc5c9316738081437272a5911f1864c3",
+    "m2": "da5d6f3d986fb7cb778f34e0e17a46762a24fca14c82a6a8c777d4c52ed50bd0",
+    "ladder": "97b804df8b41b2923f261784cda879f0347fce094479c5109a72e6806eb3651d",
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_golden_dump_bytes(tmp_path, hash_seed):
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps(ladder_shaped(2024)))
+    data = resources.files("awb.data")
+    paths = {
+        "m1": str(data.joinpath("m1.json")),
+        "m2": str(data.joinpath("m2.json")),
+        "ladder": str(ladder),
+    }
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(awb.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+    for name, path in paths.items():
+        out = tmp_path / f"{name}-dump.json"
+        subprocess.run(
+            [sys.executable, "-m", "awb.cli", "transform", path, "--dump", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DUMPS[name], name
+
+
+class TestBuildAgainstOracles:
+    def test_random_models(self):
+        cfg = TrialConfig(max_atoms=5, max_agents=3)
+        checked = 0
+        k = 0
+        while checked < 200:
+            m = gen_model(random.Random(trial_seed(5005, k)), cfg)
+            k += 1
+            if len(m.agents) < 2:
+                continue
+            s = hms_transform(m)
+            assert set(s.vocabs) == set(oracles.all_vocabs(m))
+            cell_state = {}
+            for vocab in s.vocabs:
+                states = s.spaces[vocab]
+                assert [x.index for x in states] == list(range(len(states)))
+                assert {s.members[x] for x in states} == oracles.raw_space(m, vocab)
+                for x in states:
+                    cell_state[(vocab, s.members[x])] = x
+                    assert x.vocab == vocab
+                    assert x.rep == min(s.members[x], key=m.world_order)
+                for w in m.worlds:
+                    assert w in s.members[s.state_of[(vocab, w)]]
+            assert len(s.state_of) == len(s.vocabs) * len(m.worlds)
+            for i in m.agents:
+                aware = m.awareness[i][m.worlds[0]]
+                for x in s.all_states():
+                    cells = oracles.raw_poss(m, i, (x.vocab, s.members[x]))
+                    assert s.poss[(i, x)] == {cell_state[(x.vocab, c)] for c in cells}
+                    assert s.subj_vocab[(i, x)] == aware & x.vocab
+            for p in m.atoms:
+                assert s.val[p] == {
+                    x for x in s.all_states() if p in x.vocab and x.rep in m.valuation[p]
+                }
+            checked += 1
