@@ -12,7 +12,7 @@ import awb
 from awb import oracles
 from awb.harness import TrialConfig, gen_model, trial_seed
 from awb.hms import vocab_key
-from awb.model import EpistemicModel
+from awb.model import EpistemicModel, model_from_dict
 from awb.transform import (
     DEFAULT_ATOM_CAP,
     TransformInapplicable,
@@ -318,8 +318,6 @@ class TestDump:
             assert dump_transform(s) == expected
 
     def test_ladder_matches_json_dumps(self):
-        from awb.model import model_from_dict
-
         s = hms_transform(model_from_dict(ladder_shaped(5)))
         expected = json.dumps(reference_dict(s), sort_keys=True, indent=2) + "\n"
         assert dump_transform(s) == expected
