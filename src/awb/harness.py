@@ -461,7 +461,9 @@ def check_eventhood(
 def _lattice(atoms: Tuple[str, ...]):
     """Vocabulary lattice helpers for a fixed atom tuple: all vocabularies,
     and every drop-one-atom (Hasse) edge as a (vocabulary, sub-vocabulary)
-    pair."""
+    pair. The lattice is enumerated here, not taken from the transform's
+    space table, so that the battery does not trust the builder's own
+    enumeration."""
     vocabs = tuple(
         frozenset(c) for size in range(len(atoms) + 1) for c in combinations(atoms, size)
     )

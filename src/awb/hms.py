@@ -27,9 +27,9 @@ differ otherwise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
 from .model import ModelError
@@ -50,30 +50,24 @@ def _parse_vocab_key(key: str) -> FrozenSet[str]:
     return frozenset(key.split(",")) if key else frozenset()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StateId:
+class StateId(NamedTuple):
     """One state: an equivalence class of worlds within one space.
 
     ``rep`` is the canonical member (least world in the model's declared
     order) and ``index`` the class position within its space's state list.
-    ``vocab``, the vocabulary of the state's space, and the hash are
-    computed once at construction; neither takes part in equality or
-    ordering, and the hash equals that of the ``(space_key, index, rep)``
-    tuple.
+    A state is a tuple of these three fields, so hashing, equality and
+    ordering are the tuple's; it equals a plain ``(space_key, index, rep)``
+    tuple. ``vocab``, the vocabulary of the state's space, is read off the
+    key through a cache.
     """
 
     space_key: str
     index: int
     rep: str
-    vocab: FrozenSet[str] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vocab", _parse_vocab_key(self.space_key))
-        object.__setattr__(self, "_hash", hash((self.space_key, self.index, self.rep)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def vocab(self) -> FrozenSet[str]:
+        return _parse_vocab_key(self[0])
 
     def __str__(self) -> str:
         return f"{self.rep}@{self.space_key}"

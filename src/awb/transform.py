@@ -20,7 +20,17 @@ is its first member. For each agent and space, every indistinguishability
 block gets the mask of the class indices it meets, and a state's
 possibility set is the union of the masks of the blocks that meet its own
 class; equal masks within one space share one frozenset. The valuation is
-read off the rows.
+read off the rows. The spaces' vocabularies, masks, keys and atom bits
+depend only on the atom tuple, so they are derived once per tuple and
+cached (``_space_table``); states are tuples made without a Python-level
+constructor call each.
+
+The cyclic garbage collector is paused while the tables are built. A build
+allocates hundreds of thousands of tuples and frozensets (about 40 000
+states at 10 atoms and 128 worlds), and each full collection re-traverses
+the half-built tables, although they hold no reference cycles and every
+temporary is freed by reference counting. With the collector running, that
+re-scanning was about 40 % of a 10-atom, 128-world build.
 
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
@@ -33,7 +43,9 @@ indent would.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, repeat
+import gc
+from functools import lru_cache
+from itertools import combinations, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Tuple
@@ -58,6 +70,14 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     Raises :class:`TransformInapplicable` when the model fails validation,
     when any agent's awareness varies across worlds, or when the atom count
     exceeds ``atom_cap``.
+
+    The tables are built with the cyclic garbage collector disabled (see
+    the module docstring): on a 10-atom, 128-world model (CPython 3.11, a
+    2-vCPU host) the build takes about 0.5 s with it off against 0.85 s
+    with it on. The pause is process-wide but lasts only for the build, and
+    the collector's previous state is restored however the build ends. The
+    objects built are still young when it ends, so the first collection
+    after it traverses them once (about 80 ms at that size).
     """
     violations = validate(m)
     if violations:
@@ -82,13 +102,38 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
             ]
         )
 
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _quotient(m)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@lru_cache(maxsize=64)
+def _space_table(atoms: Tuple[str, ...]) -> Tuple[tuple, ...]:
+    """``(vocab, mask, key, atom bits)`` of every space over ``atoms``, in
+    canonical order (by size, then atom declaration order); ``atom bits``
+    pairs each of the space's atoms with its bit."""
+    bits = [(p, 1 << k) for k, p in enumerate(atoms)]
+    table = []
+    for size in range(len(atoms) + 1):
+        for combo in combinations(bits, size):
+            vocab = frozenset(p for p, _ in combo)
+            table.append((vocab, sum(b for _, b in combo), vocab_key(vocab), combo))
+    return tuple(table)
+
+
+def _quotient(m: EpistemicModel) -> HmsStructure:
+    """The tables of :func:`hms_transform`, for a model that meets its
+    preconditions."""
     atoms, worlds = m.atoms, m.worlds
-    atom_bit = {p: 1 << k for k, p in enumerate(atoms)}
     world_index = {w: k for k, w in enumerate(worlds)}
     rows = [0] * len(worlds)
-    for p in atoms:
+    for k, p in enumerate(atoms):
         for w in m.valuation[p]:
-            rows[world_index[w]] |= atom_bit[p]
+            rows[world_index[w]] |= 1 << k
     class_bit = [1 << k for k in range(len(worlds))]
     blocks_of = {}
     for i in m.agents:
@@ -102,43 +147,41 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     poss: Dict[Tuple[str, StateId], FrozenSet[StateId]] = {}
     subj: Dict[Tuple[str, StateId], FrozenSet[str]] = {}
     marked = {p: [] for p in atoms}
-    for size in range(len(atoms) + 1):
-        for combo in combinations(atoms, size):
-            vocab = frozenset(combo)
-            mask = sum(map(atom_bit.__getitem__, combo))
-            vocabs.append(vocab)
-            # Class index of each world: its row restricted to the vocabulary,
-            # numbered by first occurrence in world order.
-            first = {}
-            cls = [first.setdefault(r & mask, len(first)) for r in rows]
-            groups = [[] for _ in first]
-            for w, c in zip(worlds, cls):
-                groups[c].append(w)
-            key = vocab_key(vocab)
-            states = tuple(StateId(key, c, g[0]) for c, g in enumerate(groups))
-            spaces[vocab] = states
-            members.update(zip(states, map(frozenset, groups)))
-            state_of.update(zip(zip(repeat(vocab), worlds), map(states.__getitem__, cls)))
-            for p in combo:
-                marked[p].extend(x for x, r in zip(states, first) if r & atom_bit[p])
-            # Possibility sets with equal class masks share one frozenset.
-            shared = {}
-            for i in m.agents:
-                n_blocks, blk = blocks_of[i]
-                # A state's possibility set is the union of the classes met by
-                # the indistinguishability blocks that meet its own class.
-                met = [0] * n_blocks
-                for b, c in zip(blk, cls):
-                    met[b] |= class_bit[c]
-                reach = [0] * len(states)
-                for b, c in zip(blk, cls):
-                    reach[c] |= met[b]
-                for r in reach:
-                    if r not in shared:
-                        shared[r] = frozenset(_select(states, r))
-                poss.update(zip(zip(repeat(i), states), map(shared.__getitem__, reach)))
-                subjective = m.awareness[i][worlds[0]] & vocab
-                subj.update(zip(zip(repeat(i), states), repeat(subjective)))
+    for vocab, mask, key, atom_bits in _space_table(atoms):
+        vocabs.append(vocab)
+        # Class index of each world: its row restricted to the vocabulary,
+        # numbered by first occurrence in world order.
+        first = {}
+        cls = [first.setdefault(r & mask, len(first)) for r in rows]
+        groups = [[] for _ in first]
+        for w, c in zip(worlds, cls):
+            groups[c].append(w)
+        # States made by tuple.__new__, with no Python-level call per state.
+        fields = zip(repeat(key), count(), (g[0] for g in groups))
+        states = tuple(map(tuple.__new__, repeat(StateId), fields))
+        spaces[vocab] = states
+        members.update(zip(states, map(frozenset, groups)))
+        state_of.update(zip(zip(repeat(vocab), worlds), map(states.__getitem__, cls)))
+        for p, bit in atom_bits:
+            marked[p].extend(compress(states, map(bit.__and__, first)))
+        # Possibility sets with equal class masks share one frozenset.
+        shared = {}
+        for i in m.agents:
+            n_blocks, blk = blocks_of[i]
+            # A state's possibility set is the union of the classes met by
+            # the indistinguishability blocks that meet its own class.
+            met = [0] * n_blocks
+            for b, c in zip(blk, cls):
+                met[b] |= class_bit[c]
+            reach = [0] * len(states)
+            for b, c in zip(blk, cls):
+                reach[c] |= met[b]
+            for r in reach:
+                if r not in shared:
+                    shared[r] = frozenset(_select(states, r))
+            keys = list(zip(repeat(i), states))
+            poss.update(zip(keys, map(shared.__getitem__, reach)))
+            subj.update(zip(keys, repeat(m.awareness[i][worlds[0]] & vocab)))
 
     return HmsStructure(
         atoms=atoms,
@@ -170,7 +213,6 @@ def transform_summary(s: HmsStructure) -> str:
 
 
 _index = attrgetter("index")
-_space_and_index = attrgetter("space_key", "index")
 
 
 def _block(items: List[str], depth: int, brackets: str = "[]") -> str:
@@ -242,7 +284,7 @@ def dump_transform(s: HmsStructure) -> str:
         spaces.append((vocab_key(vocab), _block(states, 2)))
 
     valuation = [
-        (p, _block([names[x.space_key][x.index] for x in sorted(s.val[p], key=_space_and_index)], 2))
+        (p, _block([names[x.space_key][x.index] for x in sorted(s.val[p])], 2))
         for p in s.atoms
     ]
     top = [

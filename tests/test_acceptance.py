@@ -8,6 +8,7 @@ the criteria that examine different aspects of the same run.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import awb
 from awb.fixtures import m1, m2
 from awb.formula import atoms_of, parse_ail, parse_hms, translate
 from awb.harness import TrialConfig, gen_formula, gen_model, run_suite, trial_seed
@@ -43,6 +45,9 @@ from awb.oracles import (
 from awb.transform import dump_transform, hms_transform
 
 _PREFIX = "[acceptance]"
+
+# CLI subprocesses import the same package as the tests, installed or not.
+CLI_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(awb.__file__))))
 
 
 def _say(text: str) -> None:
@@ -280,8 +285,8 @@ def test_criterion_7_determinism(announce, tmp_path):
             "--format",
             "json",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, env=CLI_ENV, capture_output=True, check=True)
+        second = subprocess.run(cmd, env=CLI_ENV, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["failures_total"] == 0
 
@@ -302,6 +307,7 @@ def test_criterion_7_determinism(announce, tmp_path):
                     "--dump",
                     str(out),
                 ],
+                env=CLI_ENV,
                 capture_output=True,
                 check=True,
             )
@@ -331,6 +337,7 @@ def test_criterion_8_variant_probe(announce, capfd):
                 "--format",
                 "json",
             ],
+            env=CLI_ENV,
             capture_output=True,
         )
         # exit 0 would mean no conjecture failed; exit 4 flags failures of

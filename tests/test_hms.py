@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from awb.formula import parse_hms
 from awb.hms import (
     Event,
+    StateId,
     aware_event,
     event_and,
     event_atom,
@@ -53,6 +56,33 @@ class TestStateRefs:
             T1.resolve_state("nowhere@p")
         with pytest.raises(ValueError):
             T1.resolve_state("w1@z")
+
+
+class TestStateId:
+    def test_tuple_hash_and_order(self, T2):
+        states = list(T2.all_states())
+        for x in states:
+            assert hash(x) == hash((x.space_key, x.index, x.rep))
+        shuffled = states[:]
+        random.Random(5).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(states, key=lambda x: (x.space_key, x.index, x.rep))
+
+    def test_repr_and_str(self):
+        x = StateId("p", 0, "w1")
+        assert repr(x) == "StateId(space_key='p', index=0, rep='w1')"
+        assert str(x) == "w1@p"
+        assert str(StateId("", 0, "w1")) == "w1@"
+
+    def test_vocab_is_its_space(self, T2):
+        for vocab in T2.vocabs:
+            for x in T2.spaces[vocab]:
+                assert x.vocab == vocab
+
+    def test_fields_read_only(self, T1):
+        x = T1.locate("w1", PQ)
+        for name in ("space_key", "index", "rep", "vocab"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
 
 
 class TestExtension:

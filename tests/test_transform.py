@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from importlib import resources
 import pytest
 
 import awb
+import awb.transform as transform_module
 from awb import oracles
 from awb.harness import TrialConfig, gen_model, trial_seed
 from awb.hms import vocab_key
@@ -195,6 +197,69 @@ class TestPreconditions:
         )
         with pytest.raises(TransformInapplicable):
             hms_transform(m)
+
+
+@pytest.fixture
+def collector(request):
+    """Run the test with the cyclic collector enabled or disabled, as the
+    parameter says, and restore the state it had before."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_state_restored(self, collector, M1):
+        hms_transform(M1)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_state_restored_when_inapplicable(self, collector):
+        m = EpistemicModel(("p",), ("a",), ("w1", "w2"), awareness={"a": {"w1": ["p"]}})
+        with pytest.raises(TransformInapplicable):
+            hms_transform(m)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_state_restored_when_a_step_raises(self, collector, M1, monkeypatch):
+        seen = []
+
+        def broken(items, mask):
+            seen.append(gc.isenabled())
+            raise RuntimeError("broken step")
+
+        monkeypatch.setattr(transform_module, "_select", broken)
+        with pytest.raises(RuntimeError, match="broken step"):
+            hms_transform(M1)
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_no_collection_during_build(self, collector):
+        m = model_from_dict(ladder_shaped(2025))
+        starts = []
+
+        def count_starts(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count_starts)
+        try:
+            s = hms_transform(m)
+        finally:
+            gc.callbacks.remove(count_starts)
+        assert s.state_count() > 4000
+        assert starts == []
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_build_leaves_no_cycles(self, collector):
+        m = model_from_dict(ladder_shaped(2025))
+        gc.collect()
+        s = hms_transform(m)
+        del s
+        assert gc.collect() == 0
 
 
 def reference_dict(s):
