@@ -20,10 +20,9 @@ is its first member. For each agent and space, every indistinguishability
 block gets the mask of the class indices it meets, and a state's
 possibility set is the union of the masks of the blocks that meet its own
 class; equal masks within one space share one frozenset. The valuation is
-read off the rows. The spaces' vocabularies, masks, keys and atom bits
-depend only on the atom tuple, so they are derived once per tuple and
-cached (``_space_table``); states are tuples made without a Python-level
-constructor call each.
+read off the rows. Each space's vocabulary, mask, key and atom bits are
+derived once per build, before the loop over spaces (``_space_table``);
+states are tuples made without a Python-level constructor call each.
 
 The cyclic garbage collector is paused while the tables are built. A build
 allocates hundreds of thousands of tuples and frozensets (about 40 000
@@ -44,7 +43,6 @@ indent would.
 from __future__ import annotations
 
 import gc
-from functools import lru_cache
 from itertools import combinations, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
@@ -111,8 +109,7 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
             gc.enable()
 
 
-@lru_cache(maxsize=64)
-def _space_table(atoms: Tuple[str, ...]) -> Tuple[tuple, ...]:
+def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
     """``(vocab, mask, key, atom bits)`` of every space over ``atoms``, in
     canonical order (by size, then atom declaration order); ``atom bits``
     pairs each of the space's atoms with its bit."""
@@ -122,7 +119,7 @@ def _space_table(atoms: Tuple[str, ...]) -> Tuple[tuple, ...]:
         for combo in combinations(bits, size):
             vocab = frozenset(p for p, _ in combo)
             table.append((vocab, sum(b for _, b in combo), vocab_key(vocab), combo))
-    return tuple(table)
+    return table
 
 
 def _quotient(m: EpistemicModel) -> HmsStructure:
