@@ -271,3 +271,91 @@ class TestTruthSets:
     def test_vocab_key(self):
         assert vocab_key(EMPTY) == ""
         assert vocab_key({"q", "p"}) == "p,q"
+
+
+# States that T1 does not have, by kind: a state of T2 (its second
+# q-class; T1's q-space has one class), indices past either end of T1's
+# p-space, the right (space_key, index) with another world as rep, and a
+# rep that is no world at all.
+FORGED = {
+    "foreign": StateId("q", 1, "w2"),
+    "index_past_end": StateId("p", 2, "w1"),
+    "negative_index": StateId("p", -1, "w2"),
+    "wrong_rep": StateId("p", 0, "w2"),
+    "rep_not_a_world": StateId("p", 0, "nowhere"),
+}
+
+
+def refusal(exc_type, call, *args):
+    """The message of the ``exc_type`` that ``call(*args)`` raises."""
+    with pytest.raises(exc_type) as exc:
+        call(*args)
+    assert type(exc.value) is exc_type
+    return str(exc.value)
+
+
+class TestForeignStates:
+    def test_foreign_is_a_state_of_t2(self, T2):
+        assert T2.locate("w2", Q) == FORGED["foreign"]
+
+    @pytest.mark.parametrize("name", FORGED)
+    def test_state_lookups_refuse(self, T1, name):
+        x = FORGED[name]
+        assert refusal(ValueError, sat_hms, T1, x, parse_hms("q")) == f"unknown state {x}"
+        assert (
+            refusal(ValueError, T1.possibility, "a", x)
+            == f"no possibility set for agent 'a' at {x}"
+        )
+        assert (
+            refusal(ValueError, T1.subjective_vocab, "a", x)
+            == f"no subjective space for agent 'a' at {x}"
+        )
+        assert (
+            refusal(ValueError, T1.project, x, PQ)
+            == f"cannot project {x} to {{p,q}}: not a sub-vocabulary"
+        )
+        assert (
+            refusal(ValueError, extension, T1, Event(x.vocab, frozenset({x})))
+            == f"event base contains states outside its space: {x}"
+        )
+
+    def test_project_refuses_a_rep_that_is_no_world(self, T1):
+        x = FORGED["rep_not_a_world"]
+        assert refusal(ValueError, T1.project, x, EMPTY) == "cannot project nowhere@p to {}"
+
+    def test_unknown_agent_refused(self, T1):
+        x = T1.locate("w1", P)
+        assert (
+            refusal(ValueError, T1.possibility, "b", x)
+            == "no possibility set for agent 'b' at w1@p"
+        )
+        assert (
+            refusal(ValueError, T1.subjective_vocab, "b", x)
+            == "no subjective space for agent 'b' at w1@p"
+        )
+        assert (
+            refusal(ValueError, sat_hms, T1, x, parse_hms("I[b] p"))
+            == "no possibility set for agent 'b' at w1@p"
+        )
+        assert (
+            refusal(ValueError, sat_hms, T1, x, parse_hms("A[b] p"))
+            == "no subjective space for agent 'b' at w1@p"
+        )
+
+    def test_locate_and_resolve_refuse(self, T1):
+        from awb.model import ModelError
+
+        assert refusal(ModelError, T1.locate, "nowhere", P) == "unknown world 'nowhere'"
+        assert refusal(ModelError, T1.locate, "w1", {"z"}) == "undeclared atoms: ['z']"
+        # a reference names a world and a space, not an index: any member
+        # world is accepted in the rep position
+        assert T1.resolve_state(str(FORGED["wrong_rep"])) == T1.locate("w2", P)
+        assert (
+            refusal(ModelError, T1.resolve_state, str(FORGED["rep_not_a_world"]))
+            == "unknown world 'nowhere'"
+        )
+        assert refusal(ModelError, T1.resolve_state, "w1@z") == "undeclared atoms: ['z']"
+        assert (
+            refusal(ModelError, T1.resolve_state, "w1")
+            == "bad state reference 'w1': expected 'world@vocab'"
+        )

@@ -420,6 +420,67 @@ def test_golden_dump_bytes(tmp_path, hash_seed):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DUMPS[name], name
 
 
+def kind_formulas(rng: random.Random, atoms, agents):
+    """One HMS formula per ladder formula kind, in the benchmark's order:
+    one to four atoms, each as a propositional, awareness or implicit
+    knowledge formula. Atoms repeat when the model has fewer; every node
+    is negated at probability 0.3."""
+    texts = []
+    for size in range(1, 5):
+        for shape in range(3):
+            if size <= len(atoms):
+                leaves = rng.sample(atoms, size)
+            else:
+                leaves = [rng.choice(atoms) for _ in range(size)]
+            nodes = [f"~{p}" if rng.random() < 0.3 else p for p in leaves]
+            while len(nodes) > 1:
+                k = rng.randrange(len(nodes) - 1)
+                node = f"({nodes[k]} & {nodes[k + 1]})"
+                nodes[k : k + 2] = [f"~{node}" if rng.random() < 0.3 else node]
+            agent = rng.choice(agents)
+            texts.append([nodes[0], f"A[{agent}] {nodes[0]}", f"I[{agent}] {nodes[0]}"][shape])
+    return texts
+
+
+# sha256 of the stdout of `awb check MODEL --lang hms --formula F --world W
+# -v` over the 12 formula kinds of `kind_formulas` (seed 606): at both
+# worlds and in both variants for the fixtures, at one seeded world for
+# the ladder-shaped 8-atom, 64-world model of seed 2026.
+GOLDEN_CHECK_VERBOSE = {
+    "m1": "407bb5a2a6bad0c8684683b430208258efdc51e901b02d2d2494e804abb5c8a7",
+    "m2": "8575e48e9aa883e2aba5cd7b903632dd5a8b2d198d2183b41646b0c0cc061045",
+    "ladder": "977b5ab26e2f49ac5cbefaf6acc2dac7cca5cee1c7e345aa6d449fdb98bf02b3",
+}
+
+
+def test_golden_check_verbose(tmp_path, capsys):
+    from awb.cli import main
+
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps(ladder_shaped(2026)))
+    data = resources.files("awb.data")
+    paths = {
+        "m1": str(data.joinpath("m1.json")),
+        "m2": str(data.joinpath("m2.json")),
+        "ladder": str(ladder),
+    }
+    for name, path in paths.items():
+        d = json.loads(open(path).read())
+        rng = random.Random(606)
+        out = []
+        for f in kind_formulas(rng, d["atoms"], d["agents"]):
+            if name == "ladder":
+                runs = [(rng.choice(d["worlds"]), "pointwise")]
+            else:
+                runs = [(w, v) for w in d["worlds"] for v in ("pointwise", "cell-union")]
+            for world, variant in runs:
+                args = ["check", path, "--lang", "hms", "--formula", f, "--world", world]
+                main(args + ["--variant", variant, "-v"])
+                out.append(capsys.readouterr().out)
+        digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_CHECK_VERBOSE[name], (name, digest)
+
+
 class TestBuildAgainstOracles:
     def test_random_models(self):
         cfg = TrialConfig(max_atoms=5, max_agents=3)
