@@ -343,7 +343,7 @@ def direct_truth_states(
 
     def region(bv: FrozenSet[str]) -> FrozenSet[StateId]:
         return frozenset(
-            x for v in s.vocabs if bv <= v for x in s.spaces[v]
+            x for v, row in s.rows.items() if bv <= v for x in row.states
         )
 
     def rec(node) -> FrozenSet[StateId]:
@@ -363,7 +363,7 @@ def direct_truth_states(
         if isinstance(node, Implicit):
             bv = atoms_of(node.body)
             body_states = rec(node.body)
-            base = frozenset(x for x in s.spaces[bv] if x in body_states)
+            base = frozenset(x for x in s.states(bv) if x in body_states)
             if variant == "pointwise":
                 return frozenset(
                     x
@@ -371,7 +371,7 @@ def direct_truth_states(
                     if s.possibility(node.agent, s.project(x, bv)) <= base
                 )
             covered: FrozenSet[StateId] = frozenset()
-            for y in s.spaces[bv]:
+            for y in s.states(bv):
                 cell = s.possibility(node.agent, y)
                 if cell <= base:
                     covered |= cell
@@ -439,13 +439,17 @@ def check_eventhood(
             "only_extension": sorted(str(x) for x in ext - direct),
             "variant": variant,
         }
-    slice_ = frozenset(x for x in s.spaces[ts.vocab] if x in direct)
+    # The up-closure of the base-space slice, read off the world -> state
+    # rows: a state of a richer space is in it when the class holding its
+    # representative in the base space is in the slice.
+    base_row = s.rows[ts.vocab]
+    slice_ = {x.index for x in base_row.states if x in direct}
     closure = frozenset(
         x
-        for v in s.vocabs
+        for v, row in s.rows.items()
         if ts.vocab <= v
-        for x in s.spaces[v]
-        if s.project(x, ts.vocab) in slice_
+        for x in row.states
+        if base_row.state_at[s.world_index[x.rep]] in slice_
     )
     if closure != direct:
         return "fail", {
@@ -475,34 +479,37 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     """Full structural battery for a transform of ``m``; fails fast with a
     detail naming the offending element.
 
-    Projections are checked on the drop-one-atom edges of the vocabulary
-    lattice only, ``members[x] <= members[project(x, phi - {p})]`` for
-    every state ``x`` of every space ``phi`` and every ``p`` in ``phi``,
-    which costs n * 2^(n-1) edges instead of 3^n contained pairs and 4^n
-    three-chains. Nothing is lost, given the per-space checks that run
-    first: in every space the classes are non-empty, pairwise disjoint and
-    cover the worlds, each state's ``rep`` is one of its members, and
-    ``state_of[(V, w)]`` is the state of ``V`` whose class holds ``w``. So
-    two states of one space whose classes share a world are the same state,
-    and ``project(x, V) = state_of[(V, x.rep)]`` is the state of ``V`` whose
-    class holds ``x.rep``. Then:
+    Each space's row is checked first: its tables have one entry per world
+    or per state, in every space the classes are non-empty, pairwise
+    disjoint and cover the worlds, each state's ``rep`` is the least of its
+    members, and the world -> state row ``state_at`` sends every member of
+    a class to that class's index. So two states of one space whose classes
+    share a world are the same state, and ``project(x, V)``, the state of
+    ``V`` at ``x.rep``'s position in ``V``'s world -> state row, is the
+    state of ``V`` whose class holds ``x.rep``.
+
+    Projections are then checked on the drop-one-atom edges of the
+    vocabulary lattice only, ``members(x) <= members(project(x, phi -
+    {p}))`` for every state ``x`` of every space ``phi`` and every ``p`` in
+    ``phi``, which costs n * 2^(n-1) edges instead of 3^n contained pairs
+    and 4^n three-chains. Nothing is lost, given the per-space checks:
 
     * inclusion on every contained pair ``psi <= phi``: walk from ``phi``
       to ``psi`` dropping one atom at a time, ``x = x0, x1, ..., xk`` with
       each ``x(j+1)`` the projection of ``xj``. The edge checks give
-      ``members[x] <= members[xk]``, so ``xk`` holds ``x.rep`` and is
+      ``members(x) <= members(xk)``, so ``xk`` holds ``x.rep`` and is
       ``project(x, psi)``;
     * identity on the own space: ``project(x, phi)`` holds ``x.rep``, as
       ``x`` does, so it is ``x``;
     * composition: for ``ups <= psi <= phi``, both ``project(project(x,
       psi), ups)`` and ``project(x, ups)`` have classes containing
-      ``members[x]`` (by inclusion twice, and once), so they are equal;
+      ``members(x)`` (by inclusion twice, and once), so they are equal;
     * surjectivity: a state ``y`` of ``psi`` holds some world ``w``, which
       lies in the class of some ``x`` of ``phi``. ``project(x, psi)`` then
       holds ``w`` too, so it is ``y``.
 
-    The possibility, subjective-vocabulary and valuation checks look states
-    up in a per-space table of ``state_of`` rows.
+    The possibility, subjective-vocabulary and valuation checks read the
+    same rows, with projections taken through the world -> state rows.
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
@@ -510,79 +517,88 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         return "fail", detail
 
     vocabs, edges = _lattice(m.atoms)
+    rows = s.rows
     if set(s.vocabs) != set(vocabs) or len(s.vocabs) != len(vocabs):
         return fail("space family does not cover the vocabulary lattice")
 
     n_worlds = len(m.worlds)
     world_set = frozenset(m.worlds)
-    total_states = 0
-    # rows[V][w]: the state of space V holding world w, as state_of says
-    rows: Dict[FrozenSet[str], Dict[str, StateId]] = {}
-    for vocab in s.vocabs:
-        states = s.spaces[vocab]
+    agents = set(m.agents)
+    at = {w: k for k, w in enumerate(m.worlds)}
+    for vocab, row in rows.items():
+        states = row.states
         key = vocab_key(vocab)
         if not states:
             return fail("empty space", space=key)
-        total_states += len(states)
         if len(states) > min(n_worlds, 2 ** len(vocab)):
             return fail("space larger than the size bound", space=key)
-        row: Dict[str, StateId] = {}
-        for idx, x in enumerate(states):
+        if (
+            row.vocab != vocab
+            or row.key != key
+            or len(row.state_at) != n_worlds
+            or len(row.members) != len(states)
+            or row.poss.keys() != agents
+            or any(len(cells) != len(states) for cells in row.poss.values())
+            or row.alpha.keys() != agents
+        ):
+            return fail("row shape inconsistent with its space", space=key)
+        seen: set = set()
+        for idx, (x, mem) in enumerate(zip(states, row.members)):
             if x.space_key != key or x.index != idx:
                 return fail("state tag inconsistent with its space", state=str(x))
-            mem = s.members[x]
             if not mem or x.rep not in mem or x.rep != min(mem, key=m.world_order):
                 return fail("state representative is not the least member", state=str(x))
-            if not row.keys().isdisjoint(mem):
+            if not seen.isdisjoint(mem):
                 return fail("overlapping state classes", space=key)
             for w in mem:
-                if s.state_of[(vocab, w)] != x:
+                if w not in at or row.state_at[at[w]] != idx:
                     return fail("membership table inconsistent", state=str(x), world=w)
-                row[w] = x
-        if row.keys() != world_set:
+            seen |= mem
+        if seen != world_set:
             return fail("state classes do not cover the worlds", space=key)
-        rows[vocab] = row
-    if len(s.members) != total_states:
-        return fail("spaces share states")
-    if len(s.spaces[frozenset()]) != 1:
+    if len(rows[frozenset()].states) != 1:
         return fail("empty-vocabulary space is not a singleton")
 
     for phi, psi in edges:
-        row = rows[psi]
-        for x in s.spaces[phi]:
-            if not s.members[x] <= s.members[row[x.rep]]:
+        hi, lo = rows[phi], rows[psi]
+        for x, mem in zip(hi.states, hi.members):
+            if not mem <= lo.members[lo.state_at[at[x.rep]]]:
                 return fail(
                     "projection not independent of representative",
                     edge=f"{vocab_key(phi)}->{vocab_key(psi)}",
                     state=str(x),
                 )
 
-    top = frozenset(m.atoms)
+    top = rows[frozenset(m.atoms)]
+    space_sets = {vocab: frozenset(row.states) for vocab, row in rows.items()}
     for i in m.agents:
-        for vocab in s.vocabs:
-            for x in s.spaces[vocab]:
-                cell = s.possibility(i, x)
+        for vocab, row in rows.items():
+            space = space_sets[vocab]
+            for x, cell in zip(row.states, row.poss[i]):
                 if not cell:
                     return fail("empty possibility set", agent=i, state=str(x))
-                if any(y.space_key != x.space_key for y in cell):
+                if not cell <= space:
                     return fail("possibility set leaves its space", agent=i, state=str(x))
                 if x not in cell:
                     return fail("possibility set not reflexive", agent=i, state=str(x))
-        for x in s.spaces[top]:
-            for y in s.possibility(i, x):
-                if x not in s.possibility(i, y):
+        top_cells = top.poss[i]
+        for x, cell in zip(top.states, top_cells):
+            for y in cell:
+                if x not in top_cells[y.index]:
                     return fail(
                         "possibility set not symmetric on the top space",
                         agent=i,
                         states=f"{x}/{y}",
                     )
-        for vocab in s.vocabs:
-            row = rows[vocab]
-            from_fibers: Dict[StateId, set] = {y: set() for y in s.spaces[vocab]}
-            for t in s.spaces[top]:
-                y = row[t.rep]
-                image = {row[z.rep] for z in s.possibility(i, t)}
-                if not image <= s.possibility(i, y):
+        for vocab, row in rows.items():
+            # down[k]: the index in this space of the k-th top state's projection
+            down = [row.state_at[at[t.rep]] for t in top.states]
+            cells = row.poss[i]
+            from_fibers = [set() for _ in row.states]
+            for t, cell in zip(top.states, top_cells):
+                y = down[t.index]
+                image = {row.states[down[z.index]] for z in cell}
+                if not image <= cells[y]:
                     return fail(
                         "projected possibility set not contained in the lower one",
                         agent=i,
@@ -590,8 +606,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                         space=vocab_key(vocab),
                     )
                 from_fibers[y] |= image
-            for y in s.spaces[vocab]:
-                if from_fibers[y] != s.possibility(i, y):
+            for y, cell, fiber in zip(row.states, cells, from_fibers):
+                if fiber != cell:
                     return fail(
                         "lower possibility set is not the union over its top fiber",
                         agent=i,
@@ -600,25 +616,22 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
 
     for i in m.agents:
         aware = m.awareness[i][m.worlds[0]]
-        for vocab in s.vocabs:
-            expected = aware & vocab
-            for x in s.spaces[vocab]:
-                sv = s.subjective_vocab(i, x)
-                if sv != expected:
-                    return fail(
-                        "subjective vocabulary is not awareness intersected with the space",
-                        agent=i,
-                        state=str(x),
-                    )
-                if sv not in s.spaces:
-                    return fail("subjective space missing", agent=i, state=str(x))
+        for vocab, row in rows.items():
+            sv = row.alpha[i]
+            if sv != aware & vocab:
+                return fail(
+                    "subjective vocabulary is not awareness intersected with the space",
+                    agent=i,
+                    space=vocab_key(vocab),
+                )
+            if sv not in rows:
+                return fail("subjective space missing", agent=i, space=vocab_key(vocab))
 
     for p in m.atoms:
         marked = s.val[p]
         true_at = m.valuation[p]
-        for vocab in s.vocabs:
-            for x in s.spaces[vocab]:
-                mem = s.members[x]
+        for vocab, row in rows.items():
+            for x, mem in zip(row.states, row.members):
                 all_true = mem <= true_at
                 if p in vocab and not all_true and not mem.isdisjoint(true_at):
                     return fail("class members disagree on an in-vocabulary atom", atom=p, state=str(x))
@@ -636,11 +649,12 @@ def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
         return "pass", {"agent": agent}
     extra = sorted(cu.base - pw.base)
     witnesses = {}
+    row = s.rows[e.vocab]
     for x in extra:
         owners = sorted(
             y
-            for y in s.spaces[e.vocab]
-            if s.possibility(agent, y) <= e.base and x in s.possibility(agent, y)
+            for y, cell in zip(row.states, row.poss[agent])
+            if cell <= e.base and x in cell
         )
         witnesses[str(x)] = [str(y) for y in owners]
     return "fail", {

@@ -5,8 +5,10 @@ atom alphabet (the space's vocabulary), together with projections from
 richer to poorer spaces, a per-agent possibility correspondence, a
 per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
-``transform`` module) but the event algebra in this module only relies on
-the structure interface.
+``transform`` module). A structure is stored as one row per space (see
+:class:`SpaceRow`); the event algebra walks those rows by state index, and
+projects a state by looking up its representative in the target space's
+world -> state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
 inside that vocabulary's space. Its extension is the up-closure: the union,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Tuple
+from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
 from .model import ModelError
@@ -95,13 +97,37 @@ class Event:
         return f"<{{{vocab_key(self.vocab)}}}: {{{states}}}>"
 
 
+class SpaceRow(NamedTuple):
+    """One space of a structure, with its tables indexed by state index.
+
+    ``state_at`` maps each world, by its position in the model's world
+    order, to the index of the state whose class holds it. ``members`` and
+    each agent's tuple in ``poss`` are indexed by state. Awareness is
+    constant across worlds, so an agent's subjective vocabulary is the same
+    at every state of a space and ``alpha`` holds one per agent.
+    """
+
+    vocab: FrozenSet[str]
+    key: str
+    states: Tuple[StateId, ...]
+    state_at: Tuple[int, ...]
+    members: Tuple[FrozenSet[str], ...]
+    poss: Mapping[str, Tuple[FrozenSet[StateId], ...]]
+    alpha: Mapping[str, FrozenSet[str]]
+
+
 class HmsStructure:
     """Immutable family of quotient spaces with projections, possibility
     correspondence, subjective vocabularies, and state valuation.
 
-    The constructor takes fully materialized tables; consistency between
-    them is the builder's responsibility (the verification harness checks
-    every structural invariant independently).
+    The structure keeps the rows it is given, one :class:`SpaceRow` per
+    space keyed by vocabulary in canonical order, and the valuation, and
+    copies neither; consistency between them is the builder's
+    responsibility (the verification harness checks every structural
+    invariant independently). A state passed in is looked up by its space
+    key and index and must equal the state stored there, so a state of
+    another structure or a forged tuple is refused, not read as some
+    other state.
     """
 
     def __init__(
@@ -109,40 +135,43 @@ class HmsStructure:
         atoms: Tuple[str, ...],
         agents: Tuple[str, ...],
         worlds: Tuple[str, ...],
-        vocabs: Tuple[FrozenSet[str], ...],
-        spaces: Mapping[FrozenSet[str], Tuple[StateId, ...]],
-        members: Mapping[StateId, FrozenSet[str]],
-        state_of: Mapping[Tuple[FrozenSet[str], str], StateId],
-        poss: Mapping[Tuple[str, StateId], FrozenSet[StateId]],
-        subj_vocab: Mapping[Tuple[str, StateId], FrozenSet[str]],
+        rows: Mapping[FrozenSet[str], SpaceRow],
         val: Mapping[str, FrozenSet[StateId]],
     ):
         self.atoms = atoms
         self.agents = agents
         self.worlds = worlds
-        self.vocabs = vocabs
-        self.spaces = dict(spaces)
-        self.members = dict(members)
-        self.state_of = dict(state_of)
-        self.poss = dict(poss)
-        self.subj_vocab = dict(subj_vocab)
-        self.val = dict(val)
+        self.rows = rows
+        self.val = val
+        self.vocabs = tuple(rows)
         self.atom_set = frozenset(atoms)
+        self.world_index = {w: k for k, w in enumerate(worlds)}
 
     # -- basic queries ---------------------------------------------------
 
     def states(self, vocab: FrozenSet[str]) -> Tuple[StateId, ...]:
         try:
-            return self.spaces[vocab]
+            return self.rows[vocab].states
         except KeyError:
             raise ModelError(f"no space with vocabulary {{{vocab_key(vocab)}}}") from None
 
     def all_states(self) -> Iterator[StateId]:
-        for vocab in self.vocabs:
-            yield from self.spaces[vocab]
+        for row in self.rows.values():
+            yield from row.states
 
     def state_count(self) -> int:
-        return sum(len(self.spaces[v]) for v in self.vocabs)
+        return sum(len(row.states) for row in self.rows.values())
+
+    def row_of(self, x: StateId) -> Optional[SpaceRow]:
+        """The row of ``x``'s space, or ``None`` when ``x`` is not a state
+        of this structure."""
+        try:
+            row = self.rows.get(_parse_vocab_key(x[0]))
+            if row is not None and row.states[x[1]] == x:
+                return row
+        except (AttributeError, IndexError, TypeError):
+            pass
+        return None
 
     def locate(self, world: str, vocab: Iterable[str]) -> StateId:
         """The state of the given space whose member class contains the
@@ -151,10 +180,11 @@ class HmsStructure:
         stray = vocab - self.atom_set
         if stray:
             raise ModelError(f"undeclared atoms: {sorted(stray)}")
-        try:
-            return self.state_of[(vocab, world)]
-        except KeyError:
-            raise ModelError(f"unknown world {world!r}") from None
+        k = self.world_index.get(world)
+        row = self.rows.get(vocab)
+        if k is None or row is None:
+            raise ModelError(f"unknown world {world!r}")
+        return row.states[row.state_at[k]]
 
     def project(self, x: StateId, vocab: FrozenSet[str]) -> StateId:
         """Projection of a state onto a space with a smaller vocabulary.
@@ -164,25 +194,25 @@ class HmsStructure:
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
-        target = self.state_of.get((vocab, x.rep))
-        if target is None:
+        target = self.rows.get(vocab)
+        if target is None or self.row_of(x) is None:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
-        return target
+        return target.states[target.state_at[self.world_index[x[2]]]]
 
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:
         """The set of states the agent considers possible at ``x``; always
         within ``x``'s own space."""
-        try:
-            return self.poss[(agent, x)]
-        except KeyError:
-            raise ValueError(f"no possibility set for agent {agent!r} at {x}") from None
+        row = self.row_of(x)
+        if row is None or agent not in row.poss:
+            raise ValueError(f"no possibility set for agent {agent!r} at {x}")
+        return row.poss[agent][x[1]]
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``."""
-        try:
-            return self.subj_vocab[(agent, x)]
-        except KeyError:
-            raise ValueError(f"no subjective space for agent {agent!r} at {x}") from None
+        row = self.row_of(x)
+        if row is None or agent not in row.alpha:
+            raise ValueError(f"no subjective space for agent {agent!r} at {x}")
+        return row.alpha[agent]
 
     def resolve_state(self, ref: str) -> StateId:
         """Look up a state from its ``rep@vocab`` reference; any member
@@ -190,16 +220,19 @@ class HmsStructure:
         world, vocab = parse_state_ref(ref)
         return self.locate(world, vocab)
 
-    def check_event(self, e: Event) -> None:
-        space = self.spaces.get(e.vocab)
-        if space is None:
+    def check_event(self, e: Event) -> SpaceRow:
+        """Refuse an event whose base is not a set of states of its base
+        space; return that space's row."""
+        row = self.rows.get(e.vocab)
+        if row is None:
             raise ValueError(f"event based on unknown space {{{vocab_key(e.vocab)}}}")
-        stray = e.base - set(space)
+        stray = e.base.difference(row.states)
         if stray:
             raise ValueError(
                 f"event base contains states outside its space: "
                 f"{', '.join(str(x) for x in sorted(stray))}"
             )
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +242,37 @@ class HmsStructure:
 def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     """Up-closure of an event: all states, in every space whose vocabulary
     contains the base vocabulary, that project into the base."""
-    s.check_event(e)
-    out = []
-    for vocab in s.vocabs:
-        if e.vocab <= vocab:
-            for x in s.spaces[vocab]:
-                if s.state_of[(e.vocab, x.rep)] in e.base:
-                    out.append(x)
-    return frozenset(out)
+    base_row = s.check_event(e)
+    st, at, k = base_row.states, base_row.state_at, s.world_index
+    return frozenset(
+        x
+        for vocab, row in s.rows.items()
+        if e.vocab <= vocab
+        for x in row.states
+        if st[at[k[x[2]]]] in e.base
+    )
 
 
 def event_not(s: HmsStructure, e: Event) -> Event:
     """Complement within the base space; the base vocabulary is kept."""
-    s.check_event(e)
-    return Event(e.vocab, frozenset(s.spaces[e.vocab]) - e.base)
+    row = s.check_event(e)
+    return Event(e.vocab, frozenset(row.states) - e.base)
 
 
 def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
     """Intersection, rebased onto the union of the two base vocabularies:
     each base is lifted to the joined space by projection preimage and the
     lifts are intersected."""
-    s.check_event(e1)
-    s.check_event(e2)
+    row1 = s.check_event(e1)
+    row2 = s.check_event(e2)
     joined = e1.vocab | e2.vocab
+    st1, at1, b1 = row1.states, row1.state_at, e1.base
+    st2, at2, b2 = row2.states, row2.state_at, e2.base
+    k = s.world_index
     base = frozenset(
         x
-        for x in s.spaces[joined]
-        if s.state_of[(e1.vocab, x.rep)] in e1.base
-        and s.state_of[(e2.vocab, x.rep)] in e2.base
+        for x in s.rows[joined].states
+        if st1[at1[k[x[2]]]] in b1 and st2[at2[k[x[2]]]] in b2
     )
     return Event(joined, base)
 
@@ -247,18 +283,19 @@ def event_atom(s: HmsStructure, p: str) -> Event:
     if p not in s.atom_set:
         raise ModelError(f"unknown atom {p!r}")
     vocab = frozenset({p})
-    base = frozenset(x for x in s.spaces[vocab] if x in s.val[p])
-    return Event(vocab, base)
+    marked = s.val[p]
+    return Event(vocab, frozenset(x for x in s.rows[vocab].states if x in marked))
 
 
 def aware_event(s: HmsStructure, agent: str, e: Event) -> Event:
     """Awareness operator: keeps the base vocabulary; the new base holds
-    the states whose subjective vocabulary covers the base vocabulary."""
-    s.check_event(e)
-    base = frozenset(
-        x for x in s.spaces[e.vocab] if e.vocab <= s.subjective_vocab(agent, x)
-    )
-    return Event(e.vocab, base)
+    the states whose subjective vocabulary covers the base vocabulary.
+    Awareness is constant, so that is the whole base space or nothing."""
+    row = s.check_event(e)
+    alpha = row.alpha.get(agent)
+    if alpha is None:
+        raise ValueError(f"no subjective space for agent {agent!r} at {row.states[0]}")
+    return Event(e.vocab, frozenset(row.states) if e.vocab <= alpha else frozenset())
 
 
 def implicit_event(
@@ -266,20 +303,17 @@ def implicit_event(
 ) -> Event:
     """Implicit-knowledge operator, in the requested variant (see module
     docstring). Both keep the base vocabulary."""
-    s.check_event(e)
+    row = s.check_event(e)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    cells = row.poss.get(agent)
+    if cells is None:
+        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
     if variant == "pointwise":
-        base = frozenset(
-            x for x in s.spaces[e.vocab] if s.possibility(agent, x) <= e.base
-        )
+        base = frozenset(x for x, cell in zip(row.states, cells) if cell <= e.base)
     else:
-        cells = [
-            s.possibility(agent, x)
-            for x in s.spaces[e.vocab]
-            if s.possibility(agent, x) <= e.base
-        ]
-        base = frozenset().union(*cells) if cells else frozenset()
+        inside = [cell for cell in cells if cell <= e.base]
+        base = frozenset().union(*inside) if inside else frozenset()
     return Event(e.vocab, base)
 
 
@@ -319,7 +353,7 @@ def sat_hms(
     of the formula's truth event, decided without building the extension:
     by definition ``x`` is in it exactly when its space's vocabulary
     contains the base vocabulary and its projection lies in the base."""
-    if x not in s.members:
+    if s.row_of(x) is None:
         raise ValueError(f"unknown state {x}")
     ts = truth_set(s, f, variant)
     return ts.vocab <= x.vocab and s.project(x, ts.vocab) in ts.base

@@ -11,6 +11,10 @@ formula AST, so agreement between the two routes is meaningful evidence.
 Raw states are ``(vocab, members)`` pairs of frozensets; raw events are
 ``(vocab, set of member-frozensets)`` pairs. The implicit-knowledge
 operator takes the same two variants as the optimized route.
+
+Within one top-level call, each raw space and each agent's pair set is
+built once and then reused: a formula's recursion asks for the same
+spaces many times over, and each pair set costs O(worlds²).
 """
 
 from __future__ import annotations
@@ -129,11 +133,38 @@ def all_vocabs(m: EpistemicModel):
             yield frozenset(combo)
 
 
+class _Memo:
+    """The raw spaces and indistinguishability pair sets of one model, each
+    built once by its literal definition above. Every top-level oracle call
+    makes a fresh one and passes it down, so nothing is kept between calls;
+    callers only read what it hands out."""
+
+    def __init__(self, m: EpistemicModel):
+        self.m = m
+        self._spaces = {}
+        self._indist = {}
+
+    def space(self, vocab) -> Set[FrozenSet[str]]:
+        vocab = frozenset(vocab)
+        if vocab not in self._spaces:
+            self._spaces[vocab] = raw_space(self.m, vocab)
+        return self._spaces[vocab]
+
+    def indist(self, agent: str) -> Set[Pair]:
+        if agent not in self._indist:
+            self._indist[agent] = indist_pairs(self.m, agent)
+        return self._indist[agent]
+
+
 def raw_project(m: EpistemicModel, state: RawState, vocab) -> FrozenSet[str]:
     """The class of the poorer space containing all of the state's members;
     raises if membership is ambiguous (it never is for true quotients)."""
+    return _project(_Memo(m), state, vocab)
+
+
+def _project(memo: _Memo, state: RawState, vocab) -> FrozenSet[str]:
     vocab = frozenset(vocab)
-    hits = [c for c in raw_space(m, vocab) if state[1] <= c]
+    hits = [c for c in memo.space(vocab) if state[1] <= c]
     if len(hits) != 1:
         raise AssertionError(
             f"projection of {sorted(state[1])} to {sorted(vocab)} hit {len(hits)} classes"
@@ -144,11 +175,15 @@ def raw_project(m: EpistemicModel, state: RawState, vocab) -> FrozenSet[str]:
 def raw_poss(m: EpistemicModel, agent: str, state: RawState) -> Set[FrozenSet[str]]:
     """Possibility cells at a raw state: classes of the same space holding a
     world indistinguishable from some member."""
+    return _poss(_Memo(m), agent, state)
+
+
+def _poss(memo: _Memo, agent: str, state: RawState) -> Set[FrozenSet[str]]:
     vocab, cell = state
-    indist = indist_pairs(m, agent)
+    indist = memo.indist(agent)
     return {
         other
-        for other in raw_space(m, vocab)
+        for other in memo.space(vocab)
         if any((u, v) in indist for u in cell for v in other)
     }
 
@@ -157,51 +192,60 @@ RawEvent = Tuple[FrozenSet[str], Set[FrozenSet[str]]]
 
 
 def raw_extension(m: EpistemicModel, e: RawEvent) -> Set[RawState]:
+    return _extension(_Memo(m), e)
+
+
+def _extension(memo: _Memo, e: RawEvent) -> Set[RawState]:
     vocab, base = e
     out = set()
-    for phi in all_vocabs(m):
+    for phi in all_vocabs(memo.m):
         if vocab <= phi:
-            for cell in raw_space(m, phi):
-                if raw_project(m, (phi, cell), vocab) in base:
+            for cell in memo.space(phi):
+                if _project(memo, (phi, cell), vocab) in base:
                     out.add((phi, cell))
     return out
 
 
 def raw_event(m: EpistemicModel, f, variant: str = "pointwise") -> RawEvent:
     """Event of a formula over raw states, by literal recursion."""
+    return _event(_Memo(m), f, variant)
+
+
+def _event(memo: _Memo, f, variant: str) -> RawEvent:
+    m = memo.m
     if isinstance(f, Prop) or isinstance(f, (Atom, Not, And)):
         body = f.body if isinstance(f, Prop) else f
         if isinstance(body, Atom):
             vocab = frozenset({body.name})
-            return vocab, {c for c in raw_space(m, vocab) if any(w in m.valuation[body.name] for w in c)}
+            return vocab, {c for c in memo.space(vocab) if any(w in m.valuation[body.name] for w in c)}
         if isinstance(body, Not):
-            vocab, base = raw_event(m, body.child, variant)
-            return vocab, raw_space(m, vocab) - base
+            vocab, base = _event(memo, body.child, variant)
+            return vocab, memo.space(vocab) - base
         if isinstance(body, And):
-            v1, b1 = raw_event(m, body.left, variant)
-            v2, b2 = raw_event(m, body.right, variant)
+            v1, b1 = _event(memo, body.left, variant)
+            v2, b2 = _event(memo, body.right, variant)
             joined = v1 | v2
             base = {
                 c
-                for c in raw_space(m, joined)
-                if raw_project(m, (joined, c), v1) in b1
-                and raw_project(m, (joined, c), v2) in b2
+                for c in memo.space(joined)
+                if _project(memo, (joined, c), v1) in b1
+                and _project(memo, (joined, c), v2) in b2
             }
             return joined, base
     if isinstance(f, Aware):
-        vocab, _ = raw_event(m, f.body, variant)
+        vocab, _ = _event(memo, f.body, variant)
         aw = m.awareness[f.agent]
         return vocab, {
-            c for c in raw_space(m, vocab) if vocab <= aw[min(c, key=m.world_order)] & vocab
+            c for c in memo.space(vocab) if vocab <= aw[min(c, key=m.world_order)] & vocab
         }
     if isinstance(f, Implicit):
-        vocab, base = raw_event(m, f.body, variant)
-        cells = raw_space(m, vocab)
+        vocab, base = _event(memo, f.body, variant)
+        cells = memo.space(vocab)
         if variant == "pointwise":
-            return vocab, {c for c in cells if raw_poss(m, f.agent, (vocab, c)) <= base}
+            return vocab, {c for c in cells if _poss(memo, f.agent, (vocab, c)) <= base}
         covered: Set[FrozenSet[str]] = set()
         for c in cells:
-            cell_poss = raw_poss(m, f.agent, (vocab, c))
+            cell_poss = _poss(memo, f.agent, (vocab, c))
             if cell_poss <= base:
                 covered |= cell_poss
         return vocab, covered
@@ -209,12 +253,14 @@ def raw_event(m: EpistemicModel, f, variant: str = "pointwise") -> RawEvent:
 
 
 def raw_truth_states(m: EpistemicModel, f: HmsFormula, variant: str = "pointwise") -> Set[RawState]:
-    return raw_extension(m, raw_event(m, f, variant))
+    memo = _Memo(m)
+    return _extension(memo, _event(memo, f, variant))
 
 
 def sat_hms_brute(m: EpistemicModel, w: str, f: HmsFormula, variant: str = "pointwise") -> bool:
     """Satisfaction at the evaluation state of the formula's own vocabulary
     space containing the given world."""
-    vocab, base = raw_event(m, f, variant)
-    cell = next(c for c in raw_space(m, vocab) if w in c)
+    memo = _Memo(m)
+    vocab, base = _event(memo, f, variant)
+    cell = next(c for c in memo.space(vocab) if w in c)
     return cell in base

@@ -12,31 +12,39 @@ awareness set intersected with the state's space vocabulary, and the
 valuation marks a state for an atom when the atom belongs to the space's
 vocabulary and holds at the state's members (they agree by construction).
 
-The build works on integer masks over the atom order. Each world has a
-valuation row, the mask of the atoms true there; the classes of the space
-with vocabulary mask ``V`` are the groups of worlds with equal ``row & V``,
-numbered by first occurrence in world order, so a state's representative
-is its first member. For each agent and space, every indistinguishability
-block gets the mask of the class indices it meets, and a state's
-possibility set is the union of the masks of the blocks that meet its own
-class; equal masks within one space share one frozenset. The valuation is
-read off the rows. Each space's vocabulary, mask, key and atom bits are
-derived once per build, before the loop over spaces (``_space_table``);
-states are tuples made without a Python-level constructor call each.
+The build works on integer masks over the atom order. Each world has
+valuation bits, the mask of the atoms true there; the classes of the space
+with vocabulary mask ``V`` are the groups of worlds with equal ``bits &
+V``, numbered by first occurrence in world order, so a state's
+representative is its first member. For each agent and space, every
+indistinguishability block gets the mask of the class indices it meets,
+and a state's possibility set is the union of the masks of the blocks that
+meet its own class; equal masks within one space share one frozenset. The
+valuation is read off the bits. Each space's vocabulary, mask, key and
+atom bits are derived once per build, before the loop over spaces
+(``_space_table``); states are tuples made without a Python-level
+constructor call each.
+
+The tables are per space, not per object: each space is one
+:class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
+tuple of ints, its member sets and, per agent, a tuple of possibility sets
+by state index and one subjective vocabulary. A 10-atom, 128-world build
+thus makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples;
+it used to make about 212 000 of them.
 
 The cyclic garbage collector is paused while the tables are built. A build
 allocates hundreds of thousands of tuples and frozensets (about 40 000
 states at 10 atoms and 128 worlds), and each full collection re-traverses
 the half-built tables, although they hold no reference cycles and every
 temporary is freed by reference counting. With the collector running, that
-re-scanning was about 40 % of a 10-atom, 128-world build.
+re-scanning is about a third of a 10-atom, 128-world build.
 
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
 what they are asking for.
 
-:func:`dump_transform` writes the structure as JSON in one pass over these
-tables, byte for byte as ``json.dumps`` with sorted keys and a two-space
+:func:`dump_transform` writes the structure as JSON in one pass over the
+rows, byte for byte as ``json.dumps`` with sorted keys and a two-space
 indent would.
 """
 
@@ -48,7 +56,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Tuple
 
-from .hms import HmsStructure, StateId, vocab_key
+from .hms import HmsStructure, SpaceRow, StateId, vocab_key
 from .model import EpistemicModel, awareness_variation, validate
 
 DEFAULT_ATOM_CAP = 12
@@ -69,13 +77,14 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     when any agent's awareness varies across worlds, or when the atom count
     exceeds ``atom_cap``.
 
-    The tables are built with the cyclic garbage collector disabled (see
-    the module docstring): on a 10-atom, 128-world model (CPython 3.11, a
-    2-vCPU host) the build takes about 0.5 s with it off against 0.85 s
-    with it on. The pause is process-wide but lasts only for the build, and
-    the collector's previous state is restored however the build ends. The
-    objects built are still young when it ends, so the first collection
-    after it traverses them once (about 80 ms at that size).
+    The result holds one row per space (see the module docstring). The
+    tables are built with the cyclic garbage collector disabled: on a
+    10-atom, 128-world model (CPython 3.11, a 2-vCPU host) the build takes
+    about 0.37 s with it off against 0.55 s with it on. The pause is
+    process-wide but lasts only for the build, and the collector's previous
+    state is restored however the build ends. The objects built are still
+    young when it ends, so the first collection after it traverses them
+    once: about 155 000 tracked objects and 90 ms at that size.
     """
     violations = validate(m)
     if violations:
@@ -127,42 +136,35 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
     preconditions."""
     atoms, worlds = m.atoms, m.worlds
     world_index = {w: k for k, w in enumerate(worlds)}
-    rows = [0] * len(worlds)
+    bits = [0] * len(worlds)
     for k, p in enumerate(atoms):
         for w in m.valuation[p]:
-            rows[world_index[w]] |= 1 << k
+            bits[world_index[w]] |= 1 << k
     class_bit = [1 << k for k in range(len(worlds))]
     blocks_of = {}
     for i in m.agents:
         part = m.indist_partition(i)
         blocks_of[i] = (len(part.blocks), [part.block_of[w] for w in worlds])
+    aware = {i: m.awareness[i][worlds[0]] for i in m.agents}
 
-    vocabs = []
-    spaces: Dict[FrozenSet[str], Tuple[StateId, ...]] = {}
-    members: Dict[StateId, FrozenSet[str]] = {}
-    state_of: Dict[Tuple[FrozenSet[str], str], StateId] = {}
-    poss: Dict[Tuple[str, StateId], FrozenSet[StateId]] = {}
-    subj: Dict[Tuple[str, StateId], FrozenSet[str]] = {}
+    rows: Dict[FrozenSet[str], SpaceRow] = {}
     marked = {p: [] for p in atoms}
     for vocab, mask, key, atom_bits in _space_table(atoms):
-        vocabs.append(vocab)
-        # Class index of each world: its row restricted to the vocabulary,
-        # numbered by first occurrence in world order.
+        # Class index of each world: its valuation bits restricted to the
+        # vocabulary, numbered by first occurrence in world order.
         first = {}
-        cls = [first.setdefault(r & mask, len(first)) for r in rows]
+        cls = [first.setdefault(r & mask, len(first)) for r in bits]
         groups = [[] for _ in first]
         for w, c in zip(worlds, cls):
             groups[c].append(w)
         # States made by tuple.__new__, with no Python-level call per state.
         fields = zip(repeat(key), count(), (g[0] for g in groups))
         states = tuple(map(tuple.__new__, repeat(StateId), fields))
-        spaces[vocab] = states
-        members.update(zip(states, map(frozenset, groups)))
-        state_of.update(zip(zip(repeat(vocab), worlds), map(states.__getitem__, cls)))
         for p, bit in atom_bits:
             marked[p].extend(compress(states, map(bit.__and__, first)))
         # Possibility sets with equal class masks share one frozenset.
         shared = {}
+        poss = {}
         for i in m.agents:
             n_blocks, blk = blocks_of[i]
             # A state's possibility set is the union of the classes met by
@@ -176,20 +178,17 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
             for r in reach:
                 if r not in shared:
                     shared[r] = frozenset(_select(states, r))
-            keys = list(zip(repeat(i), states))
-            poss.update(zip(keys, map(shared.__getitem__, reach)))
-            subj.update(zip(keys, repeat(m.awareness[i][worlds[0]] & vocab)))
+            poss[i] = tuple(map(shared.__getitem__, reach))
+        alpha = {i: aware[i] & vocab for i in m.agents}
+        rows[vocab] = SpaceRow(
+            vocab, key, states, tuple(cls), tuple(map(frozenset, groups)), poss, alpha
+        )
 
     return HmsStructure(
         atoms=atoms,
         agents=m.agents,
         worlds=worlds,
-        vocabs=tuple(vocabs),
-        spaces=spaces,
-        members=members,
-        state_of=state_of,
-        poss=poss,
-        subj_vocab=subj,
+        rows=rows,
         val={p: frozenset(xs) for p, xs in marked.items()},
     )
 
@@ -205,8 +204,8 @@ def _select(items: Tuple, mask: int):
 def transform_summary(s: HmsStructure) -> str:
     """One-line size summary, spaces in canonical order (by vocabulary size,
     then atom declaration order)."""
-    sizes = "/".join(str(len(s.spaces[v])) for v in s.vocabs)
-    return f"{len(s.vocabs)} spaces, sizes {sizes}"
+    sizes = "/".join(str(len(row.states)) for row in s.rows.values())
+    return f"{len(s.rows)} spaces, sizes {sizes}"
 
 
 _index = attrgetter("index")
@@ -239,18 +238,17 @@ def dump_transform(s: HmsStructure) -> str:
     the declared lists. The fixed schema is written directly because
     ``json.dumps`` with an indent falls back to its pure-Python encoder.
     """
-    world_order = {w: k for k, w in enumerate(s.worlds)}
-    quoted_world = {w: _quote(w) for w in s.worlds}
+    quoted_world = [_quote(w) for w in s.worlds]
     quoted_vocab = {v: _quote(vocab_key(v)) for v in s.vocabs}
     # The quoted names of each space's states, by index; and every state
-    # with its plain and quoted name, for the objects keyed by state name.
+    # with its plain and quoted name, its row and its index, for the
+    # objects keyed by state name.
     names: Dict[str, List[str]] = {}
     named = []
-    for vocab in s.vocabs:
-        key = vocab_key(vocab)
-        plain = [f"{x.rep}@{key}" for x in s.spaces[vocab]]
-        names[key] = [_quote(n) for n in plain]
-        named.extend(zip(plain, names[key], s.spaces[vocab]))
+    for row in s.rows.values():
+        plain = [f"{x.rep}@{row.key}" for x in row.states]
+        names[row.key] = [_quote(n) for n in plain]
+        named.extend(zip(plain, names[row.key], repeat(row), count()))
     named.sort(key=itemgetter(0))
 
     rendered: Dict[FrozenSet[StateId], str] = {}
@@ -259,26 +257,29 @@ def dump_transform(s: HmsStructure) -> str:
     for i in s.agents:
         poss_items = []
         alpha_items = []
-        for _, qx, x in named:
-            ps = s.poss[(i, x)]
+        for _, qx, row, k in named:
+            ps = row.poss[i][k]
             text = rendered.get(ps)
             if text is None:
-                space = names[x.space_key]
-                text = rendered[ps] = _block([space[k] for k in sorted(map(_index, ps))], 3)
+                space = names[row.key]
+                text = rendered[ps] = _block([space[j] for j in sorted(map(_index, ps))], 3)
             poss_items.append(f"{qx}: {text}")
-            alpha_items.append(f"{qx}: {quoted_vocab[s.subj_vocab[(i, x)]]}")
+            alpha_items.append(f"{qx}: {quoted_vocab[row.alpha[i]]}")
         lam.append((i, _block(poss_items, 2, "{}")))
         alpha.append((i, _block(alpha_items, 2, "{}")))
 
     spaces = []
-    for vocab in s.vocabs:
-        states = []
-        for x in s.spaces[vocab]:
-            worlds = sorted(s.members[x], key=world_order.__getitem__)
-            members = _block([quoted_world[w] for w in worlds], 4)
+    for row in s.rows.values():
+        # Members in world order, read off the world -> state row.
+        members = [[] for _ in row.states]
+        for qw, c in zip(quoted_world, row.state_at):
+            members[c].append(qw)
+        states = [
             # The two keys, in sorted order.
-            states.append(_block([f'"members": {members}', f'"rep": {quoted_world[x.rep]}'], 3, "{}"))
-        spaces.append((vocab_key(vocab), _block(states, 2)))
+            _block([f'"members": {_block(mem, 4)}', f'"rep": {_quote(x.rep)}'], 3, "{}")
+            for x, mem in zip(row.states, members)
+        ]
+        spaces.append((row.key, _block(states, 2)))
 
     valuation = [
         (p, _block([names[x.space_key][x.index] for x in sorted(s.val[p])], 2))

@@ -163,7 +163,7 @@ AIL_GOLDENS = [
 
 
 def _raw(s, e):
-    return e.vocab, {s.members[x] for x in e.base}
+    return e.vocab, {s.rows[x.vocab].members[x.index] for x in e.base}
 
 
 def _golden_fixture_checks():
@@ -177,7 +177,7 @@ def _golden_fixture_checks():
     M1, M2 = m1(), m2()
     T1, T2 = hms_transform(M1), hms_transform(M2)
     for m, s, sizes in ((M1, T1, [1, 2, 1, 2]), (M2, T2, [1, 1, 2, 2])):
-        assert [len(s.spaces[v]) for v in s.vocabs] == sizes
+        assert [len(s.states(v)) for v in s.vocabs] == sizes
         assert [len(raw_space(m, v)) for v in all_vocabs(m)] == sizes
 
     def both_routes(m, s, formula_text, variant="pointwise"):
@@ -242,7 +242,7 @@ def test_criterion_5_golden_fixtures_dual_route(announce):
             for variant in VARIANTS:
                 ext = extension(s, truth_set(s, hf, variant))
                 assert {
-                    (x.vocab, s.members[x]) for x in ext
+                    (x.vocab, s.rows[x.vocab].members[x.index]) for x in ext
                 } == raw_truth_states(m, hf, variant)
                 for world in m.worlds:
                     x = s.locate(world, atoms_of(hf))

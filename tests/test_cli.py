@@ -224,10 +224,10 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: invalid JSON in {path}: nested too deeply\n"
 
     def test_library_value_error_is_internal(self, m1_file, capsys, monkeypatch):
-        def fails(self, agent, x):
+        def fails(self, e):
             raise ValueError("lookup failed")
 
-        monkeypatch.setattr("awb.hms.HmsStructure.possibility", fails)
+        monkeypatch.setattr("awb.hms.HmsStructure.check_event", fails)
         argv = ["check", m1_file, "--lang", "hms", "--formula", "I[a] q", "--world", "w1"]
         assert main(argv) == EXIT_INTERNAL
         assert capsys.readouterr().err == "error: internal error: ValueError: lookup failed\n"

@@ -112,12 +112,7 @@ class TestChecks:
             T1.atoms,
             T1.agents,
             T1.worlds,
-            T1.vocabs,
-            T1.spaces,
-            T1.members,
-            T1.state_of,
-            T1.poss,
-            T1.subj_vocab,
+            T1.rows,
             # drop one marked state from the valuation table
             {p: frozenset(list(xs)[1:]) for p, xs in T1.val.items()},
         )
@@ -127,13 +122,13 @@ class TestChecks:
         assert "state" in detail and "atom" in detail
 
     def test_structure_catches_broken_possibility(self, M1, T1):
-        poss = dict(T1.poss)
-        victim = next(x for x in T1.all_states() if len(poss[("a", x)]) > 1)
-        poss[("a", victim)] = poss[("a", victim)] - {victim}
-        broken = HmsStructure(
-            T1.atoms, T1.agents, T1.worlds, T1.vocabs, T1.spaces,
-            T1.members, T1.state_of, poss, T1.subj_vocab, T1.val,
-        )
+        victim = next(x for x in T1.all_states() if len(T1.possibility("a", x)) > 1)
+        row = T1.rows[victim.vocab]
+        cells = list(row.poss["a"])
+        cells[victim.index] -= {victim}
+        rows = dict(T1.rows)
+        rows[victim.vocab] = row._replace(poss={**row.poss, "a": tuple(cells)})
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "possibility set not reflexive"
@@ -158,13 +153,10 @@ class TestChecks:
         assert len(s.vocabs) == 256
         assert check_structure(m, s) == ("pass", {})
         top = frozenset(atoms)
-        victim = next(x for x in s.spaces[top] if x in s.val["p"])
+        victim = next(x for x in s.states(top) if x in s.val["p"])
         val = dict(s.val)
         val["p"] = val["p"] - {victim}
-        broken = HmsStructure(
-            s.atoms, s.agents, s.worlds, s.vocabs, s.spaces,
-            s.members, s.state_of, s.poss, s.subj_vocab, val,
-        )
+        broken = HmsStructure(s.atoms, s.agents, s.worlds, s.rows, val)
         status, detail = check_structure(m, broken)
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong states"

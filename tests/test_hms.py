@@ -75,7 +75,7 @@ class TestStateId:
 
     def test_vocab_is_its_space(self, T2):
         for vocab in T2.vocabs:
-            for x in T2.spaces[vocab]:
+            for x in T2.states(vocab):
                 assert x.vocab == vocab
 
     def test_fields_read_only(self, T1):
@@ -156,7 +156,7 @@ class TestEventAlgebra:
     def test_de_morgan_on_joined_space(self, T1):
         e1, e2 = event_atom(T1, "p"), event_atom(T1, "q")
         neg_and = event_not(T1, event_and(T1, e1, e2))
-        joined = frozenset(T1.spaces[PQ])
+        joined = frozenset(T1.states(PQ))
         lifted = event_and(T1, e1, e2).base
         assert neg_and.base == joined - lifted
 
@@ -194,7 +194,7 @@ class TestImplicitEvent:
     def test_full_event_fixed_point(self, T1, T2):
         for s in (T1, T2):
             for vocab in (P, Q, PQ):
-                full = Event(vocab, frozenset(s.spaces[vocab]))
+                full = Event(vocab, frozenset(s.states(vocab)))
                 for agent in s.agents:
                     for variant in ("pointwise", "cell-union"):
                         assert implicit_event(s, agent, full, variant) == full
@@ -205,7 +205,7 @@ class TestImplicitEvent:
         structures = [T1, T2, hms_transform(divergent_model)]
         for s in structures:
             for vocab in s.vocabs:
-                space = s.spaces[vocab]
+                space = s.states(vocab)
                 for k in range(len(space) + 1):
                     base = frozenset(space[:k])
                     e = Event(vocab, base)
@@ -258,8 +258,8 @@ class TestTruthSets:
         from awb.model import prop_holds
 
         f = parse_hms("p & q")
-        for x in T1.spaces[PQ]:
-            verdicts = {prop_holds(M1, w, f.body) for w in T1.members[x]}
+        for x in T1.states(PQ):
+            verdicts = {prop_holds(M1, w, f.body) for w in T1.rows[x.vocab].members[x.index]}
             assert len(verdicts) == 1
             assert sat_hms(T1, x, f) is verdicts.pop()
 
@@ -322,6 +322,12 @@ class TestForeignStates:
     def test_project_refuses_a_rep_that_is_no_world(self, T1):
         x = FORGED["rep_not_a_world"]
         assert refusal(ValueError, T1.project, x, EMPTY) == "cannot project nowhere@p to {}"
+
+    @pytest.mark.parametrize("name", ["foreign", "index_past_end", "negative_index", "wrong_rep"])
+    def test_project_refuses_a_forged_state_with_a_world_as_rep(self, T1, name):
+        # the rep is a world of T1, so a lookup by rep alone would answer
+        x = FORGED[name]
+        assert refusal(ValueError, T1.project, x, EMPTY) == f"cannot project {x} to {{}}"
 
     def test_unknown_agent_refused(self, T1):
         x = T1.locate("w1", P)

@@ -84,7 +84,7 @@ def _random_models(master: int, count: int, **overrides):
 
 
 def _to_raw(s, states):
-    return {(x.vocab, s.members[x]) for x in states}
+    return {(x.vocab, s.rows[x.vocab].members[x.index]) for x in states}
 
 
 class TestRandomDifferential:
@@ -133,10 +133,10 @@ class TestRandomDifferential:
             s = hms_transform(m)
             for p in m.atoms:
                 vocab = frozenset({p})
-                opt = {s.members[x] for x in s.spaces[vocab]}
+                opt = {s.rows[x.vocab].members[x.index] for x in s.states(vocab)}
                 assert opt == raw_space(m, vocab)
             full = frozenset(m.atoms)
-            opt = {s.members[x] for x in s.spaces[full]}
+            opt = {s.rows[x.vocab].members[x.index] for x in s.states(full)}
             assert opt == classes_of(m, vocab_pairs(m, full))
 
 
@@ -145,5 +145,36 @@ class TestStructureAgainstRawQuotients:
         for m in (M1, M2, divergent_model):
             s = hms_transform(m)
             for vocab in s.vocabs:
-                opt = {s.members[x] for x in s.spaces[vocab]}
+                opt = {s.rows[x.vocab].members[x.index] for x in s.states(vocab)}
                 assert opt == raw_space(m, vocab)
+
+
+class TestOracleMemo:
+    def test_each_pair_set_built_once_per_call(self, divergent_model, monkeypatch):
+        # a formula whose recursion asks for the {p}, {q} and {p, q} spaces
+        # and the agent's possibility cells many times over
+        import awb.oracles as oracles
+
+        built = []
+        for name in ("vocab_pairs", "indist_pairs"):
+            literal = getattr(oracles, name)
+
+            def counted(m, key, literal=literal, name=name):
+                built.append((name, frozenset(key) if name == "vocab_pairs" else key))
+                return literal(m, key)
+
+            monkeypatch.setattr(oracles, name, counted)
+        m = divergent_model
+        hf = translate(parse_ail("X[a] I[a] X[a] ((p & ~q) & ~(q & p))"))
+        s = hms_transform(m)
+        for variant in ("pointwise", "cell-union"):
+            built.clear()
+            value = oracles.sat_hms_brute(m, "y1", hf, variant)
+            assert value is sat_hms(s, s.locate("y1", atoms_of(hf)), hf, variant)
+            assert len(built) == 4
+            assert set(built) == {
+                ("indist_pairs", "a"),
+                ("vocab_pairs", frozenset({"p"})),
+                ("vocab_pairs", frozenset({"q"})),
+                ("vocab_pairs", frozenset({"p", "q"})),
+            }

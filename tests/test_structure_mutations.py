@@ -3,10 +3,10 @@
 Each case corrupts one table of a correct quotient structure (of the
 ``m1``/``m2`` fixtures or of the divergent model) and rebuilds it through
 the ``HmsStructure`` constructor; the battery must reject it with the
-reason that names the fault. The cases use only the constructor and the
-structure's public tables, so they run unchanged against any version of
-the battery, cheap or exhaustive, and show that both catch the same
-faults.
+reason that names the fault. The cases use only the constructor, the
+structure's public interface and its per-space rows, so they run
+unchanged against any version of the battery, cheap or exhaustive, and
+show that both catch the same faults.
 """
 
 import pytest
@@ -20,22 +20,27 @@ Q = frozenset({"q"})
 PQ = frozenset({"p", "q"})
 
 
-def rebuild(s, **tables):
-    """A copy of ``s`` with the named constructor arguments replaced."""
-    args = dict(
-        atoms=s.atoms,
-        agents=s.agents,
-        worlds=s.worlds,
-        vocabs=s.vocabs,
-        spaces=s.spaces,
-        members=s.members,
-        state_of=s.state_of,
-        poss=s.poss,
-        subj_vocab=s.subj_vocab,
-        val=s.val,
+def rebuild(s, rows=None, val=None):
+    """A copy of ``s`` with its rows or its valuation replaced."""
+    return HmsStructure(
+        s.atoms, s.agents, s.worlds, s.rows if rows is None else rows, s.val if val is None else val
     )
-    args.update(tables)
-    return HmsStructure(**args)
+
+
+def with_row(s, vocab, **fields):
+    """A copy of ``s`` in which the row of ``vocab`` has the given fields."""
+    rows = dict(s.rows)
+    rows[vocab] = rows[vocab]._replace(**fields)
+    return rebuild(s, rows=rows)
+
+
+def with_cell(s, agent, x, cell):
+    """A copy of ``s`` in which the agent's possibility set at ``x`` is
+    ``cell``."""
+    row = s.rows[x.vocab]
+    cells = list(row.poss[agent])
+    cells[x.index] = frozenset(cell)
+    return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
 
 
 def renamed(s, old, new, members=None):
@@ -45,79 +50,74 @@ def renamed(s, old, new, members=None):
     def r(x):
         return new if x == old else x
 
-    mem = {r(x): ws for x, ws in s.members.items()}
-    if members is not None:
-        mem[new] = frozenset(members)
-    return rebuild(
-        s,
-        spaces={v: tuple(r(x) for x in xs) for v, xs in s.spaces.items()},
-        members=mem,
-        state_of={k: r(x) for k, x in s.state_of.items()},
-        poss={(i, r(x)): frozenset(r(y) for y in ys) for (i, x), ys in s.poss.items()},
-        subj_vocab={(i, r(x)): v for (i, x), v in s.subj_vocab.items()},
-        val={p: frozenset(r(x) for x in xs) for p, xs in s.val.items()},
-    )
+    rows = {}
+    for vocab, row in s.rows.items():
+        mem = list(row.members)
+        if vocab == old.vocab and members is not None:
+            mem[old.index] = frozenset(members)
+        rows[vocab] = row._replace(
+            states=tuple(map(r, row.states)),
+            members=tuple(mem),
+            poss={i: tuple(frozenset(map(r, c)) for c in cells) for i, cells in row.poss.items()},
+        )
+    return rebuild(s, rows=rows, val={p: frozenset(map(r, xs)) for p, xs in s.val.items()})
 
 
 def swapped_state_of(s):
-    state_of = dict(s.state_of)
-    a, b = (P, "w1"), (P, "w2")
-    state_of[a], state_of[b] = state_of[b], state_of[a]
-    return rebuild(s, state_of=state_of)
+    """Swaps the entries of w1 and w2 in the {p} world -> state row."""
+    at = list(s.rows[P].state_at)
+    a, b = s.worlds.index("w1"), s.worlds.index("w2")
+    at[a], at[b] = at[b], at[a]
+    return with_row(s, P, state_at=tuple(at))
 
 
 def wrong_representative(s):
-    x = s.state_of[(P, "x")]  # class {x, y1, y2}
+    x = s.locate("x", P)  # class {x, y1, y2}
     return renamed(s, x, StateId(x.space_key, x.index, "y1"))
 
 
 def overlapping_classes(s):
-    y = s.state_of[(P, "w2")]  # class {w2}, after {w1}
+    y = s.locate("w2", P)  # class {w2}, after {w1}
     return renamed(s, y, StateId(y.space_key, y.index, "w1"), members={"w1", "w2"})
 
 
 def poss_missing_state(s):
-    x, y = s.state_of[(P, "w1")], s.state_of[(P, "w2")]
-    poss = dict(s.poss)
-    poss[("a", x)] = poss[("a", x)] - {y}
-    return rebuild(s, poss=poss)
+    x, y = s.locate("w1", P), s.locate("w2", P)
+    return with_cell(s, "a", x, s.possibility("a", x) - {y})
 
 
 def poss_gaining_foreign_state(s):
-    x = s.state_of[(P, "w1")]
-    poss = dict(s.poss)
-    poss[("a", x)] = poss[("a", x)] | {s.state_of[(Q, "w1")]}
-    return rebuild(s, poss=poss)
+    x = s.locate("w1", P)
+    return with_cell(s, "a", x, s.possibility("a", x) | {s.locate("w1", Q)})
 
 
 def wrong_alpha(s):
-    subj = dict(s.subj_vocab)
-    subj[("a", s.state_of[(PQ, "w1")])] = PQ  # the agent is aware of p only
-    return rebuild(s, subj_vocab=subj)
+    """Agent a, aware of p only, gets {p, q} for the whole {p, q} space."""
+    return with_row(s, PQ, alpha={**s.rows[PQ].alpha, "a": PQ})
 
 
 def mis_marked_valuation(s):
     val = dict(s.val)
-    val["q"] = val["q"] | {s.state_of[(Q, "w2")]}  # q is false at w2
+    val["q"] = val["q"] | {s.locate("w2", Q)}  # q is false at w2
     return rebuild(s, val=val)
 
 
 def dropped_space(s):
-    return rebuild(s, vocabs=tuple(v for v in s.vocabs if v != P))
+    return rebuild(s, rows={v: row for v, row in s.rows.items() if v != P})
 
 
 def unnested_classes(s):
     """Space {p} re-cut as {x, y1} | {y2, z}: each space is a consistent
     partition on its own, but the {p, q}-class {y1, y2} no longer sits
     inside one {p}-class."""
-    first, second = s.spaces[P]
+    first, second = s.states(P)
     cut = StateId(second.space_key, second.index, "y2")
     t = renamed(s, second, cut, members={"y2", "z"})
-    members = dict(t.members)
-    members[first] = frozenset({"x", "y1"})
-    state_of = dict(t.state_of)
-    state_of[(P, "y2")] = cut
-    return rebuild(t, members=members, state_of=state_of)
+    at = list(t.rows[P].state_at)
+    at[t.worlds.index("y2")] = cut.index
+    return with_row(
+        t, P, members=(frozenset({"x", "y1"}),) + t.rows[P].members[1:], state_at=tuple(at)
+    )
 
 
 MUTATIONS = [

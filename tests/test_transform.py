@@ -32,29 +32,29 @@ EMPTY = frozenset()
 class TestSpaces:
     def test_t1_shape(self, T1):
         assert T1.vocabs == (EMPTY, P, Q, PQ)
-        assert [len(T1.spaces[v]) for v in T1.vocabs] == [1, 2, 1, 2]
+        assert [len(T1.states(v)) for v in T1.vocabs] == [1, 2, 1, 2]
         assert T1.state_count() == 6
         assert transform_summary(T1) == "4 spaces, sizes 1/2/1/2"
 
     def test_t2_shape(self, T2):
-        assert [len(T2.spaces[v]) for v in T2.vocabs] == [1, 1, 2, 2]
+        assert [len(T2.states(v)) for v in T2.vocabs] == [1, 1, 2, 2]
         assert transform_summary(T2) == "4 spaces, sizes 1/1/2/2"
         # q splits the worlds, so W_q carries two classes
-        reps = {x.rep for x in T2.spaces[Q]}
+        reps = {x.rep for x in T2.states(Q)}
         assert reps == {"w1", "w2"}
 
     def test_members_partition_worlds(self, T1, T2):
         for s in (T1, T2):
             for vocab in s.vocabs:
                 seen = []
-                for x in s.spaces[vocab]:
-                    seen.extend(s.members[x])
+                for x in s.states(vocab):
+                    seen.extend(s.rows[x.vocab].members[x.index])
                 assert sorted(seen) == sorted(s.worlds)
 
     def test_single_world_model(self):
         m = EpistemicModel(("p",), ("a",), ("w",), valuation={"p": ["w"]})
         s = hms_transform(m)
-        assert [len(s.spaces[v]) for v in s.vocabs] == [1, 1]
+        assert [len(s.states(v)) for v in s.vocabs] == [1, 1]
         assert transform_summary(s) == "2 spaces, sizes 1/1"
 
     def test_zero_atoms(self):
@@ -95,11 +95,11 @@ class TestLocateAndProject:
                     if not vocab <= x.vocab:
                         continue
                     y = s.project(x, vocab)
-                    for w in s.members[x]:
+                    for w in s.rows[x.vocab].members[x.index]:
                         assert s.locate(w, vocab) == y
 
     def test_projection_chain_coherence(self, T1):
-        for x in T1.spaces[PQ]:
+        for x in T1.states(PQ):
             via_p = T1.project(T1.project(x, P), EMPTY)
             via_q = T1.project(T1.project(x, Q), EMPTY)
             assert via_p == via_q == T1.project(x, EMPTY)
@@ -134,9 +134,9 @@ class TestPossibility:
             top = max(s.vocabs, key=len)
             for agent in s.agents:
                 for vocab in s.vocabs:
-                    for x in s.spaces[vocab]:
+                    for x in s.states(vocab):
                         fiber = [
-                            z for z in s.spaces[top] if s.project(z, vocab) == x
+                            z for z in s.states(top) if s.project(z, vocab) == x
                         ]
                         expected = frozenset(
                             s.project(y, vocab)
@@ -268,18 +268,18 @@ def reference_dict(s):
     the bytes of ``dump_transform``."""
     world_order = {w: k for k, w in enumerate(s.worlds)}
     spaces = {
-        vocab_key(vocab): [
-            {"rep": x.rep, "members": sorted(s.members[x], key=world_order.get)}
-            for x in s.spaces[vocab]
+        row.key: [
+            {"rep": x.rep, "members": sorted(mem, key=world_order.get)}
+            for x, mem in zip(row.states, row.members)
         ]
-        for vocab in s.vocabs
+        for row in s.rows.values()
     }
     lam = {
-        i: {str(x): [str(y) for y in sorted(s.poss[(i, x)])] for x in s.all_states()}
+        i: {str(x): [str(y) for y in sorted(s.possibility(i, x))] for x in s.all_states()}
         for i in s.agents
     }
     alpha = {
-        i: {str(x): vocab_key(s.subj_vocab[(i, x)]) for x in s.all_states()}
+        i: {str(x): vocab_key(s.subjective_vocab(i, x)) for x in s.all_states()}
         for i in s.agents
     }
     valuation = {p: [str(x) for x in sorted(s.val[p])] for p in s.atoms}
@@ -481,6 +481,25 @@ def test_golden_check_verbose(tmp_path, capsys):
         assert digest == GOLDEN_CHECK_VERBOSE[name], (name, digest)
 
 
+class TestLadderQueriesAgainstOracles:
+    def test_sat_hms_verdicts(self):
+        # 24 queries: the 12 formula kinds on each of two 8-atom, 64-world
+        # ladder-shaped models, each at a seeded world, in both variants
+        from awb.formula import atoms_of, parse_hms
+        from awb.hms import sat_hms
+
+        for seed in (31, 32):
+            m = model_from_dict(ladder_shaped(seed))
+            s = hms_transform(m)
+            rng = random.Random(seed)
+            for text in kind_formulas(rng, list(m.atoms), list(m.agents)):
+                f = parse_hms(text)
+                w = rng.choice(m.worlds)
+                x = s.locate(w, atoms_of(f))
+                for variant in ("pointwise", "cell-union"):
+                    assert oracles.sat_hms_brute(m, w, f, variant) is sat_hms(s, x, f, variant)
+
+
 class TestBuildAgainstOracles:
     def test_random_models(self):
         cfg = TrialConfig(max_atoms=5, max_agents=3)
@@ -494,23 +513,26 @@ class TestBuildAgainstOracles:
             s = hms_transform(m)
             assert set(s.vocabs) == set(oracles.all_vocabs(m))
             cell_state = {}
-            for vocab in s.vocabs:
-                states = s.spaces[vocab]
+            for vocab, row in s.rows.items():
+                states = row.states
+                assert row.vocab == vocab and row.key == vocab_key(vocab)
                 assert [x.index for x in states] == list(range(len(states)))
-                assert {s.members[x] for x in states} == oracles.raw_space(m, vocab)
-                for x in states:
-                    cell_state[(vocab, s.members[x])] = x
+                assert set(row.members) == oracles.raw_space(m, vocab)
+                for x, mem in zip(states, row.members):
+                    cell_state[(vocab, mem)] = x
                     assert x.vocab == vocab
-                    assert x.rep == min(s.members[x], key=m.world_order)
+                    assert x.rep == min(mem, key=m.world_order)
+                assert len(row.state_at) == len(m.worlds)
                 for w in m.worlds:
-                    assert w in s.members[s.state_of[(vocab, w)]]
-            assert len(s.state_of) == len(s.vocabs) * len(m.worlds)
+                    assert w in row.members[row.state_at[m.world_order(w)]]
+                    assert s.locate(w, vocab) == states[row.state_at[m.world_order(w)]]
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
                 for x in s.all_states():
-                    cells = oracles.raw_poss(m, i, (x.vocab, s.members[x]))
-                    assert s.poss[(i, x)] == {cell_state[(x.vocab, c)] for c in cells}
-                    assert s.subj_vocab[(i, x)] == aware & x.vocab
+                    mem = s.rows[x.vocab].members[x.index]
+                    cells = oracles.raw_poss(m, i, (x.vocab, mem))
+                    assert s.possibility(i, x) == {cell_state[(x.vocab, c)] for c in cells}
+                    assert s.subjective_vocab(i, x) == aware & x.vocab
             for p in m.atoms:
                 assert s.val[p] == {
                     x for x in s.all_states() if p in x.vocab and x.rep in m.valuation[p]
