@@ -162,7 +162,7 @@ class HmsStructure:
     def state_count(self) -> int:
         return sum(len(row.states) for row in self.rows.values())
 
-    def row_of(self, x: StateId) -> Optional[SpaceRow]:
+    def _row_of(self, x: StateId) -> Optional[SpaceRow]:
         """The row of ``x``'s space, or ``None`` when ``x`` is not a state
         of this structure."""
         try:
@@ -195,21 +195,21 @@ class HmsStructure:
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
         target = self.rows.get(vocab)
-        if target is None or self.row_of(x) is None:
+        if target is None or self._row_of(x) is None:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
         return target.states[target.state_at[self.world_index[x[2]]]]
 
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:
         """The set of states the agent considers possible at ``x``; always
         within ``x``'s own space."""
-        row = self.row_of(x)
+        row = self._row_of(x)
         if row is None or agent not in row.poss:
             raise ValueError(f"no possibility set for agent {agent!r} at {x}")
         return row.poss[agent][x[1]]
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``."""
-        row = self.row_of(x)
+        row = self._row_of(x)
         if row is None or agent not in row.alpha:
             raise ValueError(f"no subjective space for agent {agent!r} at {x}")
         return row.alpha[agent]
@@ -353,7 +353,7 @@ def sat_hms(
     of the formula's truth event, decided without building the extension:
     by definition ``x`` is in it exactly when its space's vocabulary
     contains the base vocabulary and its projection lies in the base."""
-    if s.row_of(x) is None:
+    if s._row_of(x) is None:
         raise ValueError(f"unknown state {x}")
     ts = truth_set(s, f, variant)
     return ts.vocab <= x.vocab and s.project(x, ts.vocab) in ts.base

@@ -134,6 +134,17 @@ class TestChecks:
         assert detail["reason"] == "possibility set not reflexive"
         assert detail["state"] == str(victim)
 
+    def test_structure_catches_misshaped_row(self, M1, T1):
+        # a world -> state row one world short is refused by name, not
+        # read past its end
+        row = T1.rows[frozenset({"p"})]
+        rows = dict(T1.rows)
+        rows[row.vocab] = row._replace(state_at=row.state_at[:-1])
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        status, detail = check_structure(M1, broken)
+        assert status == "fail"
+        assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
+
     def test_structure_at_eight_atoms(self):
         # two agents, indistinguishability blocks of four worlds, fair-coin
         # valuation and constant awareness: 8 atoms, 64 worlds, 256 spaces
