@@ -520,6 +520,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     rows = s.rows
     if set(s.vocabs) != set(vocabs) or len(s.vocabs) != len(vocabs):
         return fail("space family does not cover the vocabulary lattice")
+    # The rows are indexed by world position, so the structure must order
+    # the worlds as the model does.
+    if tuple(s.worlds) != m.worlds:
+        return fail("world order differs from the model's")
 
     n_worlds = len(m.worlds)
     world_set = frozenset(m.worlds)

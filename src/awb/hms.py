@@ -197,7 +197,7 @@ class HmsStructure:
         target = self.rows.get(vocab)
         if target is None or self._row_of(x) is None:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
-        return target.states[target.state_at[self.world_index[x[2]]]]
+        return target.states[target.state_at[self.world_index[x.rep]]]
 
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:
         """The set of states the agent considers possible at ``x``; always
@@ -249,7 +249,7 @@ def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
         for vocab, row in s.rows.items()
         if e.vocab <= vocab
         for x in row.states
-        if st[at[k[x[2]]]] in e.base
+        if st[at[k[x.rep]]] in e.base
     )
 
 
@@ -272,7 +272,7 @@ def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
     base = frozenset(
         x
         for x in s.rows[joined].states
-        if st1[at1[k[x[2]]]] in b1 and st2[at2[k[x[2]]]] in b2
+        if st1[at1[k[x.rep]]] in b1 and st2[at2[k[x.rep]]] in b2
     )
     return Event(joined, base)
 

@@ -145,6 +145,10 @@ class TestChecks:
         assert status == "fail"
         assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
 
+    def test_structure_catches_reordered_worlds(self, M1, T1):
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds[::-1], T1.rows, T1.val)
+        assert check_structure(M1, broken) == ("fail", {"reason": "world order differs from the model's"})
+
     def test_structure_at_eight_atoms(self):
         # two agents, indistinguishability blocks of four worlds, fair-coin
         # valuation and constant awareness: 8 atoms, 64 worlds, 256 spaces
