@@ -528,7 +528,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     n_worlds = len(m.worlds)
     world_set = frozenset(m.worlds)
     agents = set(m.agents)
-    at = {w: k for k, w in enumerate(m.worlds)}
+    at = s.world_index  # the model's world order, as just checked
     for vocab, row in rows.items():
         states = row.states
         key = vocab_key(vocab)

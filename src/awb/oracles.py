@@ -156,13 +156,9 @@ class _Memo:
         return self._indist[agent]
 
 
-def raw_project(m: EpistemicModel, state: RawState, vocab) -> FrozenSet[str]:
+def _project(memo: _Memo, state: RawState, vocab) -> FrozenSet[str]:
     """The class of the poorer space containing all of the state's members;
     raises if membership is ambiguous (it never is for true quotients)."""
-    return _project(_Memo(m), state, vocab)
-
-
-def _project(memo: _Memo, state: RawState, vocab) -> FrozenSet[str]:
     vocab = frozenset(vocab)
     hits = [c for c in memo.space(vocab) if state[1] <= c]
     if len(hits) != 1:
@@ -189,10 +185,6 @@ def _poss(memo: _Memo, agent: str, state: RawState) -> Set[FrozenSet[str]]:
 
 
 RawEvent = Tuple[FrozenSet[str], Set[FrozenSet[str]]]
-
-
-def raw_extension(m: EpistemicModel, e: RawEvent) -> Set[RawState]:
-    return _extension(_Memo(m), e)
 
 
 def _extension(memo: _Memo, e: RawEvent) -> Set[RawState]:
