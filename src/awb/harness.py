@@ -36,7 +36,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -124,16 +124,7 @@ class Counterexample:
     shrunk: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "trial": self.trial,
-            "seed": self.seed,
-            "model": self.model,
-            "world": self.world,
-            "formula": self.formula,
-            "detail": self.detail,
-            "shrunk": self.shrunk,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -182,19 +173,7 @@ class Report:
 
     def to_dict(self, timing: bool = False) -> dict:
         out = {
-            "config": {
-                "seed": self.config.seed,
-                "trials": self.config.trials,
-                "max_worlds": self.config.max_worlds,
-                "max_atoms": self.config.max_atoms,
-                "max_agents": self.config.max_agents,
-                "variant": self.config.variant,
-                "require_a_condition": self.config.require_a_condition,
-                "both_variants": self.config.both_variants,
-                "max_counterexamples": self.config.max_counterexamples,
-                "shrink": self.config.shrink,
-                "body_depth": self.config.body_depth,
-            },
+            "config": asdict(self.config),
             "conjectures": {cid: t.to_dict() for cid, t in sorted(self.conjectures.items())},
             "stats": dict(sorted(self.stats.items())),
             "failures_total": self.failures_total,
@@ -479,31 +458,36 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     """Full structural battery for a transform of ``m``; fails fast with a
     detail naming the offending element.
 
-    Each space's row is checked first: its tables have one entry per world
-    or per state, in every space the classes are non-empty, pairwise
-    disjoint and cover the worlds, each state's ``rep`` is the least of its
-    members, and the world -> state row ``state_at`` sends every member of
-    a class to that class's index. So two states of one space whose classes
-    share a world are the same state, and ``project(x, V)``, the state of
-    ``V`` at ``x.rep``'s position in ``V``'s world -> state row, is the
-    state of ``V`` whose class holds ``x.rep``.
+    Each space's partition is stored once, as the world -> state row
+    ``state_at``; below, the class of a state ``x`` is the set of worlds
+    ``state_at`` sends to ``x``. Each space's row is checked first: its
+    tables have one entry per world or per state, every entry of
+    ``state_at`` is the index of a state of its space, every state has at
+    least one world, and each state's ``rep`` is the least world that maps
+    to it. So the classes of a space are non-empty, pairwise disjoint and
+    cover the worlds, each state's class holds its ``rep``, and
+    ``project(x, V)``, the state of ``V`` at ``x.rep``'s position in
+    ``V``'s world -> state row, is the state of ``V`` whose class holds
+    ``x.rep``.
 
     Projections are then checked on the drop-one-atom edges of the
-    vocabulary lattice only, ``members(x) <= members(project(x, phi -
-    {p}))`` for every state ``x`` of every space ``phi`` and every ``p`` in
-    ``phi``, which costs n * 2^(n-1) edges instead of 3^n contained pairs
+    vocabulary lattice only: for every space ``phi``, every ``p`` in
+    ``phi`` and every world ``w``, the row of ``phi - {p}`` sends ``w`` to
+    the same state as the rep of ``w``'s class in ``phi``. That is,
+    ``class(x) <= class(project(x, phi - {p}))`` for every state ``x`` of
+    ``phi``, at a cost of n * 2^(n-1) edges instead of 3^n contained pairs
     and 4^n three-chains. Nothing is lost, given the per-space checks:
 
     * inclusion on every contained pair ``psi <= phi``: walk from ``phi``
       to ``psi`` dropping one atom at a time, ``x = x0, x1, ..., xk`` with
       each ``x(j+1)`` the projection of ``xj``. The edge checks give
-      ``members(x) <= members(xk)``, so ``xk`` holds ``x.rep`` and is
+      ``class(x) <= class(xk)``, so ``xk`` holds ``x.rep`` and is
       ``project(x, psi)``;
     * identity on the own space: ``project(x, phi)`` holds ``x.rep``, as
       ``x`` does, so it is ``x``;
     * composition: for ``ups <= psi <= phi``, both ``project(project(x,
       psi), ups)`` and ``project(x, ups)`` have classes containing
-      ``members(x)`` (by inclusion twice, and once), so they are equal;
+      ``class(x)`` (by inclusion twice, and once), so they are equal;
     * surjectivity: a state ``y`` of ``psi`` holds some world ``w``, which
       lies in the class of some ``x`` of ``phi``. ``project(x, psi)`` then
       holds ``w`` too, so it is ``y``.
@@ -526,7 +510,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         return fail("world order differs from the model's")
 
     n_worlds = len(m.worlds)
-    world_set = frozenset(m.worlds)
     agents = set(m.agents)
     at = s.world_index  # the model's world order, as just checked
     for vocab, row in rows.items():
@@ -537,40 +520,43 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(states) > min(n_worlds, 2 ** len(vocab)):
             return fail("space larger than the size bound", space=key)
         if (
-            row.vocab != vocab
-            or row.key != key
+            row.key != key
             or len(row.state_at) != n_worlds
-            or len(row.members) != len(states)
             or row.poss.keys() != agents
             or any(len(cells) != len(states) for cells in row.poss.values())
             or row.alpha.keys() != agents
         ):
             return fail("row shape inconsistent with its space", space=key)
-        seen: set = set()
-        for idx, (x, mem) in enumerate(zip(states, row.members)):
+        # first[c]: the position of the first world the row sends to c
+        first: dict = {}
+        for k, c in enumerate(row.state_at):
+            first.setdefault(c, k)
+        for idx, x in enumerate(states):
             if x.space_key != key or x.index != idx:
                 return fail("state tag inconsistent with its space", state=str(x))
-            if not mem or x.rep not in mem or x.rep != min(mem, key=m.world_order):
-                return fail("state representative is not the least member", state=str(x))
-            if not seen.isdisjoint(mem):
-                return fail("overlapping state classes", space=key)
-            for w in mem:
-                if w not in at or row.state_at[at[w]] != idx:
-                    return fail("membership table inconsistent", state=str(x), world=w)
-            seen |= mem
-        if seen != world_set:
-            return fail("state classes do not cover the worlds", space=key)
+            k = first.pop(idx, None)
+            if k is None:
+                return fail("state has no world", state=str(x))
+            if x.rep != m.worlds[k]:
+                if x.rep in at and row.state_at[at[x.rep]] == idx:
+                    return fail("state representative is not the least member", state=str(x))
+                return fail("state representative is outside its class", state=str(x))
+        if first:
+            return fail("world -> state row names no state of its space", space=key)
     if len(rows[frozenset()].states) != 1:
         return fail("empty-vocabulary space is not a singleton")
 
+    # rep_at[V][c]: the position of the rep of state c of space V
+    rep_at = {vocab: [at[x.rep] for x in row.states] for vocab, row in rows.items()}
     for phi, psi in edges:
-        hi, lo = rows[phi], rows[psi]
-        for x, mem in zip(hi.states, hi.members):
-            if not mem <= lo.members[lo.state_at[at[x.rep]]]:
+        hi, lo_at = rows[phi], rows[psi].state_at
+        down = [lo_at[k] for k in rep_at[phi]]
+        for k, c in enumerate(hi.state_at):
+            if lo_at[k] != down[c]:
                 return fail(
                     "projection not independent of representative",
                     edge=f"{vocab_key(phi)}->{vocab_key(psi)}",
-                    state=str(x),
+                    state=str(hi.states[c]),
                 )
 
     top = rows[frozenset(m.atoms)]
@@ -633,13 +619,19 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
 
     for p in m.atoms:
         marked = s.val[p]
-        true_at = m.valuation[p]
+        holds = [w in m.valuation[p] for w in m.worlds]
         for vocab, row in rows.items():
-            for x, mem in zip(row.states, row.members):
-                all_true = mem <= true_at
-                if p in vocab and not all_true and not mem.isdisjoint(true_at):
-                    return fail("class members disagree on an in-vocabulary atom", atom=p, state=str(x))
-                if (x in marked) != (p in vocab and all_true):
+            rep_holds = [holds[k] for k in rep_at[vocab]]
+            if p in vocab:
+                for k, c in enumerate(row.state_at):
+                    if holds[k] != rep_holds[c]:
+                        return fail(
+                            "class members disagree on an in-vocabulary atom",
+                            atom=p,
+                            state=str(row.states[c]),
+                        )
+            for x, h in zip(row.states, rep_holds):
+                if (x in marked) != (p in vocab and h):
                     return fail("valuation marks the wrong states", atom=p, state=str(x))
 
     return "pass", {}
@@ -759,10 +751,6 @@ def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
 # Suite driver
 # ---------------------------------------------------------------------------
 
-def _other_variant(variant: str) -> str:
-    return "cell-union" if variant == "pointwise" else "pointwise"
-
-
 def check_variant_agreement(m: EpistemicModel, s: HmsStructure, f: AilFormula) -> CheckResult:
     """The two implicit-operator variants agree, for every agent, on the
     event of the formula's body; the detail is the first failing agent's."""
@@ -794,7 +782,7 @@ def conjecture_table(cfg: TrialConfig) -> Dict[str, Tuple[bool, Check]]:
         "truth_preservation": (True, truth(cfg.variant)),
     }
     if cfg.both_variants:
-        other = _other_variant(cfg.variant)
+        other = next(v for v in VARIANTS if v != cfg.variant)
         table[_tp_id(other, cfg)] = (True, truth(other))
         table["variant_agreement"] = (
             True, lambda m, s, w, f: check_variant_agreement(m, s, f)

@@ -101,17 +101,18 @@ class SpaceRow(NamedTuple):
     """One space of a structure, with its tables indexed by state index.
 
     ``state_at`` maps each world, by its position in the model's world
-    order, to the index of the state whose class holds it. ``members`` and
-    each agent's tuple in ``poss`` are indexed by state. Awareness is
-    constant across worlds, so an agent's subjective vocabulary is the same
-    at every state of a space and ``alpha`` holds one per agent.
+    order, to the index of its state. It is the only stored form of the
+    space's partition: a state's class is the set of worlds ``state_at``
+    sends to it. Each agent's tuple in ``poss`` is indexed by state.
+    Awareness is constant across worlds, so an agent's subjective
+    vocabulary is the same at every state of a space and ``alpha`` holds
+    one per agent. The row's vocabulary is its key in the structure's
+    ``rows``.
     """
 
-    vocab: FrozenSet[str]
     key: str
     states: Tuple[StateId, ...]
     state_at: Tuple[int, ...]
-    members: Tuple[FrozenSet[str], ...]
     poss: Mapping[str, Tuple[FrozenSet[StateId], ...]]
     alpha: Mapping[str, FrozenSet[str]]
 
@@ -122,7 +123,9 @@ class HmsStructure:
 
     The structure keeps the rows it is given, one :class:`SpaceRow` per
     space keyed by vocabulary in canonical order, and the valuation, and
-    copies neither; consistency between them is the builder's
+    copies neither. Each space's partition is stored once, as its row's
+    world -> state table; locating, projecting and every event operation
+    read it. Consistency between the tables is the builder's
     responsibility (the verification harness checks every structural
     invariant independently). A state passed in is looked up by its space
     key and index and must equal the state stored there, so a state of
@@ -174,8 +177,8 @@ class HmsStructure:
         return None
 
     def locate(self, world: str, vocab: Iterable[str]) -> StateId:
-        """The state of the given space whose member class contains the
-        world."""
+        """The state of the given space whose class contains the world,
+        read off the space's world -> state row."""
         vocab = frozenset(vocab)
         stray = vocab - self.atom_set
         if stray:

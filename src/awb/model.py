@@ -33,6 +33,7 @@ from .formula import (
     Not,
     Prop,
     PropFormula,
+    atoms_of,
 )
 
 
@@ -434,9 +435,11 @@ def sat_ail(m: EpistemicModel, world: str, f: AilFormula) -> bool:
     if isinstance(f, Prop):
         return prop_holds(m, world, f.body)
     if isinstance(f, Aware):
-        from .formula import atoms_of
-
-        return atoms_of(f.body) <= m.awareness_at(f.agent, world)
+        atoms = atoms_of(f.body)
+        undeclared = atoms.difference(m.atoms)
+        if undeclared:
+            raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
+        return atoms <= m.awareness_at(f.agent, world)
     if isinstance(f, BoxIBox):
         return all(prop_holds(m, v, f.body) for v in reach_composed(m, f.agent, world))
     raise TypeError(f"not an AIL formula: {f!r}")

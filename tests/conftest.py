@@ -5,6 +5,13 @@ from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
 
+def members(s, x):
+    """The class of state ``x`` of structure ``s``: the worlds its space's
+    world -> state row sends to it."""
+    at = s.rows[x.vocab].state_at
+    return frozenset(w for w, c in zip(s.worlds, at) if c == x.index)
+
+
 @pytest.fixture(scope="session")
 def M1():
     return m1()

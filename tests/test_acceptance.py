@@ -43,6 +43,7 @@ from awb.oracles import (
     sat_hms_brute,
 )
 from awb.transform import dump_transform, hms_transform
+from conftest import members
 
 _PREFIX = "[acceptance]"
 
@@ -163,7 +164,7 @@ AIL_GOLDENS = [
 
 
 def _raw(s, e):
-    return e.vocab, {s.rows[x.vocab].members[x.index] for x in e.base}
+    return e.vocab, {members(s, x) for x in e.base}
 
 
 def _golden_fixture_checks():
@@ -242,7 +243,7 @@ def test_criterion_5_golden_fixtures_dual_route(announce):
             for variant in VARIANTS:
                 ext = extension(s, truth_set(s, hf, variant))
                 assert {
-                    (x.vocab, s.rows[x.vocab].members[x.index]) for x in ext
+                    (x.vocab, members(s, x)) for x in ext
                 } == raw_truth_states(m, hf, variant)
                 for world in m.worlds:
                     x = s.locate(world, atoms_of(hf))

@@ -205,6 +205,10 @@ class TestInputErrors:
             (["check", "{m1}", "--lang", "hms", "--formula", "p", "--hms-state", "@p"],
              "error: bad state reference '@p': expected 'world@vocab'\n"),
             (["verify", "--trials", "-1"], "error: trials must be >= 0\n"),
+            (["check", "{m1}", "--lang", "ail", "--formula", "A[a] z", "--world", "w1"],
+             "error: undeclared atoms: ['z']\n"),
+            (["check", "{m1}", "--lang", "ail", "--formula", "X[a] I[a] X[a] z", "--world", "w1"],
+             "error: unknown atom 'z'\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):

@@ -137,13 +137,45 @@ class TestChecks:
     def test_structure_catches_misshaped_row(self, M1, T1):
         # a world -> state row one world short is refused by name, not
         # read past its end
-        row = T1.rows[frozenset({"p"})]
+        p = frozenset({"p"})
+        row = T1.rows[p]
         rows = dict(T1.rows)
-        rows[row.vocab] = row._replace(state_at=row.state_at[:-1])
+        rows[p] = row._replace(state_at=row.state_at[:-1])
         broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
+
+    def test_structure_catches_stray_state_index(self, M1, T1):
+        # the one-state empty-vocabulary row sends w2 to an index past its
+        # states
+        empty = frozenset()
+        rows = dict(T1.rows)
+        rows[empty] = T1.rows[empty]._replace(state_at=(0, 1))
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        assert check_structure(M1, broken) == (
+            "fail",
+            {"reason": "world -> state row names no state of its space", "space": ""},
+        )
+
+    def test_structure_catches_class_mixing_an_atom(self, M1, T1):
+        # {p} cut as one class {w1, w2}, although p holds at w1 only; the
+        # row is a consistent one-state partition in every other respect
+        p = frozenset({"p"})
+        x = T1.rows[p].states[0]
+        rows = dict(T1.rows)
+        rows[p] = T1.rows[p]._replace(
+            states=(x,), state_at=(0, 0), poss={"a": (frozenset({x}),)}
+        )
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        assert check_structure(M1, broken) == (
+            "fail",
+            {
+                "reason": "class members disagree on an in-vocabulary atom",
+                "atom": "p",
+                "state": "w1@p",
+            },
+        )
 
     def test_structure_catches_reordered_worlds(self, M1, T1):
         broken = HmsStructure(T1.atoms, T1.agents, T1.worlds[::-1], T1.rows, T1.val)

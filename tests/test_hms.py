@@ -17,6 +17,7 @@ from awb.hms import (
     truth_set,
     vocab_key,
 )
+from conftest import members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -259,7 +260,7 @@ class TestTruthSets:
 
         f = parse_hms("p & q")
         for x in T1.states(PQ):
-            verdicts = {prop_holds(M1, w, f.body) for w in T1.rows[x.vocab].members[x.index]}
+            verdicts = {prop_holds(M1, w, f.body) for w in members(T1, x)}
             assert len(verdicts) == 1
             assert sat_hms(T1, x, f) is verdicts.pop()
 

@@ -19,6 +19,7 @@ from awb.model import (
     validate,
 )
 from awb.transform import hms_transform
+from conftest import members
 
 
 def blocks_of(p: Partition):
@@ -28,7 +29,7 @@ def blocks_of(p: Partition):
 def space_partition(s, vocab) -> Partition:
     """The classes of one space of a quotient structure, as a partition of
     its worlds."""
-    return Partition.from_blocks((s.rows[x.vocab].members[x.index] for x in s.states(frozenset(vocab))), s.worlds)
+    return Partition.from_blocks((members(s, x) for x in s.states(frozenset(vocab))), s.worlds)
 
 
 def with_awareness(m: EpistemicModel, agent: str, rows: dict) -> EpistemicModel:

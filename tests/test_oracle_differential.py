@@ -30,6 +30,7 @@ from awb.oracles import (
     vocab_pairs,
 )
 from awb.transform import TransformInapplicable, hms_transform
+from conftest import members
 
 AIL_GOLDENS = [
     # (model fixture, world, formula, expected)
@@ -84,7 +85,7 @@ def _random_models(master: int, count: int, **overrides):
 
 
 def _to_raw(s, states):
-    return {(x.vocab, s.rows[x.vocab].members[x.index]) for x in states}
+    return {(x.vocab, members(s, x)) for x in states}
 
 
 class TestRandomDifferential:
@@ -133,10 +134,10 @@ class TestRandomDifferential:
             s = hms_transform(m)
             for p in m.atoms:
                 vocab = frozenset({p})
-                opt = {s.rows[x.vocab].members[x.index] for x in s.states(vocab)}
+                opt = {members(s, x) for x in s.states(vocab)}
                 assert opt == raw_space(m, vocab)
             full = frozenset(m.atoms)
-            opt = {s.rows[x.vocab].members[x.index] for x in s.states(full)}
+            opt = {members(s, x) for x in s.states(full)}
             assert opt == classes_of(m, vocab_pairs(m, full))
 
 
@@ -145,7 +146,7 @@ class TestStructureAgainstRawQuotients:
         for m in (M1, M2, divergent_model):
             s = hms_transform(m)
             for vocab in s.vocabs:
-                opt = {s.rows[x.vocab].members[x.index] for x in s.states(vocab)}
+                opt = {members(s, x) for x in s.states(vocab)}
                 assert opt == raw_space(m, vocab)
 
 

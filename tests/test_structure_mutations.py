@@ -43,32 +43,34 @@ def with_cell(s, agent, x, cell):
     return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
 
 
-def renamed(s, old, new, members=None):
-    """A copy of ``s`` in which state ``old`` is ``new`` in every table,
-    with ``members`` as its class when given."""
+def renamed(s, old, new):
+    """A copy of ``s`` in which state ``old`` is ``new`` in every table."""
 
     def r(x):
         return new if x == old else x
 
-    rows = {}
-    for vocab, row in s.rows.items():
-        mem = list(row.members)
-        if vocab == old.vocab and members is not None:
-            mem[old.index] = frozenset(members)
-        rows[vocab] = row._replace(
+    rows = {
+        vocab: row._replace(
             states=tuple(map(r, row.states)),
-            members=tuple(mem),
             poss={i: tuple(frozenset(map(r, c)) for c in cells) for i, cells in row.poss.items()},
         )
+        for vocab, row in s.rows.items()
+    }
     return rebuild(s, rows=rows, val={p: frozenset(map(r, xs)) for p, xs in s.val.items()})
+
+
+def with_state_at(s, vocab, **moves):
+    """A copy of ``s`` in which the row of ``vocab`` sends each named world
+    to the given state index."""
+    at = list(s.rows[vocab].state_at)
+    for w, c in moves.items():
+        at[s.worlds.index(w)] = c
+    return with_row(s, vocab, state_at=tuple(at))
 
 
 def swapped_state_of(s):
     """Swaps the entries of w1 and w2 in the {p} world -> state row."""
-    at = list(s.rows[P].state_at)
-    a, b = s.worlds.index("w1"), s.worlds.index("w2")
-    at[a], at[b] = at[b], at[a]
-    return with_row(s, P, state_at=tuple(at))
+    return with_state_at(s, P, w1=s.locate("w2", P).index, w2=s.locate("w1", P).index)
 
 
 def wrong_representative(s):
@@ -76,9 +78,10 @@ def wrong_representative(s):
     return renamed(s, x, StateId(x.space_key, x.index, "y1"))
 
 
-def overlapping_classes(s):
-    y = s.locate("w2", P)  # class {w2}, after {w1}
-    return renamed(s, y, StateId(y.space_key, y.index, "w1"), members={"w1", "w2"})
+def worldless_state(s):
+    """Sends w2 to w1's state in the {p} row, so the state {w2} keeps its
+    place but no world maps to it."""
+    return with_state_at(s, P, w2=s.locate("w1", P).index)
 
 
 def poss_missing_state(s):
@@ -112,18 +115,13 @@ def unnested_classes(s):
     inside one {p}-class."""
     first, second = s.states(P)
     cut = StateId(second.space_key, second.index, "y2")
-    t = renamed(s, second, cut, members={"y2", "z"})
-    at = list(t.rows[P].state_at)
-    at[t.worlds.index("y2")] = cut.index
-    return with_row(
-        t, P, members=(frozenset({"x", "y1"}),) + t.rows[P].members[1:], state_at=tuple(at)
-    )
+    return with_state_at(renamed(s, second, cut), P, y2=cut.index)
 
 
 MUTATIONS = [
-    ("T1", swapped_state_of, "membership table inconsistent"),
+    ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
-    ("T1", overlapping_classes, "overlapping state classes"),
+    ("T1", worldless_state, "state has no world"),
     ("T1", poss_missing_state, "projected possibility set not contained in the lower one"),
     ("T2", poss_gaining_foreign_state, "possibility set leaves its space"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),

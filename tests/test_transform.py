@@ -22,6 +22,7 @@ from awb.transform import (
     hms_transform,
     transform_summary,
 )
+from conftest import members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -48,7 +49,7 @@ class TestSpaces:
             for vocab in s.vocabs:
                 seen = []
                 for x in s.states(vocab):
-                    seen.extend(s.rows[x.vocab].members[x.index])
+                    seen.extend(members(s, x))
                 assert sorted(seen) == sorted(s.worlds)
 
     def test_single_world_model(self):
@@ -95,7 +96,7 @@ class TestLocateAndProject:
                     if not vocab <= x.vocab:
                         continue
                     y = s.project(x, vocab)
-                    for w in s.rows[x.vocab].members[x.index]:
+                    for w in members(s, x):
                         assert s.locate(w, vocab) == y
 
     def test_projection_chain_coherence(self, T1):
@@ -269,8 +270,8 @@ def reference_dict(s):
     world_order = {w: k for k, w in enumerate(s.worlds)}
     spaces = {
         row.key: [
-            {"rep": x.rep, "members": sorted(mem, key=world_order.get)}
-            for x, mem in zip(row.states, row.members)
+            {"rep": x.rep, "members": sorted(members(s, x), key=world_order.get)}
+            for x in row.states
         ]
         for row in s.rows.values()
     }
@@ -515,21 +516,21 @@ class TestBuildAgainstOracles:
             cell_state = {}
             for vocab, row in s.rows.items():
                 states = row.states
-                assert row.vocab == vocab and row.key == vocab_key(vocab)
+                assert row.key == vocab_key(vocab)
                 assert [x.index for x in states] == list(range(len(states)))
-                assert set(row.members) == oracles.raw_space(m, vocab)
-                for x, mem in zip(states, row.members):
+                assert len(row.state_at) == len(m.worlds)
+                classes = [members(s, x) for x in states]
+                assert set(classes) == oracles.raw_space(m, vocab)
+                for x, mem in zip(states, classes):
                     cell_state[(vocab, mem)] = x
                     assert x.vocab == vocab
                     assert x.rep == min(mem, key=m.world_order)
-                assert len(row.state_at) == len(m.worlds)
                 for w in m.worlds:
-                    assert w in row.members[row.state_at[m.world_order(w)]]
                     assert s.locate(w, vocab) == states[row.state_at[m.world_order(w)]]
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
                 for x in s.all_states():
-                    mem = s.rows[x.vocab].members[x.index]
+                    mem = members(s, x)
                     cells = oracles.raw_poss(m, i, (x.vocab, mem))
                     assert s.possibility(i, x) == {cell_state[(x.vocab, c)] for c in cells}
                     assert s.subjective_vocab(i, x) == aware & x.vocab
