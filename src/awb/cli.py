@@ -155,13 +155,17 @@ def _cmd_check(args) -> int:
     f = parse_hms(args.formula)
     if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:
         raise ModelError(f"unknown agent {f.agent!r}")
+    # Usage errors are reported before the build, which is exponential in
+    # the atom count.
+    if args.hms_state is None:
+        if args.world is None:
+            print("error: --world or --hms-state is required", file=sys.stderr)
+            return EXIT_INPUT
+        m.require_world(args.world)
     s = hms_transform(m)
     if args.hms_state is not None:
         x = s.resolve_state(args.hms_state)
     else:
-        if args.world is None:
-            print("error: --world or --hms-state is required", file=sys.stderr)
-            return EXIT_INPUT
         x = s.locate(args.world, atoms_of(f))
     value = sat_hms(s, x, f, args.variant)
     print("true" if value else "false")

@@ -27,7 +27,10 @@ Concrete syntax (whitespace between tokens is insignificant)::
     hms  := prop | "A[" id "]" prop | "I[" id "]" prop
 
 Atoms are lowercase-first identifiers; ``A``, ``I`` and ``X`` act as
-operator keywords only when followed by ``[``.
+operator keywords only when followed by ``[``. A formula may nest at most
+:data:`MAX_DEPTH` levels deep, counting both the brackets and negations of
+its text and the height of its syntax tree, so that every recursive walk
+over a parsed formula stays far inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from typing import Iterator, Union
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -230,6 +235,14 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.nesting = 0
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one more level of recursion, at ``tok``; callers leave it
+        by decrementing ``nesting``."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError("formula nested too deeply", tok.line, tok.col)
 
     def peek(self, ahead: int = 0) -> _Token:
         i = min(self.pos + ahead, len(self.tokens) - 1)
@@ -269,8 +282,9 @@ class _Parser:
     def imp(self) -> PropFormula:
         f = self.or_()
         if self.peek().kind == "->":
-            self.take()
-            return _imp(f, self.imp())
+            self.nest(self.take())
+            f = _imp(f, self.imp())
+            self.nesting -= 1
         return f
 
     def or_(self) -> PropFormula:
@@ -289,13 +303,14 @@ class _Parser:
 
     def neg(self) -> PropFormula:
         tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return Not(self.neg())
-        if tok.kind == "(":
-            self.take()
-            f = self.prop()
-            self.expect(")", "')'")
+        if tok.kind in "~(":
+            self.nest(self.take())
+            if tok.kind == "~":
+                f = Not(self.neg())
+            else:
+                f = self.prop()
+                self.expect(")", "')'")
+            self.nesting -= 1
             return f
         if self.at_modal_keyword():
             raise ShapeError(
@@ -396,28 +411,52 @@ def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
     return Not(And(a, Not(b)))
 
 
+def _height(f: PropFormula) -> int:
+    """Height of a propositional syntax tree (0 for an atom), measured
+    without recursion. ``<->`` shares its operands between two branches, so each node is
+    measured once, by identity."""
+    height = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        kids = (node.child,) if isinstance(node, Not) else (
+            (node.left, node.right) if isinstance(node, And) else ()
+        )
+        todo = [k for k in kids if id(k) not in height]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        height[id(node)] = 1 + max((height[id(k)] for k in kids), default=-1)
+    return height[id(f)]
+
+
+def _parse(text: str, rule):
+    """Run one grammar rule over the whole text. Beyond the parser's own
+    nesting count, the tree's height is bounded: chains such as ``p & p &
+    ...`` are parsed by a loop but build a tree as deep as they are long."""
+    p = _Parser(text)
+    f = rule(p)
+    p.finish()
+    body = f if isinstance(f, (Atom, Not, And)) else f.body
+    if _height(body) > MAX_DEPTH:
+        raise ParseError("formula nested too deeply", 1, 1)
+    return f
+
+
 def parse_prop(text: str) -> PropFormula:
     """Parse a purely propositional formula."""
-    p = _Parser(text)
-    f = p.prop()
-    p.finish()
-    return f
+    return _parse(text, _Parser.prop)
 
 
 def parse_ail(text: str) -> AilFormula:
     """Parse an AIL formula: ``prop``, ``A[i] prop`` or ``X[i] I[i] X[i] prop``."""
-    p = _Parser(text)
-    f = p.ail()
-    p.finish()
-    return f
+    return _parse(text, _Parser.ail)
 
 
 def parse_hms(text: str) -> HmsFormula:
     """Parse an HMS formula: ``prop``, ``A[i] prop`` or ``I[i] prop``."""
-    p = _Parser(text)
-    f = p.hms()
-    p.finish()
-    return f
+    return _parse(text, _Parser.hms)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (
@@ -63,6 +64,8 @@ from .hms import (
     Event,
     HmsStructure,
     StateId,
+    _mask,
+    _select,
     extension,
     implicit_event,
     sat_hms,
@@ -494,6 +497,12 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
 
     The possibility, subjective-vocabulary and valuation checks read the
     same rows, with projections taken through the world -> state rows.
+    Possibility sets are checked as the masks they are stored as. Once a
+    cell is an int with ``0 <= cell < 2^n`` (``cell >> n == 0``, which also
+    refuses a negative int), the mask -> set map that reads bit ``k`` as
+    state ``k`` is a bijection onto the subsets of an ``n``-state space
+    that turns ``|`` into union and ``a | b == b`` into inclusion, so each
+    law below holds of the masks exactly when it holds of the sets.
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
@@ -560,43 +569,49 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                 )
 
     top = rows[frozenset(m.atoms)]
-    space_sets = {vocab: frozenset(row.states) for vocab, row in rows.items()}
+    top_rep_at = rep_at[frozenset(m.atoms)]
     for i in m.agents:
         for vocab, row in rows.items():
-            space = space_sets[vocab]
-            for x, cell in zip(row.states, row.poss[i]):
+            n = len(row.states)
+            for idx, (x, cell) in enumerate(zip(row.states, row.poss[i])):
+                if type(cell) is not int:
+                    return fail("row shape inconsistent with its space", agent=i, state=str(x))
                 if not cell:
                     return fail("empty possibility set", agent=i, state=str(x))
-                if not cell <= space:
+                if cell >> n:
                     return fail("possibility set leaves its space", agent=i, state=str(x))
-                if x not in cell:
+                if not cell >> idx & 1:
                     return fail("possibility set not reflexive", agent=i, state=str(x))
         top_cells = top.poss[i]
-        for x, cell in zip(top.states, top_cells):
-            for y in cell:
-                if x not in top_cells[y.index]:
+        for a, cell in enumerate(top_cells):
+            for b in _select(range(len(top_cells)), cell):
+                if not top_cells[b] >> a & 1:
                     return fail(
                         "possibility set not symmetric on the top space",
                         agent=i,
-                        states=f"{x}/{y}",
+                        states=f"{top.states[a]}/{top.states[b]}",
                     )
         for vocab, row in rows.items():
-            # down[k]: the index in this space of the k-th top state's projection
-            down = [row.state_at[at[t.rep]] for t in top.states]
+            # down[t]: the index in this space of the t-th top state's projection
+            down = [row.state_at[k] for k in top_rep_at]
+            down_bit = [1 << y for y in down]
             cells = row.poss[i]
-            from_fibers = [set() for _ in row.states]
-            for t, cell in zip(top.states, top_cells):
-                y = down[t.index]
-                image = {row.states[down[z.index]] for z in cell}
-                if not image <= cells[y]:
+            fibers = [0] * len(row.states)
+            images = {}
+            for t, cell in enumerate(top_cells):
+                image = images.get(cell)
+                if image is None:
+                    image = images[cell] = reduce(or_, _select(down_bit, cell), 0)
+                y = down[t]
+                if image | cells[y] != cells[y]:
                     return fail(
                         "projected possibility set not contained in the lower one",
                         agent=i,
-                        state=str(t),
+                        state=str(top.states[t]),
                         space=vocab_key(vocab),
                     )
-                from_fibers[y] |= image
-            for y, cell, fiber in zip(row.states, cells, from_fibers):
+                fibers[y] |= image
+            for y, cell, fiber in zip(row.states, cells, fibers):
                 if fiber != cell:
                     return fail(
                         "lower possibility set is not the union over its top fiber",
@@ -646,11 +661,12 @@ def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
     extra = sorted(cu.base - pw.base)
     witnesses = {}
     row = s.rows[e.vocab]
+    base_mask = _mask(e.base)
     for x in extra:
         owners = sorted(
             y
             for y, cell in zip(row.states, row.poss[agent])
-            if cell <= e.base and x in cell
+            if cell | base_mask == base_mask and cell >> x.index & 1
         )
         witnesses[str(x)] = [str(y) for y in owners]
     return "fail", {

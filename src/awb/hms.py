@@ -6,9 +6,10 @@ richer to poorer spaces, a per-agent possibility correspondence, a
 per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
 ``transform`` module). A structure is stored as one row per space (see
-:class:`SpaceRow`); the event algebra walks those rows by state index, and
-projects a state by looking up its representative in the target space's
-world -> state row.
+:class:`SpaceRow`), with each possibility set kept as a mask of state
+indices; the event algebra walks those rows by state index, and projects
+a state by looking up its representative in the target space's world ->
+state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
 inside that vocabulary's space. Its extension is the up-closure: the union,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
@@ -84,6 +86,22 @@ def parse_state_ref(text: str) -> Tuple[str, FrozenSet[str]]:
     return rep, _parse_vocab_key(vk)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Iterable, mask: int) -> Iterator:
+    """The items whose position bit is set in ``mask``, in order."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _mask(states: Iterable[StateId]) -> int:
+    """The mask of the given states' indices."""
+    mask = 0
+    for x in states:
+        mask |= 1 << x[1]
+    return mask
+
+
 @dataclass(frozen=True)
 class Event:
     """A based event: a base vocabulary plus a base set of states drawn
@@ -103,7 +121,9 @@ class SpaceRow(NamedTuple):
     ``state_at`` maps each world, by its position in the model's world
     order, to the index of its state. It is the only stored form of the
     space's partition: a state's class is the set of worlds ``state_at``
-    sends to it. Each agent's tuple in ``poss`` is indexed by state.
+    sends to it. Each agent's tuple in ``poss`` is indexed by state and
+    holds that state's possibility set as a mask, a non-negative int whose
+    bit ``k`` is set when state ``k`` of this row is possible.
     Awareness is constant across worlds, so an agent's subjective
     vocabulary is the same at every state of a space and ``alpha`` holds
     one per agent. The row's vocabulary is its key in the structure's
@@ -113,7 +133,7 @@ class SpaceRow(NamedTuple):
     key: str
     states: Tuple[StateId, ...]
     state_at: Tuple[int, ...]
-    poss: Mapping[str, Tuple[FrozenSet[StateId], ...]]
+    poss: Mapping[str, Tuple[int, ...]]
     alpha: Mapping[str, FrozenSet[str]]
 
 
@@ -204,11 +224,12 @@ class HmsStructure:
 
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:
         """The set of states the agent considers possible at ``x``; always
-        within ``x``'s own space."""
+        within ``x``'s own space. It is decoded from the stored mask on
+        each call."""
         row = self._row_of(x)
         if row is None or agent not in row.poss:
             raise ValueError(f"no possibility set for agent {agent!r} at {x}")
-        return row.poss[agent][x[1]]
+        return frozenset(_select(row.states, row.poss[agent][x[1]]))
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``."""
@@ -312,12 +333,16 @@ def implicit_event(
     cells = row.poss.get(agent)
     if cells is None:
         raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
+    # On masks, a cell sits inside the base when OR-ing it adds no bit.
+    base_mask = _mask(e.base)
     if variant == "pointwise":
-        base = frozenset(x for x, cell in zip(row.states, cells) if cell <= e.base)
-    else:
-        inside = [cell for cell in cells if cell <= e.base]
-        base = frozenset().union(*inside) if inside else frozenset()
-    return Event(e.vocab, base)
+        inside = [cell | base_mask == base_mask for cell in cells]
+        return Event(e.vocab, frozenset(compress(row.states, inside)))
+    covered = 0
+    for cell in cells:
+        if cell | base_mask == base_mask:
+            covered |= cell
+    return Event(e.vocab, frozenset(_select(row.states, covered)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,26 @@ V``, numbered by first occurrence in world order, so a state's
 representative is the first world of its class. For each agent and space,
 every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
-blocks that meet its own class; equal masks within one space share one
-frozenset. The valuation is read off the bits. Each space's vocabulary,
-mask, key and atom bits are derived once per build, before the loop over
-spaces (``_space_table``); states are tuples made without a Python-level
-constructor call each.
+blocks that meet its own class. That mask is what the row stores: bit
+``k`` set means state ``k`` of the space is possible, and no set of
+states is built. The valuation is read off the bits. Each space's
+vocabulary, mask, key and atom bits are derived once per build, before
+the loop over spaces (``_space_table``); states are tuples made without a
+Python-level constructor call each.
 
 The tables are per space, not per object: each space is one
 :class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
 tuple of ints (the space's partition, stored once) and, per agent, a tuple
-of possibility sets by state index and one subjective vocabulary. A build
-thus makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples and
-no member set per state.
+of possibility masks by state index and one subjective vocabulary. A build
+thus makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples,
+no member set per state and no possibility set.
 
 The cyclic garbage collector is paused while the tables are built. A build
-allocates hundreds of thousands of tuples and frozensets (about 40 000
-states at 10 atoms and 128 worlds), and each full collection re-traverses
-the half-built tables, although they hold no reference cycles and every
-temporary is freed by reference counting. With the collector running, that
-re-scanning is about a third of a 10-atom, 128-world build.
+allocates tens of thousands of tuples (about 40 000 states at 10 atoms and
+128 worlds), and each full collection re-traverses the half-built tables,
+although they hold no reference cycles and every temporary is freed by
+reference counting. With the collector running, that re-scanning is about
+a tenth of a 10-atom, 128-world build.
 
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
@@ -53,10 +54,10 @@ from __future__ import annotations
 import gc
 from itertools import combinations, compress, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Tuple
 
-from .hms import HmsStructure, SpaceRow, StateId, vocab_key
+from .hms import HmsStructure, SpaceRow, StateId, _select, vocab_key
 from .model import EpistemicModel, awareness_variation, validate
 
 DEFAULT_ATOM_CAP = 12
@@ -77,14 +78,15 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     when any agent's awareness varies across worlds, or when the atom count
     exceeds ``atom_cap``.
 
-    The result holds one row per space (see the module docstring). The
-    tables are built with the cyclic garbage collector disabled: on a
-    10-atom, 128-world model (CPython 3.11, a 2-vCPU host) the build takes
-    about 0.35 s with it off against 0.50 s with it on. The pause is
+    The result holds one row per space (see the module docstring), with
+    each possibility set stored as a mask of state indices. The tables are
+    built with the cyclic garbage collector disabled: on a 10-atom,
+    128-world model (CPython 3.11, a 2-vCPU host) the build takes about
+    0.11-0.14 s with it off against 0.12-0.16 s with it on. The pause is
     process-wide but lasts only for the build, and the collector's previous
     state is restored however the build ends. The objects built are still
     young when it ends, so the first collection after it traverses them
-    once: about 115 000 tracked objects and 65-70 ms at that size.
+    once: about 52 000 tracked objects and 20 ms at that size.
     """
     violations = validate(m)
     if violations:
@@ -168,23 +170,19 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
         states = tuple(map(tuple.__new__, repeat(StateId), fields))
         for p, bit in atom_bits:
             marked[p].extend(compress(states, map(bit.__and__, first)))
-        # Possibility sets with equal class masks share one frozenset.
-        shared = {}
         poss = {}
         for i in m.agents:
             n_blocks, blk = blocks_of[i]
             # A state's possibility set is the union of the classes met by
-            # the indistinguishability blocks that meet its own class.
+            # the indistinguishability blocks that meet its own class, kept
+            # as a mask of state indices.
             met = [0] * n_blocks
             for b, c in zip(blk, cls):
                 met[b] |= class_bit[c]
             reach = [0] * len(states)
             for b, c in zip(blk, cls):
                 reach[c] |= met[b]
-            for r in reach:
-                if r not in shared:
-                    shared[r] = frozenset(_select(states, r))
-            poss[i] = tuple(map(shared.__getitem__, reach))
+            poss[i] = tuple(reach)
         alpha = {i: aware[i] & vocab for i in m.agents}
         rows[vocab] = SpaceRow(key, states, tuple(cls), poss, alpha)
 
@@ -197,22 +195,11 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
     )
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _select(items: Tuple, mask: int):
-    """The items whose position bit is set in ``mask``."""
-    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
-
-
 def transform_summary(s: HmsStructure) -> str:
     """One-line size summary, spaces in canonical order (by vocabulary size,
     then atom declaration order)."""
     sizes = "/".join(str(len(row.states)) for row in s.rows.values())
     return f"{len(s.rows)} spaces, sizes {sizes}"
-
-
-_index = attrgetter("index")
 
 
 def _block(items: List[str], depth: int, brackets: str = "[]") -> str:
@@ -255,18 +242,19 @@ def dump_transform(s: HmsStructure) -> str:
         named.extend(zip(plain, names[row.key], repeat(row), count()))
     named.sort(key=itemgetter(0))
 
-    rendered: Dict[FrozenSet[StateId], str] = {}
+    # A mask lists its states in ascending index order, which is the
+    # sorted order; each (space, mask) is rendered once.
+    rendered: Dict[Tuple[str, int], str] = {}
     lam = []
     alpha = []
     for i in s.agents:
         poss_items = []
         alpha_items = []
         for _, qx, row, k in named:
-            ps = row.poss[i][k]
-            text = rendered.get(ps)
+            cell = (row.key, row.poss[i][k])
+            text = rendered.get(cell)
             if text is None:
-                space = names[row.key]
-                text = rendered[ps] = _block([space[j] for j in sorted(map(_index, ps))], 3)
+                text = rendered[cell] = _block(list(_select(names[row.key], cell[1])), 3)
             poss_items.append(f"{qx}: {text}")
             alpha_items.append(f"{qx}: {quoted_vocab[row.alpha[i]]}")
         lam.append((i, _block(poss_items, 2, "{}")))

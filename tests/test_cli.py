@@ -209,6 +209,14 @@ class TestInputErrors:
              "error: undeclared atoms: ['z']\n"),
             (["check", "{m1}", "--lang", "ail", "--formula", "X[a] I[a] X[a] z", "--world", "w1"],
              "error: unknown atom 'z'\n"),
+            (["check", "{m1}", "--lang", "ail", "--formula", "~" * 3000 + "p", "--world", "w1"],
+             "error: formula nested too deeply (line 1, column 101)\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "~" * 3000 + "p", "--world", "w1"],
+             "error: formula nested too deeply (line 1, column 101)\n"),
+            (["translate", "--formula", "(" * 3000 + "p" + ")" * 3000],
+             "error: formula nested too deeply (line 1, column 101)\n"),
+            (["translate", "--formula", " & ".join(["p"] * 3000)],
+             "error: formula nested too deeply (line 1, column 1)\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
@@ -226,6 +234,21 @@ class TestInputErrors:
         path.write_text("[" * 100_000)
         assert main(["transform", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: invalid JSON in {path}: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--formula", "p"], "error: --world or --hms-state is required\n"),
+            (["--formula", "p", "--world", "w9"], "error: unknown world 'w9'\n"),
+        ],
+    )
+    def test_usage_error_before_build(self, m1_file, capsys, monkeypatch, args, message):
+        def no_build(*_):
+            raise AssertionError("hms_transform called")
+
+        monkeypatch.setattr("awb.cli.hms_transform", no_build)
+        assert main(["check", m1_file, "--lang", "hms"] + args) == EXIT_INPUT
+        assert capsys.readouterr().err == message
 
     def test_library_value_error_is_internal(self, m1_file, capsys, monkeypatch):
         def fails(self, e):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from awb.formula import (
+    MAX_DEPTH,
     And,
     Atom,
     Aware,
@@ -82,6 +83,24 @@ class TestParseProp:
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             parse_prop("")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: "~" * n + "p",
+            lambda n: "(" * n + "p" + ")" * n,
+            lambda n: " -> ".join(["p"] * (n // 3 + 1)),
+            lambda n: " & ".join(["p"] * (n + 1)),
+        ],
+        ids=["negation", "brackets", "implication", "conjunction"],
+    )
+    def test_nesting_bound(self, make):
+        # up to the bound the formula parses and prints back; one level
+        # past it is a parse error, not a RecursionError
+        f = parse_prop(make(MAX_DEPTH))
+        assert parse_prop(format_prop(f)) == f
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse_prop(make(MAX_DEPTH + 3))
 
 
 class TestParseModal:

@@ -219,6 +219,32 @@ class TestImplicitEvent:
         with pytest.raises(ValueError):
             implicit_event(T1, "a", event_atom(T1, "p"), "mystery")
 
+    def test_masks_match_set_reference(self, M1, M2, divergent_model):
+        # Both variants, computed on the stored masks, against their
+        # definitions on the decoded possibility sets: the fixtures and 200
+        # seeded random models, every space and agent, with the empty and
+        # full bases and up to eight random ones.
+        from awb.harness import TrialConfig, gen_model
+        from awb.transform import hms_transform
+
+        rng = random.Random(9090)
+        cfg = TrialConfig()
+        models = [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(200)]
+        for m in models:
+            s = hms_transform(m)
+            for vocab, row in s.rows.items():
+                space = row.states
+                bases = [frozenset(), frozenset(space)]
+                bases += [frozenset(x for x in space if rng.random() < 0.5) for _ in range(8)]
+                for agent in s.agents:
+                    cells = {x: s.possibility(agent, x) for x in space}
+                    for base in bases:
+                        e = Event(vocab, base)
+                        pointwise = frozenset(x for x in space if cells[x] <= base)
+                        covered = frozenset().union(*(c for c in cells.values() if c <= base))
+                        assert implicit_event(s, agent, e, "pointwise") == Event(vocab, pointwise)
+                        assert implicit_event(s, agent, e, "cell-union") == Event(vocab, covered)
+
     def test_variants_diverge_on_nontransitive_lift(self, divergent_model):
         from awb.transform import hms_transform
 

@@ -34,28 +34,30 @@ def with_row(s, vocab, **fields):
     return rebuild(s, rows=rows)
 
 
-def with_cell(s, agent, x, cell):
-    """A copy of ``s`` in which the agent's possibility set at ``x`` is
-    ``cell``."""
+def with_mask(s, agent, x, mask):
+    """A copy of ``s`` in which the agent's possibility mask at ``x`` is
+    ``mask``."""
     row = s.rows[x.vocab]
     cells = list(row.poss[agent])
-    cells[x.index] = frozenset(cell)
+    cells[x.index] = mask
     return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
 
 
+def with_cell(s, agent, x, cell):
+    """A copy of ``s`` in which the agent's possibility set at ``x`` is
+    ``cell``, encoded as the mask of its states' indices."""
+    return with_mask(s, agent, x, sum(1 << y.index for y in set(cell)))
+
+
 def renamed(s, old, new):
-    """A copy of ``s`` in which state ``old`` is ``new`` in every table."""
+    """A copy of ``s`` in which state ``old`` is ``new`` in every table.
+    Possibility masks name states by index, so a renaming that keeps the
+    index leaves them as they are."""
 
     def r(x):
         return new if x == old else x
 
-    rows = {
-        vocab: row._replace(
-            states=tuple(map(r, row.states)),
-            poss={i: tuple(frozenset(map(r, c)) for c in cells) for i, cells in row.poss.items()},
-        )
-        for vocab, row in s.rows.items()
-    }
+    rows = {vocab: row._replace(states=tuple(map(r, row.states))) for vocab, row in s.rows.items()}
     return rebuild(s, rows=rows, val={p: frozenset(map(r, xs)) for p, xs in s.val.items()})
 
 
@@ -89,9 +91,34 @@ def poss_missing_state(s):
     return with_cell(s, "a", x, s.possibility("a", x) - {y})
 
 
-def poss_gaining_foreign_state(s):
+def poss_past_last_state(s):
+    """Sets the bit one past the {p} row's last state in the possibility
+    mask at w1."""
     x = s.locate("w1", P)
-    return with_cell(s, "a", x, s.possibility("a", x) | {s.locate("w1", Q)})
+    return with_mask(s, "a", x, s.rows[P].poss["a"][x.index] | 1 << len(s.states(P)))
+
+
+def negative_poss_cell(s):
+    """A negative int, whose two's-complement bits run past every state."""
+    return with_mask(s, "a", s.locate("w1", P), -1)
+
+
+def set_valued_cell(s):
+    """The possibility set at w1 in {p} stored as a set of states instead of
+    a mask."""
+    x = s.locate("w1", P)
+    return with_mask(s, "a", x, s.possibility("a", x))
+
+
+def asymmetric_top_cell(s):
+    """w2's top state joins w1's possibility set, but not the reverse."""
+    return with_cell(s, "a", s.locate("w1", PQ), {s.locate("w1", PQ), s.locate("w2", PQ)})
+
+
+def poss_beyond_fiber(s):
+    """w2's {q} state joins w1's {q} possibility set, which no top state
+    projecting to w1's {q} state can see."""
+    return with_cell(s, "a", s.locate("w1", Q), {s.locate("w1", Q), s.locate("w2", Q)})
 
 
 def wrong_alpha(s):
@@ -123,7 +150,11 @@ MUTATIONS = [
     ("divergent", wrong_representative, "state representative is not the least member"),
     ("T1", worldless_state, "state has no world"),
     ("T1", poss_missing_state, "projected possibility set not contained in the lower one"),
-    ("T2", poss_gaining_foreign_state, "possibility set leaves its space"),
+    ("T2", poss_past_last_state, "possibility set leaves its space"),
+    ("T2", negative_poss_cell, "possibility set leaves its space"),
+    ("T1", set_valued_cell, "row shape inconsistent with its space"),
+    ("T2", asymmetric_top_cell, "possibility set not symmetric on the top space"),
+    ("T2", poss_beyond_fiber, "lower possibility set is not the union over its top fiber"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong states"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),

@@ -227,11 +227,11 @@ class TestCollectorPause:
     def test_state_restored_when_a_step_raises(self, collector, M1, monkeypatch):
         seen = []
 
-        def broken(items, mask):
+        def broken(atoms):
             seen.append(gc.isenabled())
             raise RuntimeError("broken step")
 
-        monkeypatch.setattr(transform_module, "_select", broken)
+        monkeypatch.setattr(transform_module, "_space_table", broken)
         with pytest.raises(RuntimeError, match="broken step"):
             hms_transform(M1)
         assert seen == [False]
