@@ -413,8 +413,8 @@ def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
 
 def _height(f: PropFormula) -> int:
     """Height of a propositional syntax tree (0 for an atom), measured
-    without recursion. ``<->`` shares its operands between two branches, so each node is
-    measured once, by identity."""
+    without recursion. ``<->`` shares its operands between two branches,
+    so each node is measured once, by identity."""
     height = {}
     stack = [f]
     while stack:

@@ -31,8 +31,9 @@ differ otherwise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import or_
 from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
@@ -95,11 +96,8 @@ def _select(items: Iterable, mask: int) -> Iterator:
 
 
 def _mask(states: Iterable[StateId]) -> int:
-    """The mask of the given states' indices."""
-    mask = 0
-    for x in states:
-        mask |= 1 << x[1]
-    return mask
+    """The mask of the indices of the given distinct states of one space."""
+    return sum([1 << x[1] for x in states])
 
 
 @dataclass(frozen=True)
@@ -333,15 +331,12 @@ def implicit_event(
     cells = row.poss.get(agent)
     if cells is None:
         raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
-    # On masks, a cell sits inside the base when OR-ing it adds no bit.
+    # A cell sits inside the base when OR-ing it into the base adds no bit.
     base_mask = _mask(e.base)
+    inside = [cell | base_mask == base_mask for cell in cells]
     if variant == "pointwise":
-        inside = [cell | base_mask == base_mask for cell in cells]
         return Event(e.vocab, frozenset(compress(row.states, inside)))
-    covered = 0
-    for cell in cells:
-        if cell | base_mask == base_mask:
-            covered |= cell
+    covered = reduce(or_, compress(cells, inside), 0)
     return Event(e.vocab, frozenset(_select(row.states, covered)))
 
 
