@@ -96,8 +96,11 @@ def _select(items: Iterable, mask: int) -> Iterator:
 
 
 def _mask(states: Iterable[StateId]) -> int:
-    """The mask of the indices of the given distinct states of one space."""
-    return sum([1 << x[1] for x in states])
+    """The mask of the given states' indices."""
+    mask = 0
+    for x in states:
+        mask |= 1 << x[1]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -332,11 +335,12 @@ def implicit_event(
     if cells is None:
         raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
     # A cell sits inside the base when OR-ing it into the base adds no bit.
-    base_mask = _mask(e.base)
-    inside = [cell | base_mask == base_mask for cell in cells]
+    bm = _mask(e.base)
     if variant == "pointwise":
-        return Event(e.vocab, frozenset(compress(row.states, inside)))
-    covered = reduce(or_, compress(cells, inside), 0)
+        return Event(
+            e.vocab, frozenset([x for x, cell in zip(row.states, cells) if cell | bm == bm])
+        )
+    covered = reduce(or_, [cell for cell in cells if cell | bm == bm], 0)
     return Event(e.vocab, frozenset(_select(row.states, covered)))
 
 
