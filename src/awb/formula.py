@@ -28,9 +28,10 @@ Concrete syntax (whitespace between tokens is insignificant)::
 
 Atoms are lowercase-first identifiers; ``A``, ``I`` and ``X`` act as
 operator keywords only when followed by ``[``. A formula may nest at most
-:data:`MAX_DEPTH` levels deep, counting both the brackets and negations of
-its text and the height of its syntax tree, so that every recursive walk
-over a parsed formula stays far inside the interpreter's recursion limit.
+:data:`MAX_DEPTH` levels deep, both in its text (brackets, negations and
+chained implications, which the parser recurses on) and in the height of
+its syntax tree, so that every recursive walk over a parsed formula stays
+far inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
