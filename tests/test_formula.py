@@ -95,7 +95,7 @@ class TestParseProp:
         ids=["negation", "brackets", "implication", "conjunction"],
     )
     def test_nesting_bound(self, make):
-        # up to the bound the formula parses and prints back; one level
+        # up to the bound the formula parses and prints back; a few levels
         # past it is a parse error, not a RecursionError
         f = parse_prop(make(MAX_DEPTH))
         assert parse_prop(format_prop(f)) == f
