@@ -32,7 +32,7 @@ from .formula import (
     translate,
 )
 from .harness import TrialConfig, run_suite
-from .hms import DEFAULT_VARIANT, VARIANTS, extension, sat_hms, truth_set
+from .hms import DEFAULT_VARIANT, VARIANTS, extension, parse_state_ref, sat_hms, truth_set
 from .model import ModelError, load_model, reach_composed, sat_ail, validate
 from .transform import (
     DEFAULT_ATOM_CAP,
@@ -156,15 +156,22 @@ def _cmd_check(args) -> int:
     if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:
         raise ModelError(f"unknown agent {f.agent!r}")
     # Usage errors are reported before the build, which is exponential in
-    # the atom count.
-    if args.hms_state is None:
-        if args.world is None:
-            print("error: --world or --hms-state is required", file=sys.stderr)
-            return EXIT_INPUT
+    # the atom count. A state reference is checked as ``locate`` checks it:
+    # undeclared atoms before an unknown world.
+    if args.hms_state is not None:
+        world, vocab = parse_state_ref(args.hms_state)
+        stray = vocab.difference(m.atoms)
+        if stray:
+            raise ModelError(f"undeclared atoms: {sorted(stray)}")
+        m.require_world(world)
+    elif args.world is None:
+        print("error: --world or --hms-state is required", file=sys.stderr)
+        return EXIT_INPUT
+    else:
         m.require_world(args.world)
     s = hms_transform(m)
     if args.hms_state is not None:
-        x = s.resolve_state(args.hms_state)
+        x = s.locate(world, vocab)
     else:
         x = s.locate(args.world, atoms_of(f))
     value = sat_hms(s, x, f, args.variant)

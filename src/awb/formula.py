@@ -31,19 +31,24 @@ operator keywords only when followed by ``[``. A formula may nest at most
 :data:`MAX_DEPTH` levels deep, both in its text (brackets, negations and
 chained implications, which the parser recurses on) and in the height of
 its syntax tree, so that every recursive walk over a parsed formula stays
-far inside the interpreter's recursion limit.
+far inside the interpreter's recursion limit. Its syntax tree may hold at
+most :data:`MAX_SIZE` nodes, counting an operand that ``<->`` shares
+between its two halves once per half, so that a short chain of ``<->``
+cannot stand for a tree too large to evaluate or print.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Tuple, Union
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_DEPTH = 100
+
+MAX_SIZE = 20_000
 
 
 class ParseError(ValueError):
@@ -412,36 +417,46 @@ def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
     return Not(And(a, Not(b)))
 
 
-def _height(f: PropFormula) -> int:
-    """Height of a propositional syntax tree (0 for an atom), measured
-    without recursion. ``<->`` shares its operands between two branches,
-    so each node is measured once, by identity."""
-    height = {}
+def _shape(f: PropFormula) -> Tuple[int, int]:
+    """Height (0 for an atom) and node count of a propositional syntax
+    tree, measured without recursion. ``<->`` shares its operands between
+    two branches, so each node is measured once, by identity, and a shared
+    operand counts once per occurrence in the tree."""
+    shape = {}
     stack = [f]
     while stack:
         node = stack[-1]
         kids = (node.child,) if isinstance(node, Not) else (
             (node.left, node.right) if isinstance(node, And) else ()
         )
-        todo = [k for k in kids if id(k) not in height]
+        todo = [k for k in kids if id(k) not in shape]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        height[id(node)] = 1 + max((height[id(k)] for k in kids), default=-1)
-    return height[id(f)]
+        shape[id(node)] = (
+            1 + max((shape[id(k)][0] for k in kids), default=-1),
+            1 + sum(shape[id(k)][1] for k in kids),
+        )
+    return shape[id(f)]
 
 
 def _parse(text: str, rule):
     """Run one grammar rule over the whole text. Beyond the parser's own
     nesting count, the tree's height is bounded: chains such as ``p & p &
-    ...`` are parsed by a loop but build a tree as deep as they are long."""
+    ...`` are parsed by a loop but build a tree as deep as they are long.
+    So is its node count: each ``<->`` doubles its operands, so a chain of
+    them is short text for a tree exponential in its length, which every
+    evaluator would walk in full."""
     p = _Parser(text)
     f = rule(p)
     p.finish()
     body = f if isinstance(f, (Atom, Not, And)) else f.body
-    if _height(body) > MAX_DEPTH:
+    height, size = _shape(body)
+    if height > MAX_DEPTH:
         raise ParseError("formula nested too deeply", 1, 1)
+    if size > MAX_SIZE:
+        raise ParseError(f"formula too large: {size} syntax tree nodes, over {MAX_SIZE}", 1, 1)
     return f
 
 

@@ -6,7 +6,8 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
 * ``structure``: the full invariant battery over the quotient structure
   (space shapes, projection laws, possibility-correspondence laws,
-  subjective-vocabulary arithmetic, valuation well-definedness);
+  subjective-vocabulary arithmetic, class agreement on in-vocabulary
+  atoms and each row's valuation bits);
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
   extension and is the up-closure of its own base-space slice;
@@ -332,7 +333,14 @@ def direct_truth_states(
         if isinstance(node, Prop):
             return rec(node.body)
         if isinstance(node, Atom):
-            return frozenset(s.val[node.name])
+            bit = 1 << s.atoms.index(node.name)
+            return frozenset(
+                x
+                for v, row in s.rows.items()
+                if node.name in v
+                for x, bits in zip(row.states, row.val)
+                if bits & bit
+            )
         if isinstance(node, Not):
             return region(atoms_of(node.child)) - rec(node.child)
         if isinstance(node, And):
@@ -503,6 +511,14 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     state ``k`` is a bijection onto the subsets of an ``n``-state space
     that turns ``|`` into union and ``a | b == b`` into inclusion, so each
     law below holds of the masks exactly when it holds of the sets.
+
+    The valuation is checked as two laws. Class agreement: the worlds of a
+    class agree on every atom of their space's vocabulary. Row valuation:
+    every entry of a row's ``val`` is an int equal to its state rep's
+    valuation bits (over the model's atom order) masked by the row's
+    vocabulary, so a bit outside the vocabulary, a missing or extra bit
+    and a non-int entry are all wrong marks. Given class agreement, the
+    rep's bits within the vocabulary are every member's.
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
@@ -633,11 +649,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                 return fail("subjective space missing", agent=i, space=vocab_key(vocab))
 
     for p in m.atoms:
-        marked = s.val[p]
         holds = [w in m.valuation[p] for w in m.worlds]
         for vocab, row in rows.items():
-            rep_holds = [holds[k] for k in rep_at[vocab]]
             if p in vocab:
+                rep_holds = [holds[k] for k in rep_at[vocab]]
                 for k, c in enumerate(row.state_at):
                     if holds[k] != rep_holds[c]:
                         return fail(
@@ -645,9 +660,27 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                             atom=p,
                             state=str(row.states[c]),
                         )
-            for x, h in zip(row.states, rep_holds):
-                if (x in marked) != (p in vocab and h):
-                    return fail("valuation marks the wrong states", atom=p, state=str(x))
+
+    # world_bits[k]: the atoms true at world k, as bits over the atom order
+    world_bits = [0] * n_worlds
+    for b, p in enumerate(m.atoms):
+        for w in m.valuation[p]:
+            world_bits[at[w]] |= 1 << b
+    for vocab, row in rows.items():
+        if len(row.val) != len(row.states):
+            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
+        vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
+        for x, k, bits in zip(row.states, rep_at[vocab], row.val):
+            want = world_bits[k] & vocab_bits
+            if type(bits) is not int or bits != want:
+                # name the first atom marked wrongly, when there is one
+                diff = bits ^ want if type(bits) is int else 0
+                wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
+                return fail(
+                    "valuation marks the wrong states",
+                    **({"atom": wrong[0]} if wrong else {}),
+                    state=str(x),
+                )
 
     return "pass", {}
 

@@ -7,9 +7,9 @@ per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
 ``transform`` module). A structure is stored as one row per space (see
 :class:`SpaceRow`), with each possibility set kept as a mask of state
-indices; the event algebra walks those rows by state index, and projects
-a state by looking up its representative in the target space's world ->
-state row.
+indices and each state's valuation kept in its own row as atom bits; the
+event algebra walks those rows by state index, and projects a state by
+looking up its representative in the target space's world -> state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
 inside that vocabulary's space. Its extension is the up-closure: the union,
@@ -127,7 +127,11 @@ class SpaceRow(NamedTuple):
     bit ``k`` is set when state ``k`` of this row is possible.
     Awareness is constant across worlds, so an agent's subjective
     vocabulary is the same at every state of a space and ``alpha`` holds
-    one per agent. The row's vocabulary is its key in the structure's
+    one per agent. ``val`` is indexed by state and holds the state's
+    valuation restricted to the row's vocabulary, as bits over the
+    structure's atom order: bit ``k`` is set when atom ``k`` is in the
+    vocabulary and true at the state's worlds. This is the only stored
+    valuation. The row's vocabulary is its key in the structure's
     ``rows``.
     """
 
@@ -136,6 +140,7 @@ class SpaceRow(NamedTuple):
     state_at: Tuple[int, ...]
     poss: Mapping[str, Tuple[int, ...]]
     alpha: Mapping[str, FrozenSet[str]]
+    val: Tuple[int, ...]
 
 
 class HmsStructure:
@@ -143,12 +148,12 @@ class HmsStructure:
     correspondence, subjective vocabularies, and state valuation.
 
     The structure keeps the rows it is given, one :class:`SpaceRow` per
-    space keyed by vocabulary in canonical order, and the valuation, and
-    copies neither. Each space's partition is stored once, as its row's
-    world -> state table; locating, projecting and every event operation
-    read it. Consistency between the tables is the builder's
-    responsibility (the verification harness checks every structural
-    invariant independently). A state passed in is looked up by its space
+    space keyed by vocabulary in canonical order, and copies nothing; the
+    valuation lives in the rows too, with no structure-wide copy. Each
+    space's partition is stored once, as its row's world -> state table;
+    locating, projecting and every event operation read it. Consistency
+    between the tables is the builder's responsibility (the verification
+    harness checks every structural invariant independently). A state passed in is looked up by its space
     key and index and must equal the state stored there, so a state of
     another structure or a forged tuple is refused, not read as some
     other state.
@@ -160,13 +165,11 @@ class HmsStructure:
         agents: Tuple[str, ...],
         worlds: Tuple[str, ...],
         rows: Mapping[FrozenSet[str], SpaceRow],
-        val: Mapping[str, FrozenSet[StateId]],
     ):
         self.atoms = atoms
         self.agents = agents
         self.worlds = worlds
         self.rows = rows
-        self.val = val
         self.vocabs = tuple(rows)
         self.atom_set = frozenset(atoms)
         self.world_index = {w: k for k, w in enumerate(worlds)}
@@ -304,12 +307,13 @@ def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
 
 def event_atom(s: HmsStructure, p: str) -> Event:
     """The event of an atom: based in the singleton-vocabulary space, with
-    base states exactly those whose member worlds make the atom true."""
+    base states exactly those whose member worlds make the atom true: in
+    that space a state's valuation bits are the atom's bit or nothing."""
     if p not in s.atom_set:
         raise ModelError(f"unknown atom {p!r}")
     vocab = frozenset({p})
-    marked = s.val[p]
-    return Event(vocab, frozenset(x for x in s.rows[vocab].states if x in marked))
+    row = s.rows[vocab]
+    return Event(vocab, frozenset(compress(row.states, row.val)))
 
 
 def aware_event(s: HmsStructure, agent: str, e: Event) -> Event:

@@ -21,17 +21,20 @@ every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
 blocks that meet its own class. That mask is what the row stores: bit
 ``k`` set means state ``k`` of the space is possible, and no set of
-states is built. The valuation is read off the bits. Each space's
-vocabulary, mask, key and atom bits are derived once per build, before
-the loop over spaces (``_space_table``); states are tuples made without a
+states is built. The valuation needs no work of its own: a class's
+``bits & V`` is the valuation of its state within the vocabulary, and the
+row stores those values, one int per state in class-index order. Each
+space's vocabulary, mask and key are derived once per build, before the
+loop over spaces (``_space_table``); states are tuples made without a
 Python-level constructor call each.
 
 The tables are per space, not per object: each space is one
 :class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
-tuple of ints (the space's partition, stored once) and, per agent, a tuple
-of possibility masks by state index and one subjective vocabulary. A build
-thus makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples,
-no member set per state and no possibility set.
+tuple of ints (the space's partition, stored once), a tuple of valuation
+bits by state index and, per agent, a tuple of possibility masks by state
+index and one subjective vocabulary. A build thus makes no ``(vocabulary,
+world)`` or ``(agent, state)`` key tuples, no member set per state, no
+possibility set and no set of states per atom.
 
 The cyclic garbage collector is paused while the tables are built. A build
 allocates tens of thousands of tuples (about 40 000 states at 10 atoms and
@@ -52,7 +55,7 @@ indent would.
 from __future__ import annotations
 
 import gc
-from itertools import combinations, compress, count, repeat
+from itertools import combinations, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Tuple
@@ -79,14 +82,16 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     exceeds ``atom_cap``.
 
     The result holds one row per space (see the module docstring), with
-    each possibility set stored as a mask of state indices. The tables are
-    built with the cyclic garbage collector disabled: on a 10-atom,
-    128-world model (CPython 3.11, a 2-vCPU host) the build takes about
-    0.11-0.14 s with it off against 0.12-0.16 s with it on. The pause is
-    process-wide but lasts only for the build, and the collector's previous
-    state is restored however the build ends. The objects built are still
-    young when it ends, so the first collection after it traverses them
-    once: about 52 000 tracked objects and 20 ms at that size.
+    each possibility set stored as a mask of state indices and each
+    state's valuation as an int in its row. The tables are built with the
+    cyclic garbage collector disabled: on 10-atom, 128-world ladder models
+    (8 models, two rounds; CPython 3.11, a 2-vCPU host) the build takes
+    about 0.07-0.10 s with it off against 0.09-0.11 s with it on. The
+    pause is process-wide but lasts only for the build, and the
+    collector's previous state is restored however the build ends. The
+    objects built are still young when it ends, so the first collection
+    after it traverses them once: about 51 000 tracked objects and 9-10 ms
+    at that size.
     """
     violations = validate(m)
     if violations:
@@ -121,15 +126,14 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
 
 
 def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
-    """``(vocab, mask, key, atom bits)`` of every space over ``atoms``, in
-    canonical order (by size, then atom declaration order); ``atom bits``
-    pairs each of the space's atoms with its bit."""
+    """``(vocab, mask, key)`` of every space over ``atoms``, in canonical
+    order (by size, then atom declaration order)."""
     bits = [(p, 1 << k) for k, p in enumerate(atoms)]
     table = []
     for size in range(len(atoms) + 1):
         for combo in combinations(bits, size):
             vocab = frozenset(p for p, _ in combo)
-            table.append((vocab, sum(b for _, b in combo), vocab_key(vocab), combo))
+            table.append((vocab, sum(b for _, b in combo), vocab_key(vocab)))
     return table
 
 
@@ -150,8 +154,7 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
     aware = {i: m.awareness[i][worlds[0]] for i in m.agents}
 
     rows: Dict[FrozenSet[str], SpaceRow] = {}
-    marked = {p: [] for p in atoms}
-    for vocab, mask, key, atom_bits in _space_table(atoms):
+    for vocab, mask, key in _space_table(atoms):
         # Class index of each world: its valuation bits restricted to the
         # vocabulary, numbered by first occurrence in world order; the
         # first world of a class is its representative.
@@ -168,8 +171,6 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
         # States made by tuple.__new__, with no Python-level call per state.
         fields = zip(repeat(key), count(), reps)
         states = tuple(map(tuple.__new__, repeat(StateId), fields))
-        for p, bit in atom_bits:
-            marked[p].extend(compress(states, map(bit.__and__, first)))
         poss = {}
         for i in m.agents:
             n_blocks, blk = blocks_of[i]
@@ -184,15 +185,11 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
                 reach[c] |= met[b]
             poss[i] = tuple(reach)
         alpha = {i: aware[i] & vocab for i in m.agents}
-        rows[vocab] = SpaceRow(key, states, tuple(cls), poss, alpha)
+        # The keys of ``first`` are the classes' valuation bits within the
+        # vocabulary, in class-index order.
+        rows[vocab] = SpaceRow(key, states, tuple(cls), poss, alpha, tuple(first))
 
-    return HmsStructure(
-        atoms=atoms,
-        agents=m.agents,
-        worlds=worlds,
-        rows=rows,
-        val={p: frozenset(xs) for p, xs in marked.items()},
-    )
+    return HmsStructure(atoms=atoms, agents=m.agents, worlds=worlds, rows=rows)
 
 
 def transform_summary(s: HmsStructure) -> str:
@@ -273,10 +270,19 @@ def dump_transform(s: HmsStructure) -> str:
         ]
         spaces.append((row.key, _block(states, 2)))
 
-    valuation = [
-        (p, _block([names[x.space_key][x.index] for x in sorted(s.val[p])], 2))
-        for p in s.atoms
-    ]
+    # Each atom's states are listed by space key, then index: the rows in
+    # key order, each row's states in index order.
+    by_key = sorted(s.rows.items(), key=lambda item: item[1].key)
+    valuation = []
+    for k, p in enumerate(s.atoms):
+        marked = [
+            q
+            for vocab, row in by_key
+            if p in vocab
+            for q, v in zip(names[row.key], row.val)
+            if v >> k & 1
+        ]
+        valuation.append((p, _block(marked, 2)))
     top = [
         ("agents", _block(list(map(_quote, s.agents)), 1)),
         ("alpha", _object(alpha, 1)),

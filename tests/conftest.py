@@ -12,6 +12,20 @@ def members(s, x):
     return frozenset(w for w, c in zip(s.worlds, at) if c == x.index)
 
 
+def marked(s, p):
+    """The states of structure ``s`` at which atom ``p`` is true: those of
+    the spaces whose vocabulary holds ``p`` with ``p``'s bit set in their
+    row's valuation."""
+    bit = 1 << s.atoms.index(p)
+    return frozenset(
+        x
+        for vocab, row in s.rows.items()
+        if p in vocab
+        for x, bits in zip(row.states, row.val)
+        if bits & bit
+    )
+
+
 @pytest.fixture(scope="session")
 def M1():
     return m1()

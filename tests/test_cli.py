@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,9 @@ from awb.cli import (
     main,
 )
 from awb.model import model_to_dict
+
+IFF_CHAIN = " <-> ".join(["p"] * 25)
+TOO_LARGE = "error: formula too large: 167772151 syntax tree nodes, over 20000 (line 1, column 1)\n"
 
 
 @pytest.fixture
@@ -217,10 +221,20 @@ class TestInputErrors:
              "error: formula nested too deeply (line 1, column 101)\n"),
             (["translate", "--formula", " & ".join(["p"] * 3000)],
              "error: formula nested too deeply (line 1, column 1)\n"),
+            # 24 links of <->: a 145-character formula whose syntax tree
+            # has 1.7e8 nodes
+            (["check", "{m1}", "--lang", "ail", "--formula", IFF_CHAIN, "--world", "w1"],
+             TOO_LARGE),
+            (["check", "{m1}", "--lang", "hms", "--formula", IFF_CHAIN, "--world", "w1"],
+             TOO_LARGE),
+            (["translate", "--formula", IFF_CHAIN], TOO_LARGE),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
+        # every refusal here is made up front, so none takes long
+        start = time.perf_counter()
         assert main([a.format(m1=m1_file) for a in args]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == message
 
     def test_binary_model_file_names_path(self, tmp_path, capsys):
@@ -240,6 +254,12 @@ class TestInputErrors:
         [
             (["--formula", "p"], "error: --world or --hms-state is required\n"),
             (["--formula", "p", "--world", "w9"], "error: unknown world 'w9'\n"),
+            (["--formula", "p", "--hms-state", "w9@p"], "error: unknown world 'w9'\n"),
+            (["--formula", "p", "--hms-state", "w1@z"], "error: undeclared atoms: ['z']\n"),
+            # undeclared atoms are named before an unknown world
+            (["--formula", "p", "--hms-state", "w9@z"], "error: undeclared atoms: ['z']\n"),
+            (["--formula", "p", "--hms-state", "@p"],
+             "error: bad state reference '@p': expected 'world@vocab'\n"),
         ],
     )
     def test_usage_error_before_build(self, m1_file, capsys, monkeypatch, args, message):

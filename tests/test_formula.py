@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from awb.formula import (
     MAX_DEPTH,
+    MAX_SIZE,
     And,
     Atom,
     Aware,
@@ -101,6 +102,15 @@ class TestParseProp:
         assert parse_prop(format_prop(f)) == f
         with pytest.raises(ParseError, match="formula nested too deeply"):
             parse_prop(make(MAX_DEPTH + 3))
+
+    def test_size_bound(self):
+        # a chain of k links of <-> has 10 * 2^k - 9 tree nodes: 10 links
+        # fit under MAX_SIZE, 11 do not
+        assert 10 * 2**10 - 9 <= MAX_SIZE < 10 * 2**11 - 9
+        f = parse_prop(" <-> ".join(["p"] * 11))
+        assert parse_prop(format_prop(f)) == f
+        with pytest.raises(ParseError, match="formula too large: 20471 syntax tree nodes"):
+            parse_prop(" <-> ".join(["p"] * 12))
 
 
 class TestParseModal:

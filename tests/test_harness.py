@@ -108,14 +108,13 @@ class TestChecks:
         assert check_structure(dm, hms_transform(dm))[0] == "pass"
 
     def test_structure_catches_corruption(self, M1, T1):
-        broken = HmsStructure(
-            T1.atoms,
-            T1.agents,
-            T1.worlds,
-            T1.rows,
-            # drop one marked state from the valuation table
-            {p: frozenset(list(xs)[1:]) for p, xs in T1.val.items()},
-        )
+        # clear every valuation bit of the first state that has one
+        vocab, row = next((v, r) for v, r in T1.rows.items() if any(r.val))
+        val = list(row.val)
+        val[next(k for k, bits in enumerate(val) if bits)] = 0
+        rows = dict(T1.rows)
+        rows[vocab] = row._replace(val=tuple(val))
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong states"
@@ -128,7 +127,7 @@ class TestChecks:
         cells[victim.index] &= ~(1 << victim.index)
         rows = dict(T1.rows)
         rows[victim.vocab] = row._replace(poss={**row.poss, "a": tuple(cells)})
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "possibility set not reflexive"
@@ -141,7 +140,7 @@ class TestChecks:
         row = T1.rows[p]
         rows = dict(T1.rows)
         rows[p] = row._replace(state_at=row.state_at[:-1])
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
@@ -152,7 +151,7 @@ class TestChecks:
         empty = frozenset()
         rows = dict(T1.rows)
         rows[empty] = T1.rows[empty]._replace(state_at=(0, 1))
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         assert check_structure(M1, broken) == (
             "fail",
             {"reason": "world -> state row names no state of its space", "space": ""},
@@ -167,7 +166,7 @@ class TestChecks:
         rows[p] = T1.rows[p]._replace(
             states=(x,), state_at=(0, 0), poss={"a": (1,)}
         )
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows, T1.val)
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         assert check_structure(M1, broken) == (
             "fail",
             {
@@ -178,7 +177,7 @@ class TestChecks:
         )
 
     def test_structure_catches_reordered_worlds(self, M1, T1):
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds[::-1], T1.rows, T1.val)
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds[::-1], T1.rows)
         assert check_structure(M1, broken) == ("fail", {"reason": "world order differs from the model's"})
 
     def test_structure_at_eight_atoms(self):
@@ -200,10 +199,14 @@ class TestChecks:
         assert len(s.vocabs) == 256
         assert check_structure(m, s) == ("pass", {})
         top = frozenset(atoms)
-        victim = next(x for x in s.states(top) if x in s.val["p"])
-        val = dict(s.val)
-        val["p"] = val["p"] - {victim}
-        broken = HmsStructure(s.atoms, s.agents, s.worlds, s.rows, val)
+        # clear p's bit at one top state where p holds
+        val = list(s.rows[top].val)
+        k = next(k for k, bits in enumerate(val) if bits & 1)
+        victim = s.states(top)[k]
+        val[k] &= ~1
+        rows = dict(s.rows)
+        rows[top] = s.rows[top]._replace(val=tuple(val))
+        broken = HmsStructure(s.atoms, s.agents, s.worlds, rows)
         status, detail = check_structure(m, broken)
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong states"

@@ -17,7 +17,7 @@ from awb.hms import (
     truth_set,
     vocab_key,
 )
-from conftest import members
+from conftest import marked, members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -144,7 +144,7 @@ class TestEventAlgebra:
     def test_atom_extension_is_stored_valuation(self, T1, T2):
         for s in (T1, T2):
             for p in s.atoms:
-                assert extension(s, event_atom(s, p)) == s.val[p]
+                assert extension(s, event_atom(s, p)) == marked(s, p)
 
     def test_atom_false_everywhere(self):
         from awb.model import EpistemicModel

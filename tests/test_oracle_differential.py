@@ -149,6 +149,23 @@ class TestStructureAgainstRawQuotients:
                 opt = {members(s, x) for x in s.states(vocab)}
                 assert opt == raw_space(m, vocab)
 
+    def test_row_valuation_matches_raw(self, M1, M2, divergent_model):
+        # each row's valuation sets an atom's bit at a state exactly when the
+        # atom is in the vocabulary and holds throughout the state's raw class
+        fixtures = [M1, M2, divergent_model]
+        for m in fixtures + [m for _, m, _ in _random_models(6006, 200)]:
+            s = hms_transform(m)
+            for vocab, row in s.rows.items():
+                raw = raw_space(m, vocab)
+                for x, bits in zip(row.states, row.val):
+                    cls = members(s, x)
+                    assert cls in raw
+                    assert bits == sum(
+                        1 << k
+                        for k, p in enumerate(m.atoms)
+                        if p in vocab and cls <= set(m.valuation[p])
+                    )
+
 
 class TestOracleMemo:
     def test_each_pair_set_built_once_per_call(self, divergent_model, monkeypatch):

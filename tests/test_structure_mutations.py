@@ -4,9 +4,10 @@ Each case corrupts one table of a correct quotient structure (of the
 ``m1``/``m2`` fixtures or of the divergent model) and rebuilds it through
 the ``HmsStructure`` constructor; the battery must reject it with the
 reason that names the fault. The cases use only the constructor, the
-structure's public interface and its per-space rows, so they run
-unchanged against any version of the battery, cheap or exhaustive, and
-show that both catch the same faults.
+structure's public interface and its per-space rows, not the battery's
+internals, so a cheap battery and an exhaustive one that read the same
+row layout face the same mutants, and passing both shows that both catch
+the same faults. A change to the row layout changes the mutants with it.
 """
 
 import pytest
@@ -20,11 +21,9 @@ Q = frozenset({"q"})
 PQ = frozenset({"p", "q"})
 
 
-def rebuild(s, rows=None, val=None):
-    """A copy of ``s`` with its rows or its valuation replaced."""
-    return HmsStructure(
-        s.atoms, s.agents, s.worlds, s.rows if rows is None else rows, s.val if val is None else val
-    )
+def rebuild(s, rows):
+    """A copy of ``s`` with its rows replaced."""
+    return HmsStructure(s.atoms, s.agents, s.worlds, rows)
 
 
 def with_row(s, vocab, **fields):
@@ -58,7 +57,7 @@ def renamed(s, old, new):
         return new if x == old else x
 
     rows = {vocab: row._replace(states=tuple(map(r, row.states))) for vocab, row in s.rows.items()}
-    return rebuild(s, rows=rows, val={p: frozenset(map(r, xs)) for p, xs in s.val.items()})
+    return rebuild(s, rows=rows)
 
 
 def with_state_at(s, vocab, **moves):
@@ -126,10 +125,29 @@ def wrong_alpha(s):
     return with_row(s, PQ, alpha={**s.rows[PQ].alpha, "a": PQ})
 
 
+def with_val(s, x, bits):
+    """A copy of ``s`` in which the valuation entry of ``x`` is ``bits``."""
+    val = list(s.rows[x.vocab].val)
+    val[x.index] = bits
+    return with_row(s, x.vocab, val=tuple(val))
+
+
 def mis_marked_valuation(s):
-    val = dict(s.val)
-    val["q"] = val["q"] | {s.locate("w2", Q)}  # q is false at w2
-    return rebuild(s, val=val)
+    """Flips q's bit at w2's {q} state, where q is false."""
+    x = s.locate("w2", Q)
+    return with_val(s, x, s.rows[Q].val[x.index] ^ 1 << s.atoms.index("q"))
+
+
+def valuation_bit_outside_vocabulary(s):
+    """Sets p's bit at w1's {q} state: p holds at w1 but is not in {q}."""
+    x = s.locate("w1", Q)
+    return with_val(s, x, s.rows[Q].val[x.index] | 1 << s.atoms.index("p"))
+
+
+def set_valued_valuation(s):
+    """The valuation at w1's {q} state stored as the set of its true atoms
+    instead of bits."""
+    return with_val(s, s.locate("w1", Q), frozenset({"q"}))
 
 
 def dropped_space(s):
@@ -157,6 +175,8 @@ MUTATIONS = [
     ("T2", poss_beyond_fiber, "lower possibility set is not the union over its top fiber"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong states"),
+    ("T2", valuation_bit_outside_vocabulary, "valuation marks the wrong states"),
+    ("T2", set_valued_valuation, "valuation marks the wrong states"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "projection not independent of representative"),
 ]

@@ -22,7 +22,7 @@ from awb.transform import (
     hms_transform,
     transform_summary,
 )
-from conftest import members
+from conftest import marked, members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -283,7 +283,7 @@ def reference_dict(s):
         i: {str(x): vocab_key(s.subjective_vocab(i, x)) for x in s.all_states()}
         for i in s.agents
     }
-    valuation = {p: [str(x) for x in sorted(s.val[p])] for p in s.atoms}
+    valuation = {p: [str(x) for x in sorted(marked(s, p))] for p in s.atoms}
     return {
         "atoms": list(s.atoms),
         "agents": list(s.agents),
@@ -535,7 +535,7 @@ class TestBuildAgainstOracles:
                     assert s.possibility(i, x) == {cell_state[(x.vocab, c)] for c in cells}
                     assert s.subjective_vocab(i, x) == aware & x.vocab
             for p in m.atoms:
-                assert s.val[p] == {
+                assert marked(s, p) == {
                     x for x in s.all_states() if p in x.vocab and x.rep in m.valuation[p]
                 }
             checked += 1
