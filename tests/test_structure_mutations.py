@@ -144,10 +144,16 @@ def valuation_bit_outside_vocabulary(s):
     return with_val(s, x, s.rows[Q].val[x.index] | 1 << s.atoms.index("p"))
 
 
-def set_valued_valuation(s):
-    """The valuation at w1's {q} state stored as the set of its true atoms
-    instead of bits."""
-    return with_val(s, s.locate("w1", Q), frozenset({"q"}))
+def float_valuation(s):
+    """The valuation at w1's {q} state stored as a float: equal to the right
+    bits, but not an int."""
+    x = s.locate("w1", Q)
+    return with_val(s, x, float(s.rows[Q].val[x.index]))
+
+
+def short_valuation_row(s):
+    """The {p, q} row's valuation one entry short of its states."""
+    return with_row(s, PQ, val=s.rows[PQ].val[:-1])
 
 
 def dropped_space(s):
@@ -176,7 +182,8 @@ MUTATIONS = [
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong states"),
     ("T2", valuation_bit_outside_vocabulary, "valuation marks the wrong states"),
-    ("T2", set_valued_valuation, "valuation marks the wrong states"),
+    ("T2", float_valuation, "valuation marks the wrong states"),
+    ("T2", short_valuation_row, "row shape inconsistent with its space"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "projection not independent of representative"),
 ]
