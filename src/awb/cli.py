@@ -171,7 +171,7 @@ def _cmd_check(args) -> int:
         m.require_world(args.world)
     s = hms_transform(m)
     if args.hms_state is not None:
-        x = s.locate(world, vocab)
+        x = s.resolve_state(args.hms_state)
     else:
         x = s.locate(args.world, atoms_of(f))
     value = sat_hms(s, x, f, args.variant)

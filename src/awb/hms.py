@@ -153,10 +153,10 @@ class HmsStructure:
     space's partition is stored once, as its row's world -> state table;
     locating, projecting and every event operation read it. Consistency
     between the tables is the builder's responsibility (the verification
-    harness checks every structural invariant independently). A state passed in is looked up by its space
-    key and index and must equal the state stored there, so a state of
-    another structure or a forged tuple is refused, not read as some
-    other state.
+    harness checks every structural invariant independently). A state
+    passed in is looked up by its space key and index and must equal the
+    state stored there, so a state of another structure or a forged tuple
+    is refused, not read as some other state.
     """
 
     def __init__(

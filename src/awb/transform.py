@@ -85,12 +85,12 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     each possibility set stored as a mask of state indices and each
     state's valuation as an int in its row. The tables are built with the
     cyclic garbage collector disabled: on 10-atom, 128-world ladder models
-    (8 models, two rounds; CPython 3.11, a 2-vCPU host) the build takes
-    about 0.07-0.10 s with it off against 0.09-0.11 s with it on. The
+    (8 models, several rounds; CPython 3.11, a 2-vCPU host) the build
+    takes about 0.07-0.11 s with it off against 0.08-0.12 s with it on. The
     pause is process-wide but lasts only for the build, and the
     collector's previous state is restored however the build ends. The
     objects built are still young when it ends, so the first collection
-    after it traverses them once: about 51 000 tracked objects and 9-10 ms
+    after it traverses them once: about 51 000 tracked objects and 8-12 ms
     at that size.
     """
     violations = validate(m)

@@ -15,7 +15,9 @@ from awb.cli import (
 from awb.model import model_to_dict
 
 IFF_CHAIN = " <-> ".join(["p"] * 25)
-TOO_LARGE = "error: formula too large: 167772151 syntax tree nodes, over 20000 (line 1, column 1)\n"
+TOO_LARGE = (
+    "error: formula too large: 167772151 syntax tree nodes, over 20000 (line 1, column 1)\n"
+)
 
 
 @pytest.fixture
