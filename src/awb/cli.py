@@ -32,7 +32,7 @@ from .formula import (
     translate,
 )
 from .harness import TrialConfig, run_suite
-from .hms import DEFAULT_VARIANT, VARIANTS, extension, parse_state_ref, sat_hms, truth_set
+from .hms import DEFAULT_VARIANT, VARIANTS, base_states, extension, parse_state_ref, sat_hms, truth_set
 from .model import ModelError, load_model, reach_composed, sat_ail, validate
 from .transform import (
     DEFAULT_ATOM_CAP,
@@ -157,7 +157,8 @@ def _cmd_check(args) -> int:
         raise ModelError(f"unknown agent {f.agent!r}")
     # Usage errors are reported before the build, which is exponential in
     # the atom count. A state reference is checked as ``locate`` checks it:
-    # undeclared atoms before an unknown world.
+    # undeclared atoms before an unknown world; the formula's atoms after
+    # the reference.
     if args.hms_state is not None:
         world, vocab = parse_state_ref(args.hms_state)
         stray = vocab.difference(m.atoms)
@@ -169,6 +170,9 @@ def _cmd_check(args) -> int:
         return EXIT_INPUT
     else:
         m.require_world(args.world)
+    stray = atoms_of(f).difference(m.atoms)
+    if stray:
+        raise ModelError(f"undeclared atoms: {sorted(stray)}")
     s = hms_transform(m)
     if args.hms_state is not None:
         x = s.resolve_state(args.hms_state)
@@ -178,7 +182,7 @@ def _cmd_check(args) -> int:
     print("true" if value else "false")
     if args.verbose:
         ts = truth_set(s, f, args.variant)
-        base = ", ".join(str(y) for y in sorted(ts.base))
+        base = ", ".join(str(y) for y in sorted(base_states(s, ts)))
         print(f"state: {x}; truth-set base: {{{base}}}; extension size: {len(extension(s, ts))}")
     return EXIT_TRUE if value else EXIT_FALSE
 

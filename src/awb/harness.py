@@ -65,8 +65,8 @@ from .hms import (
     Event,
     HmsStructure,
     StateId,
-    _mask,
     _select,
+    base_states,
     extension,
     implicit_event,
     sat_hms,
@@ -448,7 +448,7 @@ def check_eventhood(
             "only_direct": sorted(str(x) for x in direct - closure),
             "variant": variant,
         }
-    return "pass", {"base": sorted(str(x) for x in ts.base), "variant": variant}
+    return "pass", {"base": sorted(str(x) for x in base_states(s, ts)), "variant": variant}
 
 
 @lru_cache(maxsize=64)
@@ -691,21 +691,20 @@ def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
     cu = implicit_event(s, agent, e, "cell-union")
     if pw.base == cu.base:
         return "pass", {"agent": agent}
-    extra = sorted(cu.base - pw.base)
+    extra = sorted(base_states(s, Event(e.vocab, cu.base & ~pw.base)))
     witnesses = {}
     row = s.rows[e.vocab]
-    base_mask = _mask(e.base)
     for x in extra:
         owners = sorted(
             y
             for y, cell in zip(row.states, row.poss[agent])
-            if cell | base_mask == base_mask and cell >> x.index & 1
+            if cell | e.base == e.base and cell >> x.index & 1
         )
         witnesses[str(x)] = [str(y) for y in owners]
     return "fail", {
         "agent": agent,
         "event_vocab": vocab_key(e.vocab),
-        "event_base": sorted(str(x) for x in e.base),
+        "event_base": sorted(str(x) for x in base_states(s, e)),
         "only_cell_union": [str(x) for x in extra],
         "witness_cells": witnesses,
     }

@@ -12,10 +12,14 @@ event algebra walks those rows by state index, and projects a state by
 looking up its representative in the target space's world -> state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
-inside that vocabulary's space. Its extension is the up-closure: the union,
-over every space whose vocabulary contains the base vocabulary, of the
-projection preimage of the base. Events with an empty base keep their base
-vocabulary, so complementation stays space-relative.
+inside that vocabulary's space, the set kept as a mask of the space's state
+indices. Its extension is the up-closure: the union, over every space whose
+vocabulary contains the base vocabulary, of the projection preimage of the
+base. Events with an empty base keep their base vocabulary, so
+complementation stays space-relative. Every operator works on masks;
+:func:`truth_set` and :func:`sat_hms` share one recursion over the
+operators' kernels, and states are decoded from a mask only at the
+interface, by :func:`base_states`.
 
 The implicit-knowledge event operator comes in two variants that coincide
 when the possibility correspondence partitions the base space and can
@@ -95,25 +99,15 @@ def _select(items: Iterable, mask: int) -> Iterator:
     return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _mask(states: Iterable[StateId]) -> int:
-    """The mask of the given states' indices."""
-    mask = 0
-    for x in states:
-        mask |= 1 << x[1]
-    return mask
-
-
 @dataclass(frozen=True)
 class Event:
     """A based event: a base vocabulary plus a base set of states drawn
-    from that vocabulary's space."""
+    from that vocabulary's space, held as a mask over the space's state
+    indices: bit ``k`` of ``base`` is set when the row's state ``k`` is in
+    the base. :func:`base_states` decodes it."""
 
     vocab: FrozenSet[str]
-    base: FrozenSet[StateId]
-
-    def __str__(self) -> str:
-        states = ", ".join(str(x) for x in sorted(self.base))
-        return f"<{{{vocab_key(self.vocab)}}}: {{{states}}}>"
+    base: int
 
 
 class SpaceRow(NamedTuple):
@@ -132,7 +126,8 @@ class SpaceRow(NamedTuple):
     structure's atom order: bit ``k`` is set when atom ``k`` is in the
     vocabulary and true at the state's worlds. This is the only stored
     valuation. The row's vocabulary is its key in the structure's
-    ``rows``.
+    ``rows``. An :class:`Event` based in this space holds its base as a mask
+    over the same state indices.
     """
 
     key: str
@@ -249,82 +244,140 @@ class HmsStructure:
         return self.locate(world, vocab)
 
     def check_event(self, e: Event) -> SpaceRow:
-        """Refuse an event whose base is not a set of states of its base
-        space; return that space's row."""
+        """Refuse an event whose base is not a mask of states of its base
+        space: a non-negative ``int`` with no bit past the space's last
+        state. Return that space's row."""
         row = self.rows.get(e.vocab)
         if row is None:
             raise ValueError(f"event based on unknown space {{{vocab_key(e.vocab)}}}")
-        stray = e.base.difference(row.states)
-        if stray:
-            raise ValueError(
-                f"event base contains states outside its space: "
-                f"{', '.join(str(x) for x in sorted(stray))}"
-            )
+        # a negative int shifts to -1, so the shift also refuses it
+        b = e.base
+        if type(b) is not int or b >> len(row.states):
+            raise ValueError(f"event base is not a state mask of space {{{vocab_key(e.vocab)}}}")
         return row
 
 
 # ---------------------------------------------------------------------------
 # Event algebra
 # ---------------------------------------------------------------------------
+#
+# Each operator is a kernel on a (base vocabulary, base row, base mask)
+# triple. The public operators check their events and call the kernels;
+# ``truth_set`` and ``sat_hms`` share one recursion over them, which builds
+# no Event and checks nothing per node.
+
+Based = Tuple[FrozenSet[str], SpaceRow, int]
+
+
+def _full(row: SpaceRow) -> int:
+    return (1 << len(row.states)) - 1
+
+
+def _atom(s: HmsStructure, p: str) -> Based:
+    if p not in s.atom_set:
+        raise ModelError(f"unknown atom {p!r}")
+    vocab = frozenset({p})
+    row = s.rows[vocab]
+    mask = 0
+    for k, bits in enumerate(row.val):
+        if bits:
+            mask |= 1 << k
+    return vocab, row, mask
+
+
+def _not(vocab: FrozenSet[str], row: SpaceRow, mask: int) -> Based:
+    return vocab, row, _full(row) ^ mask
+
+
+def _and(s: HmsStructure, left: Based, right: Based) -> Based:
+    # a state of the joined space is in the lift of a base when the state
+    # holding its representative in the base space is in that base
+    (v1, row1, m1), (v2, row2, m2) = left, right
+    vocab = v1 | v2
+    row = s.rows[vocab]
+    at1, at2, k = row1.state_at, row2.state_at, s.world_index
+    mask = 0
+    for j, x in enumerate(row.states):
+        w = k[x[2]]
+        if m1 >> at1[w] & 1 and m2 >> at2[w] & 1:
+            mask |= 1 << j
+    return vocab, row, mask
+
+
+def _aware(agent: str, vocab: FrozenSet[str], row: SpaceRow, mask: int) -> Based:
+    alpha = row.alpha.get(agent)
+    if alpha is None:
+        raise ValueError(f"no subjective space for agent {agent!r} at {row.states[0]}")
+    return vocab, row, _full(row) if vocab <= alpha else 0
+
+
+def _implicit(
+    agent: str, variant: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
+) -> Based:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    cells = row.poss.get(agent)
+    if cells is None:
+        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
+    # A cell sits inside the base when OR-ing it into the base adds no bit.
+    if variant == "pointwise":
+        return vocab, row, sum(1 << k for k, cell in enumerate(cells) if cell | mask == mask)
+    return vocab, row, reduce(or_, [cell for cell in cells if cell | mask == mask], 0)
+
+
+def _based(s: HmsStructure, e: Event) -> Based:
+    return e.vocab, s.check_event(e), e.base
+
+
+def _event(b: Based) -> Event:
+    return Event(b[0], b[2])
+
+
+def base_states(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
+    """The states of an event's base, decoded from its mask; the one place
+    where a base is read back as states."""
+    return frozenset(_select(s.check_event(e).states, e.base))
+
 
 def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     """Up-closure of an event: all states, in every space whose vocabulary
     contains the base vocabulary, that project into the base."""
-    base_row = s.check_event(e)
+    base = base_states(s, e)
+    base_row = s.rows[e.vocab]
     st, at, k = base_row.states, base_row.state_at, s.world_index
     return frozenset(
         x
         for vocab, row in s.rows.items()
         if e.vocab <= vocab
         for x in row.states
-        if st[at[k[x.rep]]] in e.base
+        if st[at[k[x.rep]]] in base
     )
 
 
 def event_not(s: HmsStructure, e: Event) -> Event:
     """Complement within the base space; the base vocabulary is kept."""
-    row = s.check_event(e)
-    return Event(e.vocab, frozenset(row.states) - e.base)
+    return _event(_not(*_based(s, e)))
 
 
 def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
     """Intersection, rebased onto the union of the two base vocabularies:
     each base is lifted to the joined space by projection preimage and the
     lifts are intersected."""
-    row1 = s.check_event(e1)
-    row2 = s.check_event(e2)
-    joined = e1.vocab | e2.vocab
-    st1, at1, b1 = row1.states, row1.state_at, e1.base
-    st2, at2, b2 = row2.states, row2.state_at, e2.base
-    k = s.world_index
-    base = frozenset(
-        x
-        for x in s.rows[joined].states
-        if st1[at1[k[x.rep]]] in b1 and st2[at2[k[x.rep]]] in b2
-    )
-    return Event(joined, base)
+    return _event(_and(s, _based(s, e1), _based(s, e2)))
 
 
 def event_atom(s: HmsStructure, p: str) -> Event:
     """The event of an atom: based in the singleton-vocabulary space, with
     base states exactly those whose member worlds make the atom true: in
     that space a state's valuation bits are the atom's bit or nothing."""
-    if p not in s.atom_set:
-        raise ModelError(f"unknown atom {p!r}")
-    vocab = frozenset({p})
-    row = s.rows[vocab]
-    return Event(vocab, frozenset(compress(row.states, row.val)))
+    return _event(_atom(s, p))
 
 
 def aware_event(s: HmsStructure, agent: str, e: Event) -> Event:
     """Awareness operator: keeps the base vocabulary; the new base holds
     the states whose subjective vocabulary covers the base vocabulary.
     Awareness is constant, so that is the whole base space or nothing."""
-    row = s.check_event(e)
-    alpha = row.alpha.get(agent)
-    if alpha is None:
-        raise ValueError(f"no subjective space for agent {agent!r} at {row.states[0]}")
-    return Event(e.vocab, frozenset(row.states) if e.vocab <= alpha else frozenset())
+    return _event(_aware(agent, *_based(s, e)))
 
 
 def implicit_event(
@@ -332,49 +385,38 @@ def implicit_event(
 ) -> Event:
     """Implicit-knowledge operator, in the requested variant (see module
     docstring). Both keep the base vocabulary."""
-    row = s.check_event(e)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    cells = row.poss.get(agent)
-    if cells is None:
-        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
-    # A cell sits inside the base when OR-ing it into the base adds no bit.
-    bm = _mask(e.base)
-    if variant == "pointwise":
-        return Event(
-            e.vocab, frozenset([x for x, cell in zip(row.states, cells) if cell | bm == bm])
-        )
-    covered = reduce(or_, [cell for cell in cells if cell | bm == bm], 0)
-    return Event(e.vocab, frozenset(_select(row.states, covered)))
+    return _event(_implicit(agent, variant, *_based(s, e)))
 
 
 # ---------------------------------------------------------------------------
 # Satisfaction
 # ---------------------------------------------------------------------------
 
-def _prop_event(s: HmsStructure, f: PropFormula, variant: str) -> Event:
+def _prop(s: HmsStructure, f: PropFormula) -> Based:
     if isinstance(f, Atom):
-        return event_atom(s, f.name)
+        return _atom(s, f.name)
     if isinstance(f, Not):
-        return event_not(s, _prop_event(s, f.child, variant))
+        return _not(*_prop(s, f.child))
     if isinstance(f, And):
-        return event_and(
-            s, _prop_event(s, f.left, variant), _prop_event(s, f.right, variant)
-        )
+        return _and(s, _prop(s, f.left), _prop(s, f.right))
     raise TypeError(f"not a propositional formula: {f!r}")
+
+
+def _truth(s: HmsStructure, f: HmsFormula, variant: str) -> Based:
+    if isinstance(f, Prop):
+        return _prop(s, f.body)
+    if isinstance(f, Aware):
+        return _aware(f.agent, *_prop(s, f.body))
+    if isinstance(f, Implicit):
+        return _implicit(f.agent, variant, *_prop(s, f.body))
+    raise TypeError(f"not an HMS formula: {f!r}")
 
 
 def truth_set(s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT) -> Event:
     """The event at which the formula holds, built by structural recursion
     over the event algebra. Its base vocabulary equals the formula's atom
     set."""
-    if isinstance(f, Prop):
-        return _prop_event(s, f.body, variant)
-    if isinstance(f, Aware):
-        return aware_event(s, f.agent, _prop_event(s, f.body, variant))
-    if isinstance(f, Implicit):
-        return implicit_event(s, f.agent, _prop_event(s, f.body, variant), variant)
-    raise TypeError(f"not an HMS formula: {f!r}")
+    return _event(_truth(s, f, variant))
 
 
 def sat_hms(
@@ -383,8 +425,10 @@ def sat_hms(
     """State-level satisfaction: membership of the state in the extension
     of the formula's truth event, decided without building the extension:
     by definition ``x`` is in it exactly when its space's vocabulary
-    contains the base vocabulary and its projection lies in the base."""
+    contains the base vocabulary and its projection lies in the base, that
+    is, when the base holds the state of the base space that contains
+    ``x``'s representative."""
     if s._row_of(x) is None:
         raise ValueError(f"unknown state {x}")
-    ts = truth_set(s, f, variant)
-    return ts.vocab <= x.vocab and s.project(x, ts.vocab) in ts.base
+    vocab, row, mask = _truth(s, f, variant)
+    return vocab <= x.vocab and mask >> row.state_at[s.world_index[x.rep]] & 1 == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from awb.fixtures import m1, m2
+from awb.hms import Event, base_states
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
@@ -24,6 +25,20 @@ def marked(s, p):
         for x, bits in zip(row.states, row.val)
         if bits & bit
     )
+
+
+def event_on(vocab, states):
+    """The event based in space ``vocab`` on the given states of that
+    space: its base is the mask of their indices."""
+    vocab = frozenset(vocab)
+    assert all(x.vocab == vocab for x in states)
+    return Event(vocab, sum(1 << x.index for x in set(states)))
+
+
+def base_of(s, e):
+    """The base states of event ``e`` of structure ``s``, decoded by the
+    library's own decoder."""
+    return base_states(s, e)
 
 
 @pytest.fixture(scope="session")

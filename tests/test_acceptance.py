@@ -22,7 +22,6 @@ from awb.formula import atoms_of, parse_ail, parse_hms, translate
 from awb.harness import TrialConfig, gen_formula, gen_model, run_suite, trial_seed
 from awb.hms import (
     VARIANTS,
-    Event,
     aware_event,
     event_and,
     event_atom,
@@ -43,7 +42,7 @@ from awb.oracles import (
     sat_hms_brute,
 )
 from awb.transform import dump_transform, hms_transform
-from conftest import members
+from conftest import base_of, event_on, members
 
 _PREFIX = "[acceptance]"
 
@@ -164,7 +163,7 @@ AIL_GOLDENS = [
 
 
 def _raw(s, e):
-    return e.vocab, {members(s, x) for x in e.base}
+    return e.vocab, {members(s, x) for x in base_of(s, e)}
 
 
 def _golden_fixture_checks():
@@ -189,10 +188,10 @@ def _golden_fixture_checks():
 
     # atom events: bases and extensions
     ep = both_routes(M1, T1, "p")
-    assert sorted(str(x) for x in ep.base) == ["w1@p"]
+    assert sorted(str(x) for x in base_of(T1, ep)) == ["w1@p"]
     assert sorted(str(x) for x in extension(T1, ep)) == ["w1@p", "w1@p,q"]
     eq = both_routes(M1, T1, "q")
-    assert sorted(str(x) for x in eq.base) == ["w1@q"]
+    assert sorted(str(x) for x in base_of(T1, eq)) == ["w1@q"]
     assert sorted(str(x) for x in extension(T1, eq)) == [
         "w1@p,q",
         "w1@q",
@@ -200,24 +199,24 @@ def _golden_fixture_checks():
     ]
 
     # complement, conjunction
-    assert event_not(T1, ep) == Event(P, frozenset({T1.locate("w2", P)}))
-    assert event_and(T1, ep, eq).base == frozenset({T1.locate("w1", P | Q)})
+    assert event_not(T1, ep) == event_on(P, {T1.locate("w2", P)})
+    assert base_of(T1, event_and(T1, ep, eq)) == frozenset({T1.locate("w1", P | Q)})
     both_routes(M1, T1, "~p")
     both_routes(M1, T1, "p & q")
 
     # awareness events
     ea = both_routes(M1, T1, "A[a] p")
-    assert sorted(str(x) for x in ea.base) == ["w1@p", "w2@p"]
-    assert aware_event(T1, "a", eq).base == frozenset()
+    assert sorted(str(x) for x in base_of(T1, ea)) == ["w1@p", "w2@p"]
+    assert base_of(T1, aware_event(T1, "a", eq)) == frozenset()
     both_routes(M1, T1, "A[a] q")
 
     # implicit events under both variants
     for variant in VARIANTS:
-        assert implicit_event(T1, "a", ep, variant).base == frozenset()
+        assert base_of(T1, implicit_event(T1, "a", ep, variant)) == frozenset()
         both_routes(M1, T1, "I[a] p", variant)
     b1 = T2.locate("w1", Q)
     eq2 = event_atom(T2, "q")
-    assert implicit_event(T2, "a", eq2, "cell-union") == Event(Q, frozenset({b1}))
+    assert implicit_event(T2, "a", eq2, "cell-union") == event_on(Q, {b1})
     both_routes(M2, T2, "I[a] q", "cell-union")
 
 

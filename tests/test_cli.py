@@ -203,7 +203,7 @@ class TestInputErrors:
             (["check", "{m1}", "--lang", "hms", "--formula", "z", "--world", "w1"],
              "error: undeclared atoms: ['z']\n"),
             (["check", "{m1}", "--lang", "hms", "--formula", "z", "--hms-state", "w1@p"],
-             "error: unknown atom 'z'\n"),
+             "error: undeclared atoms: ['z']\n"),
             (["check", "{m1}", "--lang", "hms", "--formula", "p", "--world", "w9"],
              "error: unknown world 'w9'\n"),
             (["check", "{m1}", "--lang", "hms", "--formula", "p", "--hms-state", "w1@z"],
@@ -262,6 +262,9 @@ class TestInputErrors:
             (["--formula", "p", "--hms-state", "w9@z"], "error: undeclared atoms: ['z']\n"),
             (["--formula", "p", "--hms-state", "@p"],
              "error: bad state reference '@p': expected 'world@vocab'\n"),
+            # an undeclared formula atom, under one message on both routes
+            (["--formula", "p & zz", "--world", "w1"], "error: undeclared atoms: ['zz']\n"),
+            (["--formula", "p & zz", "--hms-state", "w1@p"], "error: undeclared atoms: ['zz']\n"),
         ],
     )
     def test_usage_error_before_build(self, m1_file, capsys, monkeypatch, args, message):
@@ -273,10 +276,10 @@ class TestInputErrors:
         assert capsys.readouterr().err == message
 
     def test_library_value_error_is_internal(self, m1_file, capsys, monkeypatch):
-        def fails(self, e):
+        def fails(self, x):
             raise ValueError("lookup failed")
 
-        monkeypatch.setattr("awb.hms.HmsStructure.check_event", fails)
+        monkeypatch.setattr("awb.hms.HmsStructure._row_of", fails)
         argv = ["check", m1_file, "--lang", "hms", "--formula", "I[a] q", "--world", "w1"]
         assert main(argv) == EXIT_INTERNAL
         assert capsys.readouterr().err == "error: internal error: ValueError: lookup failed\n"

@@ -20,9 +20,10 @@ from awb.harness import (
     shrink_counterexample,
     trial_seed,
 )
-from awb.hms import Event, HmsStructure, extension, truth_set
+from awb.hms import HmsStructure, extension, truth_set
 from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
+from conftest import event_on
 
 
 class TestTrialSeed:
@@ -246,14 +247,14 @@ class TestChecks:
         s = hms_transform(divergent_model)
         vocab = frozenset({"p", "q"})
         base = frozenset({s.locate("x", vocab), s.locate("y1", vocab)})
-        status, detail = compare_variants(s, "a", Event(vocab, base))
+        status, detail = compare_variants(s, "a", event_on(vocab, base))
         assert status == "fail"
         assert detail["only_cell_union"] == [str(s.locate("y1", vocab))]
         for owners in detail["witness_cells"].values():
             assert owners  # every extra state names the cell that admitted it
 
     def test_compare_variants_pass(self, T1):
-        e = Event(frozenset({"p"}), frozenset({T1.locate("w1", frozenset({"p"}))}))
+        e = event_on({"p"}, {T1.locate("w1", frozenset({"p"}))})
         assert compare_variants(T1, "a", e)[0] == "pass"
 
     def test_eventhood_on_fixtures(self, T1, T2):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from awb.formula import parse_hms
+from awb.formula import And, Atom, Aware, Not, Prop, parse_hms, translate
 from awb.hms import (
+    VARIANTS,
     Event,
     StateId,
     aware_event,
+    base_states,
     event_and,
     event_atom,
     event_not,
@@ -17,7 +19,7 @@ from awb.hms import (
     truth_set,
     vocab_key,
 )
-from conftest import marked, members
+from conftest import base_of, event_on, marked, members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -27,6 +29,22 @@ EMPTY = frozenset()
 
 def ids(states):
     return sorted(str(x) for x in states)
+
+
+def random_cases(M1, M2, divergent_model, seed, formulas=3):
+    """The fixtures and 200 seeded random models, each with its structure
+    and a few random translated formulas (propositional, awareness and
+    implicit-knowledge forms over all of the model's atoms)."""
+    from awb.harness import TrialConfig, gen_formula, gen_model
+    from awb.transform import hms_transform
+
+    rng = random.Random(seed)
+    cfg = TrialConfig()
+    models = [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(200)]
+    for m in models:
+        s = hms_transform(m)
+        for _ in range(formulas):
+            yield s, translate(gen_formula(rng, m, rng.choice(m.worlds), False)[0])
 
 
 @pytest.fixture
@@ -88,53 +106,53 @@ class TestStateId:
 
 class TestExtension:
     def test_up_closure_of_singleton(self, T1, t1_states):
-        e = Event(P, frozenset({t1_states["a1"]}))
+        e = event_on(P, {t1_states["a1"]})
         assert extension(T1, e) == {t1_states["a1"], t1_states["d1"]}
 
     def test_full_bottom_base_covers_everything(self, T1, t1_states):
-        e = Event(EMPTY, frozenset({t1_states["c0"]}))
+        e = event_on(EMPTY, {t1_states["c0"]})
         assert extension(T1, e) == frozenset(T1.all_states())
 
     def test_empty_base_empty_extension(self, T1):
-        assert extension(T1, Event(P, frozenset())) == frozenset()
+        assert extension(T1, event_on(P, ())) == frozenset()
 
     def test_mismatched_event_rejected(self, T1, T2):
-        # T2 splits its q-space in two; the second class has no structurally
-        # equal counterpart among T1's states
+        # T2 splits its q-space in two; the second class's index is past
+        # the end of T1's one-state q-space
         foreign = T2.locate("w2", Q)
         with pytest.raises(ValueError):
-            extension(T1, Event(Q, frozenset({foreign})))
+            extension(T1, event_on(Q, {foreign}))
 
 
 class TestEventAlgebra:
     def test_not_golden(self, T1, t1_states):
-        e = Event(P, frozenset({t1_states["a1"]}))
-        assert event_not(T1, e) == Event(P, frozenset({t1_states["a2"]}))
+        e = event_on(P, {t1_states["a1"]})
+        assert event_not(T1, e) == event_on(P, {t1_states["a2"]})
 
     def test_double_negation(self, T1, t1_states):
-        e = Event(P, frozenset({t1_states["a1"]}))
+        e = event_on(P, {t1_states["a1"]})
         assert event_not(T1, event_not(T1, e)) == e
 
     def test_not_of_full_bottom(self, T1, t1_states):
-        e = Event(EMPTY, frozenset({t1_states["c0"]}))
-        assert event_not(T1, e) == Event(EMPTY, frozenset())
+        e = event_on(EMPTY, {t1_states["c0"]})
+        assert event_not(T1, e) == event_on(EMPTY, ())
 
     def test_and_golden(self, T1, t1_states):
         e = event_and(T1, event_atom(T1, "p"), event_atom(T1, "q"))
-        assert e == Event(PQ, frozenset({t1_states["d1"]}))
+        assert e == event_on(PQ, {t1_states["d1"]})
 
     def test_and_idempotent_and_complement(self, T1):
         for p in ("p", "q"):
             e = event_atom(T1, p)
             assert event_and(T1, e, e) == e
-            assert event_and(T1, e, event_not(T1, e)).base == frozenset()
+            assert base_of(T1, event_and(T1, e, event_not(T1, e))) == frozenset()
 
     def test_atom_golden(self, T1, t1_states):
         ep = event_atom(T1, "p")
-        assert ep == Event(P, frozenset({t1_states["a1"]}))
+        assert ep == event_on(P, {t1_states["a1"]})
         assert extension(T1, ep) == {t1_states["a1"], t1_states["d1"]}
         eq = event_atom(T1, "q")
-        assert eq == Event(Q, frozenset({t1_states["b1"]}))
+        assert eq == event_on(Q, {t1_states["b1"]})
         assert extension(T1, eq) == {
             t1_states["b1"],
             t1_states["d1"],
@@ -152,20 +170,20 @@ class TestEventAlgebra:
 
         m = EpistemicModel(("p",), ("a",), ("w1",), valuation={"p": []})
         s = hms_transform(m)
-        assert event_atom(s, "p") == Event(P, frozenset())
+        assert event_atom(s, "p") == event_on(P, ())
 
     def test_de_morgan_on_joined_space(self, T1):
         e1, e2 = event_atom(T1, "p"), event_atom(T1, "q")
         neg_and = event_not(T1, event_and(T1, e1, e2))
         joined = frozenset(T1.states(PQ))
-        lifted = event_and(T1, e1, e2).base
-        assert neg_and.base == joined - lifted
+        lifted = base_of(T1, event_and(T1, e1, e2))
+        assert base_of(T1, neg_and) == joined - lifted
 
 
 class TestAwareEvent:
     def test_aware_of_p_fills_space(self, T1, t1_states):
         e = aware_event(T1, "a", event_atom(T1, "p"))
-        assert e.base == {t1_states["a1"], t1_states["a2"]}
+        assert base_of(T1, e) == {t1_states["a1"], t1_states["a2"]}
         assert extension(T1, e) == {
             t1_states["a1"],
             t1_states["a2"],
@@ -174,28 +192,28 @@ class TestAwareEvent:
         }
 
     def test_aware_of_q_empty(self, T1):
-        assert aware_event(T1, "a", event_atom(T1, "q")).base == frozenset()
+        assert base_of(T1, aware_event(T1, "a", event_atom(T1, "q"))) == frozenset()
 
     def test_empty_vocab_always_aware(self, T1, t1_states):
-        e = Event(EMPTY, frozenset({t1_states["c0"]}))
-        assert aware_event(T1, "a", e).base == {t1_states["c0"]}
+        e = event_on(EMPTY, {t1_states["c0"]})
+        assert base_of(T1, aware_event(T1, "a", e)) == {t1_states["c0"]}
 
 
 class TestImplicitEvent:
     def test_cell_union_golden_t1(self, T1, t1_states):
-        e = Event(P, frozenset({t1_states["a1"]}))
-        assert implicit_event(T1, "a", e, "cell-union").base == frozenset()
-        assert implicit_event(T1, "a", e, "pointwise").base == frozenset()
+        e = event_on(P, {t1_states["a1"]})
+        assert base_of(T1, implicit_event(T1, "a", e, "cell-union")) == frozenset()
+        assert base_of(T1, implicit_event(T1, "a", e, "pointwise")) == frozenset()
 
     def test_cell_union_golden_t2(self, T2):
         b1 = T2.locate("w1", Q)
-        e = Event(Q, frozenset({b1}))
-        assert implicit_event(T2, "a", e, "cell-union") == Event(Q, frozenset({b1}))
+        e = event_on(Q, {b1})
+        assert implicit_event(T2, "a", e, "cell-union") == event_on(Q, {b1})
 
     def test_full_event_fixed_point(self, T1, T2):
         for s in (T1, T2):
             for vocab in (P, Q, PQ):
-                full = Event(vocab, frozenset(s.states(vocab)))
+                full = event_on(vocab, s.states(vocab))
                 for agent in s.agents:
                     for variant in ("pointwise", "cell-union"):
                         assert implicit_event(s, agent, full, variant) == full
@@ -209,10 +227,10 @@ class TestImplicitEvent:
                 space = s.states(vocab)
                 for k in range(len(space) + 1):
                     base = frozenset(space[:k])
-                    e = Event(vocab, base)
+                    e = event_on(vocab, base)
                     for agent in s.agents:
-                        pw = implicit_event(s, agent, e, "pointwise").base
-                        cu = implicit_event(s, agent, e, "cell-union").base
+                        pw = base_of(s, implicit_event(s, agent, e, "pointwise"))
+                        cu = base_of(s, implicit_event(s, agent, e, "cell-union"))
                         assert pw <= cu
 
     def test_unknown_variant_rejected(self, T1):
@@ -239,11 +257,11 @@ class TestImplicitEvent:
                 for agent in s.agents:
                     cells = {x: s.possibility(agent, x) for x in space}
                     for base in bases:
-                        e = Event(vocab, base)
+                        e = event_on(vocab, base)
                         pointwise = frozenset(x for x in space if cells[x] <= base)
                         covered = frozenset().union(*(c for c in cells.values() if c <= base))
-                        assert implicit_event(s, agent, e, "pointwise") == Event(vocab, pointwise)
-                        assert implicit_event(s, agent, e, "cell-union") == Event(vocab, covered)
+                        assert implicit_event(s, agent, e, "pointwise") == event_on(vocab, pointwise)
+                        assert implicit_event(s, agent, e, "cell-union") == event_on(vocab, covered)
 
     def test_variants_diverge_on_nontransitive_lift(self, divergent_model):
         from awb.transform import hms_transform
@@ -251,21 +269,21 @@ class TestImplicitEvent:
         s = hms_transform(divergent_model)
         # base: the two p-true classes of the top space
         base = frozenset({s.locate("x", PQ), s.locate("y1", PQ)})
-        e = Event(PQ, base)
-        pw = implicit_event(s, "a", e, "pointwise").base
-        cu = implicit_event(s, "a", e, "cell-union").base
+        e = event_on(PQ, base)
+        pw = base_of(s, implicit_event(s, "a", e, "pointwise"))
+        cu = base_of(s, implicit_event(s, "a", e, "cell-union"))
         assert pw < cu
         assert s.locate("y1", PQ) in cu - pw
 
 
 class TestTruthSets:
     def test_goldens(self, T1, t1_states):
-        assert truth_set(T1, parse_hms("I[a] p")).base == frozenset()
-        assert truth_set(T1, parse_hms("A[a] p")).base == {
+        assert base_of(T1, truth_set(T1, parse_hms("I[a] p"))) == frozenset()
+        assert base_of(T1, truth_set(T1, parse_hms("A[a] p"))) == {
             t1_states["a1"],
             t1_states["a2"],
         }
-        assert truth_set(T1, parse_hms("q")) == Event(Q, frozenset({t1_states["b1"]}))
+        assert truth_set(T1, parse_hms("q")) == event_on(Q, {t1_states["b1"]})
 
     def test_base_vocab_is_formula_atoms(self, T1):
         from awb.formula import atoms_of
@@ -290,6 +308,21 @@ class TestTruthSets:
             assert len(verdicts) == 1
             assert sat_hms(T1, x, f) is verdicts.pop()
 
+    def test_sat_at_every_state_of_every_space(self, M1, M2, divergent_model):
+        # richer, poorer and incomparable spaces than the formula's own:
+        # sat_hms agrees with the extension and with the direct route
+        from awb.harness import direct_truth_states
+
+        for s, f in random_cases(M1, M2, divergent_model, 4242):
+            for variant in VARIANTS:
+                ext = extension(s, truth_set(s, f, variant))
+                direct = direct_truth_states(s, f, variant)
+                for row in s.rows.values():
+                    for x in row.states:
+                        value = sat_hms(s, x, f, variant)
+                        assert type(value) is bool
+                        assert value == (x in ext) == (x in direct), (str(x), f, variant)
+
     def test_unknown_state_rejected(self, T1, T2):
         foreign = T2.locate("w2", Q)
         with pytest.raises(ValueError):
@@ -298,6 +331,60 @@ class TestTruthSets:
     def test_vocab_key(self):
         assert vocab_key(EMPTY) == ""
         assert vocab_key({"q", "p"}) == "p,q"
+
+
+def composed(s, f, variant):
+    """The event of ``f`` built from the public operators alone."""
+    if isinstance(f, Atom):
+        return event_atom(s, f.name)
+    if isinstance(f, Not):
+        return event_not(s, composed(s, f.child, variant))
+    if isinstance(f, And):
+        return event_and(s, composed(s, f.left, variant), composed(s, f.right, variant))
+    if isinstance(f, Prop):
+        return composed(s, f.body, variant)
+    if isinstance(f, Aware):
+        return aware_event(s, f.agent, composed(s, f.body, variant))
+    return implicit_event(s, f.agent, composed(s, f.body, variant), variant)
+
+
+class TestMaskInterface:
+    # T1's p-space has two states, so bit 2 is past its row
+    BAD_BASES = {
+        "frozenset": lambda s: frozenset(s.states(P)),
+        "bool": lambda s: True,
+        "float": lambda s: 1.0,
+        "negative": lambda s: -1,
+        "past_the_row": lambda s: 0b101,
+    }
+
+    @pytest.mark.parametrize("name", BAD_BASES)
+    def test_check_event_refuses(self, T1, name):
+        bad = Event(P, self.BAD_BASES[name](T1))
+        good = event_atom(T1, "q")
+        calls = [
+            (T1.check_event, bad),
+            (base_states, T1, bad),
+            (extension, T1, bad),
+            (event_not, T1, bad),
+            (event_and, T1, bad, good),
+            (event_and, T1, good, bad),
+            (aware_event, T1, "a", bad),
+            (implicit_event, T1, "a", bad, "pointwise"),
+            (implicit_event, T1, "a", bad, "cell-union"),
+        ]
+        for call, *args in calls:
+            assert refusal(ValueError, call, *args) == "event base is not a state mask of space {p}"
+
+    def test_last_state_accepted(self, T1, t1_states):
+        assert base_states(T1, Event(P, 0b10)) == {t1_states["a2"]}
+
+    def test_operators_compose_to_truth_set(self, M1, M2, divergent_model):
+        for s, f in random_cases(M1, M2, divergent_model, 5353):
+            for variant in VARIANTS:
+                e = truth_set(s, f, variant)
+                assert type(e.base) is int
+                assert composed(s, f, variant) == e, (f, variant)
 
 
 # States that T1 does not have, by kind: a state of T2 (its second
@@ -342,8 +429,8 @@ class TestForeignStates:
             == f"cannot project {x} to {{p,q}}: not a sub-vocabulary"
         )
         assert (
-            refusal(ValueError, extension, T1, Event(x.vocab, frozenset({x})))
-            == f"event base contains states outside its space: {x}"
+            refusal(ValueError, extension, T1, Event(x.vocab, 1 << len(T1.states(x.vocab))))
+            == f"event base is not a state mask of space {{{x.space_key}}}"
         )
 
     def test_project_refuses_a_rep_that_is_no_world(self, T1):
