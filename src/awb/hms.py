@@ -18,7 +18,7 @@ vocabulary contains the base vocabulary, of the projection preimage of the
 base. Events with an empty base keep their base vocabulary, so
 complementation stays space-relative. Every operator works on masks;
 :func:`truth_set` and :func:`sat_hms` share one recursion over the
-operators' kernels, and states are decoded from a mask only at the
+operators' kernels, and an event's base is decoded to states only at the
 interface, by :func:`base_states`.
 
 The implicit-knowledge event operator comes in two variants that coincide
