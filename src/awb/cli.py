@@ -164,20 +164,17 @@ def _cmd_check(args) -> int:
         stray = vocab.difference(m.atoms)
         if stray:
             raise ModelError(f"undeclared atoms: {sorted(stray)}")
-        m.require_world(world)
     elif args.world is None:
         print("error: --world or --hms-state is required", file=sys.stderr)
         return EXIT_INPUT
     else:
-        m.require_world(args.world)
+        world, vocab = args.world, atoms_of(f)
+    m.require_world(world)
     stray = atoms_of(f).difference(m.atoms)
     if stray:
         raise ModelError(f"undeclared atoms: {sorted(stray)}")
     s = hms_transform(m)
-    if args.hms_state is not None:
-        x = s.resolve_state(args.hms_state)
-    else:
-        x = s.locate(args.world, atoms_of(f))
+    x = s.locate(world, vocab)
     value = sat_hms(s, x, f, args.variant)
     print("true" if value else "false")
     if args.verbose:

@@ -411,7 +411,21 @@ def check_eventhood(
     """The formula's satisfaction set must be a based event: base vocabulary
     equal to the formula's atoms, direct per-state recursion equal to the
     event-algebra extension, and the whole set recoverable as the
-    up-closure of its base-space slice."""
+    up-closure of its base-space slice.
+
+    The slice is the event based in the truth set's space whose mask has
+    bit ``k`` set when the space's ``k``-th state, in row order, is in the
+    direct set. It has no bit past the row, so ``check_event`` accepts it,
+    and :func:`extension` gives its up-closure: a state ``x`` of a space
+    containing the base vocabulary is kept when bit ``at[x.rep]`` is set,
+    ``at`` being the base row's world -> state table, that is, when the
+    row's state at position ``at[x.rep]`` is in the direct set. That is the
+    closure read off state indices (keep ``x`` when ``at[x.rep]`` is the
+    index of a direct-set state of the base space) on every structure
+    whose rows pass the battery's per-space checks: those require each
+    state's index to be its position in its row, so position and index
+    name the same state.
+    """
     ts = truth_set(s, f, variant)
     if ts.vocab != atoms_of(f):
         return "fail", {
@@ -429,18 +443,8 @@ def check_eventhood(
             "only_extension": sorted(str(x) for x in ext - direct),
             "variant": variant,
         }
-    # The up-closure of the base-space slice, read off the world -> state
-    # rows: a state of a richer space is in it when the class holding its
-    # representative in the base space is in the slice.
-    base_row = s.rows[ts.vocab]
-    slice_ = {x.index for x in base_row.states if x in direct}
-    closure = frozenset(
-        x
-        for v, row in s.rows.items()
-        if ts.vocab <= v
-        for x in row.states
-        if base_row.state_at[s.world_index[x.rep]] in slice_
-    )
+    slice_ = sum(1 << k for k, x in enumerate(s.states(ts.vocab)) if x in direct)
+    closure = extension(s, Event(ts.vocab, slice_))
     if closure != direct:
         return "fail", {
             "reason": "satisfaction set is not the up-closure of its base slice",
@@ -692,19 +696,15 @@ def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
     if pw.base == cu.base:
         return "pass", {"agent": agent}
     extra = sorted(base_states(s, Event(e.vocab, cu.base & ~pw.base)))
-    witnesses = {}
-    row = s.rows[e.vocab]
-    for x in extra:
-        owners = sorted(
-            y
-            for y, cell in zip(row.states, row.poss[agent])
-            if cell | e.base == e.base and cell >> x.index & 1
-        )
-        witnesses[str(x)] = [str(y) for y in owners]
+    base = base_states(s, e)
+    # the possibility sets inside the base, with their owners in state order
+    cells = [(y, s.possibility(agent, y)) for y in s.states(e.vocab)]
+    inside = [(y, cell) for y, cell in cells if cell <= base]
+    witnesses = {str(x): [str(y) for y, cell in inside if x in cell] for x in extra}
     return "fail", {
         "agent": agent,
         "event_vocab": vocab_key(e.vocab),
-        "event_base": sorted(str(x) for x in base_states(s, e)),
+        "event_base": sorted(str(x) for x in base),
         "only_cell_union": [str(x) for x in extra],
         "witness_cells": witnesses,
     }

@@ -19,7 +19,9 @@ base. Events with an empty base keep their base vocabulary, so
 complementation stays space-relative. Every operator works on masks;
 :func:`truth_set` and :func:`sat_hms` share one recursion over the
 operators' kernels, and an event's base is decoded to states only at the
-interface, by :func:`base_states`.
+interface, by :func:`base_states`. :func:`extension` is the one up-closure:
+it reads the base mask too, keeping each state of a richer space whose
+representative's base-space state has its bit set.
 
 The implicit-knowledge event operator comes in two variants that coincide
 when the possibility correspondence partitions the base space and can
@@ -177,10 +179,6 @@ class HmsStructure:
         except KeyError:
             raise ModelError(f"no space with vocabulary {{{vocab_key(vocab)}}}") from None
 
-    def all_states(self) -> Iterator[StateId]:
-        for row in self.rows.values():
-            yield from row.states
-
     def state_count(self) -> int:
         return sum(len(row.states) for row in self.rows.values())
 
@@ -236,12 +234,6 @@ class HmsStructure:
         if row is None or agent not in row.alpha:
             raise ValueError(f"no subjective space for agent {agent!r} at {x}")
         return row.alpha[agent]
-
-    def resolve_state(self, ref: str) -> StateId:
-        """Look up a state from its ``rep@vocab`` reference; any member
-        world is accepted in the rep position."""
-        world, vocab = parse_state_ref(ref)
-        return self.locate(world, vocab)
 
     def check_event(self, e: Event) -> SpaceRow:
         """Refuse an event whose base is not a mask of states of its base
@@ -311,11 +303,14 @@ def _aware(agent: str, vocab: FrozenSet[str], row: SpaceRow, mask: int) -> Based
     return vocab, row, _full(row) if vocab <= alpha else 0
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+
+
 def _implicit(
     agent: str, variant: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
 ) -> Based:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     cells = row.poss.get(agent)
     if cells is None:
         raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
@@ -341,16 +336,16 @@ def base_states(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
 
 def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     """Up-closure of an event: all states, in every space whose vocabulary
-    contains the base vocabulary, that project into the base."""
-    base = base_states(s, e)
-    base_row = s.rows[e.vocab]
-    st, at, k = base_row.states, base_row.state_at, s.world_index
+    contains the base vocabulary, that project into the base. A state
+    projects into the base when the base space's state holding its
+    representative has its bit set in the base mask."""
+    mask, at, k = e.base, s.check_event(e).state_at, s.world_index
     return frozenset(
         x
         for vocab, row in s.rows.items()
         if e.vocab <= vocab
         for x in row.states
-        if st[at[k[x.rep]]] in base
+        if mask >> at[k[x[2]]] & 1
     )
 
 
@@ -385,6 +380,7 @@ def implicit_event(
 ) -> Event:
     """Implicit-knowledge operator, in the requested variant (see module
     docstring). Both keep the base vocabulary."""
+    _check_variant(variant)
     return _event(_implicit(agent, variant, *_based(s, e)))
 
 
@@ -403,6 +399,7 @@ def _prop(s: HmsStructure, f: PropFormula) -> Based:
 
 
 def _truth(s: HmsStructure, f: HmsFormula, variant: str) -> Based:
+    _check_variant(variant)
     if isinstance(f, Prop):
         return _prop(s, f.body)
     if isinstance(f, Aware):

@@ -94,18 +94,6 @@ class Partition:
         except KeyError:
             raise ModelError(f"unknown world {world!r}") from None
 
-    def refines(self, other: "Partition") -> bool:
-        """True when every block of this partition sits inside one block of
-        ``other``."""
-        return all(
-            other.block_of[next(iter(block))] == other.block_of[w]
-            for block in self.blocks
-            for w in block
-        )
-
-    def same_blocks(self, other: "Partition") -> bool:
-        return set(self.blocks) == set(other.blocks)
-
 
 class EpistemicModel:
     """Finite epistemic model with per-agent awareness.
@@ -298,10 +286,21 @@ def model_to_dict(m: EpistemicModel) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: refuse a key given twice in one object, which
+    ``json`` would read as its last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise ModelError(f"duplicate keys in a JSON object: {dupes}")
+    return out
+
+
 def load_model(path: str) -> EpistemicModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON in {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -432,13 +431,15 @@ def sat_ail(m: EpistemicModel, world: str, f: AilFormula) -> bool:
       :func:`reach_composed`.
     """
     m.require_world(world)
+    # propositional evaluation short-circuits, so an undeclared atom is
+    # refused here, whether or not the answer would read it
+    atoms = atoms_of(f)
+    undeclared = atoms.difference(m.atoms)
+    if undeclared:
+        raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
     if isinstance(f, Prop):
         return prop_holds(m, world, f.body)
     if isinstance(f, Aware):
-        atoms = atoms_of(f.body)
-        undeclared = atoms.difference(m.atoms)
-        if undeclared:
-            raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
         return atoms <= m.awareness_at(f.agent, world)
     if isinstance(f, BoxIBox):
         return all(prop_holds(m, v, f.body) for v in reach_composed(m, f.agent, world))

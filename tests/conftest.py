@@ -1,7 +1,7 @@
 import pytest
 
 from awb.fixtures import m1, m2
-from awb.hms import Event, base_states
+from awb.hms import Event, base_states, parse_state_ref
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
@@ -11,6 +11,17 @@ def members(s, x):
     world -> state row sends to it."""
     at = s.rows[x.vocab].state_at
     return frozenset(w for w, c in zip(s.worlds, at) if c == x.index)
+
+
+def all_states(s):
+    """Every state of structure ``s``, space by space in row order."""
+    return [x for row in s.rows.values() for x in row.states]
+
+
+def resolve(s, ref):
+    """The state of structure ``s`` named by a ``world@vocab`` reference;
+    any world of the state's class is accepted in the world position."""
+    return s.locate(*parse_state_ref(ref))
 
 
 def marked(s, p):

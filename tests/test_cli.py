@@ -214,7 +214,7 @@ class TestInputErrors:
             (["check", "{m1}", "--lang", "ail", "--formula", "A[a] z", "--world", "w1"],
              "error: undeclared atoms: ['z']\n"),
             (["check", "{m1}", "--lang", "ail", "--formula", "X[a] I[a] X[a] z", "--world", "w1"],
-             "error: unknown atom 'z'\n"),
+             "error: undeclared atoms: ['z']\n"),
             (["check", "{m1}", "--lang", "ail", "--formula", "~" * 3000 + "p", "--world", "w1"],
              "error: formula nested too deeply (line 1, column 101)\n"),
             (["check", "{m1}", "--lang", "hms", "--formula", "~" * 3000 + "p", "--world", "w1"],
@@ -230,6 +230,12 @@ class TestInputErrors:
             (["check", "{m1}", "--lang", "hms", "--formula", IFF_CHAIN, "--world", "w1"],
              TOO_LARGE),
             (["translate", "--formula", IFF_CHAIN], TOO_LARGE),
+            # propositional evaluation short-circuits at w2 (p false, q
+            # true), yet the undeclared atom is still refused
+            (["check", "{m1}", "--lang", "ail", "--formula", "p & zz", "--world", "w2"],
+             "error: undeclared atoms: ['zz']\n"),
+            (["check", "{m1}", "--lang", "ail", "--formula", "q | zz", "--world", "w2"],
+             "error: undeclared atoms: ['zz']\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
@@ -244,6 +250,16 @@ class TestInputErrors:
         path.write_bytes(b"\xff\xfe{}")
         assert main(["transform", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text: ")
+
+    def test_duplicate_json_key(self, tmp_path, capsys):
+        # read with the last value winning, p would hold at w2
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"atoms": ["p"], "agents": [], "worlds": ["w1", "w2"],'
+            ' "valuation": {"p": ["w1"], "p": ["w2"]}}'
+        )
+        assert main(["check", str(path), "--formula", "p", "--world", "w2"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: duplicate keys in a JSON object: ['p']\n")
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -23,7 +23,7 @@ from awb.harness import (
 from awb.hms import HmsStructure, extension, truth_set
 from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
-from conftest import event_on
+from conftest import all_states, event_on
 
 
 class TestTrialSeed:
@@ -122,7 +122,7 @@ class TestChecks:
         assert "state" in detail and "atom" in detail
 
     def test_structure_catches_broken_possibility(self, M1, T1):
-        victim = next(x for x in T1.all_states() if len(T1.possibility("a", x)) > 1)
+        victim = next(x for x in all_states(T1) if len(T1.possibility("a", x)) > 1)
         row = T1.rows[victim.vocab]
         cells = list(row.poss["a"])
         cells[victim.index] &= ~(1 << victim.index)

@@ -19,7 +19,7 @@ from awb.hms import (
     truth_set,
     vocab_key,
 )
-from conftest import base_of, event_on, marked, members
+from conftest import all_states, base_of, event_on, marked, members, resolve
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -62,24 +62,24 @@ def t1_states(T1):
 class TestStateRefs:
     def test_round_trip(self, T1, t1_states):
         for x in t1_states.values():
-            assert T1.resolve_state(str(x)) == x
+            assert resolve(T1, str(x)) == x
 
     def test_any_member_accepted(self, T1, t1_states):
-        assert T1.resolve_state("w2@") == t1_states["c0"]
-        assert T1.resolve_state("w2@q") == t1_states["b1"]
+        assert resolve(T1, "w2@") == t1_states["c0"]
+        assert resolve(T1, "w2@q") == t1_states["b1"]
 
     def test_bad_refs(self, T1):
         with pytest.raises(ValueError):
             parse_state_ref("w1")
         with pytest.raises(ValueError):
-            T1.resolve_state("nowhere@p")
+            resolve(T1, "nowhere@p")
         with pytest.raises(ValueError):
-            T1.resolve_state("w1@z")
+            resolve(T1, "w1@z")
 
 
 class TestStateId:
     def test_tuple_hash_and_order(self, T2):
-        states = list(T2.all_states())
+        states = all_states(T2)
         for x in states:
             assert hash(x) == hash((x.space_key, x.index, x.rep))
         shuffled = states[:]
@@ -111,7 +111,7 @@ class TestExtension:
 
     def test_full_bottom_base_covers_everything(self, T1, t1_states):
         e = event_on(EMPTY, {t1_states["c0"]})
-        assert extension(T1, e) == frozenset(T1.all_states())
+        assert extension(T1, e) == frozenset(all_states(T1))
 
     def test_empty_base_empty_extension(self, T1):
         assert extension(T1, event_on(P, ())) == frozenset()
@@ -236,6 +236,16 @@ class TestImplicitEvent:
     def test_unknown_variant_rejected(self, T1):
         with pytest.raises(ValueError):
             implicit_event(T1, "a", event_atom(T1, "p"), "mystery")
+
+    @pytest.mark.parametrize("text", ["p", "~p", "p & q", "A[a] p", "I[a] p"])
+    def test_unknown_variant_refused_for_every_shape(self, T1, text):
+        f = parse_hms(text)
+        x = T1.locate("w1", PQ)
+        message = f"unknown variant 'mystery'; expected one of {VARIANTS}"
+        for call, args in ((truth_set, (T1, f)), (sat_hms, (T1, x, f))):
+            with pytest.raises(ValueError) as exc:
+                call(*args, "mystery")
+            assert str(exc.value) == message
 
     def test_masks_match_set_reference(self, M1, M2, divergent_model):
         # Both variants, computed on the stored masks, against their
@@ -469,13 +479,13 @@ class TestForeignStates:
         assert refusal(ModelError, T1.locate, "w1", {"z"}) == "undeclared atoms: ['z']"
         # a reference names a world and a space, not an index: any member
         # world is accepted in the rep position
-        assert T1.resolve_state(str(FORGED["wrong_rep"])) == T1.locate("w2", P)
+        assert resolve(T1, str(FORGED["wrong_rep"])) == T1.locate("w2", P)
         assert (
-            refusal(ModelError, T1.resolve_state, str(FORGED["rep_not_a_world"]))
+            refusal(ModelError, resolve, T1, str(FORGED["rep_not_a_world"]))
             == "unknown world 'nowhere'"
         )
-        assert refusal(ModelError, T1.resolve_state, "w1@z") == "undeclared atoms: ['z']"
+        assert refusal(ModelError, resolve, T1, "w1@z") == "undeclared atoms: ['z']"
         assert (
-            refusal(ModelError, T1.resolve_state, "w1")
+            refusal(ModelError, resolve, T1, "w1")
             == "bad state reference 'w1': expected 'world@vocab'"
         )

@@ -18,7 +18,7 @@ from awb.model import (
     sat_implicit_raw,
     validate,
 )
-from awb.transform import hms_transform
+from awb.transform import TransformInapplicable, hms_transform
 from conftest import members
 
 
@@ -117,6 +117,24 @@ class TestJson:
         with pytest.raises(ModelError, match="invalid JSON"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "text, dupes",
+        [
+            ('{"atoms": ["p"], "agents": [], "worlds": ["w1"], "atoms": ["q"]}', "['atoms']"),
+            ('{"atoms": ["p"], "agents": [], "worlds": ["w1", "w2"],'
+             ' "valuation": {"p": ["w1"], "p": ["w2"]}}', "['p']"),
+            ('{"atoms": ["p"], "agents": ["a"], "worlds": ["w1"],'
+             ' "awareness": {"a": {"w1": ["p"], "w1": []}}}', "['w1']"),
+        ],
+        ids=["top-level", "valuation", "awareness-row"],
+    )
+    def test_load_model_refuses_duplicate_keys(self, tmp_path, text, dupes):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"duplicate keys in a JSON object: {dupes}"
+
     def test_load_model_round_trips_fixture(self, tmp_path, M2):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(model_to_dict(M2)), encoding="utf-8")
@@ -143,6 +161,35 @@ class TestValidate:
     def test_violations_are_data_not_exceptions(self, M1):
         bad = with_awareness(M1, "a", {"w1": ["p"], "w2": []})
         assert isinstance(validate(bad), list)
+
+
+class TestPartitionRefusals:
+    """A model whose indistinguishability blocks overlap or name an unknown
+    world is reported by ``validate`` and refused by the AIL modal clause
+    and by the transform, never answered."""
+
+    @pytest.mark.parametrize(
+        "blocks, fault, refusal",
+        [
+            ([["w1", "w2"], ["w2"]], "overlap at world 'w2'",
+             "world 'w2' appears in two partition blocks"),
+            ([["w1", "w9"]], "mentions unknown worlds ['w9']",
+             "partition block mentions unknown world 'w9'"),
+        ],
+        ids=["overlap", "unknown-world"],
+    )
+    def test_refused(self, blocks, fault, refusal):
+        m = EpistemicModel(
+            ("p",), ("a",), ("w1", "w2"), {"p": ["w1"]}, {"a": blocks},
+            {"a": {"w1": ["p"], "w2": ["p"]}},
+        )
+        assert any(fault in msg for msg in validate(m))
+        with pytest.raises(ModelError) as exc:
+            sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
+        assert str(exc.value) == refusal
+        with pytest.raises(TransformInapplicable) as exc:
+            hms_transform(m)
+        assert fault in str(exc.value)
 
 
 class TestPartitions:
@@ -173,14 +220,16 @@ class TestPartitions:
             s = hms_transform(m)
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
-                assert awareness_partition(m, i).same_blocks(
-                    space_partition(s, aware)
+                assert set(awareness_partition(m, i).blocks) == set(
+                    space_partition(s, aware).blocks
                 )
 
     def test_vocab_monotone_refinement(self, T1):
         fine = space_partition(T1, {"p", "q"})
         for sub in (frozenset(), {"p"}, {"q"}):
-            assert fine.refines(space_partition(T1, sub))
+            # every fine block sits inside one coarse block
+            coarse = space_partition(T1, sub).blocks
+            assert all(any(block <= c for c in coarse) for block in fine.blocks)
 
 
 class TestReach:

@@ -22,7 +22,7 @@ from awb.transform import (
     hms_transform,
     transform_summary,
 )
-from conftest import marked, members
+from conftest import all_states, marked, members
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -85,13 +85,13 @@ class TestLocateAndProject:
 
     def test_projection_identity(self, T1, T2):
         for s in (T1, T2):
-            for x in s.all_states():
+            for x in all_states(s):
                 assert s.project(x, x.vocab) == x
 
     def test_projection_rep_independent(self, T1, T2):
         # projecting a class gives the class containing *all* its members
         for s in (T1, T2):
-            for x in s.all_states():
+            for x in all_states(s):
                 for vocab in s.vocabs:
                     if not vocab <= x.vocab:
                         continue
@@ -123,7 +123,7 @@ class TestPossibility:
     def test_reflexive_and_intra_space(self, T1, T2):
         for s in (T1, T2):
             for agent in s.agents:
-                for x in s.all_states():
+                for x in all_states(s):
                     poss = s.possibility(agent, x)
                     assert x in poss
                     assert all(y.space_key == x.space_key for y in poss)
@@ -155,7 +155,7 @@ class TestSubjectiveVocab:
     def test_intersection_law(self, T1, T2, M1, M2):
         for s, m in ((T1, M1), (T2, M2)):
             for agent in s.agents:
-                for x in s.all_states():
+                for x in all_states(s):
                     aw = m.awareness_at(agent, x.rep)
                     assert s.subjective_vocab(agent, x) == aw & x.vocab
 
@@ -276,11 +276,11 @@ def reference_dict(s):
         for row in s.rows.values()
     }
     lam = {
-        i: {str(x): [str(y) for y in sorted(s.possibility(i, x))] for x in s.all_states()}
+        i: {str(x): [str(y) for y in sorted(s.possibility(i, x))] for x in all_states(s)}
         for i in s.agents
     }
     alpha = {
-        i: {str(x): vocab_key(s.subjective_vocab(i, x)) for x in s.all_states()}
+        i: {str(x): vocab_key(s.subjective_vocab(i, x)) for x in all_states(s)}
         for i in s.agents
     }
     valuation = {p: [str(x) for x in sorted(marked(s, p))] for p in s.atoms}
@@ -529,13 +529,13 @@ class TestBuildAgainstOracles:
                     assert s.locate(w, vocab) == states[row.state_at[m.world_order(w)]]
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
-                for x in s.all_states():
+                for x in all_states(s):
                     mem = members(s, x)
                     cells = oracles.raw_poss(m, i, (x.vocab, mem))
                     assert s.possibility(i, x) == {cell_state[(x.vocab, c)] for c in cells}
                     assert s.subjective_vocab(i, x) == aware & x.vocab
             for p in m.atoms:
                 assert marked(s, p) == {
-                    x for x in s.all_states() if p in x.vocab and x.rep in m.valuation[p]
+                    x for x in all_states(s) if p in x.vocab and x.rep in m.valuation[p]
                 }
             checked += 1
