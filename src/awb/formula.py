@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple, Union
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_DEPTH = 100
 
@@ -343,8 +342,6 @@ class _Parser:
     def agent_bracket(self) -> str:
         self.expect("[", "'['")
         tok = self.expect("ident", "an agent name")
-        if not IDENT_RE.match(tok.text):
-            raise ParseError(f"invalid agent name {tok.text!r}", tok.line, tok.col)
         self.expect("]", "']'")
         return tok.text
 

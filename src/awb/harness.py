@@ -522,7 +522,14 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     valuation bits (over the model's atom order) masked by the row's
     vocabulary, so a bit outside the vocabulary, a missing or extra bit
     and a non-int entry are all wrong marks. Given class agreement, the
-    rep's bits within the vocabulary are every member's.
+    rep's bits within the vocabulary are every member's. Distinctness:
+    the ``val`` entries of a row are pairwise distinct. Together the three
+    make each space's classes exactly the classes of agreement on its
+    vocabulary. Two worlds of one class agree on the vocabulary, by class
+    agreement. Two worlds that agree on it have classes whose ``val``
+    entries are their common bits within the vocabulary, by row valuation
+    and class agreement, so the entries are equal, and by distinctness the
+    classes are one.
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
@@ -572,8 +579,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                 return fail("state representative is outside its class", state=str(x))
         if first:
             return fail("world -> state row names no state of its space", space=key)
-    if len(rows[frozenset()].states) != 1:
-        return fail("empty-vocabulary space is not a singleton")
 
     # rep_at[V][c]: the position of the rep of state c of space V
     rep_at = {vocab: [at[x.rep] for x in row.states] for vocab, row in rows.items()}
@@ -685,6 +690,9 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                     **({"atom": wrong[0]} if wrong else {}),
                     state=str(x),
                 )
+    for vocab, row in rows.items():
+        if len(set(row.val)) != len(row.val):
+            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
     return "pass", {}
 
@@ -714,30 +722,15 @@ def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
 # Counterexample shrinking
 # ---------------------------------------------------------------------------
 
-def _remove_world(m: EpistemicModel, gone: str) -> EpistemicModel:
-    worlds = tuple(w for w in m.worlds if w != gone)
-    valuation = {p: [w for w in m.valuation[p] if w != gone] for p in m.atoms}
-    indist = {
-        i: [[w for w in sorted(b, key=m.world_order) if w != gone] for b in m.indist_blocks[i]]
-        for i in m.agents
-    }
-    indist = {i: [b for b in blocks if b] for i, blocks in indist.items()}
+def _restrict(m: EpistemicModel, worlds, atoms) -> EpistemicModel:
+    """``m`` on the kept worlds and atoms, each in its order in ``m``; the
+    constructor drops any block left empty."""
+    valuation = {p: [w for w in worlds if w in m.valuation[p]] for p in atoms}
+    indist = {i: [[w for w in worlds if w in b] for b in m.indist_blocks[i]] for i in m.agents}
     awareness = {
-        i: {w: sorted(m.awareness[i][w]) for w in worlds} for i in m.agents
+        i: {w: sorted(m.awareness[i][w].intersection(atoms)) for w in worlds} for i in m.agents
     }
-    return EpistemicModel(m.atoms, m.agents, worlds, valuation, indist, awareness)
-
-
-def _remove_atom(m: EpistemicModel, gone: str) -> EpistemicModel:
-    atoms = tuple(p for p in m.atoms if p != gone)
-    valuation = {p: sorted(m.valuation[p], key=m.world_order) for p in atoms}
-    indist = {
-        i: [sorted(b, key=m.world_order) for b in m.indist_blocks[i]] for i in m.agents
-    }
-    awareness = {
-        i: {w: sorted(m.awareness[i][w] - {gone}) for w in m.worlds} for i in m.agents
-    }
-    return EpistemicModel(atoms, m.agents, m.worlds, valuation, indist, awareness)
+    return EpistemicModel(atoms, m.agents, worlds, valuation, indist, awareness)
 
 
 def _proper_subtrees(body: PropFormula) -> List[PropFormula]:
@@ -774,14 +767,14 @@ def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
         for gone in list(m.worlds):
             if gone == w or len(m.worlds) == 1:
                 continue
-            candidate = _remove_world(m, gone)
+            candidate = _restrict(m, [v for v in m.worlds if v != gone], m.atoms)
             if still_fails(candidate, w, f):
                 m, changed, changed_any = candidate, True, True
         used = atoms_of(f) if f is not None else frozenset()
         for gone in list(m.atoms):
             if gone in used or len(m.atoms) == 1:
                 continue
-            candidate = _remove_atom(m, gone)
+            candidate = _restrict(m, m.worlds, [p for p in m.atoms if p != gone])
             if still_fails(candidate, w, f):
                 m, changed, changed_any = candidate, True, True
         if f is not None:

@@ -3,11 +3,13 @@
 A model carries a finite world set, one indistinguishability partition per
 agent, one awareness function per agent (world -> set of atoms), and a
 valuation (atom -> set of worlds). Every equivalence relation in this
-package is represented as a :class:`Partition`, never as a pair list, so
-"is an equivalence relation" holds by construction for well-formed input;
+package is represented as a labelling, a map from each world to a label
+with two worlds related when their labels are equal, never as a pair
+list, so "is an equivalence relation" holds by construction;
 :func:`validate` reports the residual semantic constraints (block overlap,
 awareness invariance along indistinguishability, namespace containment)
-as data rather than raising.
+as data rather than raising. The two relations of the composed operator
+are :meth:`EpistemicModel.indist_labels` and :func:`awareness_labels`.
 
 Input ergonomics, applied at construction time:
 
@@ -19,9 +21,8 @@ Input ergonomics, applied at construction time:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     ATOM_RE,
@@ -41,58 +42,6 @@ class ModelError(ValueError):
     """Malformed input (a model file, a state reference or a harness
     setting) or a reference to an undeclared name. The CLI reports it as an
     input error."""
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint non-empty blocks covering a fixed universe of worlds."""
-
-    blocks: tuple
-    block_of: dict
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[str]], universe: Sequence[str]) -> "Partition":
-        """Build from explicit blocks; raises :class:`ModelError` if the blocks
-        overlap, contain unknown worlds, or fail to cover the universe."""
-        known = set(universe)
-        normalized = []
-        block_of = {}
-        for raw in blocks:
-            block = frozenset(raw)
-            if not block:
-                raise ModelError("empty partition block")
-            for w in block:
-                if w not in known:
-                    raise ModelError(f"partition block mentions unknown world {w!r}")
-                if w in block_of:
-                    raise ModelError(f"world {w!r} appears in two partition blocks")
-            normalized.append(block)
-            for w in block:
-                block_of[w] = len(normalized) - 1
-        for w in universe:
-            if w not in block_of:
-                raise ModelError(f"world {w!r} not covered by any block")
-        # Deterministic block order: by first member in universe order.
-        first_index = {w: i for i, w in enumerate(universe)}
-        order = sorted(range(len(normalized)), key=lambda b: min(first_index[w] for w in normalized[b]))
-        reordered = tuple(normalized[b] for b in order)
-        return cls(reordered, {w: i for i, block in enumerate(reordered) for w in block})
-
-    @classmethod
-    def from_key(cls, universe: Sequence[str], key) -> "Partition":
-        """Group the universe by ``key(world)``; blocks are ordered by first
-        occurrence."""
-        groups: dict = {}
-        for w in universe:
-            groups.setdefault(key(w), []).append(w)
-        blocks = tuple(frozenset(g) for g in groups.values())
-        return cls(blocks, {w: i for i, block in enumerate(blocks) for w in block})
-
-    def block_containing(self, world: str) -> frozenset:
-        try:
-            return self.blocks[self.block_of[world]]
-        except KeyError:
-            raise ModelError(f"unknown world {world!r}") from None
 
 
 class EpistemicModel:
@@ -144,7 +93,6 @@ class EpistemicModel:
             self.awareness[i] = {w: frozenset(row.get(w, ())) for w in self.worlds}
 
         self._world_index = {w: k for k, w in enumerate(self.worlds)}
-        self._cache: dict = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -164,13 +112,20 @@ class EpistemicModel:
         if world not in self._world_index:
             raise ModelError(f"unknown world {world!r}")
 
-    def indist_partition(self, agent: str) -> Partition:
+    def indist_labels(self, agent: str) -> dict:
+        """Each world's position in ``indist_blocks[agent]``. Refuses a
+        block that names an unknown world and a world in two blocks."""
         if agent not in self.indist_blocks:
             raise ModelError(f"unknown agent {agent!r}")
-        key = ("indist", agent)
-        if key not in self._cache:
-            self._cache[key] = Partition.from_blocks(self.indist_blocks[agent], self.worlds)
-        return self._cache[key]
+        labels = {}
+        for b, block in enumerate(self.indist_blocks[agent]):
+            for w in block:
+                if w not in self._world_index:
+                    raise ModelError(f"partition block mentions unknown world {w!r}")
+                if w in labels:
+                    raise ModelError(f"world {w!r} appears in two partition blocks")
+                labels[w] = b
+        return labels
 
     def world_order(self, world: str) -> int:
         return self._world_index[world]
@@ -368,42 +323,33 @@ def awareness_variation(m: EpistemicModel):
 
 
 # ---------------------------------------------------------------------------
-# Quotient partitions and reachability
+# Awareness labelling and reachability
 # ---------------------------------------------------------------------------
 
-def awareness_partition(m: EpistemicModel, agent: str) -> Partition:
-    """Partition of worlds for ``agent``: two worlds fall in one block when
+def awareness_labels(m: EpistemicModel, agent: str) -> dict:
+    """Each world's signature for ``agent``: the awareness set there, and
+    the atoms of that set true there. Two worlds share a signature when
     the agent has the same awareness set at both and they agree on every
-    atom the agent is aware of there."""
+    atom of it."""
     if agent not in m.awareness:
         raise ModelError(f"unknown agent {agent!r}")
-    key = ("awareness_partition", agent)
-    if key not in m._cache:
-        aw = m.awareness[agent]
-
-        def signature(w):
-            s = aw[w]
-            return (s, frozenset(p for p in s if w in m.valuation[p]))
-
-        m._cache[key] = Partition.from_key(m.worlds, signature)
-    return m._cache[key]
+    aw = m.awareness[agent]
+    return {
+        w: (aw[w], frozenset(p for p in aw[w] if w in m.valuation[p])) for w in m.worlds
+    }
 
 
 def reach_composed(m: EpistemicModel, agent: str, world: str) -> frozenset:
-    """Worlds reachable from ``world`` through the sandwich: one awareness-
-    partition step, one indistinguishability step, one awareness-partition
-    step. All three relations are symmetric, so the composition order does
-    not affect the result."""
+    """Worlds reachable from ``world`` through the sandwich: one awareness
+    step (same signature), one indistinguishability step (same block), one
+    awareness step. All three relations are symmetric, so the composition
+    order does not affect the result."""
     m.require_world(world)
-    approx = awareness_partition(m, agent)
-    indist = m.indist_partition(agent)
-    mid = set()
-    for x in approx.block_containing(world):
-        mid.update(indist.block_containing(x))
-    out = set()
-    for y in mid:
-        out.update(approx.block_containing(y))
-    return frozenset(out)
+    sig = awareness_labels(m, agent)
+    block = m.indist_labels(agent)
+    near = {block[w] for w in m.worlds if sig[w] == sig[world]}
+    far = {sig[w] for w in m.worlds if block[w] in near}
+    return frozenset(w for w in m.worlds if sig[w] in far)
 
 
 # ---------------------------------------------------------------------------
@@ -454,5 +400,5 @@ def sat_implicit_raw(m: EpistemicModel, world: str, agent: str, body: PropFormul
     exposed for the verification harness and for exploratory checks.
     """
     m.require_world(world)
-    block = m.indist_partition(agent).block_containing(world)
-    return all(prop_holds(m, v, body) for v in block)
+    block = m.indist_labels(agent)
+    return all(prop_holds(m, v, body) for v in m.worlds if block[v] == block[world])

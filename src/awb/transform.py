@@ -149,8 +149,8 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
     class_bit = [1 << k for k in range(len(worlds))]
     blocks_of = {}
     for i in m.agents:
-        part = m.indist_partition(i)
-        blocks_of[i] = (len(part.blocks), [part.block_of[w] for w in worlds])
+        label = m.indist_labels(i)
+        blocks_of[i] = (len(m.indist_blocks[i]), [label[w] for w in worlds])
     aware = {i: m.awareness[i][worlds[0]] for i in m.agents}
 
     rows: Dict[FrozenSet[str], SpaceRow] = {}

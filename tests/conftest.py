@@ -13,6 +13,15 @@ def members(s, x):
     return frozenset(w for w, c in zip(s.worlds, at) if c == x.index)
 
 
+def label_blocks(labels):
+    """The blocks of a world labelling: the sets of worlds that share a
+    label."""
+    groups = {}
+    for w, label in labels.items():
+        groups.setdefault(label, set()).add(w)
+    return {frozenset(b) for b in groups.values()}
+
+
 def all_states(s):
     """Every state of structure ``s``, space by space in row order."""
     return [x for row in s.rows.values() for x in row.states]

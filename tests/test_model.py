@@ -6,8 +6,7 @@ from awb.formula import parse_ail, parse_prop
 from awb.model import (
     EpistemicModel,
     ModelError,
-    Partition,
-    awareness_partition,
+    awareness_labels,
     awareness_variation,
     load_model,
     model_from_dict,
@@ -19,17 +18,17 @@ from awb.model import (
     validate,
 )
 from awb.transform import TransformInapplicable, hms_transform
-from conftest import members
+from conftest import label_blocks, members
 
 
-def blocks_of(p: Partition):
-    return sorted(sorted(b) for b in p.blocks)
+def blocks_of(blocks):
+    return sorted(sorted(b) for b in blocks)
 
 
-def space_partition(s, vocab) -> Partition:
-    """The classes of one space of a quotient structure, as a partition of
-    its worlds."""
-    return Partition.from_blocks((members(s, x) for x in s.states(frozenset(vocab))), s.worlds)
+def space_partition(s, vocab) -> set:
+    """The classes of one space of a quotient structure, as a set of member
+    sets."""
+    return {members(s, x) for x in s.states(frozenset(vocab))}
 
 
 def with_awareness(m: EpistemicModel, agent: str, rows: dict) -> EpistemicModel:
@@ -48,7 +47,7 @@ def with_awareness(m: EpistemicModel, agent: str, rows: dict) -> EpistemicModel:
 class TestConstruction:
     def test_missing_worlds_become_singletons(self):
         m = EpistemicModel(("p",), ("a",), ("w1", "w2", "w3"), indist={"a": [["w1", "w2"]]})
-        assert blocks_of(m.indist_partition("a")) == [["w1", "w2"], ["w3"]]
+        assert blocks_of(label_blocks(m.indist_labels("a"))) == [["w1", "w2"], ["w3"]]
 
     def test_missing_valuation_atoms_false_everywhere(self):
         m = EpistemicModel(("p", "q"), ("a",), ("w1",), valuation={"p": ["w1"]})
@@ -194,15 +193,15 @@ class TestPartitionRefusals:
 
 class TestPartitions:
     def test_awareness_partition_m1(self, M1):
-        assert blocks_of(awareness_partition(M1, "a")) == [["w1"], ["w2"]]
+        assert blocks_of(label_blocks(awareness_labels(M1, "a"))) == [["w1"], ["w2"]]
 
     def test_empty_awareness_collapses(self, M1):
         m = with_awareness(M1, "a", {"w1": [], "w2": []})
-        assert blocks_of(awareness_partition(m, "a")) == [["w1", "w2"]]
+        assert blocks_of(label_blocks(awareness_labels(m, "a"))) == [["w1", "w2"]]
 
     def test_awareness_of_shared_atom_collapses(self, M1):
         m = with_awareness(M1, "a", {"w1": ["q"], "w2": ["q"]})
-        assert blocks_of(awareness_partition(m, "a")) == [["w1", "w2"]]
+        assert blocks_of(label_blocks(awareness_labels(m, "a"))) == [["w1", "w2"]]
 
     def test_vocab_partition_m1(self, T1):
         assert blocks_of(space_partition(T1, frozenset())) == [["w1", "w2"]]
@@ -220,16 +219,14 @@ class TestPartitions:
             s = hms_transform(m)
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
-                assert set(awareness_partition(m, i).blocks) == set(
-                    space_partition(s, aware).blocks
-                )
+                assert label_blocks(awareness_labels(m, i)) == space_partition(s, aware)
 
     def test_vocab_monotone_refinement(self, T1):
         fine = space_partition(T1, {"p", "q"})
         for sub in (frozenset(), {"p"}, {"q"}):
             # every fine block sits inside one coarse block
-            coarse = space_partition(T1, sub).blocks
-            assert all(any(block <= c for c in coarse) for block in fine.blocks)
+            coarse = space_partition(T1, sub)
+            assert all(any(block <= c for c in coarse) for block in fine)
 
 
 class TestReach:
@@ -305,7 +302,9 @@ class TestSatisfaction:
                     for text in ("p", "q", "p & q", "~p"):
                         f = parse_ail(f"X[{i}] I[{i}] X[{i}] ({text})")
                         if sat_ail(m, w, f):
-                            block = awareness_partition(m, i).block_containing(w)
+                            block = next(
+                                b for b in label_blocks(awareness_labels(m, i)) if w in b
+                            )
                             assert all(
                                 sat_implicit_raw(m, v, i, f.body) for v in block
                             )

@@ -1,7 +1,7 @@
 """Agreement between the optimized evaluators and the brute-force oracles.
 
 Every semantic function has two independent implementations: the optimized
-route (partitions, cached quotients, event algebra) and a literal
+route (labellings, cached quotients, event algebra) and a literal
 enumeration of the defining conditions. These tests pin fixture values on
 both routes against frozen constants and then compare the routes on
 randomly generated instances.
@@ -15,7 +15,7 @@ from awb.formula import atoms_of, parse_ail, translate
 from awb.harness import TrialConfig, gen_formula, gen_model, trial_seed
 from awb.hms import extension, sat_hms, truth_set
 from awb.model import (
-    awareness_partition,
+    awareness_labels,
     reach_composed,
     sat_ail,
 )
@@ -30,7 +30,7 @@ from awb.oracles import (
     vocab_pairs,
 )
 from awb.transform import TransformInapplicable, hms_transform
-from conftest import members
+from conftest import label_blocks, members
 
 AIL_GOLDENS = [
     # (model fixture, world, formula, expected)
@@ -129,7 +129,7 @@ class TestRandomDifferential:
     def test_quotients(self):
         for _, m, _ in _random_models(4004, 150, max_atoms=3):
             for agent in m.agents:
-                opt = {frozenset(b) for b in awareness_partition(m, agent).blocks}
+                opt = label_blocks(awareness_labels(m, agent))
                 assert opt == classes_of(m, a_equiv_pairs(m, agent))
             s = hms_transform(m)
             for p in m.atoms:

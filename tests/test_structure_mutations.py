@@ -169,6 +169,15 @@ def unnested_classes(s):
     return with_state_at(renamed(s, second, cut), P, y2=cut.index)
 
 
+def split_class(s):
+    """The one-state {p} row split in two, {w1} and {w2}, with every other
+    table consistent with the cut: both worlds agree on p, so the space is
+    cut finer than agreement on its vocabulary."""
+    key = s.rows[P].key
+    states = (StateId(key, 0, "w1"), StateId(key, 1, "w2"))
+    return with_row(s, P, states=states, state_at=(0, 1), poss={"a": (1, 2)}, val=(1, 1))
+
+
 MUTATIONS = [
     ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
@@ -186,6 +195,7 @@ MUTATIONS = [
     ("T2", short_valuation_row, "row shape inconsistent with its space"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "projection not independent of representative"),
+    ("T2", split_class, "two states of a space agree on its vocabulary"),
 ]
 
 
