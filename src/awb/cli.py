@@ -133,6 +133,9 @@ def _load(path: str):
 def _cmd_check(args) -> int:
     m = _load(args.model)
     if args.lang == "ail":
+        if args.hms_state is not None:
+            print("error: --hms-state needs --lang hms", file=sys.stderr)
+            return EXIT_INPUT
         f = parse_ail(args.formula)
         if args.world is None:
             print("error: --world is required", file=sys.stderr)

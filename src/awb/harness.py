@@ -4,10 +4,11 @@ The harness repeatedly generates a small random epistemic model with
 constant awareness, a random formula, and the model's quotient structure,
 then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
-* ``structure``: the full invariant battery over the quotient structure
-  (space shapes, projection laws, possibility-correspondence laws,
-  subjective-vocabulary arithmetic, class agreement on in-vocabulary
-  atoms and each row's valuation bits);
+* ``structure``: the structural battery over the quotient structure, an
+  independent set of laws (the space lattice, row shapes, class agreement
+  on in-vocabulary atoms with each row's valuation bits, possibility-
+  correspondence laws and subjective-vocabulary arithmetic) from which
+  the projection laws and the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
   extension and is the up-closure of its own base-space slice;
@@ -38,8 +39,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, reduce
-from itertools import combinations
+from functools import reduce
 from operator import or_
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -455,90 +455,96 @@ def check_eventhood(
     return "pass", {"base": sorted(str(x) for x in base_states(s, ts)), "variant": variant}
 
 
-@lru_cache(maxsize=64)
-def _lattice(atoms: Tuple[str, ...]):
-    """Vocabulary lattice helpers for a fixed atom tuple: all vocabularies,
-    and every drop-one-atom (Hasse) edge as a (vocabulary, sub-vocabulary)
-    pair. The lattice is enumerated here, not taken from the transform's
-    space table, so that the battery does not trust the builder's own
-    enumeration."""
-    vocabs = tuple(
-        frozenset(c) for size in range(len(atoms) + 1) for c in combinations(atoms, size)
-    )
-    edges = tuple((phi, phi - {p}) for phi in vocabs for p in atoms if p in phi)
-    return vocabs, edges
-
-
 def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
-    """Full structural battery for a transform of ``m``; fails fast with a
+    """Structural battery for a transform of ``m``; fails fast with a
     detail naming the offending element.
 
-    Each space's partition is stored once, as the world -> state row
-    ``state_at``; below, the class of a state ``x`` is the set of worlds
-    ``state_at`` sends to ``x``. Each space's row is checked first: its
-    tables have one entry per world or per state, every entry of
-    ``state_at`` is the index of a state of its space, every state has at
-    least one world, and each state's ``rep`` is the least world that maps
-    to it. So the classes of a space are non-empty, pairwise disjoint and
-    cover the worlds, each state's class holds its ``rep``, and
-    ``project(x, V)``, the state of ``V`` at ``x.rep``'s position in
-    ``V``'s world -> state row, is the state of ``V`` whose class holds
-    ``x.rep``.
+    The battery checks an independent set of laws, in this order, and
+    every other law of the structure follows from them (see the end).
 
-    Projections are then checked on the drop-one-atom edges of the
-    vocabulary lattice only: for every space ``phi``, every ``p`` in
-    ``phi`` and every world ``w``, the row of ``phi - {p}`` sends ``w`` to
-    the same state as the rep of ``w``'s class in ``phi``. That is,
-    ``class(x) <= class(project(x, phi - {p}))`` for every state ``x`` of
-    ``phi``, at a cost of n * 2^(n-1) edges instead of 3^n contained pairs
-    and 4^n three-chains. Nothing is lost, given the per-space checks:
+    1. Lattice: there are ``2^a`` rows for the model's ``a`` atoms and
+       every row key is a frozenset of the model's atoms. The keys are
+       distinct dict keys and the atoms are distinct, so the keys are all
+       ``2^a`` subsets. The count is made here, so the battery does not
+       trust the builder's enumeration.
+    2. World order: the structure orders the worlds as the model does, as
+       the rows are indexed by world position.
+    3. Each row: its tables have one entry per world or per state, every
+       entry of ``state_at`` is the index of a state of its space, every
+       state has at least one world, and each state's ``rep`` is the least
+       world that maps to it. Below, the class of a state ``x`` is the set
+       of worlds ``state_at`` sends to ``x``. So the classes of a space are
+       non-empty, pairwise disjoint and cover the worlds, each state's
+       class holds its ``rep``, and ``project(x, V)``, the state of ``V``
+       at ``x.rep``'s position in ``V``'s world -> state row, is the state
+       of ``V`` whose class holds ``x.rep``.
+    4. Valuation, as three laws per row. Class agreement: the worlds of a
+       class agree on every atom of their space's vocabulary. Row
+       valuation: every entry of a row's ``val`` is an int equal to its
+       state rep's valuation bits (over the model's atom order) masked by
+       the row's vocabulary, so a bit outside the vocabulary, a missing or
+       extra bit and a non-int entry are all wrong marks. Given class
+       agreement, the rep's bits within the vocabulary are every member's.
+       Distinctness: the ``val`` entries of a row are pairwise distinct.
+       Together the three make each space's classes exactly the classes
+       of agreement on its vocabulary. Two worlds of one class agree on
+       the vocabulary, by class agreement. Two worlds that agree on it
+       have classes whose ``val`` entries are their common bits within the
+       vocabulary, by row valuation and class agreement, so the entries
+       are equal, and by distinctness the classes are one.
+    5. Possibility, per agent. Possibility sets are checked as the masks
+       they are stored as. Once a cell is an int with ``0 <= cell < 2^n``
+       (``cell >> n == 0``, which also refuses a negative int), the mask ->
+       set map that reads bit ``k`` as state ``k`` is a bijection onto the
+       subsets of an ``n``-state space that turns ``|`` into union and
+       ``a | b == b`` into inclusion, so each law holds of the masks
+       exactly when it holds of the sets. Per cell: an int inside its
+       space that holds its own state (reflexivity). Symmetry on the top
+       space. Fiber union: in every space, the possibility set of ``y`` is
+       the union, over the top states ``t`` that project to ``y``, of the
+       projection of ``t``'s possibility set.
+    6. Subjective vocabulary: each agent's ``alpha`` in a space is the
+       agent's awareness intersected with the space's vocabulary.
 
-    * inclusion on every contained pair ``psi <= phi``: walk from ``phi``
-      to ``psi`` dropping one atom at a time, ``x = x0, x1, ..., xk`` with
-      each ``x(j+1)`` the projection of ``xj``. The edge checks give
-      ``class(x) <= class(xk)``, so ``xk`` holds ``x.rep`` and is
-      ``project(x, psi)``;
-    * identity on the own space: ``project(x, phi)`` holds ``x.rep``, as
-      ``x`` does, so it is ``x``;
-    * composition: for ``ups <= psi <= phi``, both ``project(project(x,
-      psi), ups)`` and ``project(x, ups)`` have classes containing
-      ``class(x)`` (by inclusion twice, and once), so they are equal;
-    * surjectivity: a state ``y`` of ``psi`` holds some world ``w``, which
-      lies in the class of some ``x`` of ``phi``. ``project(x, psi)`` then
-      holds ``w`` too, so it is ``y``.
+    The laws the battery does not check follow:
 
-    The possibility, subjective-vocabulary and valuation checks read the
-    same rows, with projections taken through the world -> state rows.
-    Possibility sets are checked as the masks they are stored as. Once a
-    cell is an int with ``0 <= cell < 2^n`` (``cell >> n == 0``, which also
-    refuses a negative int), the mask -> set map that reads bit ``k`` as
-    state ``k`` is a bijection onto the subsets of an ``n``-state space
-    that turns ``|`` into union and ``a | b == b`` into inclusion, so each
-    law below holds of the masks exactly when it holds of the sets.
-
-    The valuation is checked as two laws. Class agreement: the worlds of a
-    class agree on every atom of their space's vocabulary. Row valuation:
-    every entry of a row's ``val`` is an int equal to its state rep's
-    valuation bits (over the model's atom order) masked by the row's
-    vocabulary, so a bit outside the vocabulary, a missing or extra bit
-    and a non-int entry are all wrong marks. Given class agreement, the
-    rep's bits within the vocabulary are every member's. Distinctness:
-    the ``val`` entries of a row are pairwise distinct. Together the three
-    make each space's classes exactly the classes of agreement on its
-    vocabulary. Two worlds of one class agree on the vocabulary, by class
-    agreement. Two worlds that agree on it have classes whose ``val``
-    entries are their common bits within the vocabulary, by row valuation
-    and class agreement, so the entries are equal, and by distinctness the
-    classes are one.
+    * Projections (Heifetz, Meier & Schipper, J. Econ. Theory 130, 2006).
+      Inclusion, for every contained pair ``psi <= phi`` and state ``x``
+      of ``phi``: the worlds of ``class(x)`` agree with ``x.rep`` on
+      ``phi`` (4), hence on ``psi``, so they lie in the ``psi``-class of
+      ``x.rep``, which is ``class(project(x, psi))`` (3). Identity on the
+      own space: ``project(x, phi)`` holds ``x.rep``, as ``x`` does, so it
+      is ``x``. Composition: for ``ups <= psi <= phi``, both
+      ``project(project(x, psi), ups)`` and ``project(x, ups)`` have
+      classes containing ``class(x)`` (by inclusion twice, and once), so
+      they are equal. Surjectivity: a state ``y`` of ``psi`` holds some
+      world ``w``, which lies in the class of some ``x`` of ``phi``;
+      ``project(x, psi)`` then holds ``w`` too, so it is ``y``.
+    * Projected inclusion, ``project(poss(t), V) <= poss(project(t, V))``
+      for a top state ``t``: the left side is one term of the fiber union
+      that equals the right side. For a state ``x`` of any ``phi`` and
+      ``psi <= phi``, ``poss(x)`` is the union of ``project(poss(t), phi)``
+      over the top ``t`` with ``project(t, phi) == x``; by composition its
+      projection to ``psi`` is the union of ``project(poss(t), psi)`` over
+      those ``t``, each of which projects to ``project(x, psi)``, so the
+      top case bounds every term.
+    * Non-empty possibility sets: each holds its own state.
+    * Space size: a row has at most one state per world, since each state
+      has its own least world (3), and at most ``2^|V|`` states, since its
+      ``val`` entries are distinct values inside the vocabulary's bits (4).
+    * Subjective spaces exist: ``alpha`` is a subset of the atoms (6), and
+      every subset is a row (1).
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
         detail.update(extra)
         return "fail", detail
 
-    vocabs, edges = _lattice(m.atoms)
     rows = s.rows
-    if set(s.vocabs) != set(vocabs) or len(s.vocabs) != len(vocabs):
+    atom_set = frozenset(m.atoms)
+    if len(rows) != 2 ** len(m.atoms) or not all(
+        type(vocab) is frozenset and vocab <= atom_set for vocab in rows
+    ):
         return fail("space family does not cover the vocabulary lattice")
     # The rows are indexed by world position, so the structure must order
     # the worlds as the model does.
@@ -553,8 +559,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         key = vocab_key(vocab)
         if not states:
             return fail("empty space", space=key)
-        if len(states) > min(n_worlds, 2 ** len(vocab)):
-            return fail("space larger than the size bound", space=key)
         if (
             row.key != key
             or len(row.state_at) != n_worlds
@@ -582,27 +586,46 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
 
     # rep_at[V][c]: the position of the rep of state c of space V
     rep_at = {vocab: [at[x.rep] for x in row.states] for vocab, row in rows.items()}
-    for phi, psi in edges:
-        hi, lo_at = rows[phi], rows[psi].state_at
-        down = [lo_at[k] for k in rep_at[phi]]
-        for k, c in enumerate(hi.state_at):
-            if lo_at[k] != down[c]:
+    # world_bits[k]: the atoms true at world k, as bits over the atom order
+    world_bits = [0] * n_worlds
+    for b, p in enumerate(m.atoms):
+        for w in m.valuation[p]:
+            world_bits[at[w]] |= 1 << b
+    for vocab, row in rows.items():
+        vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
+        reps = rep_at[vocab]
+        for k, c in enumerate(row.state_at):
+            diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
+            if diff:
                 return fail(
-                    "projection not independent of representative",
-                    edge=f"{vocab_key(phi)}->{vocab_key(psi)}",
-                    state=str(hi.states[c]),
+                    "class members disagree on an in-vocabulary atom",
+                    atom=m.atoms[(diff & -diff).bit_length() - 1],
+                    state=str(row.states[c]),
                 )
+        if len(row.val) != len(row.states):
+            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
+        for x, k, bits in zip(row.states, reps, row.val):
+            want = world_bits[k] & vocab_bits
+            if type(bits) is not int or bits != want:
+                # name the first atom marked wrongly, when there is one
+                diff = bits ^ want if type(bits) is int else 0
+                wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
+                return fail(
+                    "valuation marks the wrong states",
+                    **({"atom": wrong[0]} if wrong else {}),
+                    state=str(x),
+                )
+        if len(set(row.val)) != len(row.val):
+            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
-    top = rows[frozenset(m.atoms)]
-    top_rep_at = rep_at[frozenset(m.atoms)]
+    top = rows[atom_set]
+    top_rep_at = rep_at[atom_set]
     for i in m.agents:
         for vocab, row in rows.items():
             n = len(row.states)
             for idx, (x, cell) in enumerate(zip(row.states, row.poss[i])):
                 if type(cell) is not int:
                     return fail("row shape inconsistent with its space", agent=i, state=str(x))
-                if not cell:
-                    return fail("empty possibility set", agent=i, state=str(x))
                 if cell >> n:
                     return fail("possibility set leaves its space", agent=i, state=str(x))
                 if not cell >> idx & 1:
@@ -616,27 +639,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                         agent=i,
                         states=f"{top.states[a]}/{top.states[b]}",
                     )
-        for vocab, row in rows.items():
+        for row in rows.values():
             # down[t]: the index in this space of the t-th top state's projection
             down = [row.state_at[k] for k in top_rep_at]
             down_bit = [1 << y for y in down]
-            cells = row.poss[i]
             fibers = [0] * len(row.states)
             images = {}
             for t, cell in enumerate(top_cells):
                 image = images.get(cell)
                 if image is None:
                     image = images[cell] = reduce(or_, _select(down_bit, cell), 0)
-                y = down[t]
-                if image | cells[y] != cells[y]:
-                    return fail(
-                        "projected possibility set not contained in the lower one",
-                        agent=i,
-                        state=str(top.states[t]),
-                        space=vocab_key(vocab),
-                    )
-                fibers[y] |= image
-            for y, cell, fiber in zip(row.states, cells, fibers):
+                fibers[down[t]] |= image
+            for y, cell, fiber in zip(row.states, row.poss[i], fibers):
                 if fiber != cell:
                     return fail(
                         "lower possibility set is not the union over its top fiber",
@@ -647,52 +661,12 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     for i in m.agents:
         aware = m.awareness[i][m.worlds[0]]
         for vocab, row in rows.items():
-            sv = row.alpha[i]
-            if sv != aware & vocab:
+            if row.alpha[i] != aware & vocab:
                 return fail(
                     "subjective vocabulary is not awareness intersected with the space",
                     agent=i,
                     space=vocab_key(vocab),
                 )
-            if sv not in rows:
-                return fail("subjective space missing", agent=i, space=vocab_key(vocab))
-
-    for p in m.atoms:
-        holds = [w in m.valuation[p] for w in m.worlds]
-        for vocab, row in rows.items():
-            if p in vocab:
-                rep_holds = [holds[k] for k in rep_at[vocab]]
-                for k, c in enumerate(row.state_at):
-                    if holds[k] != rep_holds[c]:
-                        return fail(
-                            "class members disagree on an in-vocabulary atom",
-                            atom=p,
-                            state=str(row.states[c]),
-                        )
-
-    # world_bits[k]: the atoms true at world k, as bits over the atom order
-    world_bits = [0] * n_worlds
-    for b, p in enumerate(m.atoms):
-        for w in m.valuation[p]:
-            world_bits[at[w]] |= 1 << b
-    for vocab, row in rows.items():
-        if len(row.val) != len(row.states):
-            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-        vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
-        for x, k, bits in zip(row.states, rep_at[vocab], row.val):
-            want = world_bits[k] & vocab_bits
-            if type(bits) is not int or bits != want:
-                # name the first atom marked wrongly, when there is one
-                diff = bits ^ want if type(bits) is int else 0
-                wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
-                return fail(
-                    "valuation marks the wrong states",
-                    **({"atom": wrong[0]} if wrong else {}),
-                    state=str(x),
-                )
-    for vocab, row in rows.items():
-        if len(set(row.val)) != len(row.val):
-            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
     return "pass", {}
 

@@ -86,8 +86,9 @@ class StateId(NamedTuple):
 
 def parse_state_ref(text: str) -> Tuple[str, FrozenSet[str]]:
     """Parse a ``rep@vocab`` state reference (vocab comma-joined, possibly
-    empty: ``w1@`` names a bottom-space state)."""
-    rep, sep, vk = text.partition("@")
+    empty: ``w1@`` names a bottom-space state). It splits at the last
+    ``@``: an atom never holds one, but a world name may."""
+    rep, sep, vk = text.rpartition("@")
     if not sep or not rep:
         raise ModelError(f"bad state reference {text!r}: expected 'world@vocab'")
     return rep, _parse_vocab_key(vk)

@@ -155,6 +155,19 @@ class TestCheckHms:
         )
         assert code == EXIT_INPUT
 
+    def test_state_printed_by_verbose_names_it(self, tmp_path, capsys):
+        # a world name may hold '@'; the state `check -v` prints reads back
+        path = tmp_path / "at.json"
+        path.write_text(
+            json.dumps({"atoms": ["p"], "agents": [], "worlds": ["x@y", "z"],
+                        "valuation": {"p": ["x@y"]}})
+        )
+        args = ["check", str(path), "--formula", "p", "--lang", "hms"]
+        assert main(args + ["--world", "x@y", "-v"]) == EXIT_TRUE
+        assert capsys.readouterr().out.startswith("true\nstate: x@y@p;")
+        assert main(args + ["--hms-state", "x@y@p"]) == EXIT_TRUE
+        assert capsys.readouterr() == ("true\n", "")
+
     def test_verbose_truth_set(self, m1_file, capsys):
         code = main(
             [
@@ -236,6 +249,8 @@ class TestInputErrors:
              "error: undeclared atoms: ['zz']\n"),
             (["check", "{m1}", "--lang", "ail", "--formula", "q | zz", "--world", "w2"],
              "error: undeclared atoms: ['zz']\n"),
+            (["check", "{m1}", "--formula", "p", "--world", "w1", "--hms-state", "w1@p"],
+             "error: --hms-state needs --lang hms\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):

@@ -76,6 +76,12 @@ class TestStateRefs:
         with pytest.raises(ValueError):
             resolve(T1, "w1@z")
 
+    def test_world_name_holding_at_sign(self):
+        # an atom never holds '@', so the reference splits at the last one
+        assert parse_state_ref("x@y@p") == ("x@y", P)
+        assert parse_state_ref("x@y@") == ("x@y", EMPTY)
+        assert parse_state_ref("w1@p,q") == ("w1", PQ)
+
 
 class TestStateId:
     def test_tuple_hash_and_order(self, T2):

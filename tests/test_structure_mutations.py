@@ -8,12 +8,19 @@ structure's public interface and its per-space rows, not the battery's
 internals, so a cheap battery and an exhaustive one that read the same
 row layout face the same mutants, and passing both shows that both catch
 the same faults. A change to the row layout changes the mutants with it.
+
+A seeded test also makes random edits to generated structures and checks
+that every edited structure the battery passes has the laws the battery
+derives rather than checks.
 """
+
+import random
 
 import pytest
 
-from awb.harness import check_structure
-from awb.hms import HmsStructure, StateId
+from awb import oracles
+from awb.harness import TrialConfig, check_structure, gen_model
+from awb.hms import HmsStructure, StateId, vocab_key
 from awb.transform import hms_transform
 
 P = frozenset({"p"})
@@ -163,7 +170,8 @@ def dropped_space(s):
 def unnested_classes(s):
     """Space {p} re-cut as {x, y1} | {y2, z}: each space is a consistent
     partition on its own, but the {p, q}-class {y1, y2} no longer sits
-    inside one {p}-class."""
+    inside one {p}-class, and y2 shares a {p}-class with z, where p
+    differs."""
     first, second = s.states(P)
     cut = StateId(second.space_key, second.index, "y2")
     return with_state_at(renamed(s, second, cut), P, y2=cut.index)
@@ -182,7 +190,7 @@ MUTATIONS = [
     ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
     ("T1", worldless_state, "state has no world"),
-    ("T1", poss_missing_state, "projected possibility set not contained in the lower one"),
+    ("T1", poss_missing_state, "lower possibility set is not the union over its top fiber"),
     ("T2", poss_past_last_state, "possibility set leaves its space"),
     ("T2", negative_poss_cell, "possibility set leaves its space"),
     ("T1", set_valued_cell, "row shape inconsistent with its space"),
@@ -194,7 +202,7 @@ MUTATIONS = [
     ("T2", float_valuation, "valuation marks the wrong states"),
     ("T2", short_valuation_row, "row shape inconsistent with its space"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
-    ("divergent", unnested_classes, "projection not independent of representative"),
+    ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
 ]
 
@@ -217,3 +225,84 @@ def test_battery_rejects_mutant(structures, which, mutate, reason):
     status, detail = check_structure(m, mutate(s))
     assert status == "fail"
     assert detail["reason"] == reason
+
+
+def recut(rng, m, s, vocab):
+    """A copy of ``s`` in which the row of ``vocab`` is cut by a random
+    labelling of the worlds, its other tables consistent with the cut:
+    states in order of their first world, each rep its least world, ``val``
+    read off the reps, and each possibility mask kept while the state count
+    is unchanged (else each state sees only itself)."""
+    index = {}
+    state_at = tuple(index.setdefault(rng.randrange(len(m.worlds)), len(index)) for _ in m.worlds)
+    first = [state_at.index(c) for c in range(len(index))]
+    row = s.rows[vocab]
+    states = tuple(StateId(row.key, c, m.worlds[k]) for c, k in enumerate(first))
+    val = tuple(
+        sum(1 << b for b, p in enumerate(m.atoms) if p in vocab and m.worlds[k] in m.valuation[p])
+        for k in first
+    )
+    own = tuple(1 << c for c in range(len(states)))
+    poss = {i: cells if len(cells) == len(states) else own for i, cells in row.poss.items()}
+    return with_row(s, vocab, states=states, state_at=state_at, poss=poss, val=val)
+
+
+def random_edit(rng, m, s):
+    """A copy of ``s`` with one random table edit, which may leave the table
+    as it was. Every choice is drawn from an ordered sequence, so the edits
+    do not depend on the hash seed."""
+    vocab = rng.choice(sorted(s.rows, key=vocab_key))
+    row = s.rows[vocab]
+    n = len(row.states)
+    x = rng.choice(row.states)
+    agent = rng.choice(m.agents)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return with_state_at(s, vocab, **{rng.choice(m.worlds): rng.randrange(n + 1)})
+    if kind == 1:
+        return with_mask(s, agent, x, row.poss[agent][x.index] ^ 1 << rng.randrange(n + 1))
+    if kind == 2:
+        return with_val(s, x, row.val[x.index] ^ 1 << rng.randrange(len(m.atoms)))
+    if kind == 3:
+        states = list(row.states)
+        states[x.index] = x._replace(rep=rng.choice(m.worlds))
+        return with_row(s, vocab, states=tuple(states))
+    if kind == 4:
+        sv = frozenset(p for p in m.atoms if rng.random() < 0.5)
+        return with_row(s, vocab, alpha={**row.alpha, agent: sv})
+    return recut(rng, m, s, vocab)
+
+
+def test_battery_pass_means_the_true_quotient():
+    """The laws the battery derives rather than checks hold on every edited
+    structure it passes: each space's classes are the agreement classes on
+    its vocabulary, and projection carries each possibility set into the
+    possibility set of the projected state, for every contained pair of
+    spaces."""
+    rng = random.Random(1414)
+    cfg = TrialConfig(max_worlds=4, max_atoms=3, max_agents=2)
+    verdicts = {"pass": 0, "fail": 0}
+    for _ in range(400):
+        m = gen_model(rng, cfg)
+        s = hms_transform(m)
+        for _ in range(rng.randint(1, 2)):
+            s = random_edit(rng, m, s)
+        status, _ = check_structure(m, s)
+        verdicts[status] += 1
+        if status == "fail":
+            continue
+        for vocab, row in s.rows.items():
+            classes = {
+                frozenset(w for w, c in zip(m.worlds, row.state_at) if c == idx)
+                for idx in range(len(row.states))
+            }
+            assert classes == oracles.raw_space(m, vocab)
+        for phi in s.rows:
+            for psi in s.rows:
+                if not psi <= phi:
+                    continue
+                for x in s.states(phi):
+                    for i in m.agents:
+                        image = {s.project(y, psi) for y in s.possibility(i, x)}
+                        assert image <= s.possibility(i, s.project(x, psi))
+    assert verdicts["pass"] >= 50 and verdicts["fail"] >= 50

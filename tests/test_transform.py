@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -466,7 +467,7 @@ def test_golden_check_verbose(tmp_path, capsys):
         "ladder": str(ladder),
     }
     for name, path in paths.items():
-        d = json.loads(open(path).read())
+        d = json.loads(Path(path).read_text())
         rng = random.Random(606)
         out = []
         for f in kind_formulas(rng, d["atoms"], d["agents"]):
