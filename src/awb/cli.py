@@ -76,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--variant",
         choices=VARIANTS,
-        default=DEFAULT_VARIANT,
-        help="implicit-operator variant for --lang hms",
+        help=f"implicit-operator variant for --lang hms (default: {DEFAULT_VARIANT})",
     )
     check.add_argument("-v", "--verbose", action="store_true", help="show the evidence used")
 
@@ -136,6 +135,9 @@ def _cmd_check(args) -> int:
         if args.hms_state is not None:
             print("error: --hms-state needs --lang hms", file=sys.stderr)
             return EXIT_INPUT
+        if args.variant is not None:
+            print("error: --variant needs --lang hms", file=sys.stderr)
+            return EXIT_INPUT
         f = parse_ail(args.formula)
         if args.world is None:
             print("error: --world is required", file=sys.stderr)
@@ -155,6 +157,7 @@ def _cmd_check(args) -> int:
                 )
         return EXIT_TRUE if value else EXIT_FALSE
 
+    variant = args.variant or DEFAULT_VARIANT
     f = parse_hms(args.formula)
     if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:
         raise ModelError(f"unknown agent {f.agent!r}")
@@ -178,10 +181,10 @@ def _cmd_check(args) -> int:
         raise ModelError(f"undeclared atoms: {sorted(stray)}")
     s = hms_transform(m)
     x = s.locate(world, vocab)
-    value = sat_hms(s, x, f, args.variant)
+    value = sat_hms(s, x, f, variant)
     print("true" if value else "false")
     if args.verbose:
-        ts = truth_set(s, f, args.variant)
+        ts = truth_set(s, f, variant)
         base = ", ".join(str(y) for y in sorted(base_states(s, ts)))
         print(f"state: {x}; truth-set base: {{{base}}}; extension size: {len(extension(s, ts))}")
     return EXIT_TRUE if value else EXIT_FALSE

@@ -6,9 +6,10 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
 * ``structure``: the structural battery over the quotient structure, an
   independent set of laws (the space lattice, row shapes, class agreement
-  on in-vocabulary atoms with each row's valuation bits, possibility-
-  correspondence laws and subjective-vocabulary arithmetic) from which
-  the projection laws and the rest follow;
+  on in-vocabulary atoms with each row's valuation bits, each
+  possibility mask equal to the model's lifted indistinguishability, and
+  subjective-vocabulary arithmetic) from which the projection laws and
+  the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
   extension and is the up-closure of its own base-space slice;
@@ -39,8 +40,6 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (
@@ -65,7 +64,6 @@ from .hms import (
     Event,
     HmsStructure,
     StateId,
-    _select,
     base_states,
     extension,
     implicit_event,
@@ -492,17 +490,19 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        have classes whose ``val`` entries are their common bits within the
        vocabulary, by row valuation and class agreement, so the entries
        are equal, and by distinctness the classes are one.
-    5. Possibility, per agent. Possibility sets are checked as the masks
-       they are stored as. Once a cell is an int with ``0 <= cell < 2^n``
-       (``cell >> n == 0``, which also refuses a negative int), the mask ->
-       set map that reads bit ``k`` as state ``k`` is a bijection onto the
-       subsets of an ``n``-state space that turns ``|`` into union and
-       ``a | b == b`` into inclusion, so each law holds of the masks
-       exactly when it holds of the sets. Per cell: an int inside its
-       space that holds its own state (reflexivity). Symmetry on the top
-       space. Fiber union: in every space, the possibility set of ``y`` is
-       the union, over the top states ``t`` that project to ``y``, of the
-       projection of ``t``'s possibility set.
+    5. Possibility, per agent and per row: each cell is the lift of the
+       model's indistinguishability. For an agent with blocks ``B`` (read
+       from ``m.indist_labels``), the lift at a state ``x`` is the set of
+       states ``y`` of ``x``'s space such that one block meets both
+       ``class(x)`` and ``class(y)``. Possibility sets are checked as the
+       masks they are stored as: a cell must be an int equal to the mask
+       of its lift, which has bit ``k`` set for each state ``k`` of the
+       lift. A cell that is not an int, or that sets a bit past its
+       ``n`` states (``cell >> n != 0``, which also refuses a negative
+       int), is named as such. The mask -> set map that reads bit ``k``
+       as state ``k`` is a bijection from the ints ``0 <= cell < 2^n``
+       onto the subsets of an ``n``-state space, so the cell equals the
+       lift's mask exactly when its set equals the lift.
     6. Subjective vocabulary: each agent's ``alpha`` in a space is the
        agent's awareness intersected with the space's vocabulary.
 
@@ -520,6 +520,25 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       they are equal. Surjectivity: a state ``y`` of ``psi`` holds some
       world ``w``, which lies in the class of some ``x`` of ``phi``;
       ``project(x, psi)`` then holds ``w`` too, so it is ``y``.
+    * Reflexivity: a state ``x`` has a world ``w`` (3), and ``w``'s block
+      meets ``class(x)`` at ``w``, so ``x`` is in its own lift.
+    * Symmetry in every space: ``x`` sees ``y`` exactly when one block
+      meets both ``class(x)`` and ``class(y)``, which is symmetric in the
+      two.
+    * Fiber union (Heifetz, Meier & Schipper): in every space ``V``, the
+      possibility set of ``y`` is the union, over the top states ``t``
+      that project to ``y``, of the projection of ``t``'s possibility
+      set. The top classes partition the worlds (3), and each lies in
+      the ``V``-class of its projection (projection inclusion), so the
+      top classes inside ``class(y)`` partition it. If a block ``B``
+      meets ``class(y)`` and ``class(z)``, it meets the class of some top
+      ``t`` inside ``class(y)`` and, at a world ``w`` of ``class(z)``,
+      the class of the top state ``t'`` holding ``w``; so ``t'`` is in
+      ``poss(t)``, and ``project(t', V)`` holds ``w``, so it is ``z``.
+      Conversely, if ``t'`` is in ``poss(t)``, one block meets
+      ``class(t)``, which lies in ``class(project(t, V))``, and
+      ``class(t')``, which lies in ``class(project(t', V))``, so
+      ``project(t', V)`` is in ``poss(project(t, V))``.
     * Projected inclusion, ``project(poss(t), V) <= poss(project(t, V))``
       for a top state ``t``: the left side is one term of the fiber union
       that equals the right side. For a state ``x`` of any ``phi`` and
@@ -528,7 +547,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       projection to ``psi`` is the union of ``project(poss(t), psi)`` over
       those ``t``, each of which projects to ``project(x, psi)``, so the
       top case bounds every term.
-    * Non-empty possibility sets: each holds its own state.
+    * Non-empty possibility sets: each holds its own state (reflexivity).
     * Space size: a row has at most one state per world, since each state
       has its own least world (3), and at most ``2^|V|`` states, since its
       ``val`` entries are distinct values inside the vocabulary's bits (4).
@@ -584,8 +603,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if first:
             return fail("world -> state row names no state of its space", space=key)
 
-    # rep_at[V][c]: the position of the rep of state c of space V
-    rep_at = {vocab: [at[x.rep] for x in row.states] for vocab, row in rows.items()}
     # world_bits[k]: the atoms true at world k, as bits over the atom order
     world_bits = [0] * n_worlds
     for b, p in enumerate(m.atoms):
@@ -593,7 +610,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             world_bits[at[w]] |= 1 << b
     for vocab, row in rows.items():
         vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
-        reps = rep_at[vocab]
+        # reps[c]: the position of the rep of state c
+        reps = [at[x.rep] for x in row.states]
         for k, c in enumerate(row.state_at):
             diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
             if diff:
@@ -618,44 +636,28 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(set(row.val)) != len(row.val):
             return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
-    top = rows[atom_set]
-    top_rep_at = rep_at[atom_set]
     for i in m.agents:
-        for vocab, row in rows.items():
-            n = len(row.states)
-            for idx, (x, cell) in enumerate(zip(row.states, row.poss[i])):
+        label = m.indist_labels(i)
+        # block[k]: the indistinguishability block of world k
+        block = [label[w] for w in m.worlds]
+        for row in rows.values():
+            # met[b]: the mask of the states whose classes block b meets
+            met = [0] * len(m.indist_blocks[i])
+            for b, c in zip(block, row.state_at):
+                met[b] |= 1 << c
+            lift = [0] * len(row.states)
+            for b, c in zip(block, row.state_at):
+                lift[c] |= met[b]
+            for x, cell, want in zip(row.states, row.poss[i], lift):
                 if type(cell) is not int:
                     return fail("row shape inconsistent with its space", agent=i, state=str(x))
-                if cell >> n:
-                    return fail("possibility set leaves its space", agent=i, state=str(x))
-                if not cell >> idx & 1:
-                    return fail("possibility set not reflexive", agent=i, state=str(x))
-        top_cells = top.poss[i]
-        for a, cell in enumerate(top_cells):
-            for b in _select(range(len(top_cells)), cell):
-                if not top_cells[b] >> a & 1:
+                if cell != want:
+                    if cell >> len(row.states):
+                        return fail("possibility set leaves its space", agent=i, state=str(x))
                     return fail(
-                        "possibility set not symmetric on the top space",
+                        "possibility set is not the lifted indistinguishability",
                         agent=i,
-                        states=f"{top.states[a]}/{top.states[b]}",
-                    )
-        for row in rows.values():
-            # down[t]: the index in this space of the t-th top state's projection
-            down = [row.state_at[k] for k in top_rep_at]
-            down_bit = [1 << y for y in down]
-            fibers = [0] * len(row.states)
-            images = {}
-            for t, cell in enumerate(top_cells):
-                image = images.get(cell)
-                if image is None:
-                    image = images[cell] = reduce(or_, _select(down_bit, cell), 0)
-                fibers[down[t]] |= image
-            for y, cell, fiber in zip(row.states, row.poss[i], fibers):
-                if fiber != cell:
-                    return fail(
-                        "lower possibility set is not the union over its top fiber",
-                        agent=i,
-                        state=str(y),
+                        state=str(x),
                     )
 
     for i in m.agents:

@@ -397,7 +397,7 @@ def sat_implicit_raw(m: EpistemicModel, world: str, agent: str, body: PropFormul
     agent's indistinguishability block.
 
     The AIL surface grammar never generates this operator on its own; it is
-    exposed for the verification harness and for exploratory checks.
+    kept for ROADMAP item 7 and for exploratory checks.
     """
     m.require_world(world)
     block = m.indist_labels(agent)

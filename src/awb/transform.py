@@ -61,7 +61,7 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, List, Tuple
 
 from .hms import HmsStructure, SpaceRow, StateId, _select, vocab_key
-from .model import EpistemicModel, awareness_variation, validate
+from .model import EpistemicModel, ModelError, awareness_variation, validate
 
 DEFAULT_ATOM_CAP = 12
 
@@ -77,7 +77,8 @@ class TransformInapplicable(ValueError):
 def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStructure:
     """Build the full quotient structure of ``m``.
 
-    Raises :class:`TransformInapplicable` when the model fails validation,
+    Raises :class:`~awb.model.ModelError` when ``atom_cap`` is negative,
+    and :class:`TransformInapplicable` when the model fails validation,
     when any agent's awareness varies across worlds, or when the atom count
     exceeds ``atom_cap``.
 
@@ -93,6 +94,8 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     after it traverses them once: about 51 000 tracked objects and 8-12 ms
     at that size.
     """
+    if atom_cap < 0:
+        raise ModelError("atom_cap must be >= 0")
     violations = validate(m)
     if violations:
         raise TransformInapplicable(

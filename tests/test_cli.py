@@ -251,6 +251,9 @@ class TestInputErrors:
              "error: undeclared atoms: ['zz']\n"),
             (["check", "{m1}", "--formula", "p", "--world", "w1", "--hms-state", "w1@p"],
              "error: --hms-state needs --lang hms\n"),
+            (["check", "{m1}", "--formula", "p", "--world", "w1", "--variant", "cell-union"],
+             "error: --variant needs --lang hms\n"),
+            (["transform", "{m1}", "--atom-cap", "-1"], "error: atom_cap must be >= 0\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):

@@ -131,7 +131,7 @@ class TestChecks:
         broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
-        assert detail["reason"] == "possibility set not reflexive"
+        assert detail["reason"] == "possibility set is not the lifted indistinguishability"
         assert detail["state"] == str(victim)
 
     def test_structure_catches_misshaped_row(self, M1, T1):

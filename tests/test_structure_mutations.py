@@ -1,8 +1,9 @@
 """Mutation suite for the structural battery.
 
-Each case corrupts one table of a correct quotient structure (of the
-``m1``/``m2`` fixtures or of the divergent model) and rebuilds it through
-the ``HmsStructure`` constructor; the battery must reject it with the
+Each case corrupts a correct quotient structure (of the ``m1``/``m2``
+fixtures or of the divergent model), in one table or in one agent's
+possibility masks across every row, and rebuilds it through the
+``HmsStructure`` constructor; the battery must reject it with the
 reason that names the fault. The cases use only the constructor, the
 structure's public interface and its per-space rows, not the battery's
 internals, so a cheap battery and an exhaustive one that read the same
@@ -11,7 +12,8 @@ the same faults. A change to the row layout changes the mutants with it.
 
 A seeded test also makes random edits to generated structures and checks
 that every edited structure the battery passes has the laws the battery
-derives rather than checks.
+derives rather than checks, and the possibility sets of the brute-force
+oracle.
 """
 
 import random
@@ -21,6 +23,7 @@ import pytest
 from awb import oracles
 from awb.harness import TrialConfig, check_structure, gen_model
 from awb.hms import HmsStructure, StateId, vocab_key
+from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
 P = frozenset({"p"})
@@ -127,6 +130,17 @@ def poss_beyond_fiber(s):
     return with_cell(s, "a", s.locate("w1", Q), {s.locate("w1", Q), s.locate("w2", Q)})
 
 
+def all_seeing_agent(s):
+    """Agent a sees every state of every space: reflexive, symmetric and
+    the union over every top fiber, but not the lift of a's partition,
+    which tells w1 from w2."""
+    rows = {
+        vocab: row._replace(poss={**row.poss, "a": (2 ** len(row.states) - 1,) * len(row.states)})
+        for vocab, row in s.rows.items()
+    }
+    return rebuild(s, rows=rows)
+
+
 def wrong_alpha(s):
     """Agent a, aware of p only, gets {p, q} for the whole {p, q} space."""
     return with_row(s, PQ, alpha={**s.rows[PQ].alpha, "a": PQ})
@@ -190,12 +204,12 @@ MUTATIONS = [
     ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
     ("T1", worldless_state, "state has no world"),
-    ("T1", poss_missing_state, "lower possibility set is not the union over its top fiber"),
+    ("T1", poss_missing_state, "possibility set is not the lifted indistinguishability"),
     ("T2", poss_past_last_state, "possibility set leaves its space"),
     ("T2", negative_poss_cell, "possibility set leaves its space"),
     ("T1", set_valued_cell, "row shape inconsistent with its space"),
-    ("T2", asymmetric_top_cell, "possibility set not symmetric on the top space"),
-    ("T2", poss_beyond_fiber, "lower possibility set is not the union over its top fiber"),
+    ("T2", asymmetric_top_cell, "possibility set is not the lifted indistinguishability"),
+    ("T2", poss_beyond_fiber, "possibility set is not the lifted indistinguishability"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong states"),
     ("T2", valuation_bit_outside_vocabulary, "valuation marks the wrong states"),
@@ -204,6 +218,7 @@ MUTATIONS = [
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
+    ("T2", all_seeing_agent, "possibility set is not the lifted indistinguishability"),
 ]
 
 
@@ -247,16 +262,34 @@ def recut(rng, m, s, vocab):
     return with_row(s, vocab, states=states, state_at=state_at, poss=poss, val=val)
 
 
+def foreign_poss(rng, m, s, agent):
+    """A copy of ``s`` in which the agent's possibility masks in every row
+    are those of the quotient of a copy of ``m`` whose partition for the
+    agent is the fibers of a random labelling of the worlds. Any partition
+    is valid, as ``gen_model``'s awareness is constant."""
+    labels = [rng.randrange(len(m.worlds)) for _ in m.worlds]
+    blocks = [[w for w, lab in zip(m.worlds, labels) if lab == b] for b in sorted(set(labels))]
+    other = EpistemicModel(
+        m.atoms, m.agents, m.worlds, m.valuation, {**m.indist_blocks, agent: blocks}, m.awareness
+    )
+    foreign = hms_transform(other).rows
+    rows = {
+        vocab: row._replace(poss={**row.poss, agent: foreign[vocab].poss[agent]})
+        for vocab, row in s.rows.items()
+    }
+    return rebuild(s, rows=rows)
+
+
 def random_edit(rng, m, s):
-    """A copy of ``s`` with one random table edit, which may leave the table
-    as it was. Every choice is drawn from an ordered sequence, so the edits
+    """A copy of ``s`` with one random edit, of one table or of one agent's
+    possibility masks in every row, which may leave them as they were. Every choice is drawn from an ordered sequence, so the edits
     do not depend on the hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
     row = s.rows[vocab]
     n = len(row.states)
     x = rng.choice(row.states)
     agent = rng.choice(m.agents)
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return with_state_at(s, vocab, **{rng.choice(m.worlds): rng.randrange(n + 1)})
     if kind == 1:
@@ -270,15 +303,18 @@ def random_edit(rng, m, s):
     if kind == 4:
         sv = frozenset(p for p in m.atoms if rng.random() < 0.5)
         return with_row(s, vocab, alpha={**row.alpha, agent: sv})
-    return recut(rng, m, s, vocab)
+    if kind == 5:
+        return recut(rng, m, s, vocab)
+    return foreign_poss(rng, m, s, agent)
 
 
 def test_battery_pass_means_the_true_quotient():
     """The laws the battery derives rather than checks hold on every edited
     structure it passes: each space's classes are the agreement classes on
-    its vocabulary, and projection carries each possibility set into the
+    its vocabulary, projection carries each possibility set into the
     possibility set of the projected state, for every contained pair of
-    spaces."""
+    spaces, and each possibility set is the oracle's, as sets of
+    classes."""
     rng = random.Random(1414)
     cfg = TrialConfig(max_worlds=4, max_atoms=3, max_agents=2)
     verdicts = {"pass": 0, "fail": 0}
@@ -292,11 +328,16 @@ def test_battery_pass_means_the_true_quotient():
         if status == "fail":
             continue
         for vocab, row in s.rows.items():
-            classes = {
+            # classes[idx]: the worlds the row sends to state idx
+            classes = [
                 frozenset(w for w, c in zip(m.worlds, row.state_at) if c == idx)
                 for idx in range(len(row.states))
-            }
-            assert classes == oracles.raw_space(m, vocab)
+            ]
+            assert set(classes) == oracles.raw_space(m, vocab)
+            for x, cls in zip(row.states, classes):
+                for i in m.agents:
+                    seen = {classes[y.index] for y in s.possibility(i, x)}
+                    assert seen == oracles.raw_poss(m, i, (vocab, cls))
         for phi in s.rows:
             for psi in s.rows:
                 if not psi <= phi:
