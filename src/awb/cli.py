@@ -37,7 +37,7 @@ from .model import ModelError, load_model, reach_composed, sat_ail, validate
 from .transform import (
     DEFAULT_ATOM_CAP,
     TransformInapplicable,
-    dump_transform,
+    dump_pieces,
     hms_transform,
     transform_summary,
 )
@@ -191,22 +191,37 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    if args.dump == "":
+        print("error: --dump needs a file path", file=sys.stderr)
+        return EXIT_INPUT
     m = _load(args.model)
-    s = hms_transform(m, atom_cap=args.atom_cap)
-    print(transform_summary(s))
-    if args.dump:
-        text = dump_transform(s)
-        directory = os.path.dirname(os.path.abspath(args.dump))
+    if args.dump is None:
+        print(transform_summary(hms_transform(m, atom_cap=args.atom_cap)))
+        return EXIT_TRUE
+    # The temp file is made before the build, which is exponential in the
+    # atom count, so an unwritable path is refused first. An error in
+    # writing names the dump path, not the temp file; on any failure the
+    # temp file goes.
+    directory = os.path.dirname(os.path.abspath(args.dump))
+    try:
         fd, tmp = tempfile.mkstemp(prefix=".awb-dump-", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, args.dump)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        print(f"wrote {args.dump}")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, args.dump) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            s = hms_transform(m, atom_cap=args.atom_cap)
+            print(transform_summary(s))
+            try:
+                fh.writelines(dump_pieces(s))
+                fh.close()
+                os.replace(tmp, args.dump)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, args.dump) from None
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    print(f"wrote {args.dump}")
     return EXIT_TRUE
 
 

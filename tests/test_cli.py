@@ -254,6 +254,7 @@ class TestInputErrors:
             (["check", "{m1}", "--formula", "p", "--world", "w1", "--variant", "cell-union"],
              "error: --variant needs --lang hms\n"),
             (["transform", "{m1}", "--atom-cap", "-1"], "error: atom_cap must be >= 0\n"),
+            (["transform", "{m1}", "--dump", ""], "error: --dump needs a file path\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
@@ -333,6 +334,30 @@ class TestTransform:
         dumped = json.loads(out1.read_text())
         assert dumped["spaces"][""][0]["rep"] == "w1"
         assert f"wrote {out1}" in capsys.readouterr().out
+
+    def test_unwritable_dump_refused_before_build(self, m1_file, tmp_path, capsys, monkeypatch):
+        def no_build(*_, **__):
+            raise AssertionError("hms_transform called")
+
+        monkeypatch.setattr("awb.cli.hms_transform", no_build)
+        target = tmp_path / "missing" / "x.json"
+        assert main(["transform", m1_file, "--dump", str(target)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{target}'\n"
+        )
+
+    def test_dump_onto_directory_names_it(self, m1_file, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main(["transform", m1_file, "--dump", str(target)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m1.json", "taken"]
+
+    def test_refused_transform_leaves_no_temp_file(self, m1_file, varying_file, tmp_path, capsys):
+        out = str(tmp_path / "dump.json")
+        assert main(["transform", m1_file, "--atom-cap", "1", "--dump", out]) == EXIT_PRECONDITION
+        assert main(["transform", varying_file, "--dump", out]) == EXIT_PRECONDITION
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m1.json", "varying.json"]
 
     def test_varying_awareness(self, varying_file, capsys):
         assert main(["transform", varying_file]) == EXIT_PRECONDITION
