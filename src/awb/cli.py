@@ -15,6 +15,8 @@ without a traceback).
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import os
 import sys
 import tempfile
@@ -50,7 +52,11 @@ EXIT_CONJECTURE = 4
 EXIT_INTERNAL = 5
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and an in-process caller that calls :func:`main` many times
+    would otherwise rebuild it on every call."""
     parser = argparse.ArgumentParser(
         prog="awb",
         description="Model-check awareness logic formulas, build quotient "
@@ -199,9 +205,12 @@ def _cmd_transform(args) -> int:
         print(transform_summary(hms_transform(m, atom_cap=args.atom_cap)))
         return EXIT_TRUE
     # The temp file is made before the build, which is exponential in the
-    # atom count, so an unwritable path is refused first. An error in
-    # writing names the dump path, not the temp file; on any failure the
-    # temp file goes.
+    # atom count, so an unwritable path or a directory is refused first. An
+    # error in writing names the dump path, not the temp file; on any
+    # failure the temp file goes. ``mkstemp`` makes the file 0600, and the
+    # rename keeps the mode, so it gets the mode a new file would get.
+    if os.path.isdir(args.dump):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.dump)
     directory = os.path.dirname(os.path.abspath(args.dump))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".awb-dump-", dir=directory)
@@ -209,6 +218,9 @@ def _cmd_transform(args) -> int:
         raise OSError(exc.errno, exc.strerror, args.dump) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             s = hms_transform(m, atom_cap=args.atom_cap)
             print(transform_summary(s))
             try:

@@ -578,11 +578,19 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         key = vocab_key(vocab)
         if not states:
             return fail("empty space", space=key)
+        # Indexing computes a lazily built row's masks; a missing agent
+        # raises, and once every agent is read an extra one shows in the
+        # length.
+        try:
+            cells = [row.poss[i] for i in m.agents]
+        except KeyError:
+            cells = None
         if (
-            row.key != key
+            cells is None
+            or len(row.poss) != len(agents)
+            or any(len(c) != len(states) for c in cells)
+            or row.key != key
             or len(row.state_at) != n_worlds
-            or row.poss.keys() != agents
-            or any(len(cells) != len(states) for cells in row.poss.values())
             or row.alpha.keys() != agents
         ):
             return fail("row shape inconsistent with its space", space=key)

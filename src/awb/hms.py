@@ -121,7 +121,10 @@ class SpaceRow(NamedTuple):
     space's partition: a state's class is the set of worlds ``state_at``
     sends to it. Each agent's tuple in ``poss`` is indexed by state and
     holds that state's possibility set as a mask, a non-negative int whose
-    bit ``k`` is set when state ``k`` of this row is possible.
+    bit ``k`` is set when state ``k`` of this row is possible. A built
+    row's ``poss`` is a dict that computes an agent's tuple on the first
+    read of ``poss[agent]`` and stores it, so it holds only the agents read
+    so far: readers index it, and an agent it lacks raises ``KeyError``.
     Awareness is constant across worlds, so an agent's subjective
     vocabulary is the same at every state of a space and ``alpha`` holds
     one per agent. ``val`` is indexed by state and holds the state's
@@ -225,9 +228,12 @@ class HmsStructure:
         within ``x``'s own space. It is decoded from the stored mask on
         each call."""
         row = self._row_of(x)
-        if row is None or agent not in row.poss:
-            raise ValueError(f"no possibility set for agent {agent!r} at {x}")
-        return frozenset(_select(row.states, row.poss[agent][x[1]]))
+        if row is not None:
+            try:
+                return frozenset(_select(row.states, row.poss[agent][x[1]]))
+            except KeyError:
+                pass
+        raise ValueError(f"no possibility set for agent {agent!r} at {x}")
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``."""
@@ -312,9 +318,10 @@ def _check_variant(variant: str) -> None:
 def _implicit(
     agent: str, variant: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
 ) -> Based:
-    cells = row.poss.get(agent)
-    if cells is None:
-        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}")
+    try:
+        cells = row.poss[agent]
+    except KeyError:
+        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}") from None
     # A cell sits inside the base when OR-ing it into the base adds no bit.
     if variant == "pointwise":
         return vocab, row, sum(1 << k for k, cell in enumerate(cells) if cell | mask == mask)

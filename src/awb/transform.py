@@ -21,27 +21,31 @@ every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
 blocks that meet its own class. That mask is what the row stores: bit
 ``k`` set means state ``k`` of the space is possible, and no set of
-states is built. The valuation needs no work of its own: a class's
-``bits & V`` is the valuation of its state within the vocabulary, and the
-row stores those values, one int per state in class-index order. Each
-space's vocabulary, mask and key are derived once per build, before the
-loop over spaces (``_space_table``); states are tuples made without a
-Python-level constructor call each.
+states is built. The masks are not made by the build but on first read,
+one agent of one row at a time (:class:`_Cells`): a cold ``check`` reads
+at most one agent's masks in one space, and making them all costs about
+as much as the rest of the build. The valuation needs no work of its own:
+a class's ``bits & V`` is the valuation of its state within the
+vocabulary, and the row stores those values, one int per state in
+class-index order. Each space's vocabulary, mask and key are derived once
+per build, before the loop over spaces (``_space_table``); states are
+tuples made without a Python-level constructor call each.
 
 The tables are per space, not per object: each space is one
 :class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
 tuple of ints (the space's partition, stored once), a tuple of valuation
 bits by state index and, per agent, a tuple of possibility masks by state
-index and one subjective vocabulary. A build thus makes no ``(vocabulary,
-world)`` or ``(agent, state)`` key tuples, no member set per state, no
-possibility set and no set of states per atom.
+index, made on first read, and one subjective vocabulary. A build thus
+makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples, no
+member set per state, no possibility set and no set of states per atom.
 
 The cyclic garbage collector is paused while the tables are built. A build
 allocates tens of thousands of tuples (about 40 000 states at 10 atoms and
 128 worlds), and each full collection re-traverses the half-built tables,
 although they hold no reference cycles and every temporary is freed by
-reference counting. With the collector running, that re-scanning is about
-a tenth of a 10-atom, 128-world build.
+reference counting. With the collector running, a 10-atom, 128-world build
+takes about a fifth longer. Masks made on first read are made with the
+collector as the reader has it.
 
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
@@ -90,15 +94,17 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     exceeds ``atom_cap``.
 
     The result holds one row per space (see the module docstring), with
-    each possibility set stored as a mask of state indices and each
-    state's valuation as an int in its row. The tables are built with the
-    cyclic garbage collector disabled: on 10-atom, 128-world ladder models
-    (8 models, several rounds; CPython 3.11, a 2-vCPU host) the build
-    takes about 0.07-0.11 s with it off against 0.08-0.12 s with it on. The
+    each state's valuation as an int in its row. Each possibility set is a
+    mask of state indices, computed for one agent of one row when that
+    agent's masks in that row are first read, so the build itself makes
+    none. The tables are built with the cyclic garbage collector disabled:
+    on 10-atom, 128-world ladder models (8 models, 3 rounds; CPython 3.11,
+    a 2-vCPU host) the build takes about 0.035-0.066 s (median 0.05 s)
+    with it off against 0.041-0.070 s (median 0.06 s) with it on. The
     pause is process-wide but lasts only for the build, and the
     collector's previous state is restored however the build ends. The
     objects built are still young when it ends, so the first collection
-    after it traverses them once: about 51 000 tracked objects and 8-12 ms
+    after it traverses them once: about 50 000 tracked objects and 7-13 ms
     at that size.
     """
     if atom_cap < 0:
@@ -147,9 +153,44 @@ def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
     return table
 
 
+class _Cells(dict):
+    """A row's possibility masks by agent, each agent's computed on its
+    first read.
+
+    A read of an agent not yet stored calls :meth:`__missing__`, which
+    lifts the agent's indistinguishability into the row's space, stores the
+    tuple of masks and returns it; every later read is a plain dict hit. It
+    reads only what the build captured: the row's world -> state row, and
+    each agent's world -> block labels and the bit of each class index,
+    shared by every row of the structure, so it never consults the model.
+    An agent the structure does not have raises ``KeyError``, as a plain
+    dict does.
+    """
+
+    # Set by ``_quotient`` on the empty table: there is no Python-level
+    # __init__, so making one table per row costs no Python call.
+    __slots__ = ("state_at", "n_states", "blocks_of", "class_bit")
+
+    def __missing__(self, agent: str) -> Tuple[int, ...]:
+        n_blocks, blk = self.blocks_of[agent]
+        cls, class_bit = self.state_at, self.class_bit
+        # A state's possibility set is the union of the classes met by the
+        # indistinguishability blocks that meet its own class, kept as a
+        # mask of state indices.
+        met = [0] * n_blocks
+        for b, c in zip(blk, cls):
+            met[b] |= class_bit[c]
+        reach = [0] * self.n_states
+        for b, c in zip(blk, cls):
+            reach[c] |= met[b]
+        cells = self[agent] = tuple(reach)
+        return cells
+
+
 def _quotient(m: EpistemicModel) -> HmsStructure:
     """The tables of :func:`hms_transform`, for a model that meets its
-    preconditions."""
+    preconditions; each row's possibility masks are left to be computed
+    on first read (:class:`_Cells`)."""
     atoms, worlds = m.atoms, m.worlds
     world_index = {w: k for k, w in enumerate(worlds)}
     bits = [0] * len(worlds)
@@ -181,23 +222,14 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
         # States made by tuple.__new__, with no Python-level call per state.
         fields = zip(repeat(key), count(), reps)
         states = tuple(map(tuple.__new__, repeat(StateId), fields))
-        poss = {}
-        for i in m.agents:
-            n_blocks, blk = blocks_of[i]
-            # A state's possibility set is the union of the classes met by
-            # the indistinguishability blocks that meet its own class, kept
-            # as a mask of state indices.
-            met = [0] * n_blocks
-            for b, c in zip(blk, cls):
-                met[b] |= class_bit[c]
-            reach = [0] * len(states)
-            for b, c in zip(blk, cls):
-                reach[c] |= met[b]
-            poss[i] = tuple(reach)
+        state_at = tuple(cls)
         alpha = {i: aware[i] & vocab for i in m.agents}
+        poss = _Cells()
+        poss.state_at, poss.n_states = state_at, len(states)
+        poss.blocks_of, poss.class_bit = blocks_of, class_bit
         # The keys of ``first`` are the classes' valuation bits within the
         # vocabulary, in class-index order.
-        rows[vocab] = SpaceRow(key, states, tuple(cls), poss, alpha, tuple(first))
+        rows[vocab] = SpaceRow(key, states, state_at, poss, alpha, tuple(first))
 
     return HmsStructure(atoms=atoms, agents=m.agents, worlds=worlds, rows=rows)
 

@@ -27,6 +27,14 @@ def all_states(s):
     return [x for row in s.rows.values() for x in row.states]
 
 
+def cells_of(s, row):
+    """Every agent's possibility masks in ``row`` of structure ``s``, as a
+    plain dict. Indexing computes the masks of a built row on first read;
+    a copy of the row's own table (``{**row.poss}``) holds only those
+    already read."""
+    return {i: row.poss[i] for i in s.agents}
+
+
 def resolve(s, ref):
     """The state of structure ``s`` named by a ``world@vocab`` reference;
     any world of the state's class is accepted in the world position."""

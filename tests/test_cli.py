@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from awb.cli import (
     EXIT_INTERNAL,
     EXIT_PRECONDITION,
     EXIT_TRUE,
+    _build_parser,
     main,
 )
 from awb.model import model_to_dict
@@ -347,11 +350,33 @@ class TestTransform:
         )
 
     def test_dump_onto_directory_names_it(self, m1_file, tmp_path, capsys):
+        # refused before the build, so no summary line is printed
         target = tmp_path / "taken"
         target.mkdir()
         assert main(["transform", m1_file, "--dump", str(target)]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{target}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m1.json", "taken"]
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o002, 0o664)], ids=["022", "027", "002"]
+    )
+    @pytest.mark.parametrize("existing", [None, 0o644], ids=["new", "replaces-0644"])
+    def test_dump_mode_follows_umask(self, m1_file, tmp_path, capsys, umask, mode, existing):
+        # a new file's mode under the umask, whether the dump is new or
+        # replaces a file of another mode
+        out = tmp_path / "dump.json"
+        if existing is not None:
+            out.write_text("old")
+            out.chmod(existing)
+        old = os.umask(umask)
+        try:
+            assert main(["transform", m1_file, "--dump", str(out)]) == EXIT_TRUE
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert json.loads(out.read_text())["atoms"] == ["p", "q"]
 
     def test_refused_transform_leaves_no_temp_file(self, m1_file, varying_file, tmp_path, capsys):
         out = str(tmp_path / "dump.json")
@@ -505,3 +530,48 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "error: internal error: RuntimeError: checker crashed\n"
         assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_main_behaves_as_with_a_fresh_parser(self, m1_file, capsys):
+        # One parser serves every call of a process; successive calls with
+        # different subcommands, and one that fails argument parsing, give
+        # what a parser built for each call gives.
+        argvs = [
+            ["check", m1_file, "--formula", "p", "--world", "w1"],
+            ["translate", "--formula", "X[a] I[a] X[a] (p & q)"],
+            ["check", m1_file, "--formula", "I[a] p", "--world", "w2", "--lang", "hms", "-v"],
+            ["check", m1_file, "--world", "w1", "--bogus"],
+            ["transform", m1_file],
+            ["verify", "--trials", "3", "--seed", "1", "--format", "json"],
+            ["check", m1_file, "--formula", "A[a] p", "--world", "w1"],
+            ["translate"],
+            ["check", m1_file, "--formula", "p", "--lang", "hms", "--world", "w2"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [run(argv) for argv in argvs]
+        assert _build_parser() is _build_parser()
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [
+            EXIT_TRUE,
+            EXIT_TRUE,
+            EXIT_FALSE,
+            ("exit", 2),
+            EXIT_TRUE,
+            EXIT_TRUE,
+            EXIT_TRUE,
+            ("exit", 2),
+            EXIT_FALSE,
+        ]

@@ -23,7 +23,7 @@ from awb.harness import (
 from awb.hms import HmsStructure, extension, truth_set
 from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
-from conftest import all_states, event_on
+from conftest import all_states, cells_of, event_on
 
 
 class TestTrialSeed:
@@ -127,7 +127,7 @@ class TestChecks:
         cells = list(row.poss["a"])
         cells[victim.index] &= ~(1 << victim.index)
         rows = dict(T1.rows)
-        rows[victim.vocab] = row._replace(poss={**row.poss, "a": tuple(cells)})
+        rows[victim.vocab] = row._replace(poss={**cells_of(T1, row), "a": tuple(cells)})
         broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
@@ -145,6 +145,27 @@ class TestChecks:
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda cells: {}, id="missing-agent"),
+            pytest.param(lambda cells: {**cells, "z": cells["a"]}, id="extra-agent"),
+            pytest.param(lambda cells: {"a": cells["a"][:-1]}, id="short-cells"),
+        ],
+    )
+    def test_structure_catches_misshaped_possibility_table(self, M1, T1, edit):
+        # the {p} row's table of masks, as a plain dict, lacks agent a, has
+        # an agent the model does not, or has one mask too few
+        p = frozenset({"p"})
+        row = T1.rows[p]
+        rows = dict(T1.rows)
+        rows[p] = row._replace(poss=edit(cells_of(T1, row)))
+        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        assert check_structure(M1, broken) == (
+            "fail",
+            {"reason": "row shape inconsistent with its space", "space": "p"},
+        )
 
     def test_structure_catches_stray_state_index(self, M1, T1):
         # the one-state empty-vocabulary row sends w2 to an index past its

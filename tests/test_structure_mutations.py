@@ -25,6 +25,7 @@ from awb.harness import TrialConfig, check_structure, gen_model
 from awb.hms import HmsStructure, StateId, vocab_key
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
+from conftest import cells_of
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -49,7 +50,7 @@ def with_mask(s, agent, x, mask):
     row = s.rows[x.vocab]
     cells = list(row.poss[agent])
     cells[x.index] = mask
-    return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
+    return with_row(s, x.vocab, poss={**cells_of(s, row), agent: tuple(cells)})
 
 
 def with_cell(s, agent, x, cell):
@@ -135,7 +136,9 @@ def all_seeing_agent(s):
     the union over every top fiber, but not the lift of a's partition,
     which tells w1 from w2."""
     rows = {
-        vocab: row._replace(poss={**row.poss, "a": (2 ** len(row.states) - 1,) * len(row.states)})
+        vocab: row._replace(
+            poss={**cells_of(s, row), "a": (2 ** len(row.states) - 1,) * len(row.states)}
+        )
         for vocab, row in s.rows.items()
     }
     return rebuild(s, rows=rows)
@@ -258,7 +261,7 @@ def recut(rng, m, s, vocab):
         for k in first
     )
     own = tuple(1 << c for c in range(len(states)))
-    poss = {i: cells if len(cells) == len(states) else own for i, cells in row.poss.items()}
+    poss = {i: cells if len(cells) == len(states) else own for i, cells in cells_of(s, row).items()}
     return with_row(s, vocab, states=states, state_at=state_at, poss=poss, val=val)
 
 
@@ -274,7 +277,7 @@ def foreign_poss(rng, m, s, agent):
     )
     foreign = hms_transform(other).rows
     rows = {
-        vocab: row._replace(poss={**row.poss, agent: foreign[vocab].poss[agent]})
+        vocab: row._replace(poss={**cells_of(s, row), agent: foreign[vocab].poss[agent]})
         for vocab, row in s.rows.items()
     }
     return rebuild(s, rows=rows)

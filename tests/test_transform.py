@@ -10,12 +10,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import awb
 import awb.transform as transform_module
 from awb import oracles
-from awb.harness import TrialConfig, gen_model, trial_seed
-from awb.hms import vocab_key
+from awb.formula import atoms_of, parse_hms
+from awb.harness import TrialConfig, check_structure, gen_model, trial_seed
+from awb.hms import sat_hms, truth_set, vocab_key
 from awb.model import EpistemicModel, model_from_dict, model_to_dict
 from awb.transform import (
     DEFAULT_ATOM_CAP,
@@ -147,6 +149,91 @@ class TestPossibility:
                             for y in s.possibility(agent, z)
                         )
                         assert s.possibility(agent, x) == expected
+
+
+def held(s):
+    """The (vocabulary, agent) pairs whose possibility masks have been
+    computed: a row's table stores an agent's masks once read."""
+    return {(vocab, i) for vocab, row in s.rows.items() for i in row.poss}
+
+
+def every_cell(s):
+    """Every (vocabulary, agent) pair of structure ``s``."""
+    return {(vocab, i) for vocab in s.rows for i in s.agents}
+
+
+@st.composite
+def small_models(draw):
+    """A model the transform applies to: up to three atoms, one to five
+    worlds, one or two agents, each with a random partition and one
+    awareness set at every world."""
+    atoms = ("p", "q", "r")[: draw(st.integers(0, 3))]
+    worlds = tuple(f"w{k}" for k in range(draw(st.integers(1, 5))))
+    agents = ("a", "b")[: draw(st.integers(1, 2))]
+    valuation = {p: [w for w in worlds if draw(st.booleans())] for p in atoms}
+    indist, awareness = {}, {}
+    for i in agents:
+        labels = [draw(st.integers(0, len(worlds) - 1)) for _ in worlds]
+        indist[i] = [[w for w, lab in zip(worlds, labels) if lab == b] for b in sorted(set(labels))]
+        aware = [p for p in atoms if draw(st.booleans())]
+        awareness[i] = {w: aware for w in worlds}
+    return EpistemicModel(atoms, agents, worlds, valuation, indist, awareness)
+
+
+class TestLazyCells:
+    """A built structure computes a row's possibility masks for an agent on
+    the first read of that agent's masks, and only then."""
+
+    @pytest.fixture
+    def ladder(self):
+        return model_from_dict(ladder_shaped(1701, 4, 16))
+
+    @pytest.mark.parametrize("text", ["p", "~(p & q)", "A[a] p", "A[b] (q & ~r)"])
+    def test_no_cells_without_implicit(self, ladder, text):
+        s = hms_transform(ladder)
+        assert held(s) == set()
+        f = parse_hms(text)
+        for w in ladder.worlds[:4]:
+            sat_hms(s, s.locate(w, atoms_of(f)), f)
+        truth_set(s, f)
+        assert held(s) == set()
+
+    @pytest.mark.parametrize("variant", ["pointwise", "cell-union"])
+    @pytest.mark.parametrize("text, agent", [("I[a] p", "a"), ("I[b] (q & ~s)", "b")])
+    def test_implicit_computes_one_row_for_one_agent(self, ladder, variant, text, agent):
+        s = hms_transform(ladder)
+        f = parse_hms(text)
+        vocab = atoms_of(f)
+        for w in ladder.worlds:
+            sat_hms(s, s.locate(w, vocab), f, variant)
+        assert held(s) == {(vocab, agent)}
+
+    def test_battery_computes_every_cell(self, ladder):
+        s = hms_transform(ladder)
+        assert check_structure(ladder, s) == ("pass", {})
+        assert held(s) == every_cell(s)
+
+    def test_dump_computes_every_cell(self, ladder):
+        s = hms_transform(ladder)
+        dump_transform(s)
+        assert held(s) == every_cell(s)
+
+    def test_unknown_agent_is_a_key_error(self, ladder):
+        row = hms_transform(ladder).rows[P]
+        with pytest.raises(KeyError):
+            row.poss["c"]
+        assert set(row.poss) == set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_models())
+    def test_cells_are_the_oracle_possibility_sets(self, m):
+        s = hms_transform(m)
+        for vocab, row in s.rows.items():
+            for x in row.states:
+                for i in m.agents:
+                    seen = {members(s, y) for y in s.possibility(i, x)}
+                    assert seen == oracles.raw_poss(m, i, (vocab, members(s, x)))
+        assert held(s) == every_cell(s)
 
 
 class TestSubjectiveVocab:
