@@ -12,7 +12,7 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
   the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
-  extension and is the up-closure of its own base-space slice;
+  extension, so it is the up-closure of its own base-space slice;
 * ``truth_preservation``: the original formula's truth at a world equals
   the translated formula's truth at that world's class in the formula's
   vocabulary space (skipped when the vocabulary hypothesis fails, unless
@@ -407,22 +407,22 @@ def check_eventhood(
     s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT
 ) -> CheckResult:
     """The formula's satisfaction set must be a based event: base vocabulary
-    equal to the formula's atoms, direct per-state recursion equal to the
-    event-algebra extension, and the whole set recoverable as the
-    up-closure of its base-space slice.
+    equal to the formula's atoms and direct per-state recursion equal to
+    the event-algebra extension.
 
-    The slice is the event based in the truth set's space whose mask has
-    bit ``k`` set when the space's ``k``-th state, in row order, is in the
-    direct set. It has no bit past the row, so ``check_event`` accepts it,
-    and :func:`extension` gives its up-closure: a state ``x`` of a space
-    containing the base vocabulary is kept when bit ``at[x.rep]`` is set,
-    ``at`` being the base row's world -> state table, that is, when the
-    row's state at position ``at[x.rep]`` is in the direct set. That is the
-    closure read off state indices (keep ``x`` when ``at[x.rep]`` is the
-    index of a direct-set state of the base space) on every structure
-    whose rows pass the battery's per-space checks: those require each
-    state's index to be its position in its row, so position and index
-    name the same state.
+    The whole set is then also the up-closure of its base-space slice, on
+    every structure whose rows pass the battery's per-space checks (law 3
+    of :func:`check_structure`), so that is not compared again. Those
+    checks require each state's index to be its position in its row and
+    each state's rep to lie in its own class, so ``at[x.rep] == x.index``
+    for every state ``x`` of the base row, ``at`` being that row's world ->
+    state table. :func:`extension` keeps a state ``x`` of the base space
+    when bit ``at[x.rep]`` of the base mask is set, that is, bit
+    ``x.index``; and ``check_event`` has refused a mask with a bit past the
+    row. So the base-space slice of ``extension(ts)`` is ``ts.base``
+    itself, and once the direct set equals ``extension(ts)`` its slice is
+    ``ts.base`` too and its up-closure is ``extension(ts)``, the direct
+    set.
     """
     ts = truth_set(s, f, variant)
     if ts.vocab != atoms_of(f):
@@ -441,15 +441,6 @@ def check_eventhood(
             "only_extension": sorted(str(x) for x in ext - direct),
             "variant": variant,
         }
-    slice_ = sum(1 << k for k, x in enumerate(s.states(ts.vocab)) if x in direct)
-    closure = extension(s, Event(ts.vocab, slice_))
-    if closure != direct:
-        return "fail", {
-            "reason": "satisfaction set is not the up-closure of its base slice",
-            "only_closure": sorted(str(x) for x in closure - direct),
-            "only_direct": sorted(str(x) for x in direct - closure),
-            "variant": variant,
-        }
     return "pass", {"base": sorted(str(x) for x in base_states(s, ts)), "variant": variant}
 
 
@@ -465,10 +456,14 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        distinct dict keys and the atoms are distinct, so the keys are all
        ``2^a`` subsets. The count is made here, so the battery does not
        trust the builder's enumeration.
-    2. World order: the structure orders the worlds as the model does, as
-       the rows are indexed by world position.
-    3. Each row: its tables have one entry per world or per state, every
-       entry of ``state_at`` is the index of a state of its space, every
+    2. World order and agents: the structure orders the worlds as the
+       model does, as the rows and the block labels are indexed by world
+       position, and its per-agent tables, ``awareness`` and
+       ``block_labels``, name exactly the model's agents. Each agent's
+       labels are one int per world below the world count, so lifting them
+       into a row that passes law 3 reads no index past its tables.
+    3. Each row: its key and its world -> state table have the right shape,
+       every entry of ``state_at`` is the index of a state of its space, every
        state has at least one world, and each state's ``rep`` is the least
        world that maps to it. Below, the class of a state ``x`` is the set
        of worlds ``state_at`` sends to ``x``. So the classes of a space are
@@ -490,8 +485,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        have classes whose ``val`` entries are their common bits within the
        vocabulary, by row valuation and class agreement, so the entries
        are equal, and by distinctness the classes are one.
-    5. Possibility, per agent and per row: each cell is the lift of the
-       model's indistinguishability. For an agent with blocks ``B`` (read
+    5. Possibility, per agent and per row: the row's masks, read through
+       :meth:`~awb.hms.HmsStructure.cells`, are one per state, and each
+       cell is the lift of the model's indistinguishability, which the
+       battery makes itself. For an agent with blocks ``B`` (read
        from ``m.indist_labels``), the lift at a state ``x`` is the set of
        states ``y`` of ``x``'s space such that one block meets both
        ``class(x)`` and ``class(y)``. Possibility sets are checked as the
@@ -503,8 +500,11 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        as state ``k`` is a bijection from the ints ``0 <= cell < 2^n``
        onto the subsets of an ``n``-state space, so the cell equals the
        lift's mask exactly when its set equals the lift.
-    6. Subjective vocabulary: each agent's ``alpha`` in a space is the
-       agent's awareness intersected with the space's vocabulary.
+    6. Subjective vocabulary, per agent: the structure's awareness set is
+       the model's (constant) awareness. The structure reads the
+       subjective vocabulary at any state as that set intersected with the
+       state's space vocabulary, so at every state it is the model's
+       awareness intersected with the space.
 
     The laws the battery does not check follow:
 
@@ -551,8 +551,9 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     * Space size: a row has at most one state per world, since each state
       has its own least world (3), and at most ``2^|V|`` states, since its
       ``val`` entries are distinct values inside the vocabulary's bits (4).
-    * Subjective spaces exist: ``alpha`` is a subset of the atoms (6), and
-      every subset is a row (1).
+    * Subjective spaces exist: a subjective vocabulary is a subset of its
+      space's vocabulary, hence of the atoms (1, 6), and every subset is a
+      row (1).
     """
     def fail(reason: str, **extra) -> CheckResult:
         detail = {"reason": reason}
@@ -570,29 +571,22 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     if tuple(s.worlds) != m.worlds:
         return fail("world order differs from the model's")
 
-    n_worlds = len(m.worlds)
     agents = set(m.agents)
+    if s.awareness.keys() != agents or s.block_labels.keys() != agents:
+        return fail("per-agent tables name other agents than the model's")
+    n_worlds = len(m.worlds)
+    for i in m.agents:
+        labels = s.block_labels[i]
+        if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
+            return fail("block labels are not one block index per world", agent=i)
+
     at = s.world_index  # the model's world order, as just checked
     for vocab, row in rows.items():
         states = row.states
         key = vocab_key(vocab)
         if not states:
             return fail("empty space", space=key)
-        # Indexing computes a lazily built row's masks; a missing agent
-        # raises, and once every agent is read an extra one shows in the
-        # length.
-        try:
-            cells = [row.poss[i] for i in m.agents]
-        except KeyError:
-            cells = None
-        if (
-            cells is None
-            or len(row.poss) != len(agents)
-            or any(len(c) != len(states) for c in cells)
-            or row.key != key
-            or len(row.state_at) != n_worlds
-            or row.alpha.keys() != agents
-        ):
+        if row.key != key or len(row.state_at) != n_worlds:
             return fail("row shape inconsistent with its space", space=key)
         # first[c]: the position of the first world the row sends to c
         first: dict = {}
@@ -648,7 +642,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         label = m.indist_labels(i)
         # block[k]: the indistinguishability block of world k
         block = [label[w] for w in m.worlds]
-        for row in rows.values():
+        for vocab, row in rows.items():
             # met[b]: the mask of the states whose classes block b meets
             met = [0] * len(m.indist_blocks[i])
             for b, c in zip(block, row.state_at):
@@ -656,7 +650,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             lift = [0] * len(row.states)
             for b, c in zip(block, row.state_at):
                 lift[c] |= met[b]
-            for x, cell, want in zip(row.states, row.poss[i], lift):
+            cells = s.cells(row, i)
+            if len(cells) != len(lift):
+                return fail("row shape inconsistent with its space", space=vocab_key(vocab))
+            for x, cell, want in zip(row.states, cells, lift):
                 if type(cell) is not int:
                     return fail("row shape inconsistent with its space", agent=i, state=str(x))
                 if cell != want:
@@ -669,14 +666,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
                     )
 
     for i in m.agents:
-        aware = m.awareness[i][m.worlds[0]]
-        for vocab, row in rows.items():
-            if row.alpha[i] != aware & vocab:
-                return fail(
-                    "subjective vocabulary is not awareness intersected with the space",
-                    agent=i,
-                    space=vocab_key(vocab),
-                )
+        if s.awareness[i] != m.awareness[i][m.worlds[0]]:
+            return fail(
+                "subjective vocabulary is not awareness intersected with the space", agent=i
+            )
 
     return "pass", {}
 

@@ -6,9 +6,12 @@ richer to poorer spaces, a per-agent possibility correspondence, a
 per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
 ``transform`` module). A structure is stored as one row per space (see
-:class:`SpaceRow`), with each possibility set kept as a mask of state
-indices and each state's valuation kept in its own row as atom bits; the
-event algebra walks those rows by state index, and projects a state by
+:class:`SpaceRow`), with each state's valuation kept in its own row as
+atom bits, plus each agent's awareness set and indistinguishability
+labelling, once for every space. An agent's possibility sets in a space
+are lifted from that labelling on first read, as masks of state indices,
+and cached in the row; :meth:`HmsStructure.cells` is their one reader.
+The event algebra walks the rows by state index, and projects a state by
 looking up its representative in the target space's world -> state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
-from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
 from .model import ModelError
@@ -119,28 +122,25 @@ class SpaceRow(NamedTuple):
     ``state_at`` maps each world, by its position in the model's world
     order, to the index of its state. It is the only stored form of the
     space's partition: a state's class is the set of worlds ``state_at``
-    sends to it. Each agent's tuple in ``poss`` is indexed by state and
-    holds that state's possibility set as a mask, a non-negative int whose
-    bit ``k`` is set when state ``k`` of this row is possible. A built
-    row's ``poss`` is a dict that computes an agent's tuple on the first
-    read of ``poss[agent]`` and stores it, so it holds only the agents read
-    so far: readers index it, and an agent it lacks raises ``KeyError``.
-    Awareness is constant across worlds, so an agent's subjective
-    vocabulary is the same at every state of a space and ``alpha`` holds
-    one per agent. ``val`` is indexed by state and holds the state's
+    sends to it. ``val`` is indexed by state and holds the state's
     valuation restricted to the row's vocabulary, as bits over the
     structure's atom order: bit ``k`` is set when atom ``k`` is in the
     vocabulary and true at the state's worlds. This is the only stored
     valuation. The row's vocabulary is its key in the structure's
     ``rows``. An :class:`Event` based in this space holds its base as a mask
     over the same state indices.
+
+    ``poss`` is a plain dict that caches, per agent, the tuple of the
+    row's possibility masks by state index: bit ``k`` of a state's mask is
+    set when state ``k`` of this row is possible there. It is read and
+    filled only through :meth:`HmsStructure.cells`; a row made from
+    another by ``_replace`` shares its cache unless given its own.
     """
 
     key: str
     states: Tuple[StateId, ...]
     state_at: Tuple[int, ...]
-    poss: Mapping[str, Tuple[int, ...]]
-    alpha: Mapping[str, FrozenSet[str]]
+    poss: Dict[str, Tuple[int, ...]]
     val: Tuple[int, ...]
 
 
@@ -152,12 +152,17 @@ class HmsStructure:
     space keyed by vocabulary in canonical order, and copies nothing; the
     valuation lives in the rows too, with no structure-wide copy. Each
     space's partition is stored once, as its row's world -> state table;
-    locating, projecting and every event operation read it. Consistency
-    between the tables is the builder's responsibility (the verification
-    harness checks every structural invariant independently). A state
-    passed in is looked up by its space key and index and must equal the
-    state stored there, so a state of another structure or a forged tuple
-    is refused, not read as some other state.
+    locating, projecting and every event operation read it. Each agent's
+    two inputs are held once for every space: ``awareness[i]``, the
+    agent's awareness set, whose intersection with a space's vocabulary is
+    the agent's subjective vocabulary at every state of that space; and
+    ``block_labels[i]``, the indistinguishability block of each world in
+    world order, which :meth:`cells` lifts into a row's possibility masks.
+    Consistency between the tables is the builder's responsibility (the
+    verification harness checks every structural invariant independently).
+    A state passed in is looked up by its space key and index and must
+    equal the state stored there, so a state of another structure or a
+    forged tuple is refused, not read as some other state.
     """
 
     def __init__(
@@ -166,11 +171,15 @@ class HmsStructure:
         agents: Tuple[str, ...],
         worlds: Tuple[str, ...],
         rows: Mapping[FrozenSet[str], SpaceRow],
+        awareness: Mapping[str, FrozenSet[str]],
+        block_labels: Mapping[str, Tuple[int, ...]],
     ):
         self.atoms = atoms
         self.agents = agents
         self.worlds = worlds
         self.rows = rows
+        self.awareness = awareness
+        self.block_labels = block_labels
         self.vocabs = tuple(rows)
         self.atom_set = frozenset(atoms)
         self.world_index = {w: k for k, w in enumerate(worlds)}
@@ -223,24 +232,50 @@ class HmsStructure:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
         return target.states[target.state_at[self.world_index[x.rep]]]
 
+    def cells(
+        self, row: SpaceRow, agent: str, x: Optional[StateId] = None
+    ) -> Tuple[int, ...]:
+        """The agent's possibility masks in ``row``, by state index: the one
+        reader of possibility masks. An agent the structure lacks is
+        refused, naming ``x`` (by default the row's first state), before the
+        row's cache is looked at. Otherwise the cached tuple is returned or,
+        on the first read, made, cached and returned: a state's mask is the
+        union of the classes met by the indistinguishability blocks that
+        meet its own class."""
+        labels = self.block_labels.get(agent)
+        if labels is None:
+            raise ValueError(
+                f"no possibility set for agent {agent!r} at {row.states[0] if x is None else x}"
+            )
+        cells = row.poss.get(agent)
+        if cells is None:
+            # met[b]: the mask of the classes block b meets; labels are
+            # below the block count, which is at most the world count
+            met = [0] * len(labels)
+            for b, c in zip(labels, row.state_at):
+                met[b] |= 1 << c
+            reach = [0] * len(row.states)
+            for b, c in zip(labels, row.state_at):
+                reach[c] |= met[b]
+            cells = row.poss[agent] = tuple(reach)
+        return cells
+
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:
         """The set of states the agent considers possible at ``x``; always
         within ``x``'s own space. It is decoded from the stored mask on
         each call."""
         row = self._row_of(x)
-        if row is not None:
-            try:
-                return frozenset(_select(row.states, row.poss[agent][x[1]]))
-            except KeyError:
-                pass
-        raise ValueError(f"no possibility set for agent {agent!r} at {x}")
+        if row is None:
+            raise ValueError(f"no possibility set for agent {agent!r} at {x}")
+        return frozenset(_select(row.states, self.cells(row, agent, x)[x[1]]))
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
-        """Vocabulary of the space the agent subjectively uses at ``x``."""
-        row = self._row_of(x)
-        if row is None or agent not in row.alpha:
+        """Vocabulary of the space the agent subjectively uses at ``x``:
+        the agent's awareness intersected with ``x``'s space."""
+        aware = self.awareness.get(agent)
+        if aware is None or self._row_of(x) is None:
             raise ValueError(f"no subjective space for agent {agent!r} at {x}")
-        return row.alpha[agent]
+        return aware & x.vocab
 
     def check_event(self, e: Event) -> SpaceRow:
         """Refuse an event whose base is not a mask of states of its base
@@ -303,11 +338,15 @@ def _and(s: HmsStructure, left: Based, right: Based) -> Based:
     return vocab, row, mask
 
 
-def _aware(agent: str, vocab: FrozenSet[str], row: SpaceRow, mask: int) -> Based:
-    alpha = row.alpha.get(agent)
-    if alpha is None:
+def _aware(
+    s: HmsStructure, agent: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
+) -> Based:
+    aware = s.awareness.get(agent)
+    if aware is None:
         raise ValueError(f"no subjective space for agent {agent!r} at {row.states[0]}")
-    return vocab, row, _full(row) if vocab <= alpha else 0
+    # the subjective vocabulary in the base space is ``aware & vocab``,
+    # which covers ``vocab`` exactly when ``aware`` does
+    return vocab, row, _full(row) if vocab <= aware else 0
 
 
 def _check_variant(variant: str) -> None:
@@ -316,12 +355,9 @@ def _check_variant(variant: str) -> None:
 
 
 def _implicit(
-    agent: str, variant: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
+    s: HmsStructure, agent: str, variant: str, vocab: FrozenSet[str], row: SpaceRow, mask: int
 ) -> Based:
-    try:
-        cells = row.poss[agent]
-    except KeyError:
-        raise ValueError(f"no possibility set for agent {agent!r} at {row.states[0]}") from None
+    cells = s.cells(row, agent)
     # A cell sits inside the base when OR-ing it into the base adds no bit.
     if variant == "pointwise":
         return vocab, row, sum(1 << k for k, cell in enumerate(cells) if cell | mask == mask)
@@ -380,7 +416,7 @@ def aware_event(s: HmsStructure, agent: str, e: Event) -> Event:
     """Awareness operator: keeps the base vocabulary; the new base holds
     the states whose subjective vocabulary covers the base vocabulary.
     Awareness is constant, so that is the whole base space or nothing."""
-    return _event(_aware(agent, *_based(s, e)))
+    return _event(_aware(s, agent, *_based(s, e)))
 
 
 def implicit_event(
@@ -389,7 +425,7 @@ def implicit_event(
     """Implicit-knowledge operator, in the requested variant (see module
     docstring). Both keep the base vocabulary."""
     _check_variant(variant)
-    return _event(_implicit(agent, variant, *_based(s, e)))
+    return _event(_implicit(s, agent, variant, *_based(s, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +447,9 @@ def _truth(s: HmsStructure, f: HmsFormula, variant: str) -> Based:
     if isinstance(f, Prop):
         return _prop(s, f.body)
     if isinstance(f, Aware):
-        return _aware(f.agent, *_prop(s, f.body))
+        return _aware(s, f.agent, *_prop(s, f.body))
     if isinstance(f, Implicit):
-        return _implicit(f.agent, variant, *_prop(s, f.body))
+        return _implicit(s, f.agent, variant, *_prop(s, f.body))
     raise TypeError(f"not an HMS formula: {f!r}")
 
 

@@ -19,12 +19,17 @@ V``, numbered by first occurrence in world order, so a state's
 representative is the first world of its class. For each agent and space,
 every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
-blocks that meet its own class. That mask is what the row stores: bit
+blocks that meet its own class. That mask is what the row caches: bit
 ``k`` set means state ``k`` of the space is possible, and no set of
 states is built. The masks are not made by the build but on first read,
-one agent of one row at a time (:class:`_Cells`): a cold ``check`` reads
-at most one agent's masks in one space, and making them all costs about
-as much as the rest of the build. The valuation needs no work of its own:
+one agent of one row at a time, by
+:meth:`~awb.hms.HmsStructure.cells` from the agent's world -> block
+labels, which the build stores once on the structure: a cold ``check``
+reads at most one agent's masks in one space, and making them all costs
+about as much as the rest of the build. Each agent's awareness set is
+stored once on the structure too; its subjective vocabulary in a space is
+that set intersected with the space's vocabulary, made when read. The
+valuation needs no work of its own:
 a class's ``bits & V`` is the valuation of its state within the
 vocabulary, and the row stores those values, one int per state in
 class-index order. Each space's vocabulary, mask and key are derived once
@@ -34,10 +39,11 @@ tuples made without a Python-level constructor call each.
 The tables are per space, not per object: each space is one
 :class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
 tuple of ints (the space's partition, stored once), a tuple of valuation
-bits by state index and, per agent, a tuple of possibility masks by state
-index, made on first read, and one subjective vocabulary. A build thus
-makes no ``(vocabulary, world)`` or ``(agent, state)`` key tuples, no
-member set per state, no possibility set and no set of states per atom.
+bits by state index and a cache of each agent's tuple of possibility
+masks, empty when built. A build thus makes no ``(vocabulary, world)`` or
+``(agent, state)`` key tuples, no member set per state, no possibility
+set, no per-space copy of an agent's awareness and no set of states per
+atom.
 
 The cyclic garbage collector is paused while the tables are built. A build
 allocates tens of thousands of tuples (about 40 000 states at 10 atoms and
@@ -94,17 +100,19 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     exceeds ``atom_cap``.
 
     The result holds one row per space (see the module docstring), with
-    each state's valuation as an int in its row. Each possibility set is a
-    mask of state indices, computed for one agent of one row when that
-    agent's masks in that row are first read, so the build itself makes
-    none. The tables are built with the cyclic garbage collector disabled:
+    each state's valuation as an int in its row, and each agent's
+    awareness set and world -> block labels once on the structure. Each
+    possibility set is a mask of state indices, computed for one agent of
+    one row when that agent's masks in that row are first read
+    (:meth:`~awb.hms.HmsStructure.cells`), so the build itself makes none.
+    The tables are built with the cyclic garbage collector disabled:
     on 10-atom, 128-world ladder models (8 models, 3 rounds; CPython 3.11,
     a 2-vCPU host) the build takes about 0.035-0.066 s (median 0.05 s)
     with it off against 0.041-0.070 s (median 0.06 s) with it on. The
     pause is process-wide but lasts only for the build, and the
     collector's previous state is restored however the build ends. The
     objects built are still young when it ends, so the first collection
-    after it traverses them once: about 50 000 tracked objects and 7-13 ms
+    after it traverses them once: about 45 000 tracked objects and 7-11 ms
     at that size.
     """
     if atom_cap < 0:
@@ -153,56 +161,21 @@ def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
     return table
 
 
-class _Cells(dict):
-    """A row's possibility masks by agent, each agent's computed on its
-    first read.
-
-    A read of an agent not yet stored calls :meth:`__missing__`, which
-    lifts the agent's indistinguishability into the row's space, stores the
-    tuple of masks and returns it; every later read is a plain dict hit. It
-    reads only what the build captured: the row's world -> state row, and
-    each agent's world -> block labels and the bit of each class index,
-    shared by every row of the structure, so it never consults the model.
-    An agent the structure does not have raises ``KeyError``, as a plain
-    dict does.
-    """
-
-    # Set by ``_quotient`` on the empty table: there is no Python-level
-    # __init__, so making one table per row costs no Python call.
-    __slots__ = ("state_at", "n_states", "blocks_of", "class_bit")
-
-    def __missing__(self, agent: str) -> Tuple[int, ...]:
-        n_blocks, blk = self.blocks_of[agent]
-        cls, class_bit = self.state_at, self.class_bit
-        # A state's possibility set is the union of the classes met by the
-        # indistinguishability blocks that meet its own class, kept as a
-        # mask of state indices.
-        met = [0] * n_blocks
-        for b, c in zip(blk, cls):
-            met[b] |= class_bit[c]
-        reach = [0] * self.n_states
-        for b, c in zip(blk, cls):
-            reach[c] |= met[b]
-        cells = self[agent] = tuple(reach)
-        return cells
-
-
 def _quotient(m: EpistemicModel) -> HmsStructure:
     """The tables of :func:`hms_transform`, for a model that meets its
-    preconditions; each row's possibility masks are left to be computed
-    on first read (:class:`_Cells`)."""
+    preconditions; each row's possibility masks are left to be lifted on
+    first read (:meth:`~awb.hms.HmsStructure.cells`)."""
     atoms, worlds = m.atoms, m.worlds
     world_index = {w: k for k, w in enumerate(worlds)}
     bits = [0] * len(worlds)
     for k, p in enumerate(atoms):
         for w in m.valuation[p]:
             bits[world_index[w]] |= 1 << k
-    class_bit = [1 << k for k in range(len(worlds))]
-    blocks_of = {}
+    block_labels = {}
     for i in m.agents:
         label = m.indist_labels(i)
-        blocks_of[i] = (len(m.indist_blocks[i]), [label[w] for w in worlds])
-    aware = {i: m.awareness[i][worlds[0]] for i in m.agents}
+        block_labels[i] = tuple(label[w] for w in worlds)
+    awareness = {i: m.awareness[i][worlds[0]] for i in m.agents}
 
     rows: Dict[FrozenSet[str], SpaceRow] = {}
     for vocab, mask, key in _space_table(atoms):
@@ -222,16 +195,11 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
         # States made by tuple.__new__, with no Python-level call per state.
         fields = zip(repeat(key), count(), reps)
         states = tuple(map(tuple.__new__, repeat(StateId), fields))
-        state_at = tuple(cls)
-        alpha = {i: aware[i] & vocab for i in m.agents}
-        poss = _Cells()
-        poss.state_at, poss.n_states = state_at, len(states)
-        poss.blocks_of, poss.class_bit = blocks_of, class_bit
         # The keys of ``first`` are the classes' valuation bits within the
         # vocabulary, in class-index order.
-        rows[vocab] = SpaceRow(key, states, state_at, poss, alpha, tuple(first))
+        rows[vocab] = SpaceRow(key, states, tuple(cls), {}, tuple(first))
 
-    return HmsStructure(atoms=atoms, agents=m.agents, worlds=worlds, rows=rows)
+    return HmsStructure(atoms, m.agents, worlds, rows, awareness, block_labels)
 
 
 def transform_summary(s: HmsStructure) -> str:
@@ -313,7 +281,7 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
     def lam(i):
         # A mask lists its states in ascending index order, which is the
         # sorted order.
-        flat = list(chain.from_iterable(row.poss[i] for row in rows))
+        flat = list(chain.from_iterable(s.cells(row, i) for row in rows))
         masks = [flat[j] for j in order]
         del flat
         yield from _container(
@@ -326,7 +294,8 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
         )
 
     def alpha(i):
-        vocab = [": " + _quote(vocab_key(row.alpha[i])) for row in rows]
+        aware = s.awareness[i]
+        vocab = [": " + _quote(vocab_key(aware & v)) for v in s.rows]
         yield from _container((q + vocab[r] for q, r in zip(sorted_names, sorted_rows)), 2, "{}")
 
     def space(row):

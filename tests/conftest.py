@@ -1,7 +1,7 @@
 import pytest
 
 from awb.fixtures import m1, m2
-from awb.hms import Event, base_states, parse_state_ref
+from awb.hms import Event, HmsStructure, base_states, parse_state_ref
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
@@ -27,12 +27,19 @@ def all_states(s):
     return [x for row in s.rows.values() for x in row.states]
 
 
-def cells_of(s, row):
-    """Every agent's possibility masks in ``row`` of structure ``s``, as a
-    plain dict. Indexing computes the masks of a built row on first read;
-    a copy of the row's own table (``{**row.poss}``) holds only those
-    already read."""
-    return {i: row.poss[i] for i in s.agents}
+def rebuild(s, **fields):
+    """A copy of structure ``s`` made through its constructor, with the
+    given constructor arguments replaced."""
+    args = dict(
+        atoms=s.atoms,
+        agents=s.agents,
+        worlds=s.worlds,
+        rows=s.rows,
+        awareness=s.awareness,
+        block_labels=s.block_labels,
+    )
+    args.update(fields)
+    return HmsStructure(**args)
 
 
 def resolve(s, ref):

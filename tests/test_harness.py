@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from awb.formula import Atom, Prop, a_condition, parse_ail
+from awb.formula import Atom, Prop, a_condition, parse_ail, translate
 from awb.harness import (
     Report,
     Tally,
@@ -20,10 +20,10 @@ from awb.harness import (
     shrink_counterexample,
     trial_seed,
 )
-from awb.hms import HmsStructure, extension, truth_set
+from awb.hms import VARIANTS, extension, truth_set
 from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
-from conftest import all_states, cells_of, event_on
+from conftest import all_states, event_on, rebuild
 
 
 class TestTrialSeed:
@@ -101,6 +101,36 @@ class TestGenerators:
         assert violations > 0
 
 
+def extra_agent(s):
+    """A copy of ``s`` whose per-agent tables name an agent z that the
+    model lacks."""
+    return rebuild(
+        s,
+        awareness={**s.awareness, "z": frozenset()},
+        block_labels={**s.block_labels, "z": s.block_labels["a"]},
+    )
+
+
+def missing_agent_tables(s):
+    """A copy of ``s`` whose per-agent tables lack agent a, the model's one
+    agent."""
+    return rebuild(s, awareness={}, block_labels={})
+
+
+def out_of_range_labels(s):
+    """A copy of ``s`` whose block label for w2 is past the world count,
+    with every row's cache empty, so the labels are lifted."""
+    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
+    return rebuild(s, rows=rows, block_labels={"a": (0, len(s.worlds))})
+
+
+def short_cells(s):
+    """A copy of ``s`` whose {p} row caches one mask too few for agent a."""
+    p = frozenset({"p"})
+    row = s.rows[p]
+    return rebuild(s, rows={**s.rows, p: row._replace(poss={"a": s.cells(row, "a")[:-1]})})
+
+
 class TestChecks:
     def test_structure_passes_on_fixtures(self, M1, M2, T1, T2, divergent_model):
         for m, s in ((M1, T1), (M2, T2)):
@@ -115,7 +145,7 @@ class TestChecks:
         val[next(k for k, bits in enumerate(val) if bits)] = 0
         rows = dict(T1.rows)
         rows[vocab] = row._replace(val=tuple(val))
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        broken = rebuild(T1, rows=rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong states"
@@ -124,11 +154,11 @@ class TestChecks:
     def test_structure_catches_broken_possibility(self, M1, T1):
         victim = next(x for x in all_states(T1) if len(T1.possibility("a", x)) > 1)
         row = T1.rows[victim.vocab]
-        cells = list(row.poss["a"])
+        cells = list(T1.cells(row, "a"))
         cells[victim.index] &= ~(1 << victim.index)
         rows = dict(T1.rows)
-        rows[victim.vocab] = row._replace(poss={**cells_of(T1, row), "a": tuple(cells)})
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        rows[victim.vocab] = row._replace(poss={"a": tuple(cells)})
+        broken = rebuild(T1, rows=rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail["reason"] == "possibility set is not the lifted indistinguishability"
@@ -141,31 +171,38 @@ class TestChecks:
         row = T1.rows[p]
         rows = dict(T1.rows)
         rows[p] = row._replace(state_at=row.state_at[:-1])
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        broken = rebuild(T1, rows=rows)
         status, detail = check_structure(M1, broken)
         assert status == "fail"
         assert detail == {"reason": "row shape inconsistent with its space", "space": "p"}
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, detail",
         [
-            pytest.param(lambda cells: {}, id="missing-agent"),
-            pytest.param(lambda cells: {**cells, "z": cells["a"]}, id="extra-agent"),
-            pytest.param(lambda cells: {"a": cells["a"][:-1]}, id="short-cells"),
+            pytest.param(
+                extra_agent,
+                {"reason": "per-agent tables name other agents than the model's"},
+                id="extra-agent",
+            ),
+            pytest.param(
+                missing_agent_tables,
+                {"reason": "per-agent tables name other agents than the model's"},
+                id="missing-agent-tables",
+            ),
+            pytest.param(
+                out_of_range_labels,
+                {"reason": "block labels are not one block index per world", "agent": "a"},
+                id="out-of-range-labels",
+            ),
+            pytest.param(
+                short_cells,
+                {"reason": "row shape inconsistent with its space", "space": "p"},
+                id="short-cells",
+            ),
         ],
     )
-    def test_structure_catches_misshaped_possibility_table(self, M1, T1, edit):
-        # the {p} row's table of masks, as a plain dict, lacks agent a, has
-        # an agent the model does not, or has one mask too few
-        p = frozenset({"p"})
-        row = T1.rows[p]
-        rows = dict(T1.rows)
-        rows[p] = row._replace(poss=edit(cells_of(T1, row)))
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
-        assert check_structure(M1, broken) == (
-            "fail",
-            {"reason": "row shape inconsistent with its space", "space": "p"},
-        )
+    def test_structure_catches_misshaped_possibility_table(self, M1, T1, edit, detail):
+        assert check_structure(M1, edit(T1)) == ("fail", detail)
 
     def test_structure_catches_stray_state_index(self, M1, T1):
         # the one-state empty-vocabulary row sends w2 to an index past its
@@ -173,7 +210,7 @@ class TestChecks:
         empty = frozenset()
         rows = dict(T1.rows)
         rows[empty] = T1.rows[empty]._replace(state_at=(0, 1))
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",
             {"reason": "world -> state row names no state of its space", "space": ""},
@@ -188,7 +225,7 @@ class TestChecks:
         rows[p] = T1.rows[p]._replace(
             states=(x,), state_at=(0, 0), poss={"a": (1,)}
         )
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds, rows)
+        broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",
             {
@@ -199,7 +236,7 @@ class TestChecks:
         )
 
     def test_structure_catches_reordered_worlds(self, M1, T1):
-        broken = HmsStructure(T1.atoms, T1.agents, T1.worlds[::-1], T1.rows)
+        broken = rebuild(T1, worlds=T1.worlds[::-1])
         assert check_structure(M1, broken) == ("fail", {"reason": "world order differs from the model's"})
 
     def test_structure_at_eight_atoms(self):
@@ -228,7 +265,7 @@ class TestChecks:
         val[k] &= ~1
         rows = dict(s.rows)
         rows[top] = s.rows[top]._replace(val=tuple(val))
-        broken = HmsStructure(s.atoms, s.agents, s.worlds, rows)
+        broken = rebuild(s, rows=rows)
         status, detail = check_structure(m, broken)
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong states"
@@ -286,6 +323,25 @@ class TestChecks:
                 for variant in ("pointwise", "cell-union"):
                     status, detail = check_eventhood(s, parse_hms(text), variant)
                     assert status == "pass", detail
+
+    def test_satisfaction_slice_is_the_truth_set_base(self):
+        # the law check_eventhood derives rather than checks: once the
+        # direct set equals the extension, its base-space slice is the
+        # truth set's base mask
+        rng = random.Random(1818)
+        cfg = TrialConfig()
+        for trial in range(300):
+            m = gen_model(rng, cfg)
+            s = hms_transform(m)
+            w = rng.choice(m.worlds)
+            f, _ = gen_formula(rng, m, w, trial % 2 == 0, cfg.body_depth)
+            hf = translate(f)
+            for variant in VARIANTS:
+                ts = truth_set(s, hf, variant)
+                direct = direct_truth_states(s, hf, variant)
+                assert direct == extension(s, ts)
+                slice_ = sum(1 << k for k, x in enumerate(s.states(ts.vocab)) if x in direct)
+                assert slice_ == ts.base
 
     def test_direct_truth_states_matches_extension(self, T1, T2):
         from awb.formula import parse_hms

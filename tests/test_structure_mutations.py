@@ -1,14 +1,17 @@
 """Mutation suite for the structural battery.
 
 Each case corrupts a correct quotient structure (of the ``m1``/``m2``
-fixtures or of the divergent model), in one table or in one agent's
-possibility masks across every row, and rebuilds it through the
-``HmsStructure`` constructor; the battery must reject it with the
-reason that names the fault. The cases use only the constructor, the
-structure's public interface and its per-space rows, not the battery's
-internals, so a cheap battery and an exhaustive one that read the same
-row layout face the same mutants, and passing both shows that both catch
-the same faults. A change to the row layout changes the mutants with it.
+fixtures or of the divergent model), in one table, in one agent's
+possibility masks across every row or in one agent's per-agent tables, and
+rebuilds it through the ``HmsStructure`` constructor; the battery must
+reject it with the reason that names the fault. A forged mask is put in a
+row's cache, where :meth:`~awb.hms.HmsStructure.cells` reads it instead of
+lifting the structure's own labelling. The cases use only the
+constructor, the structure's public interface, its per-space rows and its
+per-agent tables, not the battery's internals, so a cheap battery and an
+exhaustive one that read the same row layout face the same mutants, and
+passing both shows that both catch the same faults. A change to the row
+layout changes the mutants with it.
 
 A seeded test also makes random edits to generated structures and checks
 that every edited structure the battery passes has the laws the battery
@@ -22,35 +25,40 @@ import pytest
 
 from awb import oracles
 from awb.harness import TrialConfig, check_structure, gen_model
-from awb.hms import HmsStructure, StateId, vocab_key
+from awb.hms import StateId, vocab_key
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
-from conftest import cells_of
-
+from conftest import rebuild
 P = frozenset({"p"})
 Q = frozenset({"q"})
 PQ = frozenset({"p", "q"})
 
 
-def rebuild(s, rows):
-    """A copy of ``s`` with its rows replaced."""
-    return HmsStructure(s.atoms, s.agents, s.worlds, rows)
-
-
 def with_row(s, vocab, **fields):
-    """A copy of ``s`` in which the row of ``vocab`` has the given fields."""
+    """A copy of ``s`` in which the row of ``vocab`` has the given fields.
+    Unless ``poss`` is given, the row's cache holds every agent's masks of
+    the row as it was: an edit of one table leaves the masks as they were,
+    not lifted anew from an edited partition, and ``s``'s cache is not
+    shared."""
     rows = dict(s.rows)
-    rows[vocab] = rows[vocab]._replace(**fields)
+    row = rows[vocab]
+    poss = {i: s.cells(row, i) for i in s.agents}
+    rows[vocab] = row._replace(**{"poss": poss, **fields})
     return rebuild(s, rows=rows)
+
+
+def with_awareness(s, agent, aware):
+    """A copy of ``s`` in which the agent's awareness set is ``aware``."""
+    return rebuild(s, awareness={**s.awareness, agent: aware})
 
 
 def with_mask(s, agent, x, mask):
     """A copy of ``s`` in which the agent's possibility mask at ``x`` is
     ``mask``."""
     row = s.rows[x.vocab]
-    cells = list(row.poss[agent])
+    cells = list(s.cells(row, agent))
     cells[x.index] = mask
-    return with_row(s, x.vocab, poss={**cells_of(s, row), agent: tuple(cells)})
+    return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
 
 
 def with_cell(s, agent, x, cell):
@@ -105,7 +113,7 @@ def poss_past_last_state(s):
     """Sets the bit one past the {p} row's last state in the possibility
     mask at w1."""
     x = s.locate("w1", P)
-    return with_mask(s, "a", x, s.rows[P].poss["a"][x.index] | 1 << len(s.states(P)))
+    return with_mask(s, "a", x, s.cells(s.rows[P], "a")[x.index] | 1 << len(s.states(P)))
 
 
 def negative_poss_cell(s):
@@ -137,16 +145,26 @@ def all_seeing_agent(s):
     which tells w1 from w2."""
     rows = {
         vocab: row._replace(
-            poss={**cells_of(s, row), "a": (2 ** len(row.states) - 1,) * len(row.states)}
+            poss={**row.poss, "a": (2 ** len(row.states) - 1,) * len(row.states)}
         )
         for vocab, row in s.rows.items()
     }
     return rebuild(s, rows=rows)
 
 
+def one_block_labels(s):
+    """Agent a's world -> block labels put every world in one block, and
+    every row's cache is empty, so the masks are lifted from those labels:
+    a sees every state, although a's partition tells w1 from w2."""
+    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
+    labels = {**s.block_labels, "a": (0,) * len(s.worlds)}
+    return rebuild(s, rows=rows, block_labels=labels)
+
+
 def wrong_alpha(s):
-    """Agent a, aware of p only, gets {p, q} for the whole {p, q} space."""
-    return with_row(s, PQ, alpha={**s.rows[PQ].alpha, "a": PQ})
+    """Agent a, aware of p only, is made aware of {p, q}, which is its
+    subjective vocabulary in the whole {p, q} space."""
+    return with_awareness(s, "a", PQ)
 
 
 def with_val(s, x, bits):
@@ -222,6 +240,7 @@ MUTATIONS = [
     ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
     ("T2", all_seeing_agent, "possibility set is not the lifted indistinguishability"),
+    ("T2", one_block_labels, "possibility set is not the lifted indistinguishability"),
 ]
 
 
@@ -261,7 +280,10 @@ def recut(rng, m, s, vocab):
         for k in first
     )
     own = tuple(1 << c for c in range(len(states)))
-    poss = {i: cells if len(cells) == len(states) else own for i, cells in cells_of(s, row).items()}
+    poss = {}
+    for i in m.agents:
+        cells = s.cells(row, i)
+        poss[i] = cells if len(cells) == len(states) else own
     return with_row(s, vocab, states=states, state_at=state_at, poss=poss, val=val)
 
 
@@ -275,18 +297,19 @@ def foreign_poss(rng, m, s, agent):
     other = EpistemicModel(
         m.atoms, m.agents, m.worlds, m.valuation, {**m.indist_blocks, agent: blocks}, m.awareness
     )
-    foreign = hms_transform(other).rows
+    foreign = hms_transform(other)
     rows = {
-        vocab: row._replace(poss={**cells_of(s, row), agent: foreign[vocab].poss[agent]})
+        vocab: row._replace(poss={**row.poss, agent: foreign.cells(foreign.rows[vocab], agent)})
         for vocab, row in s.rows.items()
     }
     return rebuild(s, rows=rows)
 
 
 def random_edit(rng, m, s):
-    """A copy of ``s`` with one random edit, of one table or of one agent's
-    possibility masks in every row, which may leave them as they were. Every choice is drawn from an ordered sequence, so the edits
-    do not depend on the hash seed."""
+    """A copy of ``s`` with one random edit, of one table, of one agent's
+    possibility masks in every row or of one agent's awareness set, which
+    may leave them as they were. Every choice is drawn from an ordered
+    sequence, so the edits do not depend on the hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
     row = s.rows[vocab]
     n = len(row.states)
@@ -296,7 +319,7 @@ def random_edit(rng, m, s):
     if kind == 0:
         return with_state_at(s, vocab, **{rng.choice(m.worlds): rng.randrange(n + 1)})
     if kind == 1:
-        return with_mask(s, agent, x, row.poss[agent][x.index] ^ 1 << rng.randrange(n + 1))
+        return with_mask(s, agent, x, s.cells(row, agent)[x.index] ^ 1 << rng.randrange(n + 1))
     if kind == 2:
         return with_val(s, x, row.val[x.index] ^ 1 << rng.randrange(len(m.atoms)))
     if kind == 3:
@@ -304,8 +327,8 @@ def random_edit(rng, m, s):
         states[x.index] = x._replace(rep=rng.choice(m.worlds))
         return with_row(s, vocab, states=tuple(states))
     if kind == 4:
-        sv = frozenset(p for p in m.atoms if rng.random() < 0.5)
-        return with_row(s, vocab, alpha={**row.alpha, agent: sv})
+        aware = frozenset(p for p in m.atoms if rng.random() < 0.5)
+        return with_awareness(s, agent, aware)
     if kind == 5:
         return recut(rng, m, s, vocab)
     return foreign_poss(rng, m, s, agent)

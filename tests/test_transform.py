@@ -17,7 +17,7 @@ import awb.transform as transform_module
 from awb import oracles
 from awb.formula import atoms_of, parse_hms
 from awb.harness import TrialConfig, check_structure, gen_model, trial_seed
-from awb.hms import sat_hms, truth_set, vocab_key
+from awb.hms import Event, implicit_event, sat_hms, truth_set, vocab_key
 from awb.model import EpistemicModel, model_from_dict, model_to_dict
 from awb.transform import (
     DEFAULT_ATOM_CAP,
@@ -218,11 +218,24 @@ class TestLazyCells:
         dump_transform(s)
         assert held(s) == every_cell(s)
 
-    def test_unknown_agent_is_a_key_error(self, ladder):
-        row = hms_transform(ladder).rows[P]
-        with pytest.raises(KeyError):
-            row.poss["c"]
-        assert set(row.poss) == set()
+    def test_unknown_agent_is_refused_before_the_cache(self, ladder):
+        s = hms_transform(ladder)
+        row = s.rows[P]
+        x = row.states[-1]
+        f = parse_hms("I[c] p")
+        for forged in ({}, {"c": (1,) * len(row.states)}):
+            # a mask table forged for an agent the structure lacks is not read
+            row.poss.update(forged)
+            with pytest.raises(ValueError) as exc:
+                s.possibility("c", x)
+            assert str(exc.value) == f"no possibility set for agent 'c' at {x}"
+            with pytest.raises(ValueError) as exc:
+                implicit_event(s, "c", Event(P, 1))
+            assert str(exc.value) == f"no possibility set for agent 'c' at {row.states[0]}"
+            with pytest.raises(ValueError) as exc:
+                sat_hms(s, x, f)
+            assert str(exc.value) == f"no possibility set for agent 'c' at {row.states[0]}"
+            assert row.poss == forged
 
     @settings(max_examples=150, deadline=None)
     @given(small_models())
