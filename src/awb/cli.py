@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--hms-state",
-        help="explicit evaluation state 'world@vocab' for --lang hms "
-        "(default: the world's class in the formula's vocabulary space)",
+        help="evaluation state 'world@vocab' for --lang hms, in place of --world, "
+        "whose class in the formula's vocabulary space is the default",
     )
     check.add_argument(
         "--variant",
@@ -163,6 +163,9 @@ def _cmd_check(args) -> int:
                 )
         return EXIT_TRUE if value else EXIT_FALSE
 
+    if args.world is not None and args.hms_state is not None:
+        print("error: --hms-state cannot be given with --world", file=sys.stderr)
+        return EXIT_INPUT
     variant = args.variant or DEFAULT_VARIANT
     f = parse_hms(args.formula)
     if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:

@@ -321,11 +321,11 @@ def direct_truth_states(
     within the supporting region, conjunction is plain intersection, and
     the modal clauses test the subjective vocabulary or possibility set at
     the evaluation state's projection."""
+    # each space's states, decoded once per call
+    space = {v: s.states(v) for v in s.rows}
 
     def region(bv: FrozenSet[str]) -> FrozenSet[StateId]:
-        return frozenset(
-            x for v, row in s.rows.items() if bv <= v for x in row.states
-        )
+        return frozenset(x for v, states in space.items() if bv <= v for x in states)
 
     def rec(node) -> FrozenSet[StateId]:
         if isinstance(node, Prop):
@@ -336,7 +336,7 @@ def direct_truth_states(
                 x
                 for v, row in s.rows.items()
                 if node.name in v
-                for x, bits in zip(row.states, row.val)
+                for x, bits in zip(space[v], row.val)
                 if bits & bit
             )
         if isinstance(node, Not):
@@ -351,7 +351,7 @@ def direct_truth_states(
         if isinstance(node, Implicit):
             bv = atoms_of(node.body)
             body_states = rec(node.body)
-            base = frozenset(x for x in s.states(bv) if x in body_states)
+            base = frozenset(x for x in space[bv] if x in body_states)
             if variant == "pointwise":
                 return frozenset(
                     x
@@ -359,7 +359,7 @@ def direct_truth_states(
                     if s.possibility(node.agent, s.project(x, bv)) <= base
                 )
             covered: FrozenSet[StateId] = frozenset()
-            for y in s.states(bv):
+            for y in space[bv]:
                 cell = s.possibility(node.agent, y)
                 if cell <= base:
                     covered |= cell
@@ -413,16 +413,15 @@ def check_eventhood(
     The whole set is then also the up-closure of its base-space slice, on
     every structure whose rows pass the battery's per-space checks (law 3
     of :func:`check_structure`), so that is not compared again. Those
-    checks require each state's index to be its position in its row and
-    each state's rep to lie in its own class, so ``at[x.rep] == x.index``
-    for every state ``x`` of the base row, ``at`` being that row's world ->
-    state table. :func:`extension` keeps a state ``x`` of the base space
-    when bit ``at[x.rep]`` of the base mask is set, that is, bit
-    ``x.index``; and ``check_event`` has refused a mask with a bit past the
-    row. So the base-space slice of ``extension(ts)`` is ``ts.base``
-    itself, and once the direct set equals ``extension(ts)`` its slice is
-    ``ts.base`` too and its up-closure is ``extension(ts)``, the direct
-    set.
+    checks require each entry ``reps[c]`` of the base row to be a world
+    position that the row sends to ``c``, so ``at[reps[c]] == c`` for
+    every state index ``c``, ``at`` being that row's world -> state table.
+    :func:`extension` keeps state ``c`` of the base space when bit
+    ``at[reps[c]]`` of the base mask is set, that is, bit ``c``; and
+    ``check_event`` has refused a mask with a bit past the row. So the
+    base-space slice of ``extension(ts)`` is ``ts.base`` itself, and once
+    the direct set equals ``extension(ts)`` its slice is ``ts.base`` too
+    and its up-closure is ``extension(ts)``, the direct set.
     """
     ts = truth_set(s, f, variant)
     if ts.vocab != atoms_of(f):
@@ -463,21 +462,25 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        labels are one int per world below the world count, so lifting them
        into a row that passes law 3 reads no index past its tables.
     3. Each row: its key and its world -> state table have the right shape,
-       every entry of ``state_at`` is the index of a state of its space, every
-       state has at least one world, and each state's ``rep`` is the least
-       world that maps to it. Below, the class of a state ``x`` is the set
-       of worlds ``state_at`` sends to ``x``. So the classes of a space are
+       every entry of ``state_at`` is the index of a state of its space,
+       every state has at least one world, and each entry ``reps[c]`` is an
+       int world position, the least position that ``state_at`` sends to
+       ``c``. A state ``x`` handed out is decoded from its row, so its
+       space key and index are its row's and its ``rep`` is the world at
+       ``reps[x.index]``. Below, the class of a state ``x`` is the set of
+       worlds ``state_at`` sends to ``x``. So the classes of a space are
        non-empty, pairwise disjoint and cover the worlds, each state's
        class holds its ``rep``, and ``project(x, V)``, the state of ``V``
        at ``x.rep``'s position in ``V``'s world -> state row, is the state
        of ``V`` whose class holds ``x.rep``.
     4. Valuation, as three laws per row. Class agreement: the worlds of a
        class agree on every atom of their space's vocabulary. Row
-       valuation: every entry of a row's ``val`` is an int equal to its
-       state rep's valuation bits (over the model's atom order) masked by
-       the row's vocabulary, so a bit outside the vocabulary, a missing or
-       extra bit and a non-int entry are all wrong marks. Given class
-       agreement, the rep's bits within the vocabulary are every member's.
+       valuation: every entry of a row's ``val`` is an int equal to the
+       valuation bits (over the model's atom order) of the world at its
+       state's ``reps`` entry, masked by the row's vocabulary, so a bit
+       outside the vocabulary, a missing or extra bit and a non-int entry
+       are all wrong marks. Given class agreement, the rep's bits within
+       the vocabulary are every member's.
        Distinctness: the ``val`` entries of a row are pairwise distinct.
        Together the three make each space's classes exactly the classes
        of agreement on its vocabulary. Two worlds of one class agree on
@@ -555,9 +558,13 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       space's vocabulary, hence of the atoms (1, 6), and every subset is a
       row (1).
     """
-    def fail(reason: str, **extra) -> CheckResult:
-        detail = {"reason": reason}
-        detail.update(extra)
+    def fail(reason: str, *at, **extra) -> CheckResult:
+        # at: a row and a state index, naming that state last, as the
+        # structure would name it
+        detail = {"reason": reason, **extra}
+        if at:
+            row, c = at
+            detail["state"] = f"{m.worlds[row.reps[c]]}@{row.key}"
         return "fail", detail
 
     rows = s.rows
@@ -580,11 +587,9 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
 
-    at = s.world_index  # the model's world order, as just checked
     for vocab, row in rows.items():
-        states = row.states
         key = vocab_key(vocab)
-        if not states:
+        if not row.reps:
             return fail("empty space", space=key)
         if row.key != key or len(row.state_at) != n_worlds:
             return fail("row shape inconsistent with its space", space=key)
@@ -592,49 +597,43 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         first: dict = {}
         for k, c in enumerate(row.state_at):
             first.setdefault(c, k)
-        for idx, x in enumerate(states):
-            if x.space_key != key or x.index != idx:
-                return fail("state tag inconsistent with its space", state=str(x))
-            k = first.pop(idx, None)
+        for c, r in enumerate(row.reps):
+            if type(r) is not int or not 0 <= r < n_worlds:
+                return fail("state representative is outside its class", space=key, index=c)
+            k = first.pop(c, None)
             if k is None:
-                return fail("state has no world", state=str(x))
-            if x.rep != m.worlds[k]:
-                if x.rep in at and row.state_at[at[x.rep]] == idx:
-                    return fail("state representative is not the least member", state=str(x))
-                return fail("state representative is outside its class", state=str(x))
+                return fail("state has no world", row, c)
+            if r != k:
+                if row.state_at[r] == c:
+                    return fail("state representative is not the least member", row, c)
+                return fail("state representative is outside its class", row, c)
         if first:
             return fail("world -> state row names no state of its space", space=key)
 
     # world_bits[k]: the atoms true at world k, as bits over the atom order
+    at = s.world_index  # the model's world order, as checked
     world_bits = [0] * n_worlds
     for b, p in enumerate(m.atoms):
         for w in m.valuation[p]:
             world_bits[at[w]] |= 1 << b
     for vocab, row in rows.items():
         vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
-        # reps[c]: the position of the rep of state c
-        reps = [at[x.rep] for x in row.states]
+        reps = row.reps
         for k, c in enumerate(row.state_at):
             diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
             if diff:
-                return fail(
-                    "class members disagree on an in-vocabulary atom",
-                    atom=m.atoms[(diff & -diff).bit_length() - 1],
-                    state=str(row.states[c]),
-                )
-        if len(row.val) != len(row.states):
+                atom = m.atoms[(diff & -diff).bit_length() - 1]
+                return fail("class members disagree on an in-vocabulary atom", row, c, atom=atom)
+        if len(row.val) != len(reps):
             return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-        for x, k, bits in zip(row.states, reps, row.val):
+        for c, (k, bits) in enumerate(zip(reps, row.val)):
             want = world_bits[k] & vocab_bits
             if type(bits) is not int or bits != want:
                 # name the first atom marked wrongly, when there is one
                 diff = bits ^ want if type(bits) is int else 0
                 wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
-                return fail(
-                    "valuation marks the wrong states",
-                    **({"atom": wrong[0]} if wrong else {}),
-                    state=str(x),
-                )
+                atom = {"atom": wrong[0]} if wrong else {}
+                return fail("valuation marks the wrong states", row, c, **atom)
         if len(set(row.val)) != len(row.val):
             return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
@@ -647,22 +646,20 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             met = [0] * len(m.indist_blocks[i])
             for b, c in zip(block, row.state_at):
                 met[b] |= 1 << c
-            lift = [0] * len(row.states)
+            lift = [0] * len(row.reps)
             for b, c in zip(block, row.state_at):
                 lift[c] |= met[b]
             cells = s.cells(row, i)
             if len(cells) != len(lift):
                 return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-            for x, cell, want in zip(row.states, cells, lift):
+            for c, (cell, want) in enumerate(zip(cells, lift)):
                 if type(cell) is not int:
-                    return fail("row shape inconsistent with its space", agent=i, state=str(x))
+                    return fail("row shape inconsistent with its space", row, c, agent=i)
                 if cell != want:
-                    if cell >> len(row.states):
-                        return fail("possibility set leaves its space", agent=i, state=str(x))
+                    if cell >> len(lift):
+                        return fail("possibility set leaves its space", row, c, agent=i)
                     return fail(
-                        "possibility set is not the lifted indistinguishability",
-                        agent=i,
-                        state=str(x),
+                        "possibility set is not the lifted indistinguishability", row, c, agent=i
                     )
 
     for i in m.agents:

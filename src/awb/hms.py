@@ -6,13 +6,18 @@ richer to poorer spaces, a per-agent possibility correspondence, a
 per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
 ``transform`` module). A structure is stored as one row per space (see
-:class:`SpaceRow`), with each state's valuation kept in its own row as
-atom bits, plus each agent's awareness set and indistinguishability
-labelling, once for every space. An agent's possibility sets in a space
+:class:`SpaceRow`), a row of ints only: each state's representative as a
+world position and its valuation as atom bits, plus each agent's
+awareness set and indistinguishability labelling, once for every space.
+A :class:`StateId` is made from its row only where the structure hands
+states out (:meth:`HmsStructure.states`, ``locate``, ``project``,
+``possibility``, :func:`base_states`, :func:`extension`), fresh on each
+call. An agent's possibility sets in a space
 are lifted from that labelling on first read, as masks of state indices,
 and cached in the row; :meth:`HmsStructure.cells` is their one reader.
 The event algebra walks the rows by state index, and projects a state by
-looking up its representative in the target space's world -> state row.
+looking up its representative's world position in the target space's
+world -> state row.
 
 An :class:`Event` is a pair of a base vocabulary and a base set of states
 inside that vocabulary's space, the set kept as a mask of the space's state
@@ -41,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
 from .model import ModelError
@@ -71,7 +76,9 @@ class StateId(NamedTuple):
     order) and ``index`` the class position within its space's state list.
     A state is a tuple of these three fields, so hashing, equality and
     ordering are the tuple's; it equals a plain ``(space_key, index, rep)``
-    tuple. ``vocab``, the vocabulary of the state's space, is read off the
+    tuple. The structure stores no states: it makes each one from its
+    space's row when it hands it out, a fresh but equal tuple on each
+    call. ``vocab``, the vocabulary of the state's space, is read off the
     key through a cache.
     """
 
@@ -118,11 +125,17 @@ class Event:
 
 class SpaceRow(NamedTuple):
     """One space of a structure, with its tables indexed by state index.
+    Apart from its key, its tables hold only ints: it stores no state
+    objects.
 
     ``state_at`` maps each world, by its position in the model's world
     order, to the index of its state. It is the only stored form of the
     space's partition: a state's class is the set of worlds ``state_at``
-    sends to it. ``val`` is indexed by state and holds the state's
+    sends to it. ``reps`` holds, by state index, the world position of
+    each state's representative, the first world of its class; a
+    :class:`StateId` is made from it, when a state is handed out, by
+    :meth:`HmsStructure.states` and the structure's other readers, fresh on
+    each call. ``val`` is indexed by state and holds the state's
     valuation restricted to the row's vocabulary, as bits over the
     structure's atom order: bit ``k`` is set when atom ``k`` is in the
     vocabulary and true at the state's worlds. This is the only stored
@@ -138,7 +151,7 @@ class SpaceRow(NamedTuple):
     """
 
     key: str
-    states: Tuple[StateId, ...]
+    reps: Tuple[int, ...]
     state_at: Tuple[int, ...]
     poss: Dict[str, Tuple[int, ...]]
     val: Tuple[int, ...]
@@ -152,7 +165,10 @@ class HmsStructure:
     space keyed by vocabulary in canonical order, and copies nothing; the
     valuation lives in the rows too, with no structure-wide copy. Each
     space's partition is stored once, as its row's world -> state table;
-    locating, projecting and every event operation read it. Each agent's
+    locating, projecting and every event operation read it. The states
+    are not stored: :meth:`_state` and :meth:`_states` make them from a
+    row's key and ``reps`` where they are handed out, so :meth:`states`
+    returns a fresh tuple on each call. Each agent's
     two inputs are held once for every space: ``awareness[i]``, the
     agent's awareness set, whose intersection with a space's vocabulary is
     the agent's subjective vocabulary at every state of that space; and
@@ -161,7 +177,7 @@ class HmsStructure:
     Consistency between the tables is the builder's responsibility (the
     verification harness checks every structural invariant independently).
     A state passed in is looked up by its space key and index and must
-    equal the state stored there, so a state of another structure or a
+    equal the state they decode to, so a state of another structure or a
     forged tuple is refused, not read as some other state.
     """
 
@@ -186,21 +202,40 @@ class HmsStructure:
 
     # -- basic queries ---------------------------------------------------
 
+    def _state(self, row: SpaceRow, c: int) -> StateId:
+        """State ``c`` of ``row``: its space key, its index and the name of
+        its representative world. With :meth:`_states`, the one place that
+        makes the states the structure hands out, by ``tuple.__new__``,
+        with no Python-level call per state."""
+        return tuple.__new__(StateId, (row.key, c, self.worlds[row.reps[c]]))
+
+    def _states(self, row: SpaceRow, picked: Iterable[int]) -> List[StateId]:
+        """The states of ``row`` at the ``picked`` indices, in that order,
+        made as :meth:`_state` makes one."""
+        key, reps, worlds = row.key, row.reps, self.worlds
+        return [tuple.__new__(StateId, (key, c, worlds[reps[c]])) for c in picked]
+
     def states(self, vocab: FrozenSet[str]) -> Tuple[StateId, ...]:
+        """The states of a space in index order, as a fresh tuple on each
+        call."""
         try:
-            return self.rows[vocab].states
+            row = self.rows[vocab]
+            return tuple(self._states(row, range(len(row.reps))))
         except KeyError:
             raise ModelError(f"no space with vocabulary {{{vocab_key(vocab)}}}") from None
 
     def state_count(self) -> int:
-        return sum(len(row.states) for row in self.rows.values())
+        return sum(len(row.reps) for row in self.rows.values())
 
     def _row_of(self, x: StateId) -> Optional[SpaceRow]:
         """The row of ``x``'s space, or ``None`` when ``x`` is not a state
-        of this structure."""
+        of this structure: ``x`` must equal the state its key and index
+        decode to, whose fields are compared as a plain tuple, as a state
+        compares, without making the state."""
         try:
             row = self.rows.get(_parse_vocab_key(x[0]))
-            if row is not None and row.states[x[1]] == x:
+            c = x[1]
+            if row is not None and c >= 0 and (row.key, c, self.worlds[row.reps[c]]) == x:
                 return row
         except (AttributeError, IndexError, TypeError):
             pass
@@ -217,7 +252,7 @@ class HmsStructure:
         row = self.rows.get(vocab)
         if k is None or row is None:
             raise ModelError(f"unknown world {world!r}")
-        return row.states[row.state_at[k]]
+        return self._state(row, row.state_at[k])
 
     def project(self, x: StateId, vocab: FrozenSet[str]) -> StateId:
         """Projection of a state onto a space with a smaller vocabulary.
@@ -228,9 +263,10 @@ class HmsStructure:
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
         target = self.rows.get(vocab)
-        if target is None or self._row_of(x) is None:
+        row = self._row_of(x)
+        if target is None or row is None:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
-        return target.states[target.state_at[self.world_index[x.rep]]]
+        return self._state(target, target.state_at[row.reps[x[1]]])
 
     def cells(
         self, row: SpaceRow, agent: str, x: Optional[StateId] = None
@@ -244,9 +280,8 @@ class HmsStructure:
         meet its own class."""
         labels = self.block_labels.get(agent)
         if labels is None:
-            raise ValueError(
-                f"no possibility set for agent {agent!r} at {row.states[0] if x is None else x}"
-            )
+            x = self._state(row, 0) if x is None else x
+            raise ValueError(f"no possibility set for agent {agent!r} at {x}")
         cells = row.poss.get(agent)
         if cells is None:
             # met[b]: the mask of the classes block b meets; labels are
@@ -254,7 +289,7 @@ class HmsStructure:
             met = [0] * len(labels)
             for b, c in zip(labels, row.state_at):
                 met[b] |= 1 << c
-            reach = [0] * len(row.states)
+            reach = [0] * len(row.reps)
             for b, c in zip(labels, row.state_at):
                 reach[c] |= met[b]
             cells = row.poss[agent] = tuple(reach)
@@ -267,7 +302,8 @@ class HmsStructure:
         row = self._row_of(x)
         if row is None:
             raise ValueError(f"no possibility set for agent {agent!r} at {x}")
-        return frozenset(_select(row.states, self.cells(row, agent, x)[x[1]]))
+        mask = self.cells(row, agent, x)[x[1]]
+        return frozenset(self._states(row, _select(range(len(row.reps)), mask)))
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``:
@@ -286,7 +322,7 @@ class HmsStructure:
             raise ValueError(f"event based on unknown space {{{vocab_key(e.vocab)}}}")
         # a negative int shifts to -1, so the shift also refuses it
         b = e.base
-        if type(b) is not int or b >> len(row.states):
+        if type(b) is not int or b >> len(row.reps):
             raise ValueError(f"event base is not a state mask of space {{{vocab_key(e.vocab)}}}")
         return row
 
@@ -304,7 +340,7 @@ Based = Tuple[FrozenSet[str], SpaceRow, int]
 
 
 def _full(row: SpaceRow) -> int:
-    return (1 << len(row.states)) - 1
+    return (1 << len(row.reps)) - 1
 
 
 def _atom(s: HmsStructure, p: str) -> Based:
@@ -329,10 +365,9 @@ def _and(s: HmsStructure, left: Based, right: Based) -> Based:
     (v1, row1, m1), (v2, row2, m2) = left, right
     vocab = v1 | v2
     row = s.rows[vocab]
-    at1, at2, k = row1.state_at, row2.state_at, s.world_index
+    at1, at2 = row1.state_at, row2.state_at
     mask = 0
-    for j, x in enumerate(row.states):
-        w = k[x[2]]
+    for j, w in enumerate(row.reps):
         if m1 >> at1[w] & 1 and m2 >> at2[w] & 1:
             mask |= 1 << j
     return vocab, row, mask
@@ -343,7 +378,7 @@ def _aware(
 ) -> Based:
     aware = s.awareness.get(agent)
     if aware is None:
-        raise ValueError(f"no subjective space for agent {agent!r} at {row.states[0]}")
+        raise ValueError(f"no subjective space for agent {agent!r} at {s._state(row, 0)}")
     # the subjective vocabulary in the base space is ``aware & vocab``,
     # which covers ``vocab`` exactly when ``aware`` does
     return vocab, row, _full(row) if vocab <= aware else 0
@@ -375,7 +410,8 @@ def _event(b: Based) -> Event:
 def base_states(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     """The states of an event's base, decoded from its mask; the one place
     where a base is read back as states."""
-    return frozenset(_select(s.check_event(e).states, e.base))
+    row = s.check_event(e)
+    return frozenset(s._states(row, _select(range(len(row.reps)), e.base)))
 
 
 def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
@@ -383,13 +419,13 @@ def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     contains the base vocabulary, that project into the base. A state
     projects into the base when the base space's state holding its
     representative has its bit set in the base mask."""
-    mask, at, k = e.base, s.check_event(e).state_at, s.world_index
+    mask, at = e.base, s.check_event(e).state_at
     return frozenset(
-        x
-        for vocab, row in s.rows.items()
-        if e.vocab <= vocab
-        for x in row.states
-        if mask >> at[k[x[2]]] & 1
+        chain.from_iterable(
+            s._states(row, [c for c, w in enumerate(row.reps) if mask >> at[w] & 1])
+            for vocab, row in s.rows.items()
+            if e.vocab <= vocab
+        )
     )
 
 
@@ -469,7 +505,8 @@ def sat_hms(
     contains the base vocabulary and its projection lies in the base, that
     is, when the base holds the state of the base space that contains
     ``x``'s representative."""
-    if s._row_of(x) is None:
+    own = s._row_of(x)
+    if own is None:
         raise ValueError(f"unknown state {x}")
     vocab, row, mask = _truth(s, f, variant)
-    return vocab <= x.vocab and mask >> row.state_at[s.world_index[x.rep]] & 1 == 1
+    return vocab <= x.vocab and mask >> row.state_at[own.reps[x[1]]] & 1 == 1

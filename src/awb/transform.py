@@ -16,7 +16,8 @@ The build works on integer masks over the atom order. Each world has
 valuation bits, the mask of the atoms true there; the classes of the space
 with vocabulary mask ``V`` are the groups of worlds with equal ``bits &
 V``, numbered by first occurrence in world order, so a state's
-representative is the first world of its class. For each agent and space,
+representative is the first world of its class, and the row keeps that
+world's position. For each agent and space,
 every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
 blocks that meet its own class. That mask is what the row caches: bit
@@ -33,25 +34,20 @@ valuation needs no work of its own:
 a class's ``bits & V`` is the valuation of its state within the
 vocabulary, and the row stores those values, one int per state in
 class-index order. Each space's vocabulary, mask and key are derived once
-per build, before the loop over spaces (``_space_table``); states are
-tuples made without a Python-level constructor call each.
+per build, before the loop over spaces (``_space_table``).
 
 The tables are per space, not per object: each space is one
-:class:`~awb.hms.SpaceRow` holding its states, a world-index -> state-index
-tuple of ints (the space's partition, stored once), a tuple of valuation
-bits by state index and a cache of each agent's tuple of possibility
-masks, empty when built. A build thus makes no ``(vocabulary, world)`` or
-``(agent, state)`` key tuples, no member set per state, no possibility
-set, no per-space copy of an agent's awareness and no set of states per
-atom.
-
-The cyclic garbage collector is paused while the tables are built. A build
-allocates tens of thousands of tuples (about 40 000 states at 10 atoms and
-128 worlds), and each full collection re-traverses the half-built tables,
-although they hold no reference cycles and every temporary is freed by
-reference counting. With the collector running, a 10-atom, 128-world build
-takes about a fifth longer. Masks made on first read are made with the
-collector as the reader has it.
+:class:`~awb.hms.SpaceRow` holding its key and three tuples of ints by
+index (each state's representative as a world position, each world's
+state index, which is the space's partition stored once, and each
+state's valuation bits), plus a cache of each agent's tuple of
+possibility masks, empty when built. A build thus makes no state
+objects: the structure makes a :class:`~awb.hms.StateId` from its row
+only when it hands that state out. Nor does it make ``(vocabulary,
+world)`` or ``(agent, state)`` key tuples, member sets, possibility sets,
+per-space copies of an agent's awareness or sets of states per atom, so
+it leaves a few tracked objects per space for the garbage collector,
+none per state.
 
 The space count is exponential in the atom count, so construction is
 guarded by a hard cap (default 12 atoms), overridable by callers that know
@@ -71,13 +67,12 @@ about 190 MB against 108 MB after the build alone.
 
 from __future__ import annotations
 
-import gc
-from itertools import chain, combinations, count, islice, repeat
+from itertools import chain, combinations, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from .hms import HmsStructure, SpaceRow, StateId, _select, vocab_key
+from .hms import HmsStructure, SpaceRow, _select, vocab_key
 from .model import EpistemicModel, ModelError, awareness_variation, validate
 
 DEFAULT_ATOM_CAP = 12
@@ -105,15 +100,8 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     possibility set is a mask of state indices, computed for one agent of
     one row when that agent's masks in that row are first read
     (:meth:`~awb.hms.HmsStructure.cells`), so the build itself makes none.
-    The tables are built with the cyclic garbage collector disabled:
-    on 10-atom, 128-world ladder models (8 models, 3 rounds; CPython 3.11,
-    a 2-vCPU host) the build takes about 0.035-0.066 s (median 0.05 s)
-    with it off against 0.041-0.070 s (median 0.06 s) with it on. The
-    pause is process-wide but lasts only for the build, and the
-    collector's previous state is restored however the build ends. The
-    objects built are still young when it ends, so the first collection
-    after it traverses them once: about 45 000 tracked objects and 7-11 ms
-    at that size.
+    A row stores its states' representatives as world positions, not as
+    states, so the build makes no object per state.
     """
     if atom_cap < 0:
         raise ModelError("atom_cap must be >= 0")
@@ -140,13 +128,7 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
             ]
         )
 
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _quotient(m)
-    finally:
-        if was_enabled:
-            gc.enable()
+    return _quotient(m)
 
 
 def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
@@ -185,19 +167,16 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
         first = {}
         reps = []
         cls = []
-        for w, r in zip(worlds, bits):
+        for k, r in enumerate(bits):
             r &= mask
             c = first.get(r)
             if c is None:
                 c = first[r] = len(reps)
-                reps.append(w)
+                reps.append(k)
             cls.append(c)
-        # States made by tuple.__new__, with no Python-level call per state.
-        fields = zip(repeat(key), count(), reps)
-        states = tuple(map(tuple.__new__, repeat(StateId), fields))
         # The keys of ``first`` are the classes' valuation bits within the
         # vocabulary, in class-index order.
-        rows[vocab] = SpaceRow(key, states, tuple(cls), {}, tuple(first))
+        rows[vocab] = SpaceRow(key, tuple(reps), tuple(cls), {}, tuple(first))
 
     return HmsStructure(atoms, m.agents, worlds, rows, awareness, block_labels)
 
@@ -205,7 +184,7 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
 def transform_summary(s: HmsStructure) -> str:
     """One-line size summary, spaces in canonical order (by vocabulary size,
     then atom declaration order)."""
-    sizes = "/".join(str(len(row.states)) for row in s.rows.values())
+    sizes = "/".join(str(len(row.reps)) for row in s.rows.values())
     return f"{len(s.rows)} spaces, sizes {sizes}"
 
 
@@ -264,16 +243,18 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
     # The quoted names of each row's states, by index; and every state in
     # sorted-name order (``sort_keys`` sorts the plain names), as its
     # quoted name and its row's position in ``rows``.
+    worlds = s.worlds
     names = []
     plain = []
     for row in rows:
-        row_plain = [f"{x.rep}@{row.key}" for x in row.states]
+        at_key = "@" + row.key
+        row_plain = [worlds[r] + at_key for r in row.reps]
         plain.extend(row_plain)
         names.append(list(map(_quote, row_plain)))
     order = sorted(range(len(plain)), key=plain.__getitem__)
     del plain
     flat_names = list(chain.from_iterable(names))
-    row_at = [r for r, row in enumerate(rows) for _ in row.states]
+    row_at = [r for r, row in enumerate(rows) for _ in row.reps]
     sorted_names = [flat_names[j] for j in order]
     sorted_rows = [row_at[j] for j in order]
     del flat_names, row_at
@@ -300,7 +281,7 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
 
     def space(row):
         # Members in world order, read off the world -> state row.
-        members = [[] for _ in row.states]
+        members = [[] for _ in row.reps]
         for qw, c in zip(quoted_world, row.state_at):
             members[c].append(qw)
         yield from _container(
@@ -309,9 +290,9 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
                 '{\n        "members": [\n          '
                 + ",\n          ".join(mem)
                 + '\n        ],\n        "rep": '
-                + _quote(x.rep)
+                + quoted_world[r]
                 + "\n      }"
-                for x, mem in zip(row.states, members)
+                for r, mem in zip(row.reps, members)
             ),
             2,
         )

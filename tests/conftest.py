@@ -24,7 +24,7 @@ def label_blocks(labels):
 
 def all_states(s):
     """Every state of structure ``s``, space by space in row order."""
-    return [x for row in s.rows.values() for x in row.states]
+    return [x for vocab in s.rows for x in s.states(vocab)]
 
 
 def rebuild(s, **fields):
@@ -57,7 +57,7 @@ def marked(s, p):
         x
         for vocab, row in s.rows.items()
         if p in vocab
-        for x, bits in zip(row.states, row.val)
+        for x, bits in zip(s.states(vocab), row.val)
         if bits & bit
     )
 

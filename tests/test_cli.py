@@ -258,6 +258,10 @@ class TestInputErrors:
              "error: --variant needs --lang hms\n"),
             (["transform", "{m1}", "--atom-cap", "-1"], "error: atom_cap must be >= 0\n"),
             (["transform", "{m1}", "--dump", ""], "error: --dump needs a file path\n"),
+            # evaluated at w1@p, p is true; at w2 it is false
+            (["check", "{m1}", "--lang", "hms", "--formula", "p", "--world", "w2",
+              "--hms-state", "w1@p"],
+             "error: --hms-state cannot be given with --world\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
@@ -303,6 +307,8 @@ class TestInputErrors:
             # an undeclared formula atom, under one message on both routes
             (["--formula", "p & zz", "--world", "w1"], "error: undeclared atoms: ['zz']\n"),
             (["--formula", "p & zz", "--hms-state", "w1@p"], "error: undeclared atoms: ['zz']\n"),
+            (["--formula", "p", "--world", "w1", "--hms-state", "w1@p"],
+             "error: --hms-state cannot be given with --world\n"),
         ],
     )
     def test_usage_error_before_build(self, m1_file, capsys, monkeypatch, args, message):

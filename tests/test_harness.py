@@ -220,11 +220,8 @@ class TestChecks:
         # {p} cut as one class {w1, w2}, although p holds at w1 only; the
         # row is a consistent one-state partition in every other respect
         p = frozenset({"p"})
-        x = T1.rows[p].states[0]
         rows = dict(T1.rows)
-        rows[p] = T1.rows[p]._replace(
-            states=(x,), state_at=(0, 0), poss={"a": (1,)}
-        )
+        rows[p] = T1.rows[p]._replace(reps=(0,), state_at=(0, 0), poss={"a": (1,)})
         broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",

@@ -267,7 +267,7 @@ class TestImplicitEvent:
         for m in models:
             s = hms_transform(m)
             for vocab, row in s.rows.items():
-                space = row.states
+                space = s.states(vocab)
                 bases = [frozenset(), frozenset(space)]
                 bases += [frozenset(x for x in space if rng.random() < 0.5) for _ in range(8)]
                 for agent in s.agents:
@@ -333,8 +333,8 @@ class TestTruthSets:
             for variant in VARIANTS:
                 ext = extension(s, truth_set(s, f, variant))
                 direct = direct_truth_states(s, f, variant)
-                for row in s.rows.values():
-                    for x in row.states:
+                for vocab in s.rows:
+                    for x in s.states(vocab):
                         value = sat_hms(s, x, f, variant)
                         assert type(value) is bool
                         assert value == (x in ext) == (x in direct), (str(x), f, variant)

@@ -157,7 +157,7 @@ class TestStructureAgainstRawQuotients:
             s = hms_transform(m)
             for vocab, row in s.rows.items():
                 raw = raw_space(m, vocab)
-                for x, bits in zip(row.states, row.val):
+                for x, bits in zip(s.states(vocab), row.val):
                     cls = members(s, x)
                     assert cls in raw
                     assert bits == sum(

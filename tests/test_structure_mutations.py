@@ -25,7 +25,7 @@ import pytest
 
 from awb import oracles
 from awb.harness import TrialConfig, check_structure, gen_model
-from awb.hms import StateId, vocab_key
+from awb.hms import vocab_key
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 from conftest import rebuild
@@ -67,16 +67,19 @@ def with_cell(s, agent, x, cell):
     return with_mask(s, agent, x, sum(1 << y.index for y in set(cell)))
 
 
-def renamed(s, old, new):
-    """A copy of ``s`` in which state ``old`` is ``new`` in every table.
-    Possibility masks name states by index, so a renaming that keeps the
-    index leaves them as they are."""
+def with_rep(s, x, entry):
+    """A copy of ``s`` in which the ``reps`` entry of state ``x`` is
+    ``entry``: a world position, or a malformed value. Possibility masks
+    name states by index, so they stay as they are."""
+    reps = list(s.rows[x.vocab].reps)
+    reps[x.index] = entry
+    return with_row(s, x.vocab, reps=tuple(reps))
 
-    def r(x):
-        return new if x == old else x
 
-    rows = {vocab: row._replace(states=tuple(map(r, row.states))) for vocab, row in s.rows.items()}
-    return rebuild(s, rows=rows)
+def renamed(s, x, world):
+    """A copy of ``s`` in which the representative of state ``x`` is the
+    named world."""
+    return with_rep(s, x, s.worlds.index(world))
 
 
 def with_state_at(s, vocab, **moves):
@@ -95,7 +98,26 @@ def swapped_state_of(s):
 
 def wrong_representative(s):
     x = s.locate("x", P)  # class {x, y1, y2}
-    return renamed(s, x, StateId(x.space_key, x.index, "y1"))
+    return renamed(s, x, "y1")
+
+
+def float_representative(s):
+    """The representative of w2's {p} state stored as a float: equal to its
+    world position, but not an int."""
+    x = s.locate("w2", P)
+    return with_rep(s, x, float(s.rows[P].reps[x.index]))
+
+
+def representative_past_last_world(s):
+    """The representative of w2's {p} state one position past the last
+    world."""
+    return with_rep(s, s.locate("w2", P), len(s.worlds))
+
+
+def negative_representative(s):
+    """The representative of w2's {p} state at position -1, which indexing
+    would read as the last world, w2 itself."""
+    return with_rep(s, s.locate("w2", P), -1)
 
 
 def worldless_state(s):
@@ -145,7 +167,7 @@ def all_seeing_agent(s):
     which tells w1 from w2."""
     rows = {
         vocab: row._replace(
-            poss={**row.poss, "a": (2 ** len(row.states) - 1,) * len(row.states)}
+            poss={**row.poss, "a": (2 ** len(row.reps) - 1,) * len(row.reps)}
         )
         for vocab, row in s.rows.items()
     }
@@ -208,22 +230,22 @@ def unnested_classes(s):
     inside one {p}-class, and y2 shares a {p}-class with z, where p
     differs."""
     first, second = s.states(P)
-    cut = StateId(second.space_key, second.index, "y2")
-    return with_state_at(renamed(s, second, cut), P, y2=cut.index)
+    return with_state_at(renamed(s, second, "y2"), P, y2=second.index)
 
 
 def split_class(s):
     """The one-state {p} row split in two, {w1} and {w2}, with every other
     table consistent with the cut: both worlds agree on p, so the space is
     cut finer than agreement on its vocabulary."""
-    key = s.rows[P].key
-    states = (StateId(key, 0, "w1"), StateId(key, 1, "w2"))
-    return with_row(s, P, states=states, state_at=(0, 1), poss={"a": (1, 2)}, val=(1, 1))
+    return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)}, val=(1, 1))
 
 
 MUTATIONS = [
     ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
+    ("T1", float_representative, "state representative is outside its class"),
+    ("T1", representative_past_last_world, "state representative is outside its class"),
+    ("T1", negative_representative, "state representative is outside its class"),
     ("T1", worldless_state, "state has no world"),
     ("T1", poss_missing_state, "possibility set is not the lifted indistinguishability"),
     ("T2", poss_past_last_state, "possibility set leaves its space"),
@@ -274,17 +296,16 @@ def recut(rng, m, s, vocab):
     state_at = tuple(index.setdefault(rng.randrange(len(m.worlds)), len(index)) for _ in m.worlds)
     first = [state_at.index(c) for c in range(len(index))]
     row = s.rows[vocab]
-    states = tuple(StateId(row.key, c, m.worlds[k]) for c, k in enumerate(first))
     val = tuple(
         sum(1 << b for b, p in enumerate(m.atoms) if p in vocab and m.worlds[k] in m.valuation[p])
         for k in first
     )
-    own = tuple(1 << c for c in range(len(states)))
+    own = tuple(1 << c for c in range(len(first)))
     poss = {}
     for i in m.agents:
         cells = s.cells(row, i)
-        poss[i] = cells if len(cells) == len(states) else own
-    return with_row(s, vocab, states=states, state_at=state_at, poss=poss, val=val)
+        poss[i] = cells if len(cells) == len(first) else own
+    return with_row(s, vocab, reps=tuple(first), state_at=state_at, poss=poss, val=val)
 
 
 def foreign_poss(rng, m, s, agent):
@@ -312,8 +333,8 @@ def random_edit(rng, m, s):
     sequence, so the edits do not depend on the hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
     row = s.rows[vocab]
-    n = len(row.states)
-    x = rng.choice(row.states)
+    n = len(row.reps)
+    x = rng.choice(s.states(vocab))
     agent = rng.choice(m.agents)
     kind = rng.randrange(7)
     if kind == 0:
@@ -323,9 +344,7 @@ def random_edit(rng, m, s):
     if kind == 2:
         return with_val(s, x, row.val[x.index] ^ 1 << rng.randrange(len(m.atoms)))
     if kind == 3:
-        states = list(row.states)
-        states[x.index] = x._replace(rep=rng.choice(m.worlds))
-        return with_row(s, vocab, states=tuple(states))
+        return renamed(s, x, rng.choice(m.worlds))
     if kind == 4:
         aware = frozenset(p for p in m.atoms if rng.random() < 0.5)
         return with_awareness(s, agent, aware)
@@ -357,10 +376,10 @@ def test_battery_pass_means_the_true_quotient():
             # classes[idx]: the worlds the row sends to state idx
             classes = [
                 frozenset(w for w, c in zip(m.worlds, row.state_at) if c == idx)
-                for idx in range(len(row.states))
+                for idx in range(len(row.reps))
             ]
             assert set(classes) == oracles.raw_space(m, vocab)
-            for x, cls in zip(row.states, classes):
+            for x, cls in zip(s.states(vocab), classes):
                 for i in m.agents:
                     seen = {classes[y.index] for y in s.possibility(i, x)}
                     assert seen == oracles.raw_poss(m, i, (vocab, cls))
