@@ -34,7 +34,15 @@ from .formula import (
     translate,
 )
 from .harness import TrialConfig, run_suite
-from .hms import DEFAULT_VARIANT, VARIANTS, base_states, extension, parse_state_ref, sat_hms, truth_set
+from .hms import (
+    DEFAULT_VARIANT,
+    VARIANTS,
+    base_states,
+    extension_masks,
+    parse_state_ref,
+    sat_hms,
+    truth_set,
+)
 from .model import ModelError, load_model, reach_composed, sat_ail, validate
 from .transform import (
     DEFAULT_ATOM_CAP,
@@ -195,7 +203,8 @@ def _cmd_check(args) -> int:
     if args.verbose:
         ts = truth_set(s, f, variant)
         base = ", ".join(str(y) for y in sorted(base_states(s, ts)))
-        print(f"state: {x}; truth-set base: {{{base}}}; extension size: {len(extension(s, ts))}")
+        size = sum(mask.bit_count() for mask in extension_masks(s, ts).values())
+        print(f"state: {x}; truth-set base: {{{base}}}; extension size: {size}")
     return EXIT_TRUE if value else EXIT_FALSE
 
 

@@ -12,7 +12,8 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
   the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
-  extension, so it is the up-closure of its own base-space slice;
+  extension, so it is the up-closure of its own base-space slice; both
+  are compared as per-space state masks;
 * ``truth_preservation``: the original formula's truth at a world equals
   the translated formula's truth at that world's class in the formula's
   vocabulary space (skipped when the vocabulary hypothesis fails, unless
@@ -40,6 +41,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (
@@ -63,9 +65,9 @@ from .hms import (
     VARIANTS,
     Event,
     HmsStructure,
-    StateId,
     base_states,
-    extension,
+    decode_masks,
+    extension_masks,
     implicit_event,
     sat_hms,
     truth_set,
@@ -73,6 +75,9 @@ from .hms import (
 )
 from .model import EpistemicModel, ModelError, model_to_dict, sat_ail
 from .transform import TransformInapplicable, hms_transform
+
+# per-space state masks: vocabulary -> mask, bit c naming state c of that row
+Masks = Dict[FrozenSet[str], int]
 
 ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "x", "y", "z", "m", "n")
 AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -315,60 +320,73 @@ def gen_formula(
 
 def direct_truth_states(
     s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT
-) -> FrozenSet[StateId]:
-    """All states satisfying the formula, computed clause by clause over
-    states rather than through the event algebra: complements are taken
-    within the supporting region, conjunction is plain intersection, and
-    the modal clauses test the subjective vocabulary or possibility set at
-    the evaluation state's projection."""
-    # each space's states, decoded once per call
-    space = {v: s.states(v) for v in s.rows}
+) -> Masks:
+    """The states satisfying the formula, as per-space masks: for every
+    space whose vocabulary contains the formula's atoms, bit ``c`` of the
+    space's mask is set when state ``c`` of its row satisfies the formula.
 
-    def region(bv: FrozenSet[str]) -> FrozenSet[StateId]:
-        return frozenset(x for v, states in space.items() if bv <= v for x in states)
+    The masks are computed clause by clause over every state of every
+    space in each clause's region (the spaces containing the clause's
+    atoms) rather than through the event algebra: complements are taken
+    within the region, conjunction is intersection per space, ``A[i]``
+    tests the subjective vocabulary of each space, and ``I[i]`` tests the
+    possibility set at each state's own projection to the body's space,
+    ``at[reps[c]]``, ``at`` being that space's world -> state table. Each
+    clause returns its vocabulary with its masks, so no clause's atoms are
+    recomputed; ``A[i]`` reads only its body's atoms, once."""
+    rows = s.rows
 
-    def rec(node) -> FrozenSet[StateId]:
+    def full(vocab: FrozenSet[str]) -> int:
+        return (1 << len(rows[vocab].reps)) - 1
+
+    def rec(node) -> Tuple[FrozenSet[str], Masks]:
         if isinstance(node, Prop):
             return rec(node.body)
         if isinstance(node, Atom):
             bit = 1 << s.atoms.index(node.name)
-            return frozenset(
-                x
-                for v, row in s.rows.items()
-                if node.name in v
-                for x, bits in zip(space[v], row.val)
-                if bits & bit
-            )
+            masks = {}
+            for v, row in rows.items():
+                if node.name in v:
+                    mask = 0
+                    for c, bits in zip(range(len(row.reps)), row.val):
+                        if bits & bit:
+                            mask |= 1 << c
+                    masks[v] = mask
+            return frozenset({node.name}), masks
         if isinstance(node, Not):
-            return region(atoms_of(node.child)) - rec(node.child)
+            vocab, masks = rec(node.child)
+            return vocab, {v: full(v) & ~mask for v, mask in masks.items()}
         if isinstance(node, And):
-            return rec(node.left) & rec(node.right)
+            (v1, left), (v2, right) = rec(node.left), rec(node.right)
+            vocab = v1 | v2
+            return vocab, {v: mask & right[v] for v, mask in left.items() if vocab <= v}
         if isinstance(node, Aware):
-            bv = atoms_of(node.body)
-            return frozenset(
-                x for x in region(bv) if bv <= s.subjective_vocab(node.agent, x)
-            )
+            vocab = atoms_of(node.body)
+            aware = s.awareness.get(node.agent)
+            if aware is None:
+                raise ValueError(f"no subjective space for agent {node.agent!r}")
+            return vocab, {v: full(v) if vocab <= aware & v else 0 for v in rows if vocab <= v}
         if isinstance(node, Implicit):
-            bv = atoms_of(node.body)
-            body_states = rec(node.body)
-            base = frozenset(x for x in space[bv] if x in body_states)
-            if variant == "pointwise":
-                return frozenset(
-                    x
-                    for x in region(bv)
-                    if s.possibility(node.agent, s.project(x, bv)) <= base
-                )
-            covered: FrozenSet[StateId] = frozenset()
-            for y in space[bv]:
-                cell = s.possibility(node.agent, y)
-                if cell <= base:
-                    covered |= cell
-            return frozenset(
-                x for x in region(bv) if s.project(x, bv) in covered
-            )
+            vocab, masks = rec(node.body)
+            row = rows[vocab]
+            base = masks[vocab]
+            # inside: the states of the body's space the clause keeps there
+            inside = 0
+            for y, cell in enumerate(s.cells(row, node.agent)):
+                if cell & ~base == 0:
+                    inside |= 1 << y if variant == "pointwise" else cell
+            at = row.state_at
+            out = {}
+            for v in masks:
+                mask = 0
+                for c, w in enumerate(rows[v].reps):
+                    if inside >> at[w] & 1:
+                        mask |= 1 << c
+                out[v] = mask
+            return vocab, out
         raise TypeError(f"not an HMS formula: {node!r}")
 
-    return rec(f)
+    return rec(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +425,11 @@ def check_eventhood(
     s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT
 ) -> CheckResult:
     """The formula's satisfaction set must be a based event: base vocabulary
-    equal to the formula's atoms and direct per-state recursion equal to
-    the event-algebra extension.
+    equal to the formula's atoms and the direct per-state recursion equal
+    to the event-algebra extension. Both sides are per-space masks, the
+    masks of :func:`direct_truth_states` against those of
+    :func:`extension_masks`, and states are decoded only to name the
+    difference: a pass names no state.
 
     The whole set is then also the up-closure of its base-space slice, on
     every structure whose rows pass the battery's per-space checks (law 3
@@ -416,12 +437,12 @@ def check_eventhood(
     checks require each entry ``reps[c]`` of the base row to be a world
     position that the row sends to ``c``, so ``at[reps[c]] == c`` for
     every state index ``c``, ``at`` being that row's world -> state table.
-    :func:`extension` keeps state ``c`` of the base space when bit
-    ``at[reps[c]]`` of the base mask is set, that is, bit ``c``; and
+    :func:`extension_masks` sets bit ``c`` of the base space's mask when
+    bit ``at[reps[c]]`` of the base mask is set, that is, bit ``c``; and
     ``check_event`` has refused a mask with a bit past the row. So the
-    base-space slice of ``extension(ts)`` is ``ts.base`` itself, and once
-    the direct set equals ``extension(ts)`` its slice is ``ts.base`` too
-    and its up-closure is ``extension(ts)``, the direct set.
+    base-space mask of the up-closure of ``ts`` is ``ts.base`` itself, and
+    once the direct masks equal the up-closure's, the direct base-space
+    mask is ``ts.base`` too and its up-closure is the direct masks.
     """
     ts = truth_set(s, f, variant)
     if ts.vocab != atoms_of(f):
@@ -431,16 +452,20 @@ def check_eventhood(
             "atoms": vocab_key(atoms_of(f)),
             "variant": variant,
         }
-    ext = extension(s, ts)
+    ext = extension_masks(s, ts)
     direct = direct_truth_states(s, f, variant)
     if direct != ext:
+        # both hold the spaces whose vocabulary contains the formula's atoms
+        def only(a: Masks, b: Masks) -> List[str]:
+            return sorted(str(x) for x in decode_masks(s, {v: a[v] & ~b[v] for v in a}))
+
         return "fail", {
             "reason": "direct satisfaction set differs from event extension",
-            "only_direct": sorted(str(x) for x in direct - ext),
-            "only_extension": sorted(str(x) for x in ext - direct),
+            "only_direct": only(direct, ext),
+            "only_extension": only(ext, direct),
             "variant": variant,
         }
-    return "pass", {"base": sorted(str(x) for x in base_states(s, ts)), "variant": variant}
+    return "pass", {"variant": variant}
 
 
 def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
@@ -616,27 +641,47 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     for b, p in enumerate(m.atoms):
         for w in m.valuation[p]:
             world_bits[at[w]] |= 1 << b
+    # Laws 4 and 5 compare each row's whole table with the battery's own.
+    # Only when some table differs, or some entry is not an int, are the
+    # entries walked, in the order of the checks, to name the first fault.
+    bit_of = {p: 1 << b for b, p in enumerate(m.atoms)}
+    valuation_agrees = True
     for vocab, row in rows.items():
-        vocab_bits = sum(1 << b for b, p in enumerate(m.atoms) if p in vocab)
-        reps = row.reps
-        for k, c in enumerate(row.state_at):
-            diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
-            if diff:
-                atom = m.atoms[(diff & -diff).bit_length() - 1]
-                return fail("class members disagree on an in-vocabulary atom", row, c, atom=atom)
-        if len(row.val) != len(reps):
-            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-        for c, (k, bits) in enumerate(zip(reps, row.val)):
-            want = world_bits[k] & vocab_bits
-            if type(bits) is not int or bits != want:
-                # name the first atom marked wrongly, when there is one
-                diff = bits ^ want if type(bits) is int else 0
-                wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
-                atom = {"atom": wrong[0]} if wrong else {}
-                return fail("valuation marks the wrong states", row, c, **atom)
-        if len(set(row.val)) != len(row.val):
-            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
+        vocab_bits = sum(map(bit_of.__getitem__, vocab))
+        # want[c]: the bits of state c's rep within the vocabulary
+        want = tuple([world_bits[k] & vocab_bits for k in row.reps])
+        if (
+            [want[c] for c in row.state_at] != [bits & vocab_bits for bits in world_bits]
+            or row.val != want
+            or len(set(want)) != len(want)
+        ):
+            valuation_agrees = False
+            break
+    if not (valuation_agrees and _all_ints([row.val for row in rows.values()])):
+        for vocab, row in rows.items():
+            vocab_bits = sum(map(bit_of.__getitem__, vocab))
+            reps = row.reps
+            for k, c in enumerate(row.state_at):
+                diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
+                if diff:
+                    atom = m.atoms[(diff & -diff).bit_length() - 1]
+                    return fail("class members disagree on an in-vocabulary atom", row, c, atom=atom)
+            if len(row.val) != len(reps):
+                return fail("row shape inconsistent with its space", space=vocab_key(vocab))
+            for c, (k, bits) in enumerate(zip(reps, row.val)):
+                want = world_bits[k] & vocab_bits
+                if type(bits) is not int or bits != want:
+                    # name the first atom marked wrongly, when there is one
+                    diff = bits ^ want if type(bits) is int else 0
+                    wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
+                    atom = {"atom": wrong[0]} if wrong else {}
+                    return fail("valuation marks the wrong states", row, c, **atom)
+            if len(set(row.val)) != len(row.val):
+                return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
+    # (agent, vocab, row, cells, lift), in the order of the checks
+    lifted = []
+    cells_agree = True
     for i in m.agents:
         label = m.indist_labels(i)
         # block[k]: the indistinguishability block of world k
@@ -649,7 +694,11 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             lift = [0] * len(row.reps)
             for b, c in zip(block, row.state_at):
                 lift[c] |= met[b]
-            cells = s.cells(row, i)
+            cells, lift = s.cells(row, i), tuple(lift)
+            cells_agree = cells_agree and cells == lift
+            lifted.append((i, vocab, row, cells, lift))
+    if not (cells_agree and _all_ints([entry[3] for entry in lifted])):
+        for i, vocab, row, cells, lift in lifted:
             if len(cells) != len(lift):
                 return fail("row shape inconsistent with its space", space=vocab_key(vocab))
             for c, (cell, want) in enumerate(zip(cells, lift)):
@@ -669,6 +718,12 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             )
 
     return "pass", {}
+
+
+def _all_ints(tables) -> bool:
+    """Whether every entry of every table is an ``int`` (not a subclass,
+    such as ``bool``)."""
+    return set(map(type, chain.from_iterable(tables))) <= {int}
 
 
 def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:

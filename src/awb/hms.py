@@ -11,7 +11,7 @@ world position and its valuation as atom bits, plus each agent's
 awareness set and indistinguishability labelling, once for every space.
 A :class:`StateId` is made from its row only where the structure hands
 states out (:meth:`HmsStructure.states`, ``locate``, ``project``,
-``possibility``, :func:`base_states`, :func:`extension`), fresh on each
+``possibility``, :func:`decode_masks` and its callers), fresh on each
 call. An agent's possibility sets in a space
 are lifted from that labelling on first read, as masks of state indices,
 and cached in the row; :meth:`HmsStructure.cells` is their one reader.
@@ -27,9 +27,10 @@ base. Events with an empty base keep their base vocabulary, so
 complementation stays space-relative. Every operator works on masks;
 :func:`truth_set` and :func:`sat_hms` share one recursion over the
 operators' kernels, and an event's base is decoded to states only at the
-interface, by :func:`base_states`. :func:`extension` is the one up-closure:
-it reads the base mask too, keeping each state of a richer space whose
-representative's base-space state has its bit set.
+interface, by :func:`decode_masks`. :func:`extension_masks` is the one
+up-closure, as one mask per richer space: it keeps each state of a richer
+space whose representative's base-space state has its bit set in the base
+mask. :func:`extension` decodes it to states.
 
 The implicit-knowledge event operator comes in two variants that coincide
 when the possibility correspondence partitions the base space and can
@@ -407,26 +408,48 @@ def _event(b: Based) -> Event:
     return Event(b[0], b[2])
 
 
+def decode_masks(s: HmsStructure, masks: Mapping[FrozenSet[str], int]) -> FrozenSet[StateId]:
+    """The states named by per-space masks: bit ``c`` of ``masks[V]`` names
+    state ``c`` of ``V``'s space. Event bases and up-closures are read back
+    as states only here."""
+    rows = s.rows
+    return frozenset(
+        chain.from_iterable(
+            s._states(rows[vocab], _select(range(len(rows[vocab].reps)), mask))
+            for vocab, mask in masks.items()
+        )
+    )
+
+
 def base_states(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
-    """The states of an event's base, decoded from its mask; the one place
-    where a base is read back as states."""
-    row = s.check_event(e)
-    return frozenset(s._states(row, _select(range(len(row.reps)), e.base)))
+    """The states of an event's base, decoded from its mask."""
+    s.check_event(e)
+    return decode_masks(s, {e.vocab: e.base})
+
+
+def extension_masks(s: HmsStructure, e: Event) -> Dict[FrozenSet[str], int]:
+    """Up-closure of an event, as per-space masks: for every space whose
+    vocabulary contains the base vocabulary, the mask of its states that
+    project into the base. A state projects into the base when the base
+    space's state holding its representative has its bit set in the base
+    mask. This is the one up-closure."""
+    base, at = e.base, s.check_event(e).state_at
+    out = {}
+    for vocab, row in s.rows.items():
+        if e.vocab <= vocab:
+            mask = 0
+            for c, w in enumerate(row.reps):
+                if base >> at[w] & 1:
+                    mask |= 1 << c
+            out[vocab] = mask
+    return out
 
 
 def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
-    """Up-closure of an event: all states, in every space whose vocabulary
-    contains the base vocabulary, that project into the base. A state
-    projects into the base when the base space's state holding its
-    representative has its bit set in the base mask."""
-    mask, at = e.base, s.check_event(e).state_at
-    return frozenset(
-        chain.from_iterable(
-            s._states(row, [c for c, w in enumerate(row.reps) if mask >> at[w] & 1])
-            for vocab, row in s.rows.items()
-            if e.vocab <= vocab
-        )
-    )
+    """Up-closure of an event as a set of states: all states, in every
+    space whose vocabulary contains the base vocabulary, that project into
+    the base, decoded from :func:`extension_masks`."""
+    return decode_masks(s, extension_masks(s, e))
 
 
 def event_not(s: HmsStructure, e: Event) -> Event:

@@ -276,6 +276,7 @@ def validate(m: EpistemicModel) -> list:
     if not m.worlds:
         out.append("model has no worlds")
     world_set = set(m.worlds)
+    atom_set = set(m.atoms)
     for p, trueworlds in m.valuation.items():
         stray = trueworlds - world_set
         if stray:
@@ -295,7 +296,7 @@ def validate(m: EpistemicModel) -> list:
                     )
                 seen[w] = block
         for w, aw in m.awareness[i].items():
-            stray = aw - set(m.atoms)
+            stray = aw - atom_set
             if stray:
                 out.append(
                     f"agent {i!r}: awareness at {w!r} mentions undeclared atoms {sorted(stray)}"

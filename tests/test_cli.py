@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -462,7 +463,26 @@ class TestTranslate:
         assert main(["translate", "--formula", "I[a] p"]) == EXIT_INPUT
 
 
+# exit code and stdout sha256 of `awb verify --seed SEED [--both-variants]
+# --format json` at the default 1000 trials; the reports must stay
+# byte-identical. With both variants, the variants diverge on some event,
+# so the run exits 4.
+VERIFY_REPORTS = {
+    (42, False): (0, "c035c40245025d812661380964fa218415327bc89f4111403cb8407280c37dc3"),
+    (42, True): (4, "0df4ba9b69918b4a12f9811c4104a51b7687604adf2eea3c7ae3cfb11d8c9636"),
+    (7, False): (0, "a1c8052e7d31cf1e794481d046b7f51c70f6c76774063cfd7f0c996fd98cef49"),
+    (7, True): (4, "a72e6712ed0053f6b3d8286ab81af7aaf681bf1ff7e586ccbccb8f6eb91254b8"),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("seed,both", sorted(VERIFY_REPORTS))
+    def test_default_report_is_pinned(self, capsys, seed, both):
+        argv = ["verify", "--seed", str(seed), "--format", "json"]
+        code = main(argv + ["--both-variants"] * both)
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == VERIFY_REPORTS[seed, both]
+
     def test_json_success(self, capsys):
         code = main(["verify", "--trials", "40", "--seed", "42", "--format", "json"])
         assert code == EXIT_TRUE

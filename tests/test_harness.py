@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from awb.formula import Atom, Prop, a_condition, parse_ail, translate
+from awb import hms
+from awb.formula import Atom, Prop, a_condition, parse_ail, parse_hms, translate
 from awb.harness import (
     Report,
     Tally,
@@ -20,7 +21,7 @@ from awb.harness import (
     shrink_counterexample,
     trial_seed,
 )
-from awb.hms import VARIANTS, extension, truth_set
+from awb.hms import VARIANTS, decode_masks, extension, extension_masks, truth_set
 from awb.model import EpistemicModel, awareness_variation, validate
 from awb.transform import hms_transform
 from conftest import all_states, event_on, rebuild
@@ -336,9 +337,14 @@ class TestChecks:
             for variant in VARIANTS:
                 ts = truth_set(s, hf, variant)
                 direct = direct_truth_states(s, hf, variant)
-                assert direct == extension(s, ts)
-                slice_ = sum(1 << k for k, x in enumerate(s.states(ts.vocab)) if x in direct)
-                assert slice_ == ts.base
+                assert direct == extension_masks(s, ts)
+                assert decode_masks(s, direct) == extension(s, ts)
+                assert direct[ts.vocab] == ts.base
+
+    def test_direct_truth_states_refuses_unknown_agent(self, T1):
+        for text in ("A[b] p", "I[b] p"):
+            with pytest.raises(ValueError, match="agent 'b'"):
+                direct_truth_states(T1, parse_hms(text))
 
     def test_direct_truth_states_matches_extension(self, T1, T2):
         from awb.formula import parse_hms
@@ -347,9 +353,122 @@ class TestChecks:
             for text in ("p", "q", "p & q", "~p", "A[a] q", "I[a] p"):
                 f = parse_hms(text)
                 for variant in ("pointwise", "cell-union"):
-                    assert direct_truth_states(s, f, variant) == extension(
-                        s, truth_set(s, f, variant)
-                    )
+                    direct = direct_truth_states(s, f, variant)
+                    assert decode_masks(s, direct) == extension(s, truth_set(s, f, variant))
+
+
+class TestEventhoodMutations:
+    """The eventhood check compares the direct route's per-space masks with
+    the up-closure's. A one-bit fault in the result of any event kernel, or
+    of the up-closure itself, fails it whenever the fault reaches the truth
+    set, and the detail names exactly the states that differ."""
+
+    KERNELS = [
+        ("_not", "pointwise"),
+        ("_and", "pointwise"),
+        ("_aware", "pointwise"),
+        ("_implicit", "pointwise"),
+        ("_implicit", "cell-union"),
+    ]
+    # on m1 and m2, each kernel computes these formulas' truth sets last
+    LAST_KERNEL = {
+        "_not": "~p",
+        "_and": "p & q",
+        "_aware": "A[a] (p & q)",
+        "_implicit": "I[a] (p & q)",
+    }
+
+    @staticmethod
+    def flipping(monkeypatch, name, bit_of):
+        """Patch kernel ``name`` of ``awb.hms`` so that, while the returned
+        flag's first entry is set, its result mask has bit ``bit_of(row)``
+        flipped."""
+        real = getattr(hms, name)
+        on = [False]
+
+        def mutant(*args):
+            vocab, row, mask = real(*args)
+            return vocab, row, mask ^ 1 << bit_of(row) if on[0] else mask
+
+        monkeypatch.setattr(hms, name, mutant)
+        return on
+
+    @staticmethod
+    def assert_names_difference(s, detail, good, bad):
+        # the direct route gives the good masks, the check compares them
+        # with the bad ones
+        def named(masks):
+            return sorted(str(x) for x in decode_masks(s, masks))
+
+        assert detail["reason"] == "direct satisfaction set differs from event extension"
+        assert set(detail) == {"reason", "only_direct", "only_extension", "variant"}
+        assert detail["only_direct"] == named({v: good[v] & ~bad[v] for v in good})
+        assert detail["only_extension"] == named({v: bad[v] & ~good[v] for v in good})
+        assert detail["only_direct"] or detail["only_extension"]
+
+    @pytest.mark.parametrize("kernel,variant", KERNELS)
+    def test_kernel_fault_fails_on_fixtures(self, kernel, variant, T1, T2, monkeypatch):
+        on = self.flipping(monkeypatch, kernel, lambda row: 0)
+        f = parse_hms(self.LAST_KERNEL[kernel])
+        for s in (T1, T2):
+            good = extension_masks(s, truth_set(s, f, variant))
+            assert check_eventhood(s, f, variant)[0] == "pass"
+            on[0] = True
+            bad = extension_masks(s, truth_set(s, f, variant))
+            status, detail = check_eventhood(s, f, variant)
+            on[0] = False
+            assert status == "fail"
+            self.assert_names_difference(s, detail, good, bad)
+
+    @pytest.mark.parametrize("kernel,variant", KERNELS)
+    def test_kernel_fault_fails_on_generated_trials(self, kernel, variant, monkeypatch):
+        on = self.flipping(monkeypatch, kernel, lambda row: len(row.reps) - 1)
+        rng = random.Random(2020)
+        cfg = TrialConfig()
+        caught = 0
+        for trial in range(300):
+            m = gen_model(rng, cfg)
+            s = hms_transform(m)
+            w = rng.choice(m.worlds)
+            f, _ = gen_formula(rng, m, w, trial % 2 == 0, cfg.body_depth)
+            hf = translate(f)
+            good = extension_masks(s, truth_set(s, hf, variant))
+            on[0] = True
+            bad = extension_masks(s, truth_set(s, hf, variant))
+            status, detail = check_eventhood(s, hf, variant)
+            on[0] = False
+            assert (status == "fail") == (bad != good)
+            if status == "fail":
+                self.assert_names_difference(s, detail, good, bad)
+                caught += 1
+        assert caught >= 30
+
+    def test_up_closure_fault_fails(self, monkeypatch):
+        # one bit of one space of the up-closure flipped, space by space
+        target = [None]
+
+        def mutant(s, e):
+            masks = extension_masks(s, e)
+            v = target[0]
+            masks[v] ^= 1 << len(s.rows[v].reps) - 1
+            return masks
+
+        monkeypatch.setattr("awb.harness.extension_masks", mutant)
+        rng = random.Random(2021)
+        cfg = TrialConfig()
+        for trial in range(100):
+            m = gen_model(rng, cfg)
+            s = hms_transform(m)
+            w = rng.choice(m.worlds)
+            f, _ = gen_formula(rng, m, w, trial % 2 == 0, cfg.body_depth)
+            hf = translate(f)
+            for variant in VARIANTS:
+                good = extension_masks(s, truth_set(s, hf, variant))
+                for v in good:
+                    target[0] = v
+                    status, detail = check_eventhood(s, hf, variant)
+                    assert status == "fail"
+                    self.assert_names_difference(s, detail, good, mutant(s, truth_set(s, hf, variant)))
 
 
 class TestShrinking:

@@ -9,6 +9,7 @@ from awb.hms import (
     StateId,
     aware_event,
     base_states,
+    decode_masks,
     event_and,
     event_atom,
     event_not,
@@ -332,7 +333,7 @@ class TestTruthSets:
         for s, f in random_cases(M1, M2, divergent_model, 4242):
             for variant in VARIANTS:
                 ext = extension(s, truth_set(s, f, variant))
-                direct = direct_truth_states(s, f, variant)
+                direct = decode_masks(s, direct_truth_states(s, f, variant))
                 for vocab in s.rows:
                     for x in s.states(vocab):
                         value = sat_hms(s, x, f, variant)

@@ -11,9 +11,16 @@ import random
 
 import pytest
 
-from awb.formula import atoms_of, parse_ail, translate
-from awb.harness import TrialConfig, gen_formula, gen_model, trial_seed
-from awb.hms import extension, sat_hms, truth_set
+from awb.formula import Implicit, atoms_of, parse_ail, translate
+from awb.harness import (
+    TrialConfig,
+    direct_truth_states,
+    gen_formula,
+    gen_model,
+    sample_body,
+    trial_seed,
+)
+from awb.hms import VARIANTS, decode_masks, extension, sat_hms, truth_set
 from awb.model import (
     awareness_labels,
     reach_composed,
@@ -119,6 +126,43 @@ class TestRandomDifferential:
                     )
             checked += 1
         assert checked >= 250
+
+    @staticmethod
+    def _check_direct_route(m, s, hf):
+        # the eventhood check's direct route, decoded from its per-space
+        # masks, against the literal truth states; returns whether the
+        # variants' truth states differ
+        truth = {}
+        for variant in VARIANTS:
+            direct = direct_truth_states(s, hf, variant)
+            assert set(direct) == {v for v in s.rows if atoms_of(hf) <= v}
+            truth[variant] = raw_truth_states(m, hf, variant)
+            assert _to_raw(s, decode_masks(s, direct)) == truth[variant]
+        return truth["pointwise"] != truth["cell-union"]
+
+    @pytest.mark.parametrize("require_a_condition", [True, False])
+    def test_direct_route_masks(self, require_a_condition):
+        # on default-config trials: the trial's formula, and each agent's
+        # implicit knowledge of its body
+        checked = 0
+        for rng, m, _ in _random_models(2020, 300):
+            s = hms_transform(m)
+            w = rng.choice(m.worlds)
+            f, _ = gen_formula(rng, m, w, require_a_condition)
+            hf = translate(f)
+            for g in [hf] + [Implicit(i, hf.body) for i in m.agents]:
+                self._check_direct_route(m, s, g)
+            checked += 1
+        assert checked == 300
+
+    def test_direct_route_separates_the_variants(self, divergent_model):
+        s = hms_transform(divergent_model)
+        rng = random.Random(2022)
+        divergent = 0
+        for _ in range(200):
+            body = sample_body(rng, divergent_model.atoms, 3)
+            divergent += self._check_direct_route(divergent_model, s, Implicit("a", body))
+        assert divergent >= 5
 
     def test_reach(self):
         for _, m, _ in _random_models(3003, 300):
