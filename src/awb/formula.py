@@ -9,11 +9,15 @@ conjunction only; the remaining connectives are parse-time sugar):
 * HMS formulas: a propositional formula, ``A[i] body``, or an
   implicit-knowledge assertion ``I[i] body``.
 
-The modal layer is flat by construction: every modal node carries a purely
-propositional body, so nested modalities are unrepresentable. The composed
-``X[i] I[i] X[i]`` pattern is a single node rather than three stacked
-operators, because the AIL fragment only ever generates the whole pattern
-with one shared agent.
+All of them are one tree type: every node's children are formulas, and
+each evaluator is one recursion over the node classes. The modal layer is
+flat by the parser, not by the type: the parser builds a modal node only
+over a propositional body and refuses a modal operator inside one, so no
+parsed formula nests modalities. A purely propositional formula parsed in
+a modal language comes wrapped in :class:`Prop`; every evaluator also
+accepts the bare tree. The composed ``X[i] I[i] X[i]`` pattern is a single
+node rather than three stacked operators, because the AIL fragment only
+ever generates the whole pattern with one shared agent.
 
 Concrete syntax (whitespace between tokens is insignificant)::
 
@@ -67,124 +71,122 @@ class ShapeError(ParseError):
 # AST
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """Shared base of the formula nodes: each prints as
+    :func:`format_formula` prints it."""
+
+    def __str__(self) -> str:
+        return format_formula(self)
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     """Propositional atom leaf."""
 
     name: str
 
-    def __str__(self) -> str:
-        return self.name
+
+@dataclass(frozen=True)
+class Not(_Node):
+    child: "Formula"
 
 
 @dataclass(frozen=True)
-class Not:
-    child: "PropFormula"
-
-    def __str__(self) -> str:
-        return format_prop(self)
-
-
-@dataclass(frozen=True)
-class And:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self) -> str:
-        return format_prop(self)
+class And(_Node):
+    left: "Formula"
+    right: "Formula"
 
 
 PropFormula = Union[Atom, Not, And]
 
 
 @dataclass(frozen=True)
-class Prop:
+class Prop(_Node):
     """A purely propositional formula, usable in either modal language."""
 
-    body: PropFormula
-
-    def __str__(self) -> str:
-        return format_prop(self.body)
+    body: "Formula"
 
 
 @dataclass(frozen=True)
-class Aware:
+class Aware(_Node):
     """``A[agent] body``: the agent is aware of every atom in ``body``."""
 
     agent: str
-    body: PropFormula
-
-    def __str__(self) -> str:
-        return f"A[{self.agent}] {_format_modal_body(self.body)}"
+    body: "Formula"
 
 
 @dataclass(frozen=True)
-class BoxIBox:
+class BoxIBox(_Node):
     """``X[agent] I[agent] X[agent] body``: implicit knowledge of ``body``
     relativized to the agent's viewpoint on both sides."""
 
     agent: str
-    body: PropFormula
-
-    def __str__(self) -> str:
-        a = self.agent
-        return f"X[{a}] I[{a}] X[{a}] {_format_modal_body(self.body)}"
+    body: "Formula"
 
 
 @dataclass(frozen=True)
-class Implicit:
+class Implicit(_Node):
     """``I[agent] body``: plain implicit knowledge of ``body``."""
 
     agent: str
-    body: PropFormula
-
-    def __str__(self) -> str:
-        return f"I[{self.agent}] {_format_modal_body(self.body)}"
+    body: "Formula"
 
 
+Formula = Union[Atom, Not, And, Prop, Aware, BoxIBox, Implicit]
 AilFormula = Union[Prop, Aware, BoxIBox]
 HmsFormula = Union[Prop, Aware, Implicit]
+
+_WRAPPERS = (Prop, Aware, BoxIBox, Implicit)
+
+
+def children(f: Formula) -> tuple:
+    """The direct subformulas of a node, left to right."""
+    if isinstance(f, And):
+        return f.left, f.right
+    if isinstance(f, Not):
+        return (f.child,)
+    if isinstance(f, _WRAPPERS):
+        return (f.body,)
+    if isinstance(f, Atom):
+        return ()
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-def format_prop(f: PropFormula) -> str:
-    """Canonical surface syntax for a propositional formula.
+def format_formula(f: Formula) -> str:
+    """Canonical surface syntax; ``parse_*(format_formula(f))`` returns ``f``.
 
     Conjunction prints left-associatively without parentheses; a
     right-nested or negated conjunction is parenthesized, so parsing the
-    output reproduces the tree exactly.
+    output reproduces the tree exactly. A non-atomic modal body is
+    parenthesized for readability; the parser accepts either form.
     """
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
-        inner = format_prop(f.child)
-        if isinstance(f.child, And):
-            return f"~({inner})"
-        return f"~{inner}"
+        inner = format_formula(f.child)
+        return f"~({inner})" if isinstance(f.child, And) else f"~{inner}"
     if isinstance(f, And):
-        left = format_prop(f.left)
-        right = format_prop(f.right)
+        right = format_formula(f.right)
         if isinstance(f.right, And):
             right = f"({right})"
-        return f"{left} & {right}"
-    raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def _format_modal_body(body: PropFormula) -> str:
-    # Non-atomic modal bodies are parenthesized for readability; the parser
-    # accepts either form.
-    text = format_prop(body)
-    return text if isinstance(body, Atom) else f"({text})"
-
-
-def format_formula(f: Union[AilFormula, HmsFormula]) -> str:
-    """Canonical surface syntax; ``parse_*(format_formula(f))`` returns ``f``."""
-    if isinstance(f, (Prop, Aware, BoxIBox, Implicit)):
-        return str(f)
-    raise TypeError(f"not a modal-layer formula: {f!r}")
+        return f"{format_formula(f.left)} & {right}"
+    if isinstance(f, Prop):
+        return format_formula(f.body)
+    if not isinstance(f, _WRAPPERS):
+        raise TypeError(f"not a formula: {f!r}")
+    body = format_formula(f.body)
+    if not isinstance(f.body, Atom):
+        body = f"({body})"
+    a = f.agent
+    if isinstance(f, Aware):
+        return f"A[{a}] {body}"
+    if isinstance(f, BoxIBox):
+        return f"X[{a}] I[{a}] X[{a}] {body}"
+    return f"I[{a}] {body}"
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +416,17 @@ def _imp(a: PropFormula, b: PropFormula) -> PropFormula:
     return Not(And(a, Not(b)))
 
 
-def _shape(f: PropFormula) -> Tuple[int, int]:
-    """Height (0 for an atom) and node count of a propositional syntax
-    tree, measured without recursion. ``<->`` shares its operands between
-    two branches, so each node is measured once, by identity, and a shared
-    operand counts once per occurrence in the tree."""
+def _shape(f: Formula) -> Tuple[int, int]:
+    """Height (0 for an atom) and node count of a syntax tree, measured
+    without recursion. ``<->`` shares its operands between two branches,
+    so each node is measured once, by identity, and a shared operand counts
+    once per occurrence in the tree. :func:`_parse` measures a modal
+    formula's body, so the operator is not counted."""
     shape = {}
     stack = [f]
     while stack:
         node = stack[-1]
-        kids = (node.child,) if isinstance(node, Not) else (
-            (node.left, node.right) if isinstance(node, And) else ()
-        )
+        kids = children(node)
         todo = [k for k in kids if id(k) not in shape]
         if todo:
             stack.extend(todo)
@@ -476,23 +477,16 @@ def parse_hms(text: str) -> HmsFormula:
 # Analysis and translation
 # ---------------------------------------------------------------------------
 
-def atoms_of(f: Union[PropFormula, AilFormula, HmsFormula]) -> frozenset:
+def atoms_of(f: Formula) -> frozenset:
     """The set of atom names occurring in ``f``, modal layer included."""
-    if isinstance(f, (Prop, Aware, BoxIBox, Implicit)):
-        return atoms_of(f.body)
     out = set()
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
             out.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
         else:
-            raise TypeError(f"not a formula node: {node!r}")
+            stack.extend(children(node))
     return frozenset(out)
 
 
@@ -503,9 +497,7 @@ def translate(f: AilFormula) -> HmsFormula:
     ``X[i] I[i] X[i]`` pattern becomes plain implicit knowledge ``I[i]``.
     Atom sets are preserved exactly.
     """
-    if isinstance(f, Prop):
-        return f
-    if isinstance(f, Aware):
+    if isinstance(f, (Prop, Aware)):
         return f
     if isinstance(f, BoxIBox):
         return Implicit(f.agent, f.body)

@@ -40,7 +40,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -50,6 +50,7 @@ from .formula import (
     Atom,
     Aware,
     BoxIBox,
+    Formula,
     HmsFormula,
     Implicit,
     Not,
@@ -57,6 +58,7 @@ from .formula import (
     PropFormula,
     a_condition,
     atoms_of,
+    children,
     format_formula,
     translate,
 )
@@ -319,7 +321,7 @@ def gen_formula(
 # ---------------------------------------------------------------------------
 
 def direct_truth_states(
-    s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT
+    s: HmsStructure, f: Formula, variant: str = DEFAULT_VARIANT
 ) -> Masks:
     """The states satisfying the formula, as per-space masks: for every
     space whose vocabulary contains the formula's atoms, bit ``c`` of the
@@ -762,27 +764,14 @@ def _restrict(m: EpistemicModel, worlds, atoms) -> EpistemicModel:
     return EpistemicModel(atoms, m.agents, worlds, valuation, indist, awareness)
 
 
-def _proper_subtrees(body: PropFormula) -> List[PropFormula]:
-    out: List[PropFormula] = []
+def _proper_subtrees(body: Formula) -> List[Formula]:
+    out: List[Formula] = []
     stack = [body]
     while stack:
-        node = stack.pop()
-        children = []
-        if isinstance(node, Not):
-            children = [node.child]
-        elif isinstance(node, And):
-            children = [node.left, node.right]
-        out.extend(children)
-        stack.extend(reversed(children))
+        kids = children(stack.pop())
+        out.extend(kids)
+        stack.extend(reversed(kids))
     return out
-
-
-def _with_body(f: AilFormula, body: PropFormula) -> AilFormula:
-    if isinstance(f, Prop):
-        return Prop(body)
-    if isinstance(f, Aware):
-        return Aware(f.agent, body)
-    return BoxIBox(f.agent, body)
 
 
 def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
@@ -808,7 +797,7 @@ def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
                 m, changed, changed_any = candidate, True, True
         if f is not None:
             for sub in _proper_subtrees(f.body):
-                candidate_f = _with_body(f, sub)
+                candidate_f = replace(f, body=sub)
                 if still_fails(m, w, candidate_f):
                     f, changed, changed_any = candidate_f, True, True
                     break
@@ -824,7 +813,7 @@ def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
 def check_variant_agreement(m: EpistemicModel, s: HmsStructure, f: AilFormula) -> CheckResult:
     """The two implicit-operator variants agree, for every agent, on the
     event of the formula's body; the detail is the first failing agent's."""
-    body_event = truth_set(s, Prop(f.body))
+    body_event = truth_set(s, f.body)
     for agent in m.agents:
         status, detail = compare_variants(s, agent, body_event)
         if status == "fail":

@@ -51,7 +51,7 @@ from itertools import chain, compress
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .formula import And, Atom, Aware, HmsFormula, Implicit, Not, Prop, PropFormula
+from .formula import And, Atom, Aware, Formula, Implicit, Not, Prop
 from .model import ModelError
 
 VARIANTS = ("pointwise", "cell-union")
@@ -491,36 +491,37 @@ def implicit_event(
 # Satisfaction
 # ---------------------------------------------------------------------------
 
-def _prop(s: HmsStructure, f: PropFormula) -> Based:
+def _truth(s: HmsStructure, f: Formula, variant: str) -> Based:
+    """The formula's event as a based triple, by one recursion over the
+    formula, which may also be a bare propositional tree: each node calls
+    its operator's kernel on its children's triples. It builds no
+    :class:`Event` and checks nothing per node; the callers check the
+    variant once."""
     if isinstance(f, Atom):
         return _atom(s, f.name)
     if isinstance(f, Not):
-        return _not(*_prop(s, f.child))
+        return _not(*_truth(s, f.child, variant))
     if isinstance(f, And):
-        return _and(s, _prop(s, f.left), _prop(s, f.right))
-    raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def _truth(s: HmsStructure, f: HmsFormula, variant: str) -> Based:
-    _check_variant(variant)
+        return _and(s, _truth(s, f.left, variant), _truth(s, f.right, variant))
     if isinstance(f, Prop):
-        return _prop(s, f.body)
+        return _truth(s, f.body, variant)
     if isinstance(f, Aware):
-        return _aware(s, f.agent, *_prop(s, f.body))
+        return _aware(s, f.agent, *_truth(s, f.body, variant))
     if isinstance(f, Implicit):
-        return _implicit(s, f.agent, variant, *_prop(s, f.body))
+        return _implicit(s, f.agent, variant, *_truth(s, f.body, variant))
     raise TypeError(f"not an HMS formula: {f!r}")
 
 
-def truth_set(s: HmsStructure, f: HmsFormula, variant: str = DEFAULT_VARIANT) -> Event:
+def truth_set(s: HmsStructure, f: Formula, variant: str = DEFAULT_VARIANT) -> Event:
     """The event at which the formula holds, built by structural recursion
     over the event algebra. Its base vocabulary equals the formula's atom
     set."""
+    _check_variant(variant)
     return _event(_truth(s, f, variant))
 
 
 def sat_hms(
-    s: HmsStructure, x: StateId, f: HmsFormula, variant: str = DEFAULT_VARIANT
+    s: HmsStructure, x: StateId, f: Formula, variant: str = DEFAULT_VARIANT
 ) -> bool:
     """State-level satisfaction: membership of the state in the extension
     of the formula's truth event, decided without building the extension:
@@ -531,5 +532,6 @@ def sat_hms(
     own = s._row_of(x)
     if own is None:
         raise ValueError(f"unknown state {x}")
+    _check_variant(variant)
     vocab, row, mask = _truth(s, f, variant)
     return vocab <= x.vocab and mask >> row.state_at[own.reps[x[1]]] & 1 == 1

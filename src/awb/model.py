@@ -24,18 +24,7 @@ import json
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .formula import (
-    ATOM_RE,
-    AilFormula,
-    And,
-    Atom,
-    Aware,
-    BoxIBox,
-    Not,
-    Prop,
-    PropFormula,
-    atoms_of,
-)
+from .formula import ATOM_RE, And, Atom, Aware, BoxIBox, Formula, Not, Prop, atoms_of
 
 
 class ModelError(ValueError):
@@ -357,49 +346,51 @@ def reach_composed(m: EpistemicModel, agent: str, world: str) -> frozenset:
 # Satisfaction
 # ---------------------------------------------------------------------------
 
-def prop_holds(m: EpistemicModel, world: str, f: PropFormula) -> bool:
-    """Truth-table evaluation of a propositional formula at one world."""
-    if isinstance(f, Atom):
-        return m.truth(f.name, world)
-    if isinstance(f, Not):
-        return not prop_holds(m, world, f.child)
-    if isinstance(f, And):
-        return prop_holds(m, world, f.left) and prop_holds(m, world, f.right)
-    raise TypeError(f"not a propositional formula: {f!r}")
+def sat_ail(m: EpistemicModel, world: str, f: Formula) -> bool:
+    """AIL satisfaction at ``world``, by one recursion over the formula,
+    which may also be a bare propositional tree:
 
-
-def sat_ail(m: EpistemicModel, world: str, f: AilFormula) -> bool:
-    """AIL satisfaction at ``world``.
-
-    * propositional: truth-table evaluation;
+    * an atom, ``~`` and ``&``: truth-table evaluation;
     * ``A[i] body``: the atoms of ``body`` are a subset of the agent's
       awareness set at ``world``;
     * ``X[i] I[i] X[i] body``: ``body`` holds at every world reachable via
       :func:`reach_composed`.
+
+    The world and the formula's atoms are checked once, here: evaluation
+    short-circuits, so an undeclared atom is refused whether or not the
+    answer would read it.
     """
     m.require_world(world)
-    # propositional evaluation short-circuits, so an undeclared atom is
-    # refused here, whether or not the answer would read it
-    atoms = atoms_of(f)
-    undeclared = atoms.difference(m.atoms)
+    undeclared = atoms_of(f).difference(m.atoms)
     if undeclared:
         raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
+    return _holds(m, world, f)
+
+
+def _holds(m: EpistemicModel, world: str, f: Formula) -> bool:
+    if isinstance(f, Atom):
+        return m.truth(f.name, world)
+    if isinstance(f, Not):
+        return not _holds(m, world, f.child)
+    if isinstance(f, And):
+        return _holds(m, world, f.left) and _holds(m, world, f.right)
     if isinstance(f, Prop):
-        return prop_holds(m, world, f.body)
+        return _holds(m, world, f.body)
     if isinstance(f, Aware):
-        return atoms <= m.awareness_at(f.agent, world)
+        return atoms_of(f.body) <= m.awareness_at(f.agent, world)
     if isinstance(f, BoxIBox):
-        return all(prop_holds(m, v, f.body) for v in reach_composed(m, f.agent, world))
+        return all(_holds(m, v, f.body) for v in reach_composed(m, f.agent, world))
     raise TypeError(f"not an AIL formula: {f!r}")
 
 
-def sat_implicit_raw(m: EpistemicModel, world: str, agent: str, body: PropFormula) -> bool:
+def sat_implicit_raw(m: EpistemicModel, world: str, agent: str, body: Formula) -> bool:
     """Plain implicit knowledge: ``body`` holds at every world in the
-    agent's indistinguishability block.
+    agent's indistinguishability block, each read by :func:`sat_ail`'s
+    recursion.
 
     The AIL surface grammar never generates this operator on its own; it is
     kept for ROADMAP item 7 and for exploratory checks.
     """
     m.require_world(world)
     block = m.indist_labels(agent)
-    return all(prop_holds(m, v, body) for v in m.worlds if block[v] == block[world])
+    return all(_holds(m, v, body) for v in m.worlds if block[v] == block[world])

@@ -22,33 +22,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import FrozenSet, Set, Tuple
 
-from .formula import (
-    AilFormula,
-    And,
-    Atom,
-    Aware,
-    BoxIBox,
-    HmsFormula,
-    Implicit,
-    Not,
-    Prop,
-    PropFormula,
-    atoms_of,
-)
+from .formula import And, Atom, Aware, BoxIBox, Formula, Implicit, Not, Prop, atoms_of
 from .model import EpistemicModel
 
 Pair = Tuple[str, str]
 RawState = Tuple[FrozenSet[str], FrozenSet[str]]
-
-
-def holds_at(m: EpistemicModel, w: str, f: PropFormula) -> bool:
-    if isinstance(f, Atom):
-        return w in m.valuation[f.name]
-    if isinstance(f, Not):
-        return not holds_at(m, w, f.child)
-    if isinstance(f, And):
-        return holds_at(m, w, f.left) and holds_at(m, w, f.right)
-    raise TypeError(f"not a propositional formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +87,23 @@ def reach_brute(m: EpistemicModel, agent: str, w: str) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def sat_ail_brute(m: EpistemicModel, w: str, f: AilFormula) -> bool:
+def sat_ail_brute(m: EpistemicModel, w: str, f: Formula) -> bool:
+    """AIL satisfaction at ``w`` by one literal recursion over the
+    formula, which may also be a bare propositional tree: atoms read the
+    valuation, ``A[i]`` compares atom sets, and ``X[i] I[i] X[i]`` walks
+    :func:`reach_brute`."""
+    if isinstance(f, Atom):
+        return w in m.valuation[f.name]
+    if isinstance(f, Not):
+        return not sat_ail_brute(m, w, f.child)
+    if isinstance(f, And):
+        return sat_ail_brute(m, w, f.left) and sat_ail_brute(m, w, f.right)
     if isinstance(f, Prop):
-        return holds_at(m, w, f.body)
+        return sat_ail_brute(m, w, f.body)
     if isinstance(f, Aware):
         return atoms_of(f.body) <= m.awareness[f.agent][w]
     if isinstance(f, BoxIBox):
-        return all(holds_at(m, v, f.body) for v in reach_brute(m, f.agent, w))
+        return all(sat_ail_brute(m, v, f.body) for v in reach_brute(m, f.agent, w))
     raise TypeError(f"not an AIL formula: {f!r}")
 
 
@@ -205,25 +193,25 @@ def raw_event(m: EpistemicModel, f, variant: str = "pointwise") -> RawEvent:
 
 def _event(memo: _Memo, f, variant: str) -> RawEvent:
     m = memo.m
-    if isinstance(f, Prop) or isinstance(f, (Atom, Not, And)):
-        body = f.body if isinstance(f, Prop) else f
-        if isinstance(body, Atom):
-            vocab = frozenset({body.name})
-            return vocab, {c for c in memo.space(vocab) if any(w in m.valuation[body.name] for w in c)}
-        if isinstance(body, Not):
-            vocab, base = _event(memo, body.child, variant)
-            return vocab, memo.space(vocab) - base
-        if isinstance(body, And):
-            v1, b1 = _event(memo, body.left, variant)
-            v2, b2 = _event(memo, body.right, variant)
-            joined = v1 | v2
-            base = {
-                c
-                for c in memo.space(joined)
-                if _project(memo, (joined, c), v1) in b1
-                and _project(memo, (joined, c), v2) in b2
-            }
-            return joined, base
+    if isinstance(f, Atom):
+        vocab = frozenset({f.name})
+        return vocab, {c for c in memo.space(vocab) if any(w in m.valuation[f.name] for w in c)}
+    if isinstance(f, Not):
+        vocab, base = _event(memo, f.child, variant)
+        return vocab, memo.space(vocab) - base
+    if isinstance(f, And):
+        v1, b1 = _event(memo, f.left, variant)
+        v2, b2 = _event(memo, f.right, variant)
+        joined = v1 | v2
+        base = {
+            c
+            for c in memo.space(joined)
+            if _project(memo, (joined, c), v1) in b1
+            and _project(memo, (joined, c), v2) in b2
+        }
+        return joined, base
+    if isinstance(f, Prop):
+        return _event(memo, f.body, variant)
     if isinstance(f, Aware):
         vocab, _ = _event(memo, f.body, variant)
         aw = m.awareness[f.agent]
@@ -244,12 +232,12 @@ def _event(memo: _Memo, f, variant: str) -> RawEvent:
     raise TypeError(f"not an HMS formula: {f!r}")
 
 
-def raw_truth_states(m: EpistemicModel, f: HmsFormula, variant: str = "pointwise") -> Set[RawState]:
+def raw_truth_states(m: EpistemicModel, f: Formula, variant: str = "pointwise") -> Set[RawState]:
     memo = _Memo(m)
     return _extension(memo, _event(memo, f, variant))
 
 
-def sat_hms_brute(m: EpistemicModel, w: str, f: HmsFormula, variant: str = "pointwise") -> bool:
+def sat_hms_brute(m: EpistemicModel, w: str, f: Formula, variant: str = "pointwise") -> bool:
     """Satisfaction at the evaluation state of the formula's own vocabulary
     space containing the given world."""
     memo = _Memo(m)

@@ -16,7 +16,6 @@ from awb.formula import (
     a_condition,
     atoms_of,
     format_formula,
-    format_prop,
     parse_ail,
     parse_hms,
     parse_prop,
@@ -32,6 +31,20 @@ prop_trees = st.recursive(
     ),
     max_leaves=12,
 )
+# formulas n levels deep, by how the parser nests them
+_NESTINGS = [
+    ("negation", lambda n: "~" * n + "p"),
+    ("brackets", lambda n: "(" * n + "p" + ")" * n),
+    ("implication", lambda n: " -> ".join(["p"] * (n // 3 + 1))),
+    ("conjunction", lambda n: " & ".join(["p"] * (n + 1))),
+]
+# (id, operator prefix, parser); the bare formula's id is empty
+_PREFIXES = [
+    ("", "", parse_prop),
+    ("aware", "A[a] ", parse_ail),
+    ("boxibox", "X[a] I[a] X[a] ", parse_ail),
+    ("implicit", "I[a] ", parse_hms),
+]
 agent_names = st.sampled_from(["a", "b", "c"])
 ail_trees = st.one_of(
     prop_trees.map(Prop),
@@ -86,31 +99,33 @@ class TestParseProp:
             parse_prop("")
 
     @pytest.mark.parametrize(
-        "make",
+        "make,prefix,parse",
         [
-            lambda n: "~" * n + "p",
-            lambda n: "(" * n + "p" + ")" * n,
-            lambda n: " -> ".join(["p"] * (n // 3 + 1)),
-            lambda n: " & ".join(["p"] * (n + 1)),
+            pytest.param(make, prefix, parse, id=f"{name}-{op}" if op else name)
+            for name, make in _NESTINGS
+            for op, prefix, parse in _PREFIXES
         ],
-        ids=["negation", "brackets", "implication", "conjunction"],
     )
-    def test_nesting_bound(self, make):
-        # up to the bound the formula parses and prints back; a few levels
-        # past it is a parse error, not a RecursionError
-        f = parse_prop(make(MAX_DEPTH))
-        assert parse_prop(format_prop(f)) == f
+    def test_nesting_bound(self, make, prefix, parse):
+        # up to the bound the formula parses, and a modal operator is not
+        # counted: its body is the bare parse, which prints back; a few
+        # levels past the bound is a parse error, not a RecursionError
+        f = parse(prefix + make(MAX_DEPTH))
+        body = f.body if prefix else f
+        assert body == parse_prop(make(MAX_DEPTH))
+        assert parse_prop(format_formula(body)) == body
         with pytest.raises(ParseError, match="formula nested too deeply"):
-            parse_prop(make(MAX_DEPTH + 3))
+            parse(prefix + make(MAX_DEPTH + 3))
 
     def test_size_bound(self):
         # a chain of k links of <-> has 10 * 2^k - 9 tree nodes: 10 links
-        # fit under MAX_SIZE, 11 do not
+        # fit under MAX_SIZE, 11 do not, with or without an operator
         assert 10 * 2**10 - 9 <= MAX_SIZE < 10 * 2**11 - 9
-        f = parse_prop(" <-> ".join(["p"] * 11))
-        assert parse_prop(format_prop(f)) == f
-        with pytest.raises(ParseError, match="formula too large: 20471 syntax tree nodes"):
-            parse_prop(" <-> ".join(["p"] * 12))
+        for _, prefix, parse in _PREFIXES:
+            f = parse(prefix + " <-> ".join(["p"] * 11))
+            assert parse(format_formula(f)) == f
+            with pytest.raises(ParseError, match="formula too large: 20471 syntax tree nodes"):
+                parse(prefix + " <-> ".join(["p"] * 12))
 
 
 class TestParseModal:
@@ -156,7 +171,7 @@ class TestPrint:
 
     @given(prop_trees)
     def test_prop_round_trip(self, f):
-        assert parse_prop(format_prop(f)) == f
+        assert parse_prop(format_formula(f)) == f
 
     @given(ail_trees)
     def test_ail_round_trip(self, f):

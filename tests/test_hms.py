@@ -317,11 +317,11 @@ class TestTruthSets:
     def test_sat_agrees_across_members(self, T1, M1):
         # every member world of a satisfying state satisfies the body in
         # the source model, and conversely (the classes respect valuation)
-        from awb.model import prop_holds
+        from awb.model import sat_ail
 
         f = parse_hms("p & q")
         for x in T1.states(PQ):
-            verdicts = {prop_holds(M1, w, f.body) for w in members(T1, x)}
+            verdicts = {sat_ail(M1, w, f.body) for w in members(T1, x)}
             assert len(verdicts) == 1
             assert sat_hms(T1, x, f) is verdicts.pop()
 

@@ -11,7 +11,6 @@ from awb.model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    prop_holds,
     reach_composed,
     sat_ail,
     sat_implicit_raw,
@@ -282,7 +281,7 @@ class TestSatisfaction:
         f = parse_prop("p <-> q")
         for w in M1.worlds:
             expected = M1.truth("p", w) == M1.truth("q", w)
-            assert prop_holds(M1, w, f) is expected
+            assert sat_ail(M1, w, f) is expected
 
     def test_bare_implicit_helper(self, M1, M2):
         p = parse_prop("p")

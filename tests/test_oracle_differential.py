@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from awb.formula import Implicit, atoms_of, parse_ail, translate
+from awb.formula import Implicit, Prop, atoms_of, format_formula, parse_ail, translate
 from awb.harness import (
     TrialConfig,
     direct_truth_states,
@@ -29,6 +29,7 @@ from awb.model import (
 from awb.oracles import (
     a_equiv_pairs,
     classes_of,
+    raw_event,
     raw_space,
     raw_truth_states,
     reach_brute,
@@ -163,6 +164,24 @@ class TestRandomDifferential:
             body = sample_body(rng, divergent_model.atoms, 3)
             divergent += self._check_direct_route(divergent_model, s, Implicit("a", body))
         assert divergent >= 5
+
+    def test_bare_tree_and_prop_wrapper_agree(self):
+        # a propositional tree is read by the same recursion as the body of
+        # its Prop wrapper, so every route gives both the same answer
+        for rng, m, _ in _random_models(2121, 300):
+            s = hms_transform(m)
+            body = sample_body(rng, m.atoms, 3)
+            wrapped = Prop(body)
+            assert atoms_of(body) == atoms_of(wrapped)
+            assert format_formula(body) == format_formula(wrapped) == str(body)
+            assert truth_set(s, body) == truth_set(s, wrapped)
+            assert direct_truth_states(s, body) == direct_truth_states(s, wrapped)
+            assert raw_event(m, body) == raw_event(m, wrapped)
+            for w in m.worlds:
+                x = s.locate(w, atoms_of(body))
+                assert sat_ail(m, w, body) == sat_ail(m, w, wrapped)
+                assert sat_hms(s, x, body) == sat_hms(s, x, wrapped)
+                assert sat_ail_brute(m, w, body) == sat_ail_brute(m, w, wrapped)
 
     def test_reach(self):
         for _, m, _ in _random_models(3003, 300):
