@@ -43,7 +43,7 @@ from .hms import (
     sat_hms,
     truth_set,
 )
-from .model import ModelError, load_model, reach_composed, sat_ail, validate
+from .model import ModelError, load_model, reach_composed, require_declared, sat_ail, validate
 from .transform import (
     DEFAULT_ATOM_CAP,
     TransformInapplicable,
@@ -184,18 +184,14 @@ def _cmd_check(args) -> int:
     # the reference.
     if args.hms_state is not None:
         world, vocab = parse_state_ref(args.hms_state)
-        stray = vocab.difference(m.atoms)
-        if stray:
-            raise ModelError(f"undeclared atoms: {sorted(stray)}")
+        require_declared(vocab, m.atoms)
     elif args.world is None:
         print("error: --world or --hms-state is required", file=sys.stderr)
         return EXIT_INPUT
     else:
         world, vocab = args.world, atoms_of(f)
     m.require_world(world)
-    stray = atoms_of(f).difference(m.atoms)
-    if stray:
-        raise ModelError(f"undeclared atoms: {sorted(stray)}")
+    require_declared(atoms_of(f), m.atoms)
     s = hms_transform(m)
     x = s.locate(world, vocab)
     value = sat_hms(s, x, f, variant)

@@ -35,10 +35,13 @@ operator keywords only when followed by ``[``. A formula may nest at most
 :data:`MAX_DEPTH` levels deep, both in its text (brackets, negations and
 chained implications, which the parser recurses on) and in the height of
 its syntax tree, so that every recursive walk over a parsed formula stays
-far inside the interpreter's recursion limit. Its syntax tree may hold at
-most :data:`MAX_SIZE` nodes, counting an operand that ``<->`` shares
-between its two halves once per half, so that a short chain of ``<->``
-cannot stand for a tree too large to evaluate or print.
+far inside the interpreter's recursion limit. A modal body that opens
+with ``(`` may nest one level more in its text, since the printer puts
+every non-atomic body in parentheses; so every formula the parser
+accepts prints to a text it accepts again. A formula's syntax tree may
+hold at most :data:`MAX_SIZE` nodes, counting an operand that ``<->``
+shares between its two halves once per half, so that a short chain of
+``<->`` cannot stand for a tree too large to evaluate or print.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ def format_formula(f: Formula) -> str:
     Conjunction prints left-associatively without parentheses; a
     right-nested or negated conjunction is parenthesized, so parsing the
     output reproduces the tree exactly. A non-atomic modal body is
-    parenthesized for readability; the parser accepts either form.
+    parenthesized for readability; the parser accepts either form, at the
+    nesting bound too.
     """
     if isinstance(f, Atom):
         return f.name
@@ -341,6 +345,17 @@ class _Parser:
 
     # -- modal layer ----------------------------------------------------------
 
+    def body(self) -> PropFormula:
+        """A modal operator's body. The printer parenthesizes every
+        non-atomic body, so a body that opens with ``(`` is allowed one
+        level more: the printed form of a body at the bound parses back."""
+        if self.peek().kind != "(":
+            return self.prop()
+        self.nesting -= 1
+        f = self.prop()
+        self.nesting += 1
+        return f
+
     def agent_bracket(self) -> str:
         self.expect("[", "'['")
         tok = self.expect("ident", "an agent name")
@@ -363,7 +378,7 @@ class _Parser:
             tok = self.modal_keyword("AX", "AIL")
             if tok.text == "A":
                 agent = self.agent_bracket()
-                return Aware(agent, self.prop())
+                return Aware(agent, self.body())
             first = self.agent_bracket()
             mid = self.peek()
             if not (mid.kind == "ident" and mid.text == "I" and self.peek(1).kind == "["):
@@ -395,14 +410,14 @@ class _Parser:
                     xtok.line,
                     xtok.col,
                 )
-            return BoxIBox(first, self.prop())
+            return BoxIBox(first, self.body())
         return Prop(self.prop())
 
     def hms(self) -> HmsFormula:
         if self.at_modal_keyword():
             tok = self.modal_keyword("AI", "HMS")
             agent = self.agent_bracket()
-            body = self.prop()
+            body = self.body()
             return Aware(agent, body) if tok.text == "A" else Implicit(agent, body)
         return Prop(self.prop())
 
@@ -501,23 +516,4 @@ def translate(f: AilFormula) -> HmsFormula:
         return f
     if isinstance(f, BoxIBox):
         return Implicit(f.agent, f.body)
-    raise TypeError(f"not an AIL formula: {f!r}")
-
-
-def a_condition(f: AilFormula, model, world: str) -> bool:
-    """Whether ``f`` is propositional or its modal body mentions exactly the
-    atoms the formula's agent is aware of at ``world``.
-
-    This is the hypothesis under which the AIL-to-HMS translation preserves
-    truth; set equality is required, not inclusion.
-    """
-    undeclared = atoms_of(f) - set(model.atoms)
-    if undeclared:
-        from .model import ModelError  # model imports this module
-
-        raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
-    if isinstance(f, Prop):
-        return True
-    if isinstance(f, (Aware, BoxIBox)):
-        return atoms_of(f.body) == model.awareness_at(f.agent, world)
     raise TypeError(f"not an AIL formula: {f!r}")

@@ -56,7 +56,6 @@ from .formula import (
     Not,
     Prop,
     PropFormula,
-    a_condition,
     atoms_of,
     children,
     format_formula,
@@ -75,7 +74,7 @@ from .hms import (
     truth_set,
     vocab_key,
 )
-from .model import EpistemicModel, ModelError, model_to_dict, sat_ail
+from .model import EpistemicModel, ModelError, a_condition, model_to_dict, sat_ail
 from .transform import TransformInapplicable, hms_transform
 
 # per-space state masks: vocabulary -> mask, bit c naming state c of that row
@@ -489,17 +488,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        labels are one int per world below the world count, so lifting them
        into a row that passes law 3 reads no index past its tables.
     3. Each row: its key and its world -> state table have the right shape,
-       every entry of ``state_at`` is the index of a state of its space,
-       every state has at least one world, and each entry ``reps[c]`` is an
-       int world position, the least position that ``state_at`` sends to
-       ``c``. A state ``x`` handed out is decoded from its row, so its
-       space key and index are its row's and its ``rep`` is the world at
-       ``reps[x.index]``. Below, the class of a state ``x`` is the set of
-       worlds ``state_at`` sends to ``x``. So the classes of a space are
-       non-empty, pairwise disjoint and cover the worlds, each state's
-       class holds its ``rep``, and ``project(x, V)``, the state of ``V``
-       at ``x.rep``'s position in ``V``'s world -> state row, is the state
-       of ``V`` whose class holds ``x.rep``.
+       every entry of ``state_at`` is an int (not a float or a ``bool``,
+       which would pass for one as a dict key or an index) and the index of
+       a state of its space, every state has at least one world, and each
+       entry ``reps[c]`` is an int world position, the least position that
+       ``state_at`` sends to ``c``. A state ``x`` handed out is decoded
+       from its row, so its space key and index are its row's and its
+       ``rep`` is the world at ``reps[x.index]``. Below, the class of a
+       state ``x`` is the set of worlds ``state_at`` sends to ``x``. So the
+       classes of a space are non-empty, pairwise disjoint and cover the
+       worlds, each state's class holds its ``rep``, and ``project(x, V)``,
+       the state of ``V`` at ``x.rep``'s position in ``V``'s world -> state
+       row, is the state of ``V`` whose class holds ``x.rep``.
     4. Valuation, as three laws per row. Class agreement: the worlds of a
        class agree on every atom of their space's vocabulary. Row
        valuation: every entry of a row's ``val`` is an int equal to the
@@ -614,6 +614,11 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
 
+    # Law 3 keys a dict by the state_at entries and laws 4 and 5 index by
+    # them, where 1.0 and True would pass for 1
+    if not _all_ints([row.state_at for row in rows.values()]):
+        vocab = next(v for v, row in rows.items() if not _all_ints([row.state_at]))
+        return fail("world -> state row names no state of its space", space=vocab_key(vocab))
     for vocab, row in rows.items():
         key = vocab_key(vocab)
         if not row.reps:

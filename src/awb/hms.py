@@ -52,7 +52,7 @@ from operator import or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .formula import And, Atom, Aware, Formula, Implicit, Not, Prop
-from .model import ModelError
+from .model import ModelError, require_declared
 
 VARIANTS = ("pointwise", "cell-union")
 
@@ -246,9 +246,7 @@ class HmsStructure:
         """The state of the given space whose class contains the world,
         read off the space's world -> state row."""
         vocab = frozenset(vocab)
-        stray = vocab - self.atom_set
-        if stray:
-            raise ModelError(f"undeclared atoms: {sorted(stray)}")
+        require_declared(vocab, self.atom_set)
         k = self.world_index.get(world)
         row = self.rows.get(vocab)
         if k is None or row is None:

@@ -24,7 +24,7 @@ import json
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .formula import ATOM_RE, And, Atom, Aware, BoxIBox, Formula, Not, Prop, atoms_of
+from .formula import ATOM_RE, AilFormula, And, Atom, Aware, BoxIBox, Formula, Not, Prop, atoms_of
 
 
 class ModelError(ValueError):
@@ -118,6 +118,13 @@ class EpistemicModel:
 
     def world_order(self, world: str) -> int:
         return self._world_index[world]
+
+
+def require_declared(atoms: Iterable[str], declared: Iterable[str]) -> None:
+    """Refuse atoms outside ``declared``, naming them in sorted order."""
+    stray = frozenset(atoms).difference(declared)
+    if stray:
+        raise ModelError(f"undeclared atoms: {sorted(stray)}")
 
 
 def _unique(kind: str, names: Sequence[str]) -> tuple:
@@ -346,6 +353,21 @@ def reach_composed(m: EpistemicModel, agent: str, world: str) -> frozenset:
 # Satisfaction
 # ---------------------------------------------------------------------------
 
+def a_condition(f: AilFormula, m: EpistemicModel, world: str) -> bool:
+    """Whether ``f`` is propositional or its modal body mentions exactly the
+    atoms the formula's agent is aware of at ``world``.
+
+    This is the hypothesis under which the AIL-to-HMS translation preserves
+    truth; set equality is required, not inclusion.
+    """
+    require_declared(atoms_of(f), m.atoms)
+    if isinstance(f, Prop):
+        return True
+    if isinstance(f, (Aware, BoxIBox)):
+        return atoms_of(f.body) == m.awareness_at(f.agent, world)
+    raise TypeError(f"not an AIL formula: {f!r}")
+
+
 def sat_ail(m: EpistemicModel, world: str, f: Formula) -> bool:
     """AIL satisfaction at ``world``, by one recursion over the formula,
     which may also be a bare propositional tree:
@@ -361,9 +383,7 @@ def sat_ail(m: EpistemicModel, world: str, f: Formula) -> bool:
     answer would read it.
     """
     m.require_world(world)
-    undeclared = atoms_of(f).difference(m.atoms)
-    if undeclared:
-        raise ModelError(f"undeclared atoms: {sorted(undeclared)}")
+    require_declared(atoms_of(f), m.atoms)
     return _holds(m, world, f)
 
 

@@ -192,6 +192,24 @@ class TestCheckHms:
         assert "truth-set base: {w1@q}" in out
         assert "extension size: 3" in out
 
+    @pytest.mark.parametrize(
+        "formula,flags,code,out",
+        [
+            # possibility masks of one agent in one space, lifted on first read
+            ("I[a] p", [], EXIT_FALSE, "false\n"),
+            # the agent's awareness set, held once per structure
+            ("A[a] p", [], EXIT_TRUE, "true\n"),
+            # states decoded from each row's representatives
+            ("p", ["-v"], EXIT_TRUE,
+             "true\nstate: w1@p; truth-set base: {w1@p}; extension size: 2\n"),
+        ],
+        ids=["implicit", "aware", "verbose"],
+    )
+    def test_answer_at_w1(self, m1_file, capsys, formula, flags, code, out):
+        args = ["check", m1_file, "--lang", "hms", "--formula", formula, "--world", "w1"]
+        assert main(args + flags) == code
+        assert capsys.readouterr() == (out, "")
+
     def test_varying_awareness_precondition(self, varying_file, capsys):
         code = main(
             ["check", varying_file, "--formula", "p", "--lang", "hms", "--world", "w1"]
@@ -461,6 +479,18 @@ class TestTranslate:
 
     def test_parse_error(self, capsys):
         assert main(["translate", "--formula", "I[a] p"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "formula,out",
+        [
+            ("X[a] I[a] X[a] ~(p & q)", "I[a] (~(p & q))\n"),
+            ("A[b] p | q", "A[b] (~(~p & ~q))\n"),
+        ],
+        ids=["boxibox", "aware"],
+    )
+    def test_non_atomic_body_printed_in_parentheses(self, capsys, formula, out):
+        assert main(["translate", "--formula", formula]) == EXIT_TRUE
+        assert capsys.readouterr().out == out
 
 
 # exit code and stdout sha256 of `awb verify --seed SEED [--both-variants]

@@ -13,7 +13,6 @@ from awb.formula import (
     ParseError,
     Prop,
     ShapeError,
-    a_condition,
     atoms_of,
     format_formula,
     parse_ail,
@@ -21,6 +20,7 @@ from awb.formula import (
     parse_prop,
     translate,
 )
+from awb.model import a_condition
 
 atoms = st.sampled_from(["p", "q", "r", "s"]).map(Atom)
 prop_trees = st.recursive(
@@ -44,6 +44,13 @@ _PREFIXES = [
     ("aware", "A[a] ", parse_ail),
     ("boxibox", "X[a] I[a] X[a] ", parse_ail),
     ("implicit", "I[a] ", parse_hms),
+]
+# bodies whose text is MAX_DEPTH levels deep, which print in parentheses
+# under a modal operator: MAX_DEPTH negations, and a conjunction inside
+# MAX_DEPTH - 1 parentheses, under one negation
+_BOUND_BODIES = [
+    ("negation", "~" * MAX_DEPTH + "p"),
+    ("conjunction", "~" + "(p & " * (MAX_DEPTH - 1) + "q" + ")" * (MAX_DEPTH - 1)),
 ]
 agent_names = st.sampled_from(["a", "b", "c"])
 ail_trees = st.one_of(
@@ -116,6 +123,24 @@ class TestParseProp:
         assert parse_prop(format_formula(body)) == body
         with pytest.raises(ParseError, match="formula nested too deeply"):
             parse(prefix + make(MAX_DEPTH + 3))
+
+    @pytest.mark.parametrize(
+        "body,prefix,parse",
+        [
+            pytest.param(body, prefix, parse, id=f"{name}-{op}")
+            for name, body in _BOUND_BODIES
+            for op, prefix, parse in _PREFIXES[1:]
+        ],
+    )
+    def test_round_trip_at_nesting_bound(self, body, prefix, parse):
+        # the parentheses the printer puts around the body do not count
+        # against the bound, so the printed formula parses back
+        f = parse(prefix + body)
+        assert f.body == parse_prop(body)
+        assert parse(format_formula(f)) == f
+        if isinstance(f, BoxIBox):
+            g = translate(f)
+            assert parse_hms(format_formula(g)) == g
 
     def test_size_bound(self):
         # a chain of k links of <-> has 10 * 2^k - 9 tree nodes: 10 links

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from awb import hms
-from awb.formula import Atom, Prop, a_condition, parse_ail, parse_hms, translate
+from awb.formula import Atom, Prop, parse_ail, parse_hms, translate
 from awb.harness import (
     Report,
     Tally,
@@ -22,7 +22,7 @@ from awb.harness import (
     trial_seed,
 )
 from awb.hms import VARIANTS, decode_masks, extension, extension_masks, truth_set
-from awb.model import EpistemicModel, awareness_variation, validate
+from awb.model import EpistemicModel, a_condition, awareness_variation, validate
 from awb.transform import hms_transform
 from conftest import all_states, event_on, rebuild
 

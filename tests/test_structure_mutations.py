@@ -91,6 +91,18 @@ def with_state_at(s, vocab, **moves):
     return with_row(s, vocab, state_at=tuple(at))
 
 
+def float_state_entry(s):
+    """w2's entry in the {p, q} world -> state row stored as a float: equal
+    to its state index, but not an int."""
+    return with_state_at(s, PQ, w2=float(s.locate("w2", PQ).index))
+
+
+def bool_state_entry(s):
+    """w2's entry in the {p, q} world -> state row stored as a bool: equal
+    to its state index, 1, but not an int."""
+    return with_state_at(s, PQ, w2=bool(s.locate("w2", PQ).index))
+
+
 def swapped_state_of(s):
     """Swaps the entries of w1 and w2 in the {p} world -> state row."""
     return with_state_at(s, P, w1=s.locate("w2", P).index, w2=s.locate("w1", P).index)
@@ -263,6 +275,8 @@ MUTATIONS = [
     ("T2", split_class, "two states of a space agree on its vocabulary"),
     ("T2", all_seeing_agent, "possibility set is not the lifted indistinguishability"),
     ("T2", one_block_labels, "possibility set is not the lifted indistinguishability"),
+    ("T1", float_state_entry, "world -> state row names no state of its space"),
+    ("T1", bool_state_entry, "world -> state row names no state of its space"),
 ]
 
 
