@@ -487,7 +487,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        ``block_labels``, name exactly the model's agents. Each agent's
        labels are one int per world below the world count, so lifting them
        into a row that passes law 3 reads no index past its tables.
-    3. Each row: its key and its world -> state table have the right shape,
+    3. Each row: its ``reps``, ``state_at`` and ``val`` tables are
+       tuples, its key and its world -> state table have the right shape,
        every entry of ``state_at`` is an int (not a float or a ``bool``,
        which would pass for one as a dict key or an index) and the index of
        a state of its space, every state has at least one world, and each
@@ -614,6 +615,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
 
+    # Laws 3 and 4 read a row's three tables as tuples of entries
+    for vocab, row in rows.items():
+        if not type(row.reps) is type(row.state_at) is type(row.val) is tuple:
+            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
     # Law 3 keys a dict by the state_at entries and laws 4 and 5 index by
     # them, where 1.0 and True would pass for 1
     if not _all_ints([row.state_at for row in rows.values()]):

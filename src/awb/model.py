@@ -4,18 +4,28 @@ A model carries a finite world set, one indistinguishability partition per
 agent, one awareness function per agent (world -> set of atoms), and a
 valuation (atom -> set of worlds). Every equivalence relation in this
 package is represented as a labelling, a map from each world to a label
-with two worlds related when their labels are equal, never as a pair
-list, so "is an equivalence relation" holds by construction;
-:func:`validate` reports the residual semantic constraints (block overlap,
-awareness invariance along indistinguishability, namespace containment)
-as data rather than raising. The two relations of the composed operator
-are :meth:`EpistemicModel.indist_labels` and :func:`awareness_labels`.
+with two worlds related when their labels are equal, or as its classes,
+never as a pair list, so "is an equivalence relation" holds by
+construction; :func:`validate` reports the residual semantic constraints
+(block overlap, awareness invariance along indistinguishability,
+namespace containment) as data rather than raising. The two relations of
+the composed operator are :meth:`EpistemicModel.indist_labels` and
+:func:`awareness_classes`.
 
 Input ergonomics, applied at construction time:
 
 * worlds missing from an agent's partition blocks become singleton blocks;
 * atoms missing from the valuation are false everywhere;
 * agent/world pairs missing from the awareness table have empty awareness.
+
+Intake checks each table as a whole and walks its entries only to name a
+fault. :func:`model_from_dict` tests every list of names in the file at
+once, with one set of leaves; :func:`validate` tests each agent's blocks
+and awareness sets by unions and counts. When a whole-table test fails,
+the entries are walked in model order, so the first fault named, and the
+order of the violations listed, are those of the walk alone. Every valid
+model passes the whole-table tests, whether or not its awareness varies.
+The constructor holds an agent's constant awareness as one frozenset.
 """
 
 from __future__ import annotations
@@ -56,9 +66,9 @@ class EpistemicModel:
         for p in self.atoms:
             if not ATOM_RE.match(p):
                 raise ModelError(f"invalid atom name {p!r}")
-        for name in self.agents + self.worlds:
-            if not name:
-                raise ModelError("empty identifier")
+        if not (all(self.agents) and all(self.worlds)):
+            raise ModelError("empty identifier")
+        world_set = frozenset(self.worlds)
 
         valuation = valuation or {}
         _check_names("valuation", valuation, self.atoms)
@@ -69,8 +79,9 @@ class EpistemicModel:
         self.indist_blocks = {}
         for i in self.agents:
             blocks = [frozenset(b) for b in indist.get(i, ()) if b]
-            covered = set().union(*blocks) if blocks else set()
-            blocks += [frozenset({w}) for w in self.worlds if w not in covered]
+            covered = frozenset().union(*blocks)
+            if not world_set <= covered:
+                blocks += [frozenset({w}) for w in self.worlds if w not in covered]
             self.indist_blocks[i] = tuple(blocks)
 
         awareness = awareness or {}
@@ -78,8 +89,14 @@ class EpistemicModel:
         self.awareness = {}
         for i in self.agents:
             row = awareness.get(i, {})
-            _check_names(f"awareness[{i}]", row, self.worlds)
-            self.awareness[i] = {w: frozenset(row.get(w, ())) for w in self.worlds}
+            _check_names(f"awareness[{i}]", row, world_set)
+            # Constant awareness, which the HMS transform requires, is found
+            # by list equality and held as one frozenset.
+            names = list(map(row.get, self.worlds, repeat(())))
+            if names and names.count(names[0]) == len(names):
+                self.awareness[i] = dict.fromkeys(self.worlds, frozenset(names[0]))
+            else:
+                self.awareness[i] = dict(zip(self.worlds, map(frozenset, names)))
 
         self._world_index = {w: k for k, w in enumerate(self.worlds)}
 
@@ -103,12 +120,18 @@ class EpistemicModel:
 
     def indist_labels(self, agent: str) -> dict:
         """Each world's position in ``indist_blocks[agent]``. Refuses a
-        block that names an unknown world and a world in two blocks."""
+        block that names an unknown world and a world in two blocks,
+        naming the first such world, by block and then in world order."""
         if agent not in self.indist_blocks:
             raise ModelError(f"unknown agent {agent!r}")
+        blocks = self.indist_blocks[agent]
+        labels = {w: b for b, block in enumerate(blocks) for w in block}
+        # No world is in two blocks when there is one label per block member.
+        if len(labels) == sum(map(len, blocks)) and labels.keys() <= self._world_index.keys():
+            return labels
         labels = {}
-        for b, block in enumerate(self.indist_blocks[agent]):
-            for w in block:
+        for b, block in enumerate(blocks):
+            for w in _in_world_order(self, block):
                 if w not in self._world_index:
                     raise ModelError(f"partition block mentions unknown world {w!r}")
                 if w in labels:
@@ -135,8 +158,14 @@ def _unique(kind: str, names: Sequence[str]) -> tuple:
     return out
 
 
-def _check_names(section: str, mapping: Mapping, declared: Sequence[str]) -> None:
-    unknown = set(mapping) - set(declared)
+def _in_world_order(m: EpistemicModel, names: Iterable[str]) -> list:
+    """``names`` in the model's world order, after any unknown worlds in
+    sorted order, so a walk over a block does not follow the hash seed."""
+    return sorted(names, key=lambda w: (m._world_index.get(w, -1), w))
+
+
+def _check_names(section: str, mapping: Mapping, declared: Iterable[str]) -> None:
+    unknown = set(mapping).difference(declared)
     if unknown:
         raise ModelError(f"{section} mentions undeclared names: {sorted(unknown)}")
 
@@ -163,28 +192,64 @@ def _all_string_lists(values) -> bool:
 def _first_bad_entry(mapping: Mapping):
     """Key of the first value of ``mapping`` that is not a list of strings,
     or None."""
-    if _all_string_lists(mapping.values()):
-        return None
-    return next(k for k, v in mapping.items() if not _all_string_lists([v]))
+    return next((k for k, v in mapping.items() if not _all_string_lists([v])), None)
+
+
+_NAME_KEYS = ("atoms", "agents", "worlds")
 
 
 def model_from_dict(data: Mapping) -> EpistemicModel:
     """Build a model from the JSON file schema. Unknown top-level keys,
     duplicate identifiers and leaves of the wrong type are rejected (a
-    string where a list is due would otherwise be read as its characters)."""
+    string where a list is due would otherwise be read as its characters).
+
+    The sections' shapes are tested first and then every list of names in
+    the file at once; only when that fails is each section walked, in file
+    order, to name its first fault. The two routes accept the same input:
+    the whole-table test is the conjunction of the walk's tests."""
     if not isinstance(data, Mapping):
         raise ModelError("model file must contain a JSON object")
     unknown = set(data) - _MODEL_KEYS
     if unknown:
         raise ModelError(f"unknown model keys: {sorted(unknown)}")
-    for key in ("atoms", "agents", "worlds"):
+    valuation = data.get("valuation", {})
+    indist = data.get("indistinguishability", {})
+    awareness = data.get("awareness", {})
+    if not (
+        all(key in data for key in _NAME_KEYS)
+        and isinstance(valuation, Mapping)
+        and isinstance(indist, Mapping)
+        and isinstance(awareness, Mapping)
+        and all(map(isinstance, indist.values(), repeat(list)))
+        and all(map(isinstance, awareness.values(), repeat(Mapping)))
+        and _all_string_lists(
+            [
+                *map(data.__getitem__, _NAME_KEYS),
+                *valuation.values(),
+                *chain.from_iterable(indist.values()),
+                *chain.from_iterable(row.values() for row in awareness.values()),
+            ]
+        )
+    ):
+        _name_shape_fault(data, valuation, indist, awareness)
+    return EpistemicModel(
+        atoms=data["atoms"],
+        agents=data["agents"],
+        worlds=data["worlds"],
+        valuation=valuation,
+        indist=indist,
+        awareness=awareness,
+    )
+
+
+def _name_shape_fault(data: Mapping, valuation, indist, awareness) -> None:
+    """Raise the first shape or leaf fault of a model file, section by
+    section and entry by entry."""
+    for key in _NAME_KEYS:
         if key not in data:
             raise ModelError(f"missing model key {key!r}")
         if not _all_string_lists([data[key]]):
             raise ModelError(f"model key {key!r} must be a list of strings")
-    valuation = data.get("valuation", {})
-    indist = data.get("indistinguishability", {})
-    awareness = data.get("awareness", {})
     # References to undeclared names inside the three maps are caught by the
     # constructor/validate; shapes and leaf types are checked here.
     if not isinstance(valuation, Mapping):
@@ -211,14 +276,6 @@ def model_from_dict(data: Mapping) -> EpistemicModel:
             raise ModelError(
                 f"awareness of agent {i!r} at world {bad!r} must be a list of strings"
             )
-    return EpistemicModel(
-        atoms=data["atoms"],
-        agents=data["agents"],
-        worlds=data["worlds"],
-        valuation=valuation,
-        indist=indist,
-        awareness=awareness,
-    )
 
 
 def model_to_dict(m: EpistemicModel) -> dict:
@@ -267,7 +324,31 @@ def load_model(path: str) -> EpistemicModel:
 
 def validate(m: EpistemicModel) -> list:
     """Check every model invariant; returns a list of human-readable
-    violations (empty means valid). Violations are data, not exceptions."""
+    violations (empty means valid), in model order. Violations are data,
+    not exceptions.
+
+    Each agent is first checked by four whole-table tests, and its blocks
+    and awareness rows are walked only when one of them fails:
+
+    1. the union ``U`` of the agent's blocks lies inside the world set, so
+       no block names an unknown world;
+    2. the block sizes sum to ``|U|``. The sizes sum to at least ``|U|``,
+       with equality exactly when no world lies in two blocks, so no two
+       blocks overlap. An identical block given twice fails this test, and
+       the walk, which reports an overlap only between different blocks,
+       finds nothing there;
+    3. the union of the agent's distinct awareness sets lies inside the
+       atom set, so no world's awareness names an undeclared atom;
+    4. each block holds one awareness set, so awareness is constant
+       inside every block. The constructor gives every world an awareness
+       set, so an agent with at most one distinct set passes at once, with
+       no pass over the blocks; otherwise each block is looked up, its
+       members being known worlds by test 1.
+
+    These are the walk's four checks stated over whole tables: an agent
+    that passes all four has no violation, an agent with a violation fails
+    one, and the walk then lists its violations.
+    """
     out = []
     if not m.worlds:
         out.append("model has no worlds")
@@ -278,34 +359,50 @@ def validate(m: EpistemicModel) -> list:
         if stray:
             out.append(f"valuation of atom {p!r} mentions unknown worlds {sorted(stray)}")
     for i in m.agents:
-        seen: dict = {}
-        for block in m.indist_blocks[i]:
-            stray = block - world_set
-            if stray:
-                out.append(
-                    f"agent {i!r}: partition block mentions unknown worlds {sorted(stray)}"
-                )
-            for w in block:
-                if w in seen and seen[w] != block:
-                    out.append(
-                        f"agent {i!r}: partition blocks overlap at world {w!r}"
-                    )
-                seen[w] = block
-        for w, aw in m.awareness[i].items():
-            stray = aw - atom_set
-            if stray:
-                out.append(
-                    f"agent {i!r}: awareness at {w!r} mentions undeclared atoms {sorted(stray)}"
-                )
-        # Awareness must be constant along each indistinguishability block.
-        for block in m.indist_blocks[i]:
-            rows = {m.awareness[i].get(w, frozenset()) for w in block if w in world_set}
-            if len(rows) > 1:
-                members = sorted(block, key=lambda w: m.world_order(w) if w in world_set else -1)
-                out.append(
-                    f"agent {i!r}: awareness differs inside indistinguishability "
-                    f"block {{{', '.join(members)}}}"
-                )
+        blocks = m.indist_blocks[i]
+        aw = m.awareness[i]
+        covered = frozenset().union(*blocks)
+        aware_sets = set(aw.values())
+        if not (
+            covered <= world_set
+            and sum(map(len, blocks)) == len(covered)
+            and frozenset().union(*aware_sets) <= atom_set
+            and (
+                len(aware_sets) <= 1
+                or all(len(set(map(aw.__getitem__, b))) == 1 for b in blocks)
+            )
+        ):
+            out += _agent_violations(m, i, world_set, atom_set)
+    return out
+
+
+def _agent_violations(m: EpistemicModel, i: str, world_set: set, atom_set: set) -> list:
+    """The violations of one agent's blocks and awareness, walking each
+    block in world order."""
+    out = []
+    seen: dict = {}
+    for block in m.indist_blocks[i]:
+        stray = block - world_set
+        if stray:
+            out.append(f"agent {i!r}: partition block mentions unknown worlds {sorted(stray)}")
+        for w in _in_world_order(m, block):
+            if w in seen and seen[w] != block:
+                out.append(f"agent {i!r}: partition blocks overlap at world {w!r}")
+            seen[w] = block
+    for w, aw in m.awareness[i].items():
+        stray = aw - atom_set
+        if stray:
+            out.append(
+                f"agent {i!r}: awareness at {w!r} mentions undeclared atoms {sorted(stray)}"
+            )
+    # Awareness must be constant along each indistinguishability block.
+    for block in m.indist_blocks[i]:
+        rows = {m.awareness[i].get(w, frozenset()) for w in block if w in world_set}
+        if len(rows) > 1:
+            out.append(
+                f"agent {i!r}: awareness differs inside indistinguishability "
+                f"block {{{', '.join(_in_world_order(m, block))}}}"
+            )
     return out
 
 
@@ -320,33 +417,47 @@ def awareness_variation(m: EpistemicModel):
 
 
 # ---------------------------------------------------------------------------
-# Awareness labelling and reachability
+# Awareness classes and reachability
 # ---------------------------------------------------------------------------
 
-def awareness_labels(m: EpistemicModel, agent: str) -> dict:
-    """Each world's signature for ``agent``: the awareness set there, and
-    the atoms of that set true there. Two worlds share a signature when
-    the agent has the same awareness set at both and they agree on every
-    atom of it."""
+def awareness_classes(m: EpistemicModel, agent: str) -> list:
+    """The classes of ``agent``'s awareness relation, as world sets: the
+    worlds at which the agent has one awareness set, cut by the truth of
+    each atom of that set. Two worlds share a class exactly when the agent
+    has the same awareness set at both and they agree on every atom of
+    it."""
     if agent not in m.awareness:
         raise ModelError(f"unknown agent {agent!r}")
-    aw = m.awareness[agent]
-    return {
-        w: (aw[w], frozenset(p for p in aw[w] if w in m.valuation[p])) for w in m.worlds
-    }
+    groups: dict = {}
+    for w, aware in m.awareness[agent].items():
+        groups.setdefault(aware, []).append(w)
+    classes = []
+    for aware, worlds in groups.items():
+        cut = [frozenset(worlds)]
+        for p in aware:
+            if len(cut) == len(worlds):  # every part is a single world
+                break
+            parts = []
+            for c in cut:
+                inside = c & m.valuation[p]
+                parts += (inside, c - inside) if 0 < len(inside) < len(c) else (c,)
+            cut = parts
+        classes += cut
+    return classes
 
 
 def reach_composed(m: EpistemicModel, agent: str, world: str) -> frozenset:
     """Worlds reachable from ``world`` through the sandwich: one awareness
-    step (same signature), one indistinguishability step (same block), one
+    step (same class), one indistinguishability step (same block), one
     awareness step. All three relations are symmetric, so the composition
     order does not affect the result."""
     m.require_world(world)
-    sig = awareness_labels(m, agent)
+    classes = awareness_classes(m, agent)
     block = m.indist_labels(agent)
-    near = {block[w] for w in m.worlds if sig[w] == sig[world]}
-    far = {sig[w] for w in m.worlds if block[w] in near}
-    return frozenset(w for w in m.worlds if sig[w] in far)
+    blocks = m.indist_blocks[agent]
+    home = next(c for c in classes if world in c)
+    near = frozenset().union(*[blocks[block[w]] for w in home])
+    return frozenset().union(*[c for c in classes if not c.isdisjoint(near)])
 
 
 # ---------------------------------------------------------------------------

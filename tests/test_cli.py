@@ -2,10 +2,13 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 
 import pytest
 
+import awb
 from awb.cli import (
     EXIT_CONJECTURE,
     EXIT_FALSE,
@@ -438,6 +441,32 @@ class TestTransform:
         )
         assert main(["transform", str(path)]) == EXIT_INPUT
         assert "unknown_key" in capsys.readouterr().err
+
+
+def test_overlap_errors_in_world_order(tmp_path):
+    """The overlaps of two blocks are named in world order, whatever the
+    hash seed."""
+    path = tmp_path / "overlap.json"
+    worlds = [f"w{k}" for k in range(1, 7)]
+    path.write_text(
+        json.dumps(
+            {
+                "atoms": ["p"],
+                "agents": ["a"],
+                "worlds": worlds,
+                "indistinguishability": {"a": [worlds, worlds[:0:-1]]},
+            }
+        )
+    )
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(awb.__file__)))
+    argv = [sys.executable, "-m", "awb.cli", "check", str(path), "--formula", "p", "--world", "w1"]
+    expected = "error: " + "; ".join(
+        f"agent 'a': partition blocks overlap at world '{w}'" for w in worlds[1:]
+    ) + "\n"
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (EXIT_INPUT, expected), hash_seed
 
 
 class TestMalformedLeaves:

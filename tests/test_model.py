@@ -6,7 +6,7 @@ from awb.formula import parse_ail, parse_prop
 from awb.model import (
     EpistemicModel,
     ModelError,
-    awareness_labels,
+    awareness_classes,
     awareness_variation,
     load_model,
     model_from_dict,
@@ -161,6 +161,103 @@ class TestValidate:
         assert isinstance(validate(bad), list)
 
 
+class TestWholeTableIntake:
+    """Each fault class that a whole-table test of the intake could miss,
+    pinned to its full violation list or error text. The violations of an
+    agent are listed in model order: block by block, each block in world
+    order, then awareness."""
+
+    @pytest.mark.parametrize(
+        "worlds, blocks, aware, violations",
+        [
+            (2, [["w1", "w9"]], {}, [
+                "agent 'b': partition block mentions unknown worlds ['w9']",
+            ]),
+            (4, [["w1", "w2", "w3"], ["w4", "w3", "w2"]], {}, [
+                "agent 'b': partition blocks overlap at world 'w2'",
+                "agent 'b': partition blocks overlap at world 'w3'",
+            ]),
+            (2, [["w1", "w2"], ["w2", "w1"]], {}, []),
+            (2, [], {"w1": ["p"], "w2": ["p", "z"]}, [
+                "agent 'b': awareness at 'w2' mentions undeclared atoms ['z']",
+            ]),
+            (2, [], {"w1": ["z"], "w2": ["z"]}, [
+                "agent 'b': awareness at 'w1' mentions undeclared atoms ['z']",
+                "agent 'b': awareness at 'w2' mentions undeclared atoms ['z']",
+            ]),
+            (3, [["w3", "w1"]], {"w1": ["p"], "w2": ["p"]}, [
+                "agent 'b': awareness differs inside indistinguishability block {w1, w3}",
+            ]),
+            (2, [["w9", "w1"], ["w2", "w1"]], {"w1": ["p"]}, [
+                "agent 'b': partition block mentions unknown worlds ['w9']",
+                "agent 'b': partition blocks overlap at world 'w1'",
+                "agent 'b': awareness differs inside indistinguishability block {w1, w2}",
+            ]),
+        ],
+        ids=[
+            "stray-world", "overlap-at-two-worlds", "identical-block-twice",
+            "undeclared-atom-at-one-world", "undeclared-atom-everywhere",
+            "awareness-differs-in-block", "three-faults-in-model-order",
+        ],
+    )
+    def test_violations_pinned(self, worlds, blocks, aware, violations):
+        # agent a is valid, so agent b's faults are all there is to report
+        names = tuple(f"w{k}" for k in range(1, worlds + 1))
+        m = EpistemicModel(
+            ("p", "q"), ("a", "b"), names, {"p": ["w1"]},
+            {"a": [list(names)], "b": blocks},
+            {"a": dict.fromkeys(names, ["q"]), "b": aware},
+        )
+        assert validate(m) == violations
+
+    def test_valid_model_is_not_walked(self, monkeypatch):
+        # awareness differs between blocks but not inside one: the model is
+        # valid, and the whole-table tests alone must say so
+        def walk(*args):
+            raise AssertionError("a valid model was walked")
+
+        monkeypatch.setattr("awb.model._agent_violations", walk)
+        worlds = ("w1", "w2", "w3", "w4")
+        m = EpistemicModel(
+            ("p", "q"), ("a",), worlds, {"p": ["w1"]}, {"a": [["w1", "w3"], ["w2"]]},
+            {"a": {"w1": ["p"], "w2": ["q"], "w3": ["p"], "w4": ["p", "q"]}},
+        )
+        assert validate(m) == []
+
+    def test_identical_block_twice_refused_by_the_modal_clause(self):
+        m = EpistemicModel(("p",), ("a",), ("w1", "w2"), indist={"a": [["w2", "w1"]] * 2})
+        with pytest.raises(ModelError) as exc:
+            sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
+        assert str(exc.value) == "world 'w1' appears in two partition blocks"
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"valuation": {"p": "w1"}}, "valuation of atom 'p' must be a list of strings"),
+            ({"indistinguishability": {"a": [["w1", 1]]}},
+             "each indistinguishability block of agent 'a' must be a list of strings"),
+            ({"awareness": {"a": {"w1": [["p"]]}}},
+             "awareness of agent 'a' at world 'w1' must be a list of strings"),
+            ({"awareness": {"a": ["p"]}}, "awareness of agent 'a' must map worlds to atom lists"),
+            ({"worlds": ["w1", None]}, "model key 'worlds' must be a list of strings"),
+            # the first fault in file order is named
+            ({"valuation": {"p": [1]}, "indistinguishability": "w1"},
+             "valuation of atom 'p' must be a list of strings"),
+            ({"awareness": {"a": {"w1": 1}}, "indistinguishability": {"a": ["w1"]}},
+             "each indistinguishability block of agent 'a' must be a list of strings"),
+        ],
+        ids=[
+            "non-list-leaf", "non-string-leaf", "nested-list", "non-mapping-awareness-row",
+            "non-string-world", "valuation-before-blocks", "blocks-before-awareness",
+        ],
+    )
+    def test_model_errors_pinned(self, sections, message):
+        data = {"atoms": ["p"], "agents": ["a"], "worlds": ["w1"], **sections}
+        with pytest.raises(ModelError) as exc:
+            model_from_dict(data)
+        assert str(exc.value) == message
+
+
 class TestPartitionRefusals:
     """A model whose indistinguishability blocks overlap or name an unknown
     world is reported by ``validate`` and refused by the AIL modal clause
@@ -192,15 +289,15 @@ class TestPartitionRefusals:
 
 class TestPartitions:
     def test_awareness_partition_m1(self, M1):
-        assert blocks_of(label_blocks(awareness_labels(M1, "a"))) == [["w1"], ["w2"]]
+        assert blocks_of(awareness_classes(M1, "a")) == [["w1"], ["w2"]]
 
     def test_empty_awareness_collapses(self, M1):
         m = with_awareness(M1, "a", {"w1": [], "w2": []})
-        assert blocks_of(label_blocks(awareness_labels(m, "a"))) == [["w1", "w2"]]
+        assert blocks_of(awareness_classes(m, "a")) == [["w1", "w2"]]
 
     def test_awareness_of_shared_atom_collapses(self, M1):
         m = with_awareness(M1, "a", {"w1": ["q"], "w2": ["q"]})
-        assert blocks_of(label_blocks(awareness_labels(m, "a"))) == [["w1", "w2"]]
+        assert blocks_of(awareness_classes(m, "a")) == [["w1", "w2"]]
 
     def test_vocab_partition_m1(self, T1):
         assert blocks_of(space_partition(T1, frozenset())) == [["w1", "w2"]]
@@ -218,7 +315,9 @@ class TestPartitions:
             s = hms_transform(m)
             for i in m.agents:
                 aware = m.awareness[i][m.worlds[0]]
-                assert label_blocks(awareness_labels(m, i)) == space_partition(s, aware)
+                classes = awareness_classes(m, i)
+                assert len(set(classes)) == len(classes)
+                assert set(classes) == space_partition(s, aware)
 
     def test_vocab_monotone_refinement(self, T1):
         fine = space_partition(T1, {"p", "q"})
@@ -301,9 +400,7 @@ class TestSatisfaction:
                     for text in ("p", "q", "p & q", "~p"):
                         f = parse_ail(f"X[{i}] I[{i}] X[{i}] ({text})")
                         if sat_ail(m, w, f):
-                            block = next(
-                                b for b in label_blocks(awareness_labels(m, i)) if w in b
-                            )
+                            block = next(b for b in awareness_classes(m, i) if w in b)
                             assert all(
                                 sat_implicit_raw(m, v, i, f.body) for v in block
                             )

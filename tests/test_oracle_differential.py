@@ -22,9 +22,12 @@ from awb.harness import (
 )
 from awb.hms import VARIANTS, decode_masks, extension, sat_hms, truth_set
 from awb.model import (
-    awareness_labels,
+    EpistemicModel,
+    awareness_classes,
+    awareness_variation,
     reach_composed,
     sat_ail,
+    validate,
 )
 from awb.oracles import (
     a_equiv_pairs,
@@ -38,7 +41,7 @@ from awb.oracles import (
     vocab_pairs,
 )
 from awb.transform import TransformInapplicable, hms_transform
-from conftest import label_blocks, members
+from conftest import members
 
 AIL_GOLDENS = [
     # (model fixture, world, formula, expected)
@@ -90,6 +93,31 @@ def _random_models(master: int, count: int, **overrides):
     for k in range(count):
         rng = random.Random(trial_seed(master, k))
         yield rng, gen_model(rng, cfg), cfg
+
+
+def _block_aware_models(master: int, count: int):
+    """Seeded valid models whose awareness is constant inside each of an
+    agent's indistinguishability blocks but drawn afresh for each block, so
+    it may differ between blocks, which ``gen_model`` never draws."""
+    for k in range(count):
+        rng = random.Random(trial_seed(master, k))
+        worlds = tuple(f"w{j}" for j in range(1, rng.randint(1, 6) + 1))
+        atoms = ("p", "q", "r")[: rng.randint(1, 3)]
+        agents = ("a", "b")[: rng.randint(1, 2)]
+        valuation = {p: [w for w in worlds if rng.random() < 0.5] for p in atoms}
+        indist, awareness = {}, {}
+        for i in agents:
+            labels = [rng.randrange(len(worlds)) for _ in worlds]
+            indist[i] = [
+                [w for w, lab in zip(worlds, labels) if lab == b] for b in sorted(set(labels))
+            ]
+            awareness[i] = {}
+            for block in indist[i]:
+                aware = [p for p in atoms if rng.random() < 0.5]
+                awareness[i].update(dict.fromkeys(block, aware))
+        m = EpistemicModel(atoms, agents, worlds, valuation, indist, awareness)
+        assert validate(m) == []
+        yield rng, m
 
 
 def _to_raw(s, states):
@@ -189,11 +217,30 @@ class TestRandomDifferential:
                 for w in m.worlds:
                     assert reach_composed(m, agent, w) == reach_brute(m, agent, w)
 
+    def test_awareness_varying_across_blocks(self):
+        """The composed operator, its awareness classes and AIL
+        satisfaction, on models whose awareness differs between blocks."""
+        varying = 0
+        for rng, m in _block_aware_models(5005, 300):
+            varying += awareness_variation(m) is not None
+            for agent in m.agents:
+                classes = awareness_classes(m, agent)
+                assert len(set(classes)) == len(classes)
+                assert set(classes) == classes_of(m, a_equiv_pairs(m, agent))
+                for w in m.worlds:
+                    assert reach_composed(m, agent, w) == reach_brute(m, agent, w)
+            for w in m.worlds:
+                f, _ = gen_formula(rng, m, w, require_a_condition=rng.random() < 0.5)
+                for world in m.worlds:
+                    assert sat_ail(m, world, f) == sat_ail_brute(m, world, f)
+        assert varying >= 100
+
     def test_quotients(self):
         for _, m, _ in _random_models(4004, 150, max_atoms=3):
             for agent in m.agents:
-                opt = label_blocks(awareness_labels(m, agent))
-                assert opt == classes_of(m, a_equiv_pairs(m, agent))
+                classes = awareness_classes(m, agent)
+                assert len(set(classes)) == len(classes)
+                assert set(classes) == classes_of(m, a_equiv_pairs(m, agent))
             s = hms_transform(m)
             for p in m.atoms:
                 vocab = frozenset({p})

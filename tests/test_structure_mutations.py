@@ -252,6 +252,15 @@ def split_class(s):
     return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)}, val=(1, 1))
 
 
+def none_table(field):
+    """A mutant whose {p} row holds None in place of its ``field`` table."""
+    def mutate(s):
+        return with_row(s, P, **{field: None})
+
+    mutate.__name__ = f"none_{field}"
+    return mutate
+
+
 MUTATIONS = [
     ("T1", swapped_state_of, "state representative is outside its class"),
     ("divergent", wrong_representative, "state representative is not the least member"),
@@ -277,6 +286,9 @@ MUTATIONS = [
     ("T2", one_block_labels, "possibility set is not the lifted indistinguishability"),
     ("T1", float_state_entry, "world -> state row names no state of its space"),
     ("T1", bool_state_entry, "world -> state row names no state of its space"),
+    ("T1", none_table("reps"), "row shape inconsistent with its space"),
+    ("T1", none_table("state_at"), "row shape inconsistent with its space"),
+    ("T1", none_table("val"), "row shape inconsistent with its space"),
 ]
 
 
