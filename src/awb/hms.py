@@ -15,6 +15,12 @@ states out (:meth:`HmsStructure.states`, ``locate``, ``project``,
 call. An agent's possibility sets in a space
 are lifted from that labelling on first read, as masks of state indices,
 and cached in the row; :meth:`HmsStructure.cells` is their one reader.
+An atom's event is likewise made on first read and kept in the
+structure's ``atom_events``, whose one reader is the atom kernel. These
+are the only tables a structure fills after its build: possibility masks
+per agent and row, and atom events per atom, all valuation and model data.
+Nothing keyed by a formula is kept, so every query runs each connective
+and modal kernel of its formula.
 The event algebra walks the rows by state index, and projects a state by
 looking up its representative's world position in the target space's
 world -> state row.
@@ -175,6 +181,11 @@ class HmsStructure:
     the agent's subjective vocabulary at every state of that space; and
     ``block_labels[i]``, the indistinguishability block of each world in
     world order, which :meth:`cells` lifts into a row's possibility masks.
+    On first read the structure fills two tables and no other: each row's
+    possibility masks per agent (``SpaceRow.poss``, through :meth:`cells`)
+    and ``atom_events``, each declared atom's event as a based triple,
+    filled by the atom kernel; an undeclared atom is refused and never
+    stored. Nothing keyed by a formula is kept.
     Consistency between the tables is the builder's responsibility (the
     verification harness checks every structural invariant independently).
     A state passed in is looked up by its space key and index and must
@@ -200,6 +211,7 @@ class HmsStructure:
         self.vocabs = tuple(rows)
         self.atom_set = frozenset(atoms)
         self.world_index = {w: k for k, w in enumerate(worlds)}
+        self.atom_events: Dict[str, Based] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -230,13 +242,20 @@ class HmsStructure:
 
     def _row_of(self, x: StateId) -> Optional[SpaceRow]:
         """The row of ``x``'s space, or ``None`` when ``x`` is not a state
-        of this structure: ``x`` must equal the state its key and index
-        decode to, whose fields are compared as a plain tuple, as a state
-        compares, without making the state."""
+        of this structure: ``x``'s index must be exactly an ``int`` (a
+        ``bool`` or a ``float`` equal to one is refused, as the battery
+        refuses them in ``state_at``), and ``x`` must equal the state its
+        key and index decode to, whose fields are compared as a plain
+        tuple, as a state compares, without making the state."""
         try:
             row = self.rows.get(_parse_vocab_key(x[0]))
             c = x[1]
-            if row is not None and c >= 0 and (row.key, c, self.worlds[row.reps[c]]) == x:
+            if (
+                row is not None
+                and type(c) is int
+                and c >= 0
+                and (row.key, c, self.worlds[row.reps[c]]) == x
+            ):
                 return row
         except (AttributeError, IndexError, TypeError):
             pass
@@ -343,15 +362,20 @@ def _full(row: SpaceRow) -> int:
 
 
 def _atom(s: HmsStructure, p: str) -> Based:
-    if p not in s.atom_set:
-        raise ModelError(f"unknown atom {p!r}")
-    vocab = frozenset({p})
-    row = s.rows[vocab]
-    mask = 0
-    for k, bits in enumerate(row.val):
-        if bits:
-            mask |= 1 << k
-    return vocab, row, mask
+    """The atom's event: the one reader and filler of ``s.atom_events``.
+    An undeclared atom is refused and never stored."""
+    b = s.atom_events.get(p)
+    if b is None:
+        if p not in s.atom_set:
+            raise ModelError(f"unknown atom {p!r}")
+        vocab = frozenset({p})
+        row = s.rows[vocab]
+        mask = 0
+        for k, bits in enumerate(row.val):
+            if bits:
+                mask |= 1 << k
+        b = s.atom_events[p] = (vocab, row, mask)
+    return b
 
 
 def _not(vocab: FrozenSet[str], row: SpaceRow, mask: int) -> Based:
@@ -494,19 +518,23 @@ def _truth(s: HmsStructure, f: Formula, variant: str) -> Based:
     formula, which may also be a bare propositional tree: each node calls
     its operator's kernel on its children's triples. It builds no
     :class:`Event` and checks nothing per node; the callers check the
-    variant once."""
-    if isinstance(f, Atom):
+    variant once. It reuses only what the structure fills on first read,
+    atom events and possibility masks, and keeps nothing keyed by the
+    formula. Nodes are told apart by exact type, leaves and connectives
+    first: no node class is subclassed."""
+    t = type(f)
+    if t is Atom:
         return _atom(s, f.name)
-    if isinstance(f, Not):
-        return _not(*_truth(s, f.child, variant))
-    if isinstance(f, And):
+    if t is And:
         return _and(s, _truth(s, f.left, variant), _truth(s, f.right, variant))
-    if isinstance(f, Prop):
-        return _truth(s, f.body, variant)
-    if isinstance(f, Aware):
-        return _aware(s, f.agent, *_truth(s, f.body, variant))
-    if isinstance(f, Implicit):
+    if t is Not:
+        return _not(*_truth(s, f.child, variant))
+    if t is Implicit:
         return _implicit(s, f.agent, variant, *_truth(s, f.body, variant))
+    if t is Aware:
+        return _aware(s, f.agent, *_truth(s, f.body, variant))
+    if t is Prop:
+        return _truth(s, f.body, variant)
     raise TypeError(f"not an HMS formula: {f!r}")
 
 
@@ -532,4 +560,4 @@ def sat_hms(
         raise ValueError(f"unknown state {x}")
     _check_variant(variant)
     vocab, row, mask = _truth(s, f, variant)
-    return vocab <= x.vocab and mask >> row.state_at[own.reps[x[1]]] & 1 == 1
+    return vocab <= _parse_vocab_key(x[0]) and mask >> row.state_at[own.reps[x[1]]] & 1 == 1

@@ -364,6 +364,7 @@ class TestEventhoodMutations:
     set, and the detail names exactly the states that differ."""
 
     KERNELS = [
+        ("_atom", "pointwise"),
         ("_not", "pointwise"),
         ("_and", "pointwise"),
         ("_aware", "pointwise"),
@@ -372,6 +373,7 @@ class TestEventhoodMutations:
     ]
     # on m1 and m2, each kernel computes these formulas' truth sets last
     LAST_KERNEL = {
+        "_atom": "p",
         "_not": "~p",
         "_and": "p & q",
         "_aware": "A[a] (p & q)",
@@ -442,6 +444,23 @@ class TestEventhoodMutations:
                 self.assert_names_difference(s, detail, good, bad)
                 caught += 1
         assert caught >= 30
+
+    @pytest.mark.parametrize("text", ["p", "~p", "q & p"])
+    def test_corrupt_stored_atom_event_fails(self, M1, M2, text):
+        # an atom's event is stored on the structure at its first read; the
+        # direct route reads the rows' valuation itself, so a bit flipped
+        # in the stored mask afterwards is caught
+        f = parse_hms(text)
+        for m in (M1, M2):
+            s = hms_transform(m)
+            good = extension_masks(s, truth_set(s, f))
+            assert check_eventhood(s, f, "pointwise")[0] == "pass"
+            vocab, row, mask = s.atom_events["p"]
+            s.atom_events["p"] = vocab, row, mask ^ 1
+            bad = extension_masks(s, truth_set(s, f))
+            status, detail = check_eventhood(s, f, "pointwise")
+            assert status == "fail"
+            self.assert_names_difference(s, detail, good, bad)
 
     def test_up_closure_fault_fails(self, monkeypatch):
         # one bit of one space of the up-closure flipped, space by space

@@ -404,16 +404,86 @@ class TestMaskInterface:
                 assert composed(s, f, variant) == e, (f, variant)
 
 
+class TestStoredAtomEvents:
+    """A structure keeps each atom's event from its first read, one per
+    declared atom and nothing keyed by a formula."""
+
+    def test_undeclared_atom_refused_and_never_stored(self, M1):
+        from awb.model import ModelError
+        from awb.transform import hms_transform
+
+        s = hms_transform(M1)
+        x = s.locate("w1", P)
+        for answered in (False, True):
+            assert refusal(ModelError, event_atom, s, "z") == "unknown atom 'z'"
+            assert refusal(ModelError, truth_set, s, parse_hms("p & z")) == "unknown atom 'z'"
+            assert refusal(ModelError, sat_hms, s, x, parse_hms("I[a] ~z")) == "unknown atom 'z'"
+            assert set(s.atom_events) == ({"p", "q"} if answered else {"p"})
+            for text in ("q", "p & ~q", "A[a] (p & q)"):
+                sat_hms(s, x, parse_hms(text))
+
+    def test_at_most_one_event_per_declared_atom(self):
+        from awb.harness import TrialConfig, gen_formula, gen_model
+        from awb.transform import hms_transform
+
+        rng = random.Random(2525)
+        cfg = TrialConfig(max_atoms=4)
+        m = gen_model(rng, cfg)
+        while len(m.atoms) < 3:
+            m = gen_model(rng, cfg)
+        s = hms_transform(m)
+        seen = set()
+        while len(seen) < 50:
+            f = translate(gen_formula(rng, m, rng.choice(m.worlds), False)[0])
+            seen.add(f)
+            for variant in VARIANTS:
+                truth_set(s, f, variant)
+                assert set(s.atom_events) <= set(m.atoms)
+        assert len(s.atom_events) <= len(m.atoms)
+        fresh = hms_transform(m)
+        for p, (vocab, _, mask) in s.atom_events.items():
+            assert Event(vocab, mask) == event_atom(fresh, p)
+
+    def test_reused_structure_answers_as_fresh_and_brute(self, M1, M2, divergent_model):
+        # one structure per model answers a seeded run of formulas in both
+        # variants, at every state of every space, as a structure built
+        # afresh for each formula and as the brute-force oracle
+        from awb.formula import atoms_of
+        from awb.harness import TrialConfig, gen_formula, gen_model
+        from awb.oracles import sat_hms_brute
+        from awb.transform import hms_transform
+
+        rng = random.Random(2727)
+        cfg = TrialConfig()
+        models = [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(40)]
+        for m in models:
+            s = hms_transform(m)
+            for _ in range(6):
+                f = translate(gen_formula(rng, m, rng.choice(m.worlds), False)[0])
+                vocab = atoms_of(f)
+                for variant in VARIANTS:
+                    fresh = hms_transform(m)
+                    brute = {w: sat_hms_brute(m, w, f, variant) for w in m.worlds}
+                    for v in s.rows:
+                        for x in s.states(v):
+                            value = sat_hms(s, x, f, variant)
+                            assert value == sat_hms(fresh, x, f, variant), (str(x), f, variant)
+                            assert value == (vocab <= v and brute[x.rep]), (str(x), f, variant)
+
+
 # States that T1 does not have, by kind: a state of T2 (its second
 # q-class; T1's q-space has one class), indices past either end of T1's
-# p-space, the right (space_key, index) with another world as rep, and a
-# rep that is no world at all.
+# p-space, the right (space_key, index) with another world as rep, a rep
+# that is no world at all, and indices that equal the right one but are
+# not ints.
 FORGED = {
     "foreign": StateId("q", 1, "w2"),
     "index_past_end": StateId("p", 2, "w1"),
     "negative_index": StateId("p", -1, "w2"),
     "wrong_rep": StateId("p", 0, "w2"),
     "rep_not_a_world": StateId("p", 0, "nowhere"),
+    "bool_index": StateId("p", True, "w2"),
+    "float_index": StateId("p", 1.0, "w2"),
 }
 
 
@@ -428,6 +498,11 @@ def refusal(exc_type, call, *args):
 class TestForeignStates:
     def test_foreign_is_a_state_of_t2(self, T2):
         assert T2.locate("w2", Q) == FORGED["foreign"]
+
+    def test_non_int_indices_equal_a_state_of_t1(self, T1):
+        real = T1.locate("w2", P)
+        assert real.index == 1
+        assert FORGED["bool_index"] == real == FORGED["float_index"]
 
     @pytest.mark.parametrize("name", FORGED)
     def test_state_lookups_refuse(self, T1, name):
@@ -454,7 +529,10 @@ class TestForeignStates:
         x = FORGED["rep_not_a_world"]
         assert refusal(ValueError, T1.project, x, EMPTY) == "cannot project nowhere@p to {}"
 
-    @pytest.mark.parametrize("name", ["foreign", "index_past_end", "negative_index", "wrong_rep"])
+    @pytest.mark.parametrize(
+        "name",
+        ["foreign", "index_past_end", "negative_index", "wrong_rep", "bool_index", "float_index"],
+    )
     def test_project_refuses_a_forged_state_with_a_world_as_rep(self, T1, name):
         # the rep is a world of T1, so a lookup by rep alone would answer
         x = FORGED[name]
