@@ -147,15 +147,12 @@ def _cmd_check(args) -> int:
     m = _load(args.model)
     if args.lang == "ail":
         if args.hms_state is not None:
-            print("error: --hms-state needs --lang hms", file=sys.stderr)
-            return EXIT_INPUT
+            raise ModelError("--hms-state needs --lang hms")
         if args.variant is not None:
-            print("error: --variant needs --lang hms", file=sys.stderr)
-            return EXIT_INPUT
+            raise ModelError("--variant needs --lang hms")
         f = parse_ail(args.formula)
         if args.world is None:
-            print("error: --world is required", file=sys.stderr)
-            return EXIT_INPUT
+            raise ModelError("--world is required")
         value = sat_ail(m, args.world, f)
         print("true" if value else "false")
         if args.verbose:
@@ -172,8 +169,7 @@ def _cmd_check(args) -> int:
         return EXIT_TRUE if value else EXIT_FALSE
 
     if args.world is not None and args.hms_state is not None:
-        print("error: --hms-state cannot be given with --world", file=sys.stderr)
-        return EXIT_INPUT
+        raise ModelError("--hms-state cannot be given with --world")
     variant = args.variant or DEFAULT_VARIANT
     f = parse_hms(args.formula)
     if isinstance(f, (Aware, Implicit)) and f.agent not in m.agents:
@@ -186,8 +182,7 @@ def _cmd_check(args) -> int:
         world, vocab = parse_state_ref(args.hms_state)
         require_declared(vocab, m.atoms)
     elif args.world is None:
-        print("error: --world or --hms-state is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise ModelError("--world or --hms-state is required")
     else:
         world, vocab = args.world, atoms_of(f)
     m.require_world(world)
@@ -206,8 +201,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_transform(args) -> int:
     if args.dump == "":
-        print("error: --dump needs a file path", file=sys.stderr)
-        return EXIT_INPUT
+        raise ModelError("--dump needs a file path")
     m = _load(args.model)
     if args.dump is None:
         print(transform_summary(hms_transform(m, atom_cap=args.atom_cap)))
@@ -258,8 +252,7 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            print(f"error: AWB_SEED must be an integer, got {raw!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ModelError(f"AWB_SEED must be an integer, got {raw!r}") from None
     cfg = TrialConfig(
         seed=seed,
         trials=args.trials,
@@ -285,13 +278,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "translate":
             return _cmd_translate(args)
         return _cmd_verify(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TransformInapplicable as exc:
         print(f"error: transform inapplicable: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ModelError, OSError) as exc:
+    except (ParseError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

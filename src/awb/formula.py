@@ -31,7 +31,13 @@ Concrete syntax (whitespace between tokens is insignificant)::
     hms  := prop | "A[" id "]" prop | "I[" id "]" prop
 
 Atoms are lowercase-first identifiers; ``A``, ``I`` and ``X`` act as
-operator keywords only when followed by ``[``. A formula may nest at most
+operator keywords only when followed by ``[``. The text is read in one
+regular-expression scan into tokens that each keep a kind, a text and an
+offset; a character that starts no token is refused there. A parse error
+names the 1-based line and column of the offending token, or of the end
+of input: only a newline starts a line, and a tab or a carriage return is
+one column. The line and column are worked out from the offset only when
+an error is raised. A formula may nest at most
 :data:`MAX_DEPTH` levels deep, both in its text (brackets, negations and
 chained implications, which the parser recurses on) and in the height of
 its syntax tree, so that every recursive walk over a parsed formula stays
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import NamedTuple, NoReturn, Tuple, Union
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -197,42 +203,19 @@ def format_formula(f: Formula) -> str:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"<->|->|[()\[\]~&|]|[A-Za-z_][A-Za-z0-9_]*")
-_WS_RE = re.compile(r"\s+")
+# Optional whitespace, then punctuation, an identifier, or any other
+# non-space character, which the parser refuses.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[()\[\]~&|])|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # punctuation text, "ident", or "end"
     text: str
-    line: int
-    col: int
+    offset: int
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            chunk = ws.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = ws.start() + chunk.rfind("\n") + 1
-            pos = ws.end()
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        tok = m.group()
-        kind = "ident" if tok[0].isalpha() or tok[0] == "_" else tok
-        yield _Token(kind, tok, line, col)
-        pos = m.end()
-    yield _Token("end", "", line, n - line_start + 1)
+def _found(tok: _Token) -> str:
+    return repr(tok.text) if tok.kind != "end" else "end of input"
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +227,32 @@ _MODAL_KEYWORDS = ("A", "I", "X")
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            group = m.lastindex
+            tok = _Token(m[1] or "ident", m[group], m.start(group))
+            if group == 3:
+                self.fail(f"unexpected character {tok.text!r}", tok)
+            self.tokens.append(tok)
+        self.tokens.append(_Token("end", "", len(text)))
         self.pos = 0
         self.nesting = 0
+
+    def fail(self, message: str, tok: _Token, error=ParseError) -> NoReturn:
+        """Raise ``error`` at ``tok``, its offset turned into a 1-based
+        line and column: only a newline starts a line, and every other
+        character, a tab or a carriage return too, is one column."""
+        line_start = self.text.rfind("\n", 0, tok.offset) + 1
+        line = self.text.count("\n", 0, line_start) + 1
+        raise error(message, line, tok.offset - line_start + 1)
 
     def nest(self, tok: _Token) -> None:
         """Enter one more level of recursion, at ``tok``; callers leave it
         by decrementing ``nesting``."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            raise ParseError("formula nested too deeply", tok.line, tok.col)
+            self.fail("formula nested too deeply", tok)
 
     def peek(self, ahead: int = 0) -> _Token:
         i = min(self.pos + ahead, len(self.tokens) - 1)
@@ -268,17 +267,14 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {what}, found {found}", tok.line, tok.col)
+            self.fail(f"expected {what}, found {_found(tok)}", tok)
         return self.take()
 
-    def at_modal_keyword(self) -> bool:
+    def at_keyword(self, names: Tuple[str, ...] = _MODAL_KEYWORDS) -> bool:
+        """Whether the next token is one of the operator ``names`` followed
+        by ``[``."""
         tok = self.peek()
-        return (
-            tok.kind == "ident"
-            and tok.text in _MODAL_KEYWORDS
-            and self.peek(1).kind == "["
-        )
+        return tok.kind == "ident" and tok.text in names and self.peek(1).kind == "["
 
     # -- propositional layer ------------------------------------------------
 
@@ -323,25 +319,21 @@ class _Parser:
                 self.expect(")", "')'")
             self.nesting -= 1
             return f
-        if self.at_modal_keyword():
-            raise ShapeError(
+        if self.at_keyword():
+            self.fail(
                 f"modal operator '{tok.text}[..]' cannot appear inside a "
                 "propositional body: the modal layer is flat",
-                tok.line,
-                tok.col,
+                tok,
+                ShapeError,
             )
-        if tok.kind == "ident":
-            if not ATOM_RE.match(tok.text):
-                raise ParseError(
-                    f"invalid atom {tok.text!r}: atoms are lowercase-first "
-                    "identifiers",
-                    tok.line,
-                    tok.col,
-                )
-            self.take()
-            return Atom(tok.text)
-        found = repr(tok.text) if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected an atom, '~' or '(', found {found}", tok.line, tok.col)
+        if tok.kind != "ident":
+            self.fail(f"expected an atom, '~' or '(', found {_found(tok)}", tok)
+        if not ATOM_RE.match(tok.text):
+            self.fail(
+                f"invalid atom {tok.text!r}: atoms are lowercase-first identifiers", tok
+            )
+        self.take()
+        return Atom(tok.text)
 
     # -- modal layer ----------------------------------------------------------
 
@@ -362,69 +354,52 @@ class _Parser:
         self.expect("]", "']'")
         return tok.text
 
-    def modal_keyword(self, allowed: str, language: str) -> _Token:
+    def modal_keyword(self, allowed: str, language: str) -> str:
         tok = self.take()
         if tok.text not in allowed:
-            raise ShapeError(
-                f"operator '{tok.text}[..]' is not part of the {language} "
-                "fragment here",
-                tok.line,
-                tok.col,
+            self.fail(
+                f"operator '{tok.text}[..]' is not part of the {language} fragment here",
+                tok,
+                ShapeError,
             )
-        return tok
+        return tok.text
 
     def ail(self) -> AilFormula:
-        if self.at_modal_keyword():
-            tok = self.modal_keyword("AX", "AIL")
-            if tok.text == "A":
-                agent = self.agent_bracket()
-                return Aware(agent, self.body())
-            first = self.agent_bracket()
-            mid = self.peek()
-            if not (mid.kind == "ident" and mid.text == "I" and self.peek(1).kind == "["):
-                found = repr(mid.text) if mid.kind != "end" else "end of input"
-                raise ShapeError(
-                    f"expected 'I[' after 'X[{first}]' (the X[i] I[i] X[i] "
-                    f"pattern), found {found}",
-                    mid.line,
-                    mid.col,
-                )
+        if not self.at_keyword():
+            return Prop(self.prop())
+        if self.modal_keyword("AX", "AIL") == "A":
+            return Aware(self.agent_bracket(), self.body())
+        agents = [self.agent_bracket()]
+        for name, where in (
+            ("I", f"after 'X[{agents[0]}]' (the X[i] I[i] X[i] pattern)"),
+            ("X", "to close the X[i] I[i] X[i] pattern"),
+        ):
+            tok = self.peek()
+            if not self.at_keyword((name,)):
+                self.fail(f"expected '{name}[' {where}, found {_found(tok)}", tok, ShapeError)
             self.take()
-            second = self.agent_bracket()
-            last = self.peek()
-            if not (last.kind == "ident" and last.text == "X" and self.peek(1).kind == "["):
-                found = repr(last.text) if last.kind != "end" else "end of input"
-                raise ShapeError(
-                    f"expected 'X[' to close the X[i] I[i] X[i] pattern, "
-                    f"found {found}",
-                    last.line,
-                    last.col,
-                )
-            xtok = self.take()
-            third = self.agent_bracket()
-            if not (first == second == third):
-                raise ShapeError(
-                    "agent mismatch in X[i] I[i] X[i] pattern: got "
-                    f"X[{first}] I[{second}] X[{third}], all three must bind "
-                    "the same agent",
-                    xtok.line,
-                    xtok.col,
-                )
-            return BoxIBox(first, self.body())
-        return Prop(self.prop())
+            agents.append(self.agent_bracket())
+        if len(set(agents)) > 1:  # named at the closing X, the last token peeked
+            self.fail(
+                "agent mismatch in X[i] I[i] X[i] pattern: got X[{}] I[{}] X[{}], "
+                "all three must bind the same agent".format(*agents),
+                tok,
+                ShapeError,
+            )
+        return BoxIBox(agents[0], self.body())
 
     def hms(self) -> HmsFormula:
-        if self.at_modal_keyword():
-            tok = self.modal_keyword("AI", "HMS")
-            agent = self.agent_bracket()
-            body = self.body()
-            return Aware(agent, body) if tok.text == "A" else Implicit(agent, body)
-        return Prop(self.prop())
+        if not self.at_keyword():
+            return Prop(self.prop())
+        keyword = self.modal_keyword("AI", "HMS")
+        agent = self.agent_bracket()
+        body = self.body()
+        return Aware(agent, body) if keyword == "A" else Implicit(agent, body)
 
     def finish(self) -> None:
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            self.fail(f"unexpected trailing input {tok.text!r}", tok)
 
 
 def _imp(a: PropFormula, b: PropFormula) -> PropFormula:

@@ -275,8 +275,11 @@ class HmsStructure:
     def project(self, x: StateId, vocab: FrozenSet[str]) -> StateId:
         """Projection of a state onto a space with a smaller vocabulary.
         Well-defined because class membership only coarsens downward: the
-        result is the target-space class containing ``x``'s members."""
-        if not vocab <= x.vocab:
+        result is the target-space class containing ``x``'s members. A
+        plain tuple equal to a state projects as that state; one whose key
+        is not a string is refused like any other foreign state."""
+        key = x[0] if isinstance(x, tuple) and x else None
+        if isinstance(key, str) and not vocab <= _parse_vocab_key(key):
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
@@ -329,7 +332,7 @@ class HmsStructure:
         aware = self.awareness.get(agent)
         if aware is None or self._row_of(x) is None:
             raise ValueError(f"no subjective space for agent {agent!r} at {x}")
-        return aware & x.vocab
+        return aware & _parse_vocab_key(x[0])
 
     def check_event(self, e: Event) -> SpaceRow:
         """Refuse an event whose base is not a mask of states of its base

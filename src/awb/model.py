@@ -39,8 +39,9 @@ from .formula import ATOM_RE, AilFormula, And, Atom, Aware, BoxIBox, Formula, No
 
 class ModelError(ValueError):
     """Malformed input (a model file, a state reference or a harness
-    setting) or a reference to an undeclared name. The CLI reports it as an
-    input error."""
+    setting), a reference to an undeclared name, or a command-line usage
+    error such as a missing or conflicting option. The CLI reports it as an
+    input error: ``error: <message>`` on stderr and exit code 2."""
 
 
 class EpistemicModel:

@@ -284,6 +284,13 @@ class TestInputErrors:
             (["check", "{m1}", "--lang", "hms", "--formula", "p", "--world", "w2",
               "--hms-state", "w1@p"],
              "error: --hms-state cannot be given with --world\n"),
+            (["check", "{m1}", "--formula", "p"], "error: --world is required\n"),
+            # a parse error past line 1 names its line and its column there
+            (["translate", "--formula", "X[a]\nI[b] X[a] p"],
+             "error: agent mismatch in X[i] I[i] X[i] pattern: got X[a] I[b] X[a], all "
+             "three must bind the same agent (line 2, column 6)\n"),
+            (["check", "{m1}", "--lang", "hms", "--formula", "p &\r\n  é", "--world", "w1"],
+             "error: unexpected character 'é' (line 2, column 3)\n"),
         ],
     )
     def test_input_error(self, m1_file, capsys, args, message):
@@ -576,7 +583,10 @@ class TestVerify:
     def test_seed_env_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("AWB_SEED", "not-a-number")
         assert main(["verify", "--trials", "5"]) == EXIT_INPUT
-        assert "AWB_SEED" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "error: AWB_SEED must be an integer, got 'not-a-number'\n",
+        )
 
     def test_both_variants_probe_in_output(self, capsys):
         code = main(

@@ -188,6 +188,60 @@ class TestParseModal:
         assert parse_hms("p & ~q") == Prop(And(Atom("p"), Not(Atom("q"))))
 
 
+_EXPECTED_ATOM = "expected an atom, '~' or '(', found"
+# a text in which a parse error may fall anywhere: tokens, stray and
+# non-ASCII characters, and each kind of line break and blank
+error_texts = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["p", "q", "Q", "a", "A", "I", "X", "[", "]", "(", ")", "~", "&", "|",
+             "->", "<->", "-", "<", "é", "　", " ", "\t", "\n", "\r\n", "\r"]
+        ),
+        max_size=20,
+    ).map("".join),
+    st.text(max_size=20),
+)
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize(
+        "parse, text, error, message, line, col",
+        [
+            (parse_prop, "p &\nq &\n)", ParseError, f"{_EXPECTED_ATOM} ')'", 3, 1),
+            (parse_prop, "p &\r\nq &\r\n  )", ParseError, f"{_EXPECTED_ATOM} ')'", 3, 3),
+            (parse_prop, "p &\nq &\n\t)", ParseError, f"{_EXPECTED_ATOM} ')'", 3, 2),
+            (parse_prop, "p &\n", ParseError, f"{_EXPECTED_ATOM} end of input", 2, 1),
+            (parse_prop, "p &\n q é", ParseError, "unexpected character 'é'", 2, 4),
+            (parse_hms, "p &\n" + "~" * MAX_DEPTH + "~p", ParseError,
+             "formula nested too deeply", 2, MAX_DEPTH + 1),
+            (parse_ail, "X[a]\nI[b]\r\n X[a] p", ShapeError,
+             "agent mismatch in X[i] I[i] X[i] pattern: got X[a] I[b] X[a], all three "
+             "must bind the same agent", 3, 2),
+        ],
+    )
+    def test_past_line_one(self, parse, text, error, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @given(error_texts)
+    def test_position_names_an_offset_in_the_text(self, text):
+        # the line and column name an offset inside the text or one past
+        # its end; an unexpected character is the one at that offset
+        lines = text.split("\n")
+        for parse in (parse_prop, parse_ail, parse_hms):
+            try:
+                parse(text)
+            except ParseError as exc:
+                assert 1 <= exc.line <= len(lines)
+                assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+                offset = sum(len(s) + 1 for s in lines[: exc.line - 1]) + exc.col - 1
+                if str(exc).startswith("unexpected character "):
+                    assert str(exc).startswith(f"unexpected character {text[offset]!r} (")
+
+
 class TestPrint:
     def test_golden(self):
         assert format_formula(BoxIBox("a", Atom("p"))) == "X[a] I[a] X[a] p"

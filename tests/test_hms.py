@@ -538,6 +538,40 @@ class TestForeignStates:
         x = FORGED[name]
         assert refusal(ValueError, T1.project, x, EMPTY) == f"cannot project {x} to {{}}"
 
+    @pytest.mark.parametrize("world, vocab", [("w1", P), ("w2", P), ("w2", PQ), ("w1", EMPTY)])
+    def test_plain_tuple_answers_as_its_state(self, T1, world, vocab):
+        x = T1.locate(world, vocab)
+        t = tuple(x)
+        assert type(t) is tuple and t == x
+        assert sat_hms(T1, t, parse_hms("p")) == sat_hms(T1, x, parse_hms("p"))
+        assert T1.possibility("a", t) == T1.possibility("a", x)
+        assert T1.subjective_vocab("a", t) == T1.subjective_vocab("a", x)
+        for sub in (EMPTY, P, Q, PQ):
+            if sub <= vocab:
+                assert T1.project(t, sub) == T1.project(x, sub)
+        if vocab != PQ:
+            assert (
+                refusal(ValueError, T1.project, t, PQ)
+                == f"cannot project {t} to {{p,q}}: not a sub-vocabulary"
+            )
+
+    def test_non_string_key_refused(self, T1):
+        x = StateId(("p",), 0, "w1")
+        assert refusal(ValueError, sat_hms, T1, x, parse_hms("q")) == f"unknown state {x}"
+        assert (
+            refusal(ValueError, T1.possibility, "a", x)
+            == f"no possibility set for agent 'a' at {x}"
+        )
+        assert (
+            refusal(ValueError, T1.subjective_vocab, "a", x)
+            == f"no subjective space for agent 'a' at {x}"
+        )
+        for sub in (EMPTY, P, PQ):
+            assert (
+                refusal(ValueError, T1.project, x, sub)
+                == f"cannot project {x} to {{{vocab_key(sub)}}}"
+            )
+
     def test_unknown_agent_refused(self, T1):
         x = T1.locate("w1", P)
         assert (
