@@ -5,11 +5,11 @@ constant awareness, a random formula, and the model's quotient structure,
 then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
 * ``structure``: the structural battery over the quotient structure, an
-  independent set of laws (the space lattice, row shapes, class agreement
-  on in-vocabulary atoms with each row's valuation bits, each
-  possibility mask equal to the model's lifted indistinguishability, and
-  subjective-vocabulary arithmetic) from which the projection laws and
-  the rest follow;
+  independent set of laws (the space lattice, the worlds' valuation bits,
+  row shapes, class agreement on in-vocabulary atoms with distinct
+  valuations for distinct states, each possibility mask equal to the
+  model's lifted indistinguishability, and subjective-vocabulary
+  arithmetic) from which the projection laws and the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
   extension, so it is the up-closure of its own base-space slice; both
@@ -349,8 +349,8 @@ def direct_truth_states(
             for v, row in rows.items():
                 if node.name in v:
                     mask = 0
-                    for c, bits in zip(range(len(row.reps)), row.val):
-                        if bits & bit:
+                    for c, k in enumerate(row.reps):
+                        if s.world_bits[k] & bit:
                             mask |= 1 << c
                     masks[v] = mask
             return frozenset({node.name}), masks
@@ -481,13 +481,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        distinct dict keys and the atoms are distinct, so the keys are all
        ``2^a`` subsets. The count is made here, so the battery does not
        trust the builder's enumeration.
-    2. World order and agents: the structure orders the worlds as the
-       model does, as the rows and the block labels are indexed by world
-       position, and its per-agent tables, ``awareness`` and
-       ``block_labels``, name exactly the model's agents. Each agent's
-       labels are one int per world below the world count, so lifting them
-       into a row that passes law 3 reads no index past its tables.
-    3. Each row: its ``reps``, ``state_at`` and ``val`` tables are
+    2. World order, valuation and agents: the structure orders the worlds
+       as the model does, as the rows, the world bits and the block labels
+       are indexed by world position. Its ``world_bits`` is a tuple of one
+       int per world (not a float or a ``bool``), and each entry is its
+       world's valuation bits over the model's atom order: bit ``k`` is set
+       exactly when atom ``k`` is true there, so a missing bit, an extra
+       one and a bit past the atoms are all wrong marks. Its per-agent
+       tables, ``awareness`` and ``block_labels``, name exactly the
+       model's agents. Each agent's labels are one int per world below the
+       world count, so lifting them into a row that passes law 3 reads no
+       index past its tables.
+    3. Each row: its ``reps`` and ``state_at`` tables are
        tuples, its key and its world -> state table have the right shape,
        every entry of ``state_at`` is an int (not a float or a ``bool``,
        which would pass for one as a dict key or an index) and the index of
@@ -501,20 +506,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        worlds, each state's class holds its ``rep``, and ``project(x, V)``,
        the state of ``V`` at ``x.rep``'s position in ``V``'s world -> state
        row, is the state of ``V`` whose class holds ``x.rep``.
-    4. Valuation, as three laws per row. Class agreement: the worlds of a
-       class agree on every atom of their space's vocabulary. Row
-       valuation: every entry of a row's ``val`` is an int equal to the
-       valuation bits (over the model's atom order) of the world at its
-       state's ``reps`` entry, masked by the row's vocabulary, so a bit
-       outside the vocabulary, a missing or extra bit and a non-int entry
-       are all wrong marks. Given class agreement, the rep's bits within
-       the vocabulary are every member's.
-       Distinctness: the ``val`` entries of a row are pairwise distinct.
-       Together the three make each space's classes exactly the classes
-       of agreement on its vocabulary. Two worlds of one class agree on
-       the vocabulary, by class agreement. Two worlds that agree on it
-       have classes whose ``val`` entries are their common bits within the
-       vocabulary, by row valuation and class agreement, so the entries
+    4. Valuation, as two laws per row. A state's valuation is, by
+       construction, the ``world_bits`` entry of its ``reps`` entry masked
+       by the row's vocabulary, so by law 2 it is its representative's
+       valuation within the vocabulary. Class agreement: the worlds of a
+       class agree on every atom of their space's vocabulary, so the rep's
+       bits within the vocabulary are every member's. Distinctness: the
+       representatives' bits within the vocabulary are pairwise distinct
+       across a row's states. Together the two make each space's classes
+       exactly the classes of agreement on its vocabulary. Two worlds of
+       one class agree on the vocabulary, by class agreement. Two worlds
+       that agree on it have classes whose representatives' bits within
+       the vocabulary are their common bits, by class agreement, so those
        are equal, and by distinctness the classes are one.
     5. Possibility, per agent and per row: the row's masks, read through
        :meth:`~awb.hms.HmsStructure.cells`, are one per state, and each
@@ -581,7 +584,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     * Non-empty possibility sets: each holds its own state (reflexivity).
     * Space size: a row has at most one state per world, since each state
       has its own least world (3), and at most ``2^|V|`` states, since its
-      ``val`` entries are distinct values inside the vocabulary's bits (4).
+      representatives' bits within the vocabulary are distinct values
+      inside the vocabulary's bits (4).
     * Subjective spaces exist: a subjective vocabulary is a subset of its
       space's vocabulary, hence of the atoms (1, 6), and every subset is a
       row (1).
@@ -605,19 +609,35 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     # the worlds as the model does.
     if tuple(s.worlds) != m.worlds:
         return fail("world order differs from the model's")
+    # world_bits[k]: the atoms true at world k, as bits over the atom order
+    at = s.world_index  # the model's world order, as checked
+    n_worlds = len(m.worlds)
+    world_bits = [0] * n_worlds
+    for b, p in enumerate(m.atoms):
+        for w in m.valuation[p]:
+            world_bits[at[w]] |= 1 << b
+    stored = s.world_bits
+    if type(stored) is not tuple or len(stored) != n_worlds or not _all_ints([stored]):
+        return fail("world valuation is not one int per world")
+    if list(stored) != world_bits:
+        k = next(k for k, bits in enumerate(world_bits) if stored[k] != bits)
+        # name the first atom marked wrongly, when there is one
+        diff = stored[k] ^ world_bits[k]
+        wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
+        atom = {"atom": wrong[0]} if wrong else {}
+        return fail("valuation marks the wrong worlds", world=m.worlds[k], **atom)
 
     agents = set(m.agents)
     if s.awareness.keys() != agents or s.block_labels.keys() != agents:
         return fail("per-agent tables name other agents than the model's")
-    n_worlds = len(m.worlds)
     for i in m.agents:
         labels = s.block_labels[i]
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
 
-    # Laws 3 and 4 read a row's three tables as tuples of entries
+    # Laws 3 and 4 read a row's two tables as tuples of entries
     for vocab, row in rows.items():
-        if not type(row.reps) is type(row.state_at) is type(row.val) is tuple:
+        if not type(row.reps) is type(row.state_at) is tuple:
             return fail("row shape inconsistent with its space", space=vocab_key(vocab))
     # Law 3 keys a dict by the state_at entries and laws 4 and 5 index by
     # them, where 1.0 and True would pass for 1
@@ -647,49 +667,26 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if first:
             return fail("world -> state row names no state of its space", space=key)
 
-    # world_bits[k]: the atoms true at world k, as bits over the atom order
-    at = s.world_index  # the model's world order, as checked
-    world_bits = [0] * n_worlds
-    for b, p in enumerate(m.atoms):
-        for w in m.valuation[p]:
-            world_bits[at[w]] |= 1 << b
     # Laws 4 and 5 compare each row's whole table with the battery's own.
-    # Only when some table differs, or some entry is not an int, are the
-    # entries walked, in the order of the checks, to name the first fault.
+    # Only when a table differs, or in law 5 some entry is not an int, is
+    # it walked to name the first fault.
     bit_of = {p: 1 << b for b, p in enumerate(m.atoms)}
-    valuation_agrees = True
     for vocab, row in rows.items():
         vocab_bits = sum(map(bit_of.__getitem__, vocab))
         # want[c]: the bits of state c's rep within the vocabulary
-        want = tuple([world_bits[k] & vocab_bits for k in row.reps])
-        if (
-            [want[c] for c in row.state_at] != [bits & vocab_bits for bits in world_bits]
-            or row.val != want
-            or len(set(want)) != len(want)
-        ):
-            valuation_agrees = False
-            break
-    if not (valuation_agrees and _all_ints([row.val for row in rows.values()])):
-        for vocab, row in rows.items():
-            vocab_bits = sum(map(bit_of.__getitem__, vocab))
-            reps = row.reps
-            for k, c in enumerate(row.state_at):
-                diff = (world_bits[k] ^ world_bits[reps[c]]) & vocab_bits
-                if diff:
-                    atom = m.atoms[(diff & -diff).bit_length() - 1]
-                    return fail("class members disagree on an in-vocabulary atom", row, c, atom=atom)
-            if len(row.val) != len(reps):
-                return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-            for c, (k, bits) in enumerate(zip(reps, row.val)):
-                want = world_bits[k] & vocab_bits
-                if type(bits) is not int or bits != want:
-                    # name the first atom marked wrongly, when there is one
-                    diff = bits ^ want if type(bits) is int else 0
-                    wrong = [p for b, p in enumerate(m.atoms) if diff >> b & 1]
-                    atom = {"atom": wrong[0]} if wrong else {}
-                    return fail("valuation marks the wrong states", row, c, **atom)
-            if len(set(row.val)) != len(row.val):
-                return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
+        want = [world_bits[k] & vocab_bits for k in row.reps]
+        # by world: its state's rep's bits, and its own, within the vocabulary
+        have = [want[c] for c in row.state_at]
+        own = [bits & vocab_bits for bits in world_bits]
+        if have != own:
+            k = next(k for k, bits in enumerate(own) if have[k] != bits)
+            diff = have[k] ^ own[k]
+            atom = m.atoms[(diff & -diff).bit_length() - 1]
+            return fail(
+                "class members disagree on an in-vocabulary atom", row, row.state_at[k], atom=atom
+            )
+        if len(set(want)) != len(want):
+            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
     # (agent, vocab, row, cells, lift), in the order of the checks
     lifted = []

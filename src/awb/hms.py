@@ -7,8 +7,10 @@ per-agent subjective-vocabulary function, and a state-level valuation.
 These structures arise here as quotients of an epistemic model (see the
 ``transform`` module). A structure is stored as one row per space (see
 :class:`SpaceRow`), a row of ints only: each state's representative as a
-world position and its valuation as atom bits, plus each agent's
-awareness set and indistinguishability labelling, once for every space.
+world position and each world's state index, plus, once for every space,
+each world's valuation as atom bits and each agent's awareness set and
+indistinguishability labelling. A state's valuation is its
+representative's bits masked by its space's vocabulary.
 A :class:`StateId` is made from its row only where the structure hands
 states out (:meth:`HmsStructure.states`, ``locate``, ``project``,
 ``possibility``, :func:`decode_masks` and its callers), fresh on each
@@ -104,11 +106,16 @@ class StateId(NamedTuple):
 def parse_state_ref(text: str) -> Tuple[str, FrozenSet[str]]:
     """Parse a ``rep@vocab`` state reference (vocab comma-joined, possibly
     empty: ``w1@`` names a bottom-space state). It splits at the last
-    ``@``: an atom never holds one, but a world name may."""
+    ``@``: an atom never holds one, but a world name may. The vocabulary is
+    read as a set, so order and repeats do not matter; an empty atom name
+    in it, as in ``w1@p,``, is refused."""
     rep, sep, vk = text.rpartition("@")
     if not sep or not rep:
         raise ModelError(f"bad state reference {text!r}: expected 'world@vocab'")
-    return rep, _parse_vocab_key(vk)
+    vocab = _parse_vocab_key(vk)
+    if "" in vocab:
+        raise ModelError(f"bad state reference {text!r}: empty atom name in its vocabulary")
+    return rep, vocab
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -142,11 +149,9 @@ class SpaceRow(NamedTuple):
     each state's representative, the first world of its class; a
     :class:`StateId` is made from it, when a state is handed out, by
     :meth:`HmsStructure.states` and the structure's other readers, fresh on
-    each call. ``val`` is indexed by state and holds the state's
-    valuation restricted to the row's vocabulary, as bits over the
-    structure's atom order: bit ``k`` is set when atom ``k`` is in the
-    vocabulary and true at the state's worlds. This is the only stored
-    valuation. The row's vocabulary is its key in the structure's
+    each call. The row stores no valuation: a state's valuation is the
+    structure's ``world_bits`` entry of its representative, masked by the
+    row's vocabulary. The row's vocabulary is its key in the structure's
     ``rows``. An :class:`Event` based in this space holds its base as a mask
     over the same state indices.
 
@@ -161,7 +166,6 @@ class SpaceRow(NamedTuple):
     reps: Tuple[int, ...]
     state_at: Tuple[int, ...]
     poss: Dict[str, Tuple[int, ...]]
-    val: Tuple[int, ...]
 
 
 class HmsStructure:
@@ -169,8 +173,11 @@ class HmsStructure:
     correspondence, subjective vocabularies, and state valuation.
 
     The structure keeps the rows it is given, one :class:`SpaceRow` per
-    space keyed by vocabulary in canonical order, and copies nothing; the
-    valuation lives in the rows too, with no structure-wide copy. Each
+    space keyed by vocabulary in canonical order, and copies nothing. The
+    valuation is stored once, as ``world_bits``: one int per world, in
+    world order, with bit ``k`` set when atom ``k`` is true there. A
+    state's valuation is its representative's entry masked by its space's
+    vocabulary, so no row holds a copy. Each
     space's partition is stored once, as its row's world -> state table;
     locating, projecting and every event operation read it. The states
     are not stored: :meth:`_state` and :meth:`_states` make them from a
@@ -198,6 +205,7 @@ class HmsStructure:
         atoms: Tuple[str, ...],
         agents: Tuple[str, ...],
         worlds: Tuple[str, ...],
+        world_bits: Tuple[int, ...],
         rows: Mapping[FrozenSet[str], SpaceRow],
         awareness: Mapping[str, FrozenSet[str]],
         block_labels: Mapping[str, Tuple[int, ...]],
@@ -205,6 +213,7 @@ class HmsStructure:
         self.atoms = atoms
         self.agents = agents
         self.worlds = worlds
+        self.world_bits = world_bits
         self.rows = rows
         self.awareness = awareness
         self.block_labels = block_labels
@@ -373,10 +382,11 @@ def _atom(s: HmsStructure, p: str) -> Based:
             raise ModelError(f"unknown atom {p!r}")
         vocab = frozenset({p})
         row = s.rows[vocab]
+        bit = 1 << s.atoms.index(p)
         mask = 0
-        for k, bits in enumerate(row.val):
-            if bits:
-                mask |= 1 << k
+        for c, k in enumerate(row.reps):
+            if s.world_bits[k] & bit:
+                mask |= 1 << c
         b = s.atom_events[p] = (vocab, row, mask)
     return b
 
@@ -491,8 +501,8 @@ def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
 
 def event_atom(s: HmsStructure, p: str) -> Event:
     """The event of an atom: based in the singleton-vocabulary space, with
-    base states exactly those whose member worlds make the atom true: in
-    that space a state's valuation bits are the atom's bit or nothing."""
+    base states exactly those whose member worlds make the atom true, read
+    off the atom's bit in each representative's ``world_bits`` entry."""
     return _event(_atom(s, p))
 
 

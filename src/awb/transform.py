@@ -30,18 +30,18 @@ reads at most one agent's masks in one space, and making them all costs
 about as much as the rest of the build. Each agent's awareness set is
 stored once on the structure too; its subjective vocabulary in a space is
 that set intersected with the space's vocabulary, made when read. The
-valuation needs no work of its own:
-a class's ``bits & V`` is the valuation of its state within the
-vocabulary, and the row stores those values, one int per state in
-class-index order. Each space's vocabulary, mask and key are derived once
+valuation needs no work of its own: the worlds' valuation bits are stored
+once on the structure, in world order, and a class's ``bits & V``, its
+representative's bits within the vocabulary, is the valuation of its
+state there. Each space's vocabulary, mask and key are derived once
 per build, before the loop over spaces (``_space_table``).
 
 The tables are per space, not per object: each space is one
-:class:`~awb.hms.SpaceRow` holding its key and three tuples of ints by
-index (each state's representative as a world position, each world's
-state index, which is the space's partition stored once, and each
-state's valuation bits), plus a cache of each agent's tuple of
-possibility masks, empty when built. A build thus makes no state
+:class:`~awb.hms.SpaceRow` holding its key and two tuples of ints by
+index (each state's representative as a world position, and each world's
+state index, which is the space's partition stored once), plus a cache
+of each agent's tuple of possibility masks, empty when built. A build
+thus makes no state
 objects: the structure makes a :class:`~awb.hms.StateId` from its row
 only when it hands that state out. Nor does it make ``(vocabulary,
 world)`` or ``(agent, state)`` key tuples, member sets, possibility sets,
@@ -94,9 +94,9 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     when any agent's awareness varies across worlds, or when the atom count
     exceeds ``atom_cap``.
 
-    The result holds one row per space (see the module docstring), with
-    each state's valuation as an int in its row, and each agent's
-    awareness set and world -> block labels once on the structure. Each
+    The result holds one row per space (see the module docstring), and
+    once on the structure each world's valuation bits and each agent's
+    awareness set and world -> block labels. Each
     possibility set is a mask of state indices, computed for one agent of
     one row when that agent's masks in that row are first read
     (:meth:`~awb.hms.HmsStructure.cells`), so the build itself makes none.
@@ -174,11 +174,9 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
                 c = first[r] = len(reps)
                 reps.append(k)
             cls.append(c)
-        # The keys of ``first`` are the classes' valuation bits within the
-        # vocabulary, in class-index order.
-        rows[vocab] = SpaceRow(key, tuple(reps), tuple(cls), {}, tuple(first))
+        rows[vocab] = SpaceRow(key, tuple(reps), tuple(cls), {})
 
-    return HmsStructure(atoms, m.agents, worlds, rows, awareness, block_labels)
+    return HmsStructure(atoms, m.agents, worlds, tuple(bits), rows, awareness, block_labels)
 
 
 def transform_summary(s: HmsStructure) -> str:
@@ -299,19 +297,21 @@ def dump_pieces(s: HmsStructure) -> Iterator[str]:
 
     def marked(k, p):
         # An atom's states are listed by space key, then index: the rows in
-        # key order, each row's states in index order.
+        # key order, each row's states in index order. A state of a space
+        # holding ``p`` is marked when ``p``'s bit is set at its rep.
         yield from _container(
             (
                 q
                 for vocab, row, row_names in by_key
                 if p in vocab
-                for q, v in zip(row_names, row.val)
-                if v >> k & 1
+                for q, r in zip(row_names, row.reps)
+                if world_bits[r] >> k & 1
             ),
             2,
         )
 
     quoted_world = [_quote(w) for w in s.worlds]
+    world_bits = s.world_bits
     by_key = sorted(zip(s.rows, rows, names), key=lambda item: item[1].key)
     yield from _object(
         [

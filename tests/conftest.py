@@ -34,6 +34,7 @@ def rebuild(s, **fields):
         atoms=s.atoms,
         agents=s.agents,
         worlds=s.worlds,
+        world_bits=s.world_bits,
         rows=s.rows,
         awareness=s.awareness,
         block_labels=s.block_labels,
@@ -51,14 +52,14 @@ def resolve(s, ref):
 def marked(s, p):
     """The states of structure ``s`` at which atom ``p`` is true: those of
     the spaces whose vocabulary holds ``p`` with ``p``'s bit set in their
-    row's valuation."""
+    representative's world bits."""
     bit = 1 << s.atoms.index(p)
     return frozenset(
         x
-        for vocab, row in s.rows.items()
+        for vocab in s.rows
         if p in vocab
-        for x, bits in zip(s.states(vocab), row.val)
-        if bits & bit
+        for x in s.states(vocab)
+        if s.world_bits[s.world_index[x.rep]] & bit
     )
 
 

@@ -175,6 +175,27 @@ class TestCheckHms:
         assert main(args + ["--hms-state", "x@y@p"]) == EXIT_TRUE
         assert capsys.readouterr() == ("true\n", "")
 
+    @pytest.mark.parametrize(
+        "ref, same_as, out",
+        [
+            # a reference's vocabulary is a set: order and repeats do not
+            # matter, and the state printed names it canonically
+            ("w2@q,p", "w2@p,q",
+             "false\nstate: w2@p,q; truth-set base: {w1@p,q}; extension size: 1\n"),
+            ("w1@p,p", "w1@p",
+             "false\nstate: w1@p; truth-set base: {w1@p,q}; extension size: 1\n"),
+        ],
+        ids=["reordered", "repeated"],
+    )
+    def test_state_ref_vocabulary_is_a_set(self, m1_file, capsys, ref, same_as, out):
+        args = ["check", m1_file, "--formula", "p & q", "--lang", "hms", "-v", "--hms-state"]
+        results = []
+        for r in (ref, same_as):
+            code = main(args + [r])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][1] == (out, "")
+
     def test_verbose_truth_set(self, m1_file, capsys):
         code = main(
             [
@@ -338,6 +359,12 @@ class TestInputErrors:
             (["--formula", "p & zz", "--hms-state", "w1@p"], "error: undeclared atoms: ['zz']\n"),
             (["--formula", "p", "--world", "w1", "--hms-state", "w1@p"],
              "error: --hms-state cannot be given with --world\n"),
+            (["--formula", "p", "--hms-state", "w1@p,"],
+             "error: bad state reference 'w1@p,': empty atom name in its vocabulary\n"),
+            (["--formula", "p", "--hms-state", "w1@,p"],
+             "error: bad state reference 'w1@,p': empty atom name in its vocabulary\n"),
+            (["--formula", "p", "--hms-state", "w1@p,,q"],
+             "error: bad state reference 'w1@p,,q': empty atom name in its vocabulary\n"),
         ],
     )
     def test_usage_error_before_build(self, m1_file, capsys, monkeypatch, args, message):

@@ -140,17 +140,14 @@ class TestChecks:
         assert check_structure(dm, hms_transform(dm))[0] == "pass"
 
     def test_structure_catches_corruption(self, M1, T1):
-        # clear every valuation bit of the first state that has one
-        vocab, row = next((v, r) for v, r in T1.rows.items() if any(r.val))
-        val = list(row.val)
-        val[next(k for k, bits in enumerate(val) if bits)] = 0
-        rows = dict(T1.rows)
-        rows[vocab] = row._replace(val=tuple(val))
-        broken = rebuild(T1, rows=rows)
+        # clear every valuation bit of the first world that has one
+        bits = list(T1.world_bits)
+        bits[next(k for k, b in enumerate(bits) if b)] = 0
+        broken = rebuild(T1, world_bits=tuple(bits))
         status, detail = check_structure(M1, broken)
         assert status == "fail"
-        assert detail["reason"] == "valuation marks the wrong states"
-        assert "state" in detail and "atom" in detail
+        assert detail["reason"] == "valuation marks the wrong worlds"
+        assert "world" in detail and "atom" in detail
 
     def test_structure_catches_broken_possibility(self, M1, T1):
         victim = next(x for x in all_states(T1) if len(T1.possibility("a", x)) > 1)
@@ -255,19 +252,15 @@ class TestChecks:
         s = hms_transform(m)
         assert len(s.vocabs) == 256
         assert check_structure(m, s) == ("pass", {})
-        top = frozenset(atoms)
-        # clear p's bit at one top state where p holds
-        val = list(s.rows[top].val)
-        k = next(k for k, bits in enumerate(val) if bits & 1)
-        victim = s.states(top)[k]
-        val[k] &= ~1
-        rows = dict(s.rows)
-        rows[top] = s.rows[top]._replace(val=tuple(val))
-        broken = rebuild(s, rows=rows)
-        status, detail = check_structure(m, broken)
-        assert status == "fail"
-        assert detail["reason"] == "valuation marks the wrong states"
-        assert detail["state"] == str(victim)
+        # clear p's bit at one world where p holds
+        bits = list(s.world_bits)
+        k = next(k for k, b in enumerate(bits) if b & 1)
+        bits[k] &= ~1
+        broken = rebuild(s, world_bits=tuple(bits))
+        assert check_structure(m, broken) == (
+            "fail",
+            {"reason": "valuation marks the wrong worlds", "world": worlds[k], "atom": "p"},
+        )
 
     def test_truth_preservation_skips_without_hypothesis(self, M1, T1):
         f = parse_ail("X[a] I[a] X[a] q")  # awareness is {p}, body uses q

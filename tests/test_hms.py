@@ -20,6 +20,7 @@ from awb.hms import (
     truth_set,
     vocab_key,
 )
+from awb.model import ModelError
 from conftest import all_states, base_of, event_on, marked, members, resolve
 
 P = frozenset({"p"})
@@ -82,6 +83,18 @@ class TestStateRefs:
         assert parse_state_ref("x@y@p") == ("x@y", P)
         assert parse_state_ref("x@y@") == ("x@y", EMPTY)
         assert parse_state_ref("w1@p,q") == ("w1", PQ)
+
+    def test_vocabulary_read_as_a_set(self):
+        assert parse_state_ref("w1@q,p") == ("w1", PQ)
+        assert parse_state_ref("w1@p,p") == ("w1", P)
+        assert parse_state_ref("w1@") == ("w1", EMPTY)
+
+    @pytest.mark.parametrize("ref", ["w1@p,", "w1@,p", "w1@p,,q", "w1@,"])
+    def test_empty_atom_name_refused(self, ref):
+        assert (
+            refusal(ModelError, parse_state_ref, ref)
+            == f"bad state reference {ref!r}: empty atom name in its vocabulary"
+        )
 
 
 class TestStateId:

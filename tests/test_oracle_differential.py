@@ -260,14 +260,17 @@ class TestStructureAgainstRawQuotients:
                 assert opt == raw_space(m, vocab)
 
     def test_row_valuation_matches_raw(self, M1, M2, divergent_model):
-        # each row's valuation sets an atom's bit at a state exactly when the
-        # atom is in the vocabulary and holds throughout the state's raw class
+        # a state's valuation, its rep's world bits masked by the space's
+        # vocabulary, sets an atom's bit exactly when the atom is in the
+        # vocabulary and holds throughout the state's raw class
         fixtures = [M1, M2, divergent_model]
         for m in fixtures + [m for _, m, _ in _random_models(6006, 200)]:
             s = hms_transform(m)
             for vocab, row in s.rows.items():
                 raw = raw_space(m, vocab)
-                for x, bits in zip(s.states(vocab), row.val):
+                vocab_bits = sum(1 << k for k, p in enumerate(m.atoms) if p in vocab)
+                for x, r in zip(s.states(vocab), row.reps):
+                    bits = s.world_bits[r] & vocab_bits
                     cls = members(s, x)
                     assert cls in raw
                     assert bits == sum(

@@ -2,13 +2,15 @@
 
 Each case corrupts a correct quotient structure (of the ``m1``/``m2``
 fixtures or of the divergent model), in one table, in one agent's
-possibility masks across every row or in one agent's per-agent tables, and
+possibility masks across every row, in one agent's per-agent tables or in
+the worlds' valuation bits, and
 rebuilds it through the ``HmsStructure`` constructor; the battery must
 reject it with the reason that names the fault. A forged mask is put in a
 row's cache, where :meth:`~awb.hms.HmsStructure.cells` reads it instead of
 lifting the structure's own labelling. The cases use only the
-constructor, the structure's public interface, its per-space rows and its
-per-agent tables, not the battery's internals, so a cheap battery and an
+constructor, the structure's public interface, its per-space rows, its
+world bits and its per-agent tables, not the battery's internals, so a
+cheap battery and an
 exhaustive one that read the same row layout face the same mutants, and
 passing both shows that both catch the same faults. A change to the row
 layout changes the mutants with it.
@@ -201,35 +203,45 @@ def wrong_alpha(s):
     return with_awareness(s, "a", PQ)
 
 
-def with_val(s, x, bits):
-    """A copy of ``s`` in which the valuation entry of ``x`` is ``bits``."""
-    val = list(s.rows[x.vocab].val)
-    val[x.index] = bits
-    return with_row(s, x.vocab, val=tuple(val))
+def with_bits(s, world, bits):
+    """A copy of ``s`` in which the named world's valuation bits are
+    ``bits``."""
+    table = list(s.world_bits)
+    table[s.worlds.index(world)] = bits
+    return rebuild(s, world_bits=tuple(table))
 
 
 def mis_marked_valuation(s):
-    """Flips q's bit at w2's {q} state, where q is false."""
-    x = s.locate("w2", Q)
-    return with_val(s, x, s.rows[Q].val[x.index] ^ 1 << s.atoms.index("q"))
+    """Flips q's bit at w2, where q is false."""
+    return with_bits(s, "w2", s.world_bits[1] ^ 1 << s.atoms.index("q"))
 
 
-def valuation_bit_outside_vocabulary(s):
-    """Sets p's bit at w1's {q} state: p holds at w1 but is not in {q}."""
-    x = s.locate("w1", Q)
-    return with_val(s, x, s.rows[Q].val[x.index] | 1 << s.atoms.index("p"))
+def valuation_bit_past_atoms(s):
+    """Sets the bit one past the last atom at w1."""
+    return with_bits(s, "w1", s.world_bits[0] | 1 << len(s.atoms))
 
 
 def float_valuation(s):
-    """The valuation at w1's {q} state stored as a float: equal to the right
-    bits, but not an int."""
-    x = s.locate("w1", Q)
-    return with_val(s, x, float(s.rows[Q].val[x.index]))
+    """w1's valuation bits stored as a float: equal to the right bits, but
+    not an int."""
+    return with_bits(s, "w1", float(s.world_bits[0]))
 
 
-def short_valuation_row(s):
-    """The {p, q} row's valuation one entry short of its states."""
-    return with_row(s, PQ, val=s.rows[PQ].val[:-1])
+def bool_valuation(s):
+    """y1's valuation bits, p's bit only, stored as a bool: equal to the
+    right bits, but not an int."""
+    return with_bits(s, "y1", True)
+
+
+def short_valuation(s):
+    """The valuation one entry short of the worlds."""
+    return rebuild(s, world_bits=s.world_bits[:-1])
+
+
+def list_valuation(s):
+    """The valuation held as a list instead of a tuple: right entries in
+    the wrong kind of table."""
+    return rebuild(s, world_bits=list(s.world_bits))
 
 
 def dropped_space(s):
@@ -249,7 +261,7 @@ def split_class(s):
     """The one-state {p} row split in two, {w1} and {w2}, with every other
     table consistent with the cut: both worlds agree on p, so the space is
     cut finer than agreement on its vocabulary."""
-    return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)}, val=(1, 1))
+    return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)})
 
 
 def none_table(field):
@@ -275,10 +287,12 @@ MUTATIONS = [
     ("T2", asymmetric_top_cell, "possibility set is not the lifted indistinguishability"),
     ("T2", poss_beyond_fiber, "possibility set is not the lifted indistinguishability"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
-    ("T2", mis_marked_valuation, "valuation marks the wrong states"),
-    ("T2", valuation_bit_outside_vocabulary, "valuation marks the wrong states"),
-    ("T2", float_valuation, "valuation marks the wrong states"),
-    ("T2", short_valuation_row, "row shape inconsistent with its space"),
+    ("T2", mis_marked_valuation, "valuation marks the wrong worlds"),
+    ("T2", valuation_bit_past_atoms, "valuation marks the wrong worlds"),
+    ("T2", float_valuation, "world valuation is not one int per world"),
+    ("divergent", bool_valuation, "world valuation is not one int per world"),
+    ("T2", short_valuation, "world valuation is not one int per world"),
+    ("T2", list_valuation, "world valuation is not one int per world"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
@@ -288,7 +302,6 @@ MUTATIONS = [
     ("T1", bool_state_entry, "world -> state row names no state of its space"),
     ("T1", none_table("reps"), "row shape inconsistent with its space"),
     ("T1", none_table("state_at"), "row shape inconsistent with its space"),
-    ("T1", none_table("val"), "row shape inconsistent with its space"),
 ]
 
 
@@ -315,23 +328,19 @@ def test_battery_rejects_mutant(structures, which, mutate, reason):
 def recut(rng, m, s, vocab):
     """A copy of ``s`` in which the row of ``vocab`` is cut by a random
     labelling of the worlds, its other tables consistent with the cut:
-    states in order of their first world, each rep its least world, ``val``
-    read off the reps, and each possibility mask kept while the state count
-    is unchanged (else each state sees only itself)."""
+    states in order of their first world, each rep its least world, and
+    each possibility mask kept while the state count is unchanged (else
+    each state sees only itself)."""
     index = {}
     state_at = tuple(index.setdefault(rng.randrange(len(m.worlds)), len(index)) for _ in m.worlds)
     first = [state_at.index(c) for c in range(len(index))]
     row = s.rows[vocab]
-    val = tuple(
-        sum(1 << b for b, p in enumerate(m.atoms) if p in vocab and m.worlds[k] in m.valuation[p])
-        for k in first
-    )
     own = tuple(1 << c for c in range(len(first)))
     poss = {}
     for i in m.agents:
         cells = s.cells(row, i)
         poss[i] = cells if len(cells) == len(first) else own
-    return with_row(s, vocab, reps=tuple(first), state_at=state_at, poss=poss, val=val)
+    return with_row(s, vocab, reps=tuple(first), state_at=state_at, poss=poss)
 
 
 def foreign_poss(rng, m, s, agent):
@@ -354,9 +363,10 @@ def foreign_poss(rng, m, s, agent):
 
 def random_edit(rng, m, s):
     """A copy of ``s`` with one random edit, of one table, of one agent's
-    possibility masks in every row or of one agent's awareness set, which
-    may leave them as they were. Every choice is drawn from an ordered
-    sequence, so the edits do not depend on the hash seed."""
+    possibility masks in every row, of one agent's awareness set or of one
+    world's valuation bits, which may leave them as they were. Every choice
+    is drawn from an ordered sequence, so the edits do not depend on the
+    hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
     row = s.rows[vocab]
     n = len(row.reps)
@@ -368,7 +378,9 @@ def random_edit(rng, m, s):
     if kind == 1:
         return with_mask(s, agent, x, s.cells(row, agent)[x.index] ^ 1 << rng.randrange(n + 1))
     if kind == 2:
-        return with_val(s, x, row.val[x.index] ^ 1 << rng.randrange(len(m.atoms)))
+        world = rng.choice(m.worlds)
+        flip = 1 << rng.randrange(len(m.atoms))
+        return with_bits(s, world, s.world_bits[m.worlds.index(world)] ^ flip)
     if kind == 3:
         return renamed(s, x, rng.choice(m.worlds))
     if kind == 4:
@@ -398,6 +410,10 @@ def test_battery_pass_means_the_true_quotient():
         verdicts[status] += 1
         if status == "fail":
             continue
+        # each world's bits name exactly the atoms true there
+        assert s.world_bits == tuple(
+            sum(1 << b for b, p in enumerate(m.atoms) if w in m.valuation[p]) for w in m.worlds
+        )
         for vocab, row in s.rows.items():
             # classes[idx]: the worlds the row sends to state idx
             classes = [
