@@ -120,24 +120,17 @@ class EpistemicModel:
             raise ModelError(f"unknown world {world!r}")
 
     def indist_labels(self, agent: str) -> dict:
-        """Each world's position in ``indist_blocks[agent]``. Refuses a
-        block that names an unknown world and a world in two blocks,
-        naming the first such world, by block and then in world order."""
+        """Each world's position in ``indist_blocks[agent]``. When the
+        blocks are not a partition of the world set (a block names an
+        unknown world, or a world lies in two blocks), refuses with the
+        model's :func:`validate` violations, joined by ``; ``."""
         if agent not in self.indist_blocks:
             raise ModelError(f"unknown agent {agent!r}")
         blocks = self.indist_blocks[agent]
         labels = {w: b for b, block in enumerate(blocks) for w in block}
         # No world is in two blocks when there is one label per block member.
-        if len(labels) == sum(map(len, blocks)) and labels.keys() <= self._world_index.keys():
-            return labels
-        labels = {}
-        for b, block in enumerate(blocks):
-            for w in _in_world_order(self, block):
-                if w not in self._world_index:
-                    raise ModelError(f"partition block mentions unknown world {w!r}")
-                if w in labels:
-                    raise ModelError(f"world {w!r} appears in two partition blocks")
-                labels[w] = b
+        if len(labels) != sum(map(len, blocks)) or not labels.keys() <= self._world_index.keys():
+            raise ModelError("; ".join(validate(self)))
         return labels
 
     def world_order(self, world: str) -> int:
@@ -335,9 +328,8 @@ def validate(m: EpistemicModel) -> list:
        no block names an unknown world;
     2. the block sizes sum to ``|U|``. The sizes sum to at least ``|U|``,
        with equality exactly when no world lies in two blocks, so no two
-       blocks overlap. An identical block given twice fails this test, and
-       the walk, which reports an overlap only between different blocks,
-       finds nothing there;
+       blocks overlap; a block given twice overlaps itself at each of its
+       worlds;
     3. the union of the agent's distinct awareness sets lies inside the
        atom set, so no world's awareness names an undeclared atom;
     4. each block holds one awareness set, so awareness is constant
@@ -381,15 +373,15 @@ def _agent_violations(m: EpistemicModel, i: str, world_set: set, atom_set: set) 
     """The violations of one agent's blocks and awareness, walking each
     block in world order."""
     out = []
-    seen: dict = {}
+    seen = set()
     for block in m.indist_blocks[i]:
         stray = block - world_set
         if stray:
             out.append(f"agent {i!r}: partition block mentions unknown worlds {sorted(stray)}")
         for w in _in_world_order(m, block):
-            if w in seen and seen[w] != block:
+            if w in seen:
                 out.append(f"agent {i!r}: partition blocks overlap at world {w!r}")
-            seen[w] = block
+            seen.add(w)
     for w, aw in m.awareness[i].items():
         stray = aw - atom_set
         if stray:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -446,6 +447,23 @@ class TestTransform:
         assert main(["transform", varying_file, "--dump", out]) == EXIT_PRECONDITION
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m1.json", "varying.json"]
 
+    def test_dump_write_failure_leaves_target(self, m1_file, tmp_path, capsys, monkeypatch):
+        # the disk fills after the first piece: the error names the dump
+        # path, the old dump stays and the temp file goes
+        def one_piece_then_full(s):
+            yield "{"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("awb.cli.dump_pieces", one_piece_then_full)
+        target = tmp_path / "dump.json"
+        target.write_text("old")
+        assert main(["transform", m1_file, "--dump", str(target)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 28] No space left on device: '{target}'\n"
+        )
+        assert target.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.json", "m1.json"]
+
     def test_varying_awareness(self, varying_file, capsys):
         assert main(["transform", varying_file]) == EXIT_PRECONDITION
 
@@ -503,6 +521,51 @@ def test_overlap_errors_in_world_order(tmp_path):
         assert (done.returncode, done.stderr) == (EXIT_INPUT, expected), hash_seed
 
 
+BASE_MODEL = {"atoms": ["p"], "agents": ["a"], "worlds": ["w1"]}
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ([1], "error: model file must contain a JSON object\n"),
+        ({**BASE_MODEL, "indistinguishability": []},
+         "error: 'indistinguishability' must map agents to block lists\n"),
+        ({**BASE_MODEL, "awareness": []},
+         "error: 'awareness' must map agents to per-world atom lists\n"),
+        ({**BASE_MODEL, "agents": [""]}, "error: empty identifier\n"),
+        ({**BASE_MODEL, "worlds": []}, "error: model has no worlds\n"),
+        # every violation validate lists, joined in model order
+        ({**BASE_MODEL, "worlds": ["w1", "w2"], "valuation": {"p": ["w1", "w9"]},
+          "indistinguishability": {"a": [["w1", "w2"], ["w2"]]},
+          "awareness": {"a": {"w1": ["p"]}}},
+         "error: valuation of atom 'p' mentions unknown worlds ['w9']; "
+         "agent 'a': partition blocks overlap at world 'w2'; "
+         "agent 'a': awareness differs inside indistinguishability block {w1, w2}\n"),
+        # a block given twice overlaps itself at each of its worlds
+        ({**BASE_MODEL, "worlds": ["w1", "w2"],
+          "indistinguishability": {"a": [["w1", "w2"], ["w2", "w1"]]}},
+         "error: agent 'a': partition blocks overlap at world 'w1'; "
+         "agent 'a': partition blocks overlap at world 'w2'\n"),
+    ],
+    ids=["array", "indist-array", "awareness-array", "empty-agent", "no-worlds",
+         "validate-list", "block-twice"],
+)
+def test_model_file_fault_refused_at_load(tmp_path, capsys, model, message):
+    """A faulty model file is refused with exit 2 by every command that
+    loads one, whatever the formula."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    commands = [
+        ["check", str(path), "--formula", "p", "--world", "w1"],
+        ["check", str(path), "--formula", "X[a] I[a] X[a] p", "--world", "w1"],
+        ["check", str(path), "--lang", "hms", "--formula", "p", "--world", "w1"],
+        ["transform", str(path)],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_INPUT, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
 class TestMalformedLeaves:
     def write(self, tmp_path, **sections):
         model = {"atoms": ["p", "q"], "agents": ["a"], "worlds": ["w1"]}
@@ -542,6 +605,24 @@ class TestTranslate:
 
     def test_parse_error(self, capsys):
         assert main(["translate", "--formula", "I[a] p"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("X[a] p", "expected 'I[' after 'X[a]' (the X[i] I[i] X[i] pattern), "
+             "found 'p' (line 1, column 6)"),
+            ("X[a] I[a] p", "expected 'X[' to close the X[i] I[i] X[i] pattern, "
+             "found 'p' (line 1, column 11)"),
+            ("X[a]", "expected 'I[' after 'X[a]' (the X[i] I[i] X[i] pattern), "
+             "found end of input (line 1, column 5)"),
+            ("X[a] I[a]", "expected 'X[' to close the X[i] I[i] X[i] pattern, "
+             "found end of input (line 1, column 10)"),
+        ],
+        ids=["no-I", "no-closing-X", "no-I-at-end", "no-closing-X-at-end"],
+    )
+    def test_pattern_operator_missing(self, capsys, formula, message):
+        assert main(["translate", "--formula", formula]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "formula,out",
@@ -634,6 +715,19 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["variant_probe"]["event_divergences"] == 1
         assert "truth_preservation[cell-union]" in report["conjectures"]
+
+    @pytest.mark.parametrize(
+        "seed, trials, code, divergences",
+        [(42, 40, EXIT_CONJECTURE, 1), (7, 300, EXIT_TRUE, 0)],
+        ids=["diverges", "agrees"],
+    )
+    def test_both_variants_probe_in_text(self, capsys, seed, trials, code, divergences):
+        argv = ["verify", "--seed", str(seed), "--trials", str(trials), "--both-variants"]
+        assert main(argv) == code
+        assert (
+            f"  variant probe: {divergences} event-level divergences; "
+            "truth preservation is not variant-sensitive\n"
+        ) in capsys.readouterr().out
 
     def test_timing_flag(self, capsys):
         assert (

@@ -455,6 +455,17 @@ class TestEventhoodMutations:
             assert status == "fail"
             self.assert_names_difference(s, detail, good, bad)
 
+    def test_base_vocabulary_fault_fails(self, T1, monkeypatch):
+        # an and-kernel that keeps its left operand's vocabulary leaves the
+        # truth set based below the formula's atoms
+        monkeypatch.setattr(hms, "_and", lambda s, left, right: left)
+        assert check_eventhood(T1, parse_hms("I[a] (p & q)")) == ("fail", {
+            "reason": "base vocabulary differs from formula atoms",
+            "base_vocab": "p",
+            "atoms": "p,q",
+            "variant": "pointwise",
+        })
+
     def test_up_closure_fault_fails(self, monkeypatch):
         # one bit of one space of the up-closure flipped, space by space
         target = [None]

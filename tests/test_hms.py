@@ -406,6 +406,10 @@ class TestMaskInterface:
         for call, *args in calls:
             assert refusal(ValueError, call, *args) == "event base is not a state mask of space {p}"
 
+    def test_unknown_space_refused(self, T1):
+        bad = Event(frozenset({"zz"}), 0)
+        assert refusal(ValueError, event_not, T1, bad) == "event based on unknown space {zz}"
+
     def test_last_state_accepted(self, T1, t1_states):
         assert base_states(T1, Event(P, 0b10)) == {t1_states["a2"]}
 

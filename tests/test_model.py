@@ -177,7 +177,10 @@ class TestWholeTableIntake:
                 "agent 'b': partition blocks overlap at world 'w2'",
                 "agent 'b': partition blocks overlap at world 'w3'",
             ]),
-            (2, [["w1", "w2"], ["w2", "w1"]], {}, []),
+            (2, [["w1", "w2"], ["w2", "w1"]], {}, [
+                "agent 'b': partition blocks overlap at world 'w1'",
+                "agent 'b': partition blocks overlap at world 'w2'",
+            ]),
             (2, [], {"w1": ["p"], "w2": ["p", "z"]}, [
                 "agent 'b': awareness at 'w2' mentions undeclared atoms ['z']",
             ]),
@@ -228,7 +231,10 @@ class TestWholeTableIntake:
         m = EpistemicModel(("p",), ("a",), ("w1", "w2"), indist={"a": [["w2", "w1"]] * 2})
         with pytest.raises(ModelError) as exc:
             sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
-        assert str(exc.value) == "world 'w1' appears in two partition blocks"
+        assert str(exc.value) == (
+            "agent 'a': partition blocks overlap at world 'w1'; "
+            "agent 'a': partition blocks overlap at world 'w2'"
+        )
 
     @pytest.mark.parametrize(
         "sections, message",
@@ -259,32 +265,35 @@ class TestWholeTableIntake:
 
 
 class TestPartitionRefusals:
-    """A model whose indistinguishability blocks overlap or name an unknown
-    world is reported by ``validate`` and refused by the AIL modal clause
-    and by the transform, never answered."""
+    """A model whose indistinguishability blocks overlap, repeat a block or
+    name an unknown world is reported by ``validate`` and refused, with
+    that list, by the AIL modal clause and by the transform, never
+    answered."""
 
     @pytest.mark.parametrize(
-        "blocks, fault, refusal",
+        "blocks, violations",
         [
-            ([["w1", "w2"], ["w2"]], "overlap at world 'w2'",
-             "world 'w2' appears in two partition blocks"),
-            ([["w1", "w9"]], "mentions unknown worlds ['w9']",
-             "partition block mentions unknown world 'w9'"),
+            ([["w1", "w2"], ["w2"]], ["agent 'a': partition blocks overlap at world 'w2'"]),
+            ([["w1", "w9"]], ["agent 'a': partition block mentions unknown worlds ['w9']"]),
+            ([["w1", "w2"], ["w2", "w1"]], [
+                "agent 'a': partition blocks overlap at world 'w1'",
+                "agent 'a': partition blocks overlap at world 'w2'",
+            ]),
         ],
-        ids=["overlap", "unknown-world"],
+        ids=["overlap", "unknown-world", "block-twice"],
     )
-    def test_refused(self, blocks, fault, refusal):
+    def test_refused(self, blocks, violations):
         m = EpistemicModel(
             ("p",), ("a",), ("w1", "w2"), {"p": ["w1"]}, {"a": blocks},
             {"a": {"w1": ["p"], "w2": ["p"]}},
         )
-        assert any(fault in msg for msg in validate(m))
+        assert validate(m) == violations
         with pytest.raises(ModelError) as exc:
             sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
-        assert str(exc.value) == refusal
+        assert str(exc.value) == "; ".join(violations)
         with pytest.raises(TransformInapplicable) as exc:
             hms_transform(m)
-        assert fault in str(exc.value)
+        assert exc.value.reasons == ["model fails validation: " + v for v in violations]
 
 
 class TestPartitions:

@@ -264,6 +264,11 @@ def split_class(s):
     return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)})
 
 
+def empty_space(s):
+    """The {p} row with no states."""
+    return with_row(s, P, reps=())
+
+
 def none_table(field):
     """A mutant whose {p} row holds None in place of its ``field`` table."""
     def mutate(s):
@@ -302,6 +307,7 @@ MUTATIONS = [
     ("T1", bool_state_entry, "world -> state row names no state of its space"),
     ("T1", none_table("reps"), "row shape inconsistent with its space"),
     ("T1", none_table("state_at"), "row shape inconsistent with its space"),
+    ("T1", empty_space, "empty space"),
 ]
 
 
