@@ -66,6 +66,7 @@ from .hms import (
     VARIANTS,
     Event,
     HmsStructure,
+    _check_variant,
     base_states,
     decode_masks,
     extension_masks,
@@ -334,7 +335,9 @@ def direct_truth_states(
     possibility set at each state's own projection to the body's space,
     ``at[reps[c]]``, ``at`` being that space's world -> state table. Each
     clause returns its vocabulary with its masks, so no clause's atoms are
-    recomputed; ``A[i]`` reads only its body's atoms, once."""
+    recomputed; ``A[i]`` reads only its body's atoms, once. The variant is
+    checked first, as :func:`truth_set` checks it."""
+    _check_variant(variant)
     rows = s.rows
 
     def full(vocab: FrozenSet[str]) -> int:

@@ -197,7 +197,11 @@ class HmsStructure:
     verification harness checks every structural invariant independently).
     A state passed in is looked up by its space key and index and must
     equal the state they decode to, so a state of another structure or a
-    forged tuple is refused, not read as some other state.
+    forged tuple is refused, not read as some other state. :meth:`_row_of`
+    makes that lookup for every reader that takes a state (``project``,
+    ``possibility``, ``subjective_vocab`` and :func:`sat_hms`), each
+    calling it first, so a foreign state gets one refusal,
+    ``unknown state x``, whichever reader it is given to.
     """
 
     def __init__(
@@ -249,13 +253,15 @@ class HmsStructure:
     def state_count(self) -> int:
         return sum(len(row.reps) for row in self.rows.values())
 
-    def _row_of(self, x: StateId) -> Optional[SpaceRow]:
-        """The row of ``x``'s space, or ``None`` when ``x`` is not a state
-        of this structure: ``x``'s index must be exactly an ``int`` (a
-        ``bool`` or a ``float`` equal to one is refused, as the battery
-        refuses them in ``state_at``), and ``x`` must equal the state its
-        key and index decode to, whose fields are compared as a plain
-        tuple, as a state compares, without making the state."""
+    def _row_of(self, x: StateId) -> SpaceRow:
+        """The row of ``x``'s space: the one place that refuses a state
+        this structure does not hold, with ``ValueError("unknown state
+        x")``, for every reader that takes a state. ``x``'s index must be
+        exactly an ``int`` (a ``bool`` or a ``float`` equal to one is
+        refused, as the battery refuses them in ``state_at``), and ``x``
+        must equal the state its key and index decode to, whose fields are
+        compared as a plain tuple, as a state compares, without making the
+        state."""
         try:
             row = self.rows.get(_parse_vocab_key(x[0]))
             c = x[1]
@@ -268,7 +274,7 @@ class HmsStructure:
                 return row
         except (AttributeError, IndexError, TypeError):
             pass
-        return None
+        raise ValueError(f"unknown state {x}")
 
     def locate(self, world: str, vocab: Iterable[str]) -> StateId:
         """The state of the given space whose class contains the world,
@@ -285,16 +291,14 @@ class HmsStructure:
         """Projection of a state onto a space with a smaller vocabulary.
         Well-defined because class membership only coarsens downward: the
         result is the target-space class containing ``x``'s members. A
-        plain tuple equal to a state projects as that state; one whose key
-        is not a string is refused like any other foreign state."""
-        key = x[0] if isinstance(x, tuple) and x else None
-        if isinstance(key, str) and not vocab <= _parse_vocab_key(key):
+        plain tuple equal to a state projects as that state."""
+        row = self._row_of(x)
+        if not vocab <= _parse_vocab_key(row.key):
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
             )
         target = self.rows.get(vocab)
-        row = self._row_of(x)
-        if target is None or row is None:
+        if target is None:
             raise ValueError(f"cannot project {x} to {{{vocab_key(vocab)}}}")
         return self._state(target, target.state_at[row.reps[x[1]]])
 
@@ -330,16 +334,15 @@ class HmsStructure:
         within ``x``'s own space. It is decoded from the stored mask on
         each call."""
         row = self._row_of(x)
-        if row is None:
-            raise ValueError(f"no possibility set for agent {agent!r} at {x}")
         mask = self.cells(row, agent, x)[x[1]]
         return frozenset(self._states(row, _select(range(len(row.reps)), mask)))
 
     def subjective_vocab(self, agent: str, x: StateId) -> FrozenSet[str]:
         """Vocabulary of the space the agent subjectively uses at ``x``:
         the agent's awareness intersected with ``x``'s space."""
+        self._row_of(x)
         aware = self.awareness.get(agent)
-        if aware is None or self._row_of(x) is None:
+        if aware is None:
             raise ValueError(f"no subjective space for agent {agent!r} at {x}")
         return aware & _parse_vocab_key(x[0])
 
@@ -569,8 +572,6 @@ def sat_hms(
     is, when the base holds the state of the base space that contains
     ``x``'s representative."""
     own = s._row_of(x)
-    if own is None:
-        raise ValueError(f"unknown state {x}")
     _check_variant(variant)
     vocab, row, mask = _truth(s, f, variant)
     return vocab <= _parse_vocab_key(x[0]) and mask >> row.state_at[own.reps[x[1]]] & 1 == 1

@@ -103,11 +103,6 @@ class EpistemicModel:
 
     # -- lookups -------------------------------------------------------------
 
-    def truth(self, atom: str, world: str) -> bool:
-        if atom not in self.valuation:
-            raise ModelError(f"unknown atom {atom!r}")
-        return world in self.valuation[atom]
-
     def awareness_at(self, agent: str, world: str) -> frozenset:
         if agent not in self.awareness:
             raise ModelError(f"unknown agent {agent!r}")
@@ -482,9 +477,13 @@ def sat_ail(m: EpistemicModel, world: str, f: Formula) -> bool:
     * ``X[i] I[i] X[i] body``: ``body`` holds at every world reachable via
       :func:`reach_composed`.
 
-    The world and the formula's atoms are checked once, here: evaluation
-    short-circuits, so an undeclared atom is refused whether or not the
-    answer would read it.
+    The world and the formula's atoms are checked once, here, so an
+    undeclared atom is refused whether or not the answer would read it.
+    ``&`` evaluates both operands, and ``X[i] I[i] X[i]`` evaluates its
+    body at one reachable world at least, as the evaluation world is one,
+    so every node is visited, apart from the inside of an ``A[i]`` body,
+    whose atoms alone are read: an undeclared agent is refused at every
+    world, wherever it sits.
     """
     m.require_world(world)
     require_declared(atoms_of(f), m.atoms)
@@ -493,11 +492,12 @@ def sat_ail(m: EpistemicModel, world: str, f: Formula) -> bool:
 
 def _holds(m: EpistemicModel, world: str, f: Formula) -> bool:
     if isinstance(f, Atom):
-        return m.truth(f.name, world)
+        return world in m.valuation[f.name]
     if isinstance(f, Not):
         return not _holds(m, world, f.child)
     if isinstance(f, And):
-        return _holds(m, world, f.left) and _holds(m, world, f.right)
+        # both operands, with no short-circuit, so every node is visited
+        return _holds(m, world, f.left) & _holds(m, world, f.right)
     if isinstance(f, Prop):
         return _holds(m, world, f.body)
     if isinstance(f, Aware):
@@ -513,8 +513,10 @@ def sat_implicit_raw(m: EpistemicModel, world: str, agent: str, body: Formula) -
     recursion.
 
     The AIL surface grammar never generates this operator on its own; it is
-    kept for ROADMAP item 7 and for exploratory checks.
+    kept for ROADMAP item 7 and for exploratory checks. The world and the
+    body's atoms are checked on entry, as :func:`sat_ail` checks them.
     """
     m.require_world(world)
+    require_declared(atoms_of(body), m.atoms)
     block = m.indist_labels(agent)
     return all(_holds(m, v, body) for v in m.worlds if block[v] == block[world])

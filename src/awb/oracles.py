@@ -10,7 +10,8 @@ formula AST, so agreement between the two routes is meaningful evidence.
 
 Raw states are ``(vocab, members)`` pairs of frozensets; raw events are
 ``(vocab, set of member-frozensets)`` pairs. The implicit-knowledge
-operator takes the same two variants as the optimized route.
+operator takes the same two variants as the optimized route, and refuses
+any other as it does, with the same text.
 
 Within one top-level call, each raw space and each agent's pair set is
 built once and then reused: a formula's recursion asks for the same
@@ -121,14 +122,21 @@ def all_vocabs(m: EpistemicModel):
             yield frozenset(combo)
 
 
+_VARIANTS = ("pointwise", "cell-union")
+
+
 class _Memo:
     """The raw spaces and indistinguishability pair sets of one model, each
-    built once by its literal definition above. Every top-level oracle call
-    makes a fresh one and passes it down, so nothing is kept between calls;
-    callers only read what it hands out."""
+    built once by its literal definition above, and the implicit-operator
+    variant of the call, refused here unless it is one of the two. Every
+    top-level oracle call makes a fresh one and passes it down, so nothing
+    is kept between calls; callers only read what it hands out."""
 
-    def __init__(self, m: EpistemicModel):
+    def __init__(self, m: EpistemicModel, variant: str = "pointwise"):
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
         self.m = m
+        self.variant = variant
         self._spaces = {}
         self._indist = {}
 
@@ -188,20 +196,20 @@ def _extension(memo: _Memo, e: RawEvent) -> Set[RawState]:
 
 def raw_event(m: EpistemicModel, f, variant: str = "pointwise") -> RawEvent:
     """Event of a formula over raw states, by literal recursion."""
-    return _event(_Memo(m), f, variant)
+    return _event(_Memo(m, variant), f)
 
 
-def _event(memo: _Memo, f, variant: str) -> RawEvent:
+def _event(memo: _Memo, f) -> RawEvent:
     m = memo.m
     if isinstance(f, Atom):
         vocab = frozenset({f.name})
         return vocab, {c for c in memo.space(vocab) if any(w in m.valuation[f.name] for w in c)}
     if isinstance(f, Not):
-        vocab, base = _event(memo, f.child, variant)
+        vocab, base = _event(memo, f.child)
         return vocab, memo.space(vocab) - base
     if isinstance(f, And):
-        v1, b1 = _event(memo, f.left, variant)
-        v2, b2 = _event(memo, f.right, variant)
+        v1, b1 = _event(memo, f.left)
+        v2, b2 = _event(memo, f.right)
         joined = v1 | v2
         base = {
             c
@@ -211,17 +219,17 @@ def _event(memo: _Memo, f, variant: str) -> RawEvent:
         }
         return joined, base
     if isinstance(f, Prop):
-        return _event(memo, f.body, variant)
+        return _event(memo, f.body)
     if isinstance(f, Aware):
-        vocab, _ = _event(memo, f.body, variant)
+        vocab, _ = _event(memo, f.body)
         aw = m.awareness[f.agent]
         return vocab, {
             c for c in memo.space(vocab) if vocab <= aw[min(c, key=m.world_order)] & vocab
         }
     if isinstance(f, Implicit):
-        vocab, base = _event(memo, f.body, variant)
+        vocab, base = _event(memo, f.body)
         cells = memo.space(vocab)
-        if variant == "pointwise":
+        if memo.variant == "pointwise":
             return vocab, {c for c in cells if _poss(memo, f.agent, (vocab, c)) <= base}
         covered: Set[FrozenSet[str]] = set()
         for c in cells:
@@ -233,14 +241,14 @@ def _event(memo: _Memo, f, variant: str) -> RawEvent:
 
 
 def raw_truth_states(m: EpistemicModel, f: Formula, variant: str = "pointwise") -> Set[RawState]:
-    memo = _Memo(m)
-    return _extension(memo, _event(memo, f, variant))
+    memo = _Memo(m, variant)
+    return _extension(memo, _event(memo, f))
 
 
 def sat_hms_brute(m: EpistemicModel, w: str, f: Formula, variant: str = "pointwise") -> bool:
     """Satisfaction at the evaluation state of the formula's own vocabulary
     space containing the given world."""
-    memo = _Memo(m)
-    vocab, base = _event(memo, f, variant)
+    memo = _Memo(m, variant)
+    vocab, base = _event(memo, f)
     cell = next(c for c in memo.space(vocab) if w in c)
     return cell in base

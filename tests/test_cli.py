@@ -60,6 +60,12 @@ def varying_file(tmp_path):
 
 
 class TestCheckAil:
+    @pytest.mark.parametrize("formula", ["X[b] I[b] X[b] p", "A[b] p"])
+    def test_undeclared_agent(self, m1_file, formula, capsys):
+        code = main(["check", m1_file, "--formula", formula, "--world", "w1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown agent 'b'\n"
+
     def test_true(self, m1_file, capsys):
         code = main(["check", m1_file, "--formula", "p", "--world", "w1"])
         assert code == EXIT_TRUE
@@ -533,6 +539,7 @@ BASE_MODEL = {"atoms": ["p"], "agents": ["a"], "worlds": ["w1"]}
         ({**BASE_MODEL, "awareness": []},
          "error: 'awareness' must map agents to per-world atom lists\n"),
         ({**BASE_MODEL, "agents": [""]}, "error: empty identifier\n"),
+        ({**BASE_MODEL, "atoms": ["P"]}, "error: invalid atom name 'P'\n"),
         ({**BASE_MODEL, "worlds": []}, "error: model has no worlds\n"),
         # every violation validate lists, joined in model order
         ({**BASE_MODEL, "worlds": ["w1", "w2"], "valuation": {"p": ["w1", "w9"]},
@@ -547,7 +554,7 @@ BASE_MODEL = {"atoms": ["p"], "agents": ["a"], "worlds": ["w1"]}
          "error: agent 'a': partition blocks overlap at world 'w1'; "
          "agent 'a': partition blocks overlap at world 'w2'\n"),
     ],
-    ids=["array", "indist-array", "awareness-array", "empty-agent", "no-worlds",
+    ids=["array", "indist-array", "awareness-array", "empty-agent", "invalid-atom", "no-worlds",
          "validate-list", "block-twice"],
 )
 def test_model_file_fault_refused_at_load(tmp_path, capsys, model, message):

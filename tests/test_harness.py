@@ -624,6 +624,18 @@ class TestRunSuite:
         d = report.to_dict()
         assert d["variant_probe"] == probe
 
+    def test_hypothesis_failure_is_skipped(self, monkeypatch):
+        # the generator meets the vocabulary hypothesis whenever it is
+        # required, so a formula that misses it is planted: M2's agent is
+        # aware of p alone
+        from awb.fixtures import m2
+
+        monkeypatch.setattr("awb.harness.gen_model", lambda rng, cfg: m2())
+        f = parse_ail("X[a] I[a] X[a] q")
+        monkeypatch.setattr("awb.harness.gen_formula", lambda rng, m, w, req, depth: (f, None))
+        tp = run_suite(TrialConfig(seed=1, trials=3)).conjectures["truth_preservation"]
+        assert (tp.passed, tp.failed, tp.skipped) == (0, 0, 3)
+
     def test_zero_trials(self):
         report = run_suite(TrialConfig(seed=1, trials=0))
         assert report.failures_total == 0

@@ -6,6 +6,7 @@ from awb.formula import And, Atom, Aware, Not, Prop, parse_hms, translate
 from awb.hms import (
     VARIANTS,
     Event,
+    HmsStructure,
     StateId,
     aware_event,
     base_states,
@@ -512,6 +513,18 @@ def refusal(exc_type, call, *args):
     return str(exc.value)
 
 
+def assert_unknown_state(s, x):
+    """Every reader that takes a state refuses ``x`` with one text, even
+    where its agent or target space would be refused too."""
+    text = f"unknown state {x}"
+    assert refusal(ValueError, sat_hms, s, x, parse_hms("q")) == text
+    for agent in ("a", "b"):
+        assert refusal(ValueError, s.possibility, agent, x) == text
+        assert refusal(ValueError, s.subjective_vocab, agent, x) == text
+    for sub in (EMPTY, P, Q, PQ, frozenset({"z"})):
+        assert refusal(ValueError, s.project, x, sub) == text
+
+
 class TestForeignStates:
     def test_foreign_is_a_state_of_t2(self, T2):
         assert T2.locate("w2", Q) == FORGED["foreign"]
@@ -524,19 +537,7 @@ class TestForeignStates:
     @pytest.mark.parametrize("name", FORGED)
     def test_state_lookups_refuse(self, T1, name):
         x = FORGED[name]
-        assert refusal(ValueError, sat_hms, T1, x, parse_hms("q")) == f"unknown state {x}"
-        assert (
-            refusal(ValueError, T1.possibility, "a", x)
-            == f"no possibility set for agent 'a' at {x}"
-        )
-        assert (
-            refusal(ValueError, T1.subjective_vocab, "a", x)
-            == f"no subjective space for agent 'a' at {x}"
-        )
-        assert (
-            refusal(ValueError, T1.project, x, PQ)
-            == f"cannot project {x} to {{p,q}}: not a sub-vocabulary"
-        )
+        assert_unknown_state(T1, x)
         assert (
             refusal(ValueError, extension, T1, Event(x.vocab, 1 << len(T1.states(x.vocab))))
             == f"event base is not a state mask of space {{{x.space_key}}}"
@@ -544,7 +545,7 @@ class TestForeignStates:
 
     def test_project_refuses_a_rep_that_is_no_world(self, T1):
         x = FORGED["rep_not_a_world"]
-        assert refusal(ValueError, T1.project, x, EMPTY) == "cannot project nowhere@p to {}"
+        assert refusal(ValueError, T1.project, x, EMPTY) == "unknown state nowhere@p"
 
     @pytest.mark.parametrize(
         "name",
@@ -553,7 +554,16 @@ class TestForeignStates:
     def test_project_refuses_a_forged_state_with_a_world_as_rep(self, T1, name):
         # the rep is a world of T1, so a lookup by rep alone would answer
         x = FORGED[name]
-        assert refusal(ValueError, T1.project, x, EMPTY) == f"cannot project {x} to {{}}"
+        assert refusal(ValueError, T1.project, x, EMPTY) == f"unknown state {x}"
+
+    def test_project_refuses_a_missing_target_row(self, T1):
+        rows = {v: row for v, row in T1.rows.items() if v != P}
+        s = HmsStructure(
+            T1.atoms, T1.agents, T1.worlds, T1.world_bits, rows, T1.awareness, T1.block_labels
+        )
+        x = s.locate("w1", PQ)
+        assert refusal(ValueError, s.project, x, P) == "cannot project w1@p,q to {p}"
+        assert s.project(x, Q) == T1.project(T1.locate("w1", PQ), Q)
 
     @pytest.mark.parametrize("world, vocab", [("w1", P), ("w2", P), ("w2", PQ), ("w1", EMPTY)])
     def test_plain_tuple_answers_as_its_state(self, T1, world, vocab):
@@ -573,21 +583,7 @@ class TestForeignStates:
             )
 
     def test_non_string_key_refused(self, T1):
-        x = StateId(("p",), 0, "w1")
-        assert refusal(ValueError, sat_hms, T1, x, parse_hms("q")) == f"unknown state {x}"
-        assert (
-            refusal(ValueError, T1.possibility, "a", x)
-            == f"no possibility set for agent 'a' at {x}"
-        )
-        assert (
-            refusal(ValueError, T1.subjective_vocab, "a", x)
-            == f"no subjective space for agent 'a' at {x}"
-        )
-        for sub in (EMPTY, P, PQ):
-            assert (
-                refusal(ValueError, T1.project, x, sub)
-                == f"cannot project {x} to {{{vocab_key(sub)}}}"
-            )
+        assert_unknown_state(T1, StateId(("p",), 0, "w1"))
 
     def test_unknown_agent_refused(self, T1):
         x = T1.locate("w1", P)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from awb.formula import parse_ail, parse_prop
+from awb.formula import And, Atom, Aware, Not, parse_ail, parse_prop
 from awb.model import (
     EpistemicModel,
     ModelError,
@@ -50,7 +50,7 @@ class TestConstruction:
 
     def test_missing_valuation_atoms_false_everywhere(self):
         m = EpistemicModel(("p", "q"), ("a",), ("w1",), valuation={"p": ["w1"]})
-        assert m.truth("p", "w1") and not m.truth("q", "w1")
+        assert sat_ail(m, "w1", Atom("p")) and not sat_ail(m, "w1", Atom("q"))
 
     def test_missing_awareness_defaults_empty(self):
         m = EpistemicModel(("p",), ("a",), ("w1",))
@@ -388,7 +388,7 @@ class TestSatisfaction:
     def test_prop_matches_truth_table(self, M1):
         f = parse_prop("p <-> q")
         for w in M1.worlds:
-            expected = M1.truth("p", w) == M1.truth("q", w)
+            expected = (w in M1.valuation["p"]) == (w in M1.valuation["q"])
             assert sat_ail(M1, w, f) is expected
 
     def test_bare_implicit_helper(self, M1, M2):
@@ -399,6 +399,25 @@ class TestSatisfaction:
         assert sat_implicit_raw(M1, "w1", "a", q) is True
         # M2: identity indistinguishability knows everything true
         assert sat_implicit_raw(M2, "w1", "a", q) is True
+
+    @pytest.mark.parametrize("left", [Atom("p"), Not(Atom("p"))])
+    @pytest.mark.parametrize("world", ["w1", "w2"])
+    def test_undeclared_agent_refused_at_every_world(self, M1, left, world):
+        # the left operand is false at one world of the two, where a
+        # short-circuiting "&" would answer without reading the agent
+        f = And(left, Aware("zz", Atom("q")))
+        with pytest.raises(ModelError) as exc:
+            sat_ail(M1, world, f)
+        assert str(exc.value) == "unknown agent 'zz'"
+
+    @pytest.mark.parametrize(
+        "agent, body, message",
+        [("zz", Atom("p"), "unknown agent 'zz'"), ("a", Atom("zz"), "undeclared atoms: ['zz']")],
+    )
+    def test_bare_implicit_helper_refusals(self, M1, agent, body, message):
+        with pytest.raises(ModelError) as exc:
+            sat_implicit_raw(M1, "w1", agent, body)
+        assert str(exc.value) == message
 
     def test_composed_box_stronger_than_bare_implicit(self, M1, M2):
         # if the composed operator holds at w, bare implicit knowledge of

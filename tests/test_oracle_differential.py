@@ -11,7 +11,16 @@ import random
 
 import pytest
 
-from awb.formula import Implicit, Prop, atoms_of, format_formula, parse_ail, translate
+from awb.formula import (
+    Implicit,
+    Prop,
+    atoms_of,
+    children,
+    format_formula,
+    parse_ail,
+    parse_hms,
+    translate,
+)
 from awb.harness import (
     TrialConfig,
     direct_truth_states,
@@ -23,6 +32,7 @@ from awb.harness import (
 from awb.hms import VARIANTS, decode_masks, extension, sat_hms, truth_set
 from awb.model import (
     EpistemicModel,
+    a_condition,
     awareness_classes,
     awareness_variation,
     reach_composed,
@@ -309,3 +319,64 @@ class TestOracleMemo:
                 ("vocab_pairs", frozenset({"q"})),
                 ("vocab_pairs", frozenset({"p", "q"})),
             }
+
+
+def _evaluators(m, s):
+    """Every evaluator of each formula language, optimized and brute-force,
+    as one-argument calls on ``m``, its structure ``s`` and world ``w1``."""
+    x = s.locate("w1", frozenset(m.atoms))
+    ail = {
+        "translate": translate,
+        "a_condition": lambda f: a_condition(f, m, "w1"),
+        "sat_ail": lambda f: sat_ail(m, "w1", f),
+        "sat_ail_brute": lambda f: sat_ail_brute(m, "w1", f),
+    }
+    hms = {
+        "truth_set": lambda f, *v: truth_set(s, f, *v),
+        "sat_hms": lambda f, *v: sat_hms(s, x, f, *v),
+        "direct_truth_states": lambda f, *v: direct_truth_states(s, f, *v),
+        "raw_event": lambda f, *v: raw_event(m, f, *v),
+        "raw_truth_states": lambda f, *v: raw_truth_states(m, f, *v),
+        "sat_hms_brute": lambda f, *v: sat_hms_brute(m, "w1", f, *v),
+    }
+    return ail, hms
+
+
+AIL_EVALUATORS = ["translate", "a_condition", "sat_ail", "sat_ail_brute"]
+
+HMS_EVALUATORS = [
+    "truth_set", "sat_hms", "direct_truth_states", "raw_event", "raw_truth_states", "sat_hms_brute",
+]
+
+
+class TestRefusalsAgree:
+    @pytest.mark.parametrize("name", HMS_EVALUATORS)
+    @pytest.mark.parametrize("text", ["p", "I[a] p", "A[a] (p & q)"])
+    def test_unknown_variant(self, M1, T1, name, text):
+        call = _evaluators(M1, T1)[1][name]
+        with pytest.raises(ValueError) as exc:
+            call(parse_hms(text), "bogus")
+        assert str(exc.value) == f"unknown variant 'bogus'; expected one of {VARIANTS}"
+
+    @pytest.mark.parametrize("name", AIL_EVALUATORS + HMS_EVALUATORS)
+    def test_formula_outside_the_language(self, M1, T1, name):
+        # each evaluator is given a formula of the other language
+        ail, hms = _evaluators(M1, T1)
+        if name in ail:
+            call, f = ail[name], parse_hms("I[a] p")
+            message = "not an AIL formula: Implicit(agent='a', body=Atom(name='p'))"
+        else:
+            call, f = hms[name], parse_ail("X[a] I[a] X[a] p")
+            message = "not an HMS formula: BoxIBox(agent='a', body=Atom(name='p'))"
+        with pytest.raises(TypeError) as exc:
+            call(f)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message", [(children, "not a formula node: "), (format_formula, "not a formula: ")]
+    )
+    def test_object_that_is_no_formula(self, call, message):
+        thing = object()
+        with pytest.raises(TypeError) as exc:
+            call(thing)
+        assert str(exc.value) == message + repr(thing)
