@@ -43,7 +43,7 @@ from .hms import (
     sat_hms,
     truth_set,
 )
-from .model import ModelError, load_model, reach_composed, require_declared, sat_ail, validate
+from .model import ModelError, load_model, reach_composed, require_declared, sat_ail
 from .transform import (
     DEFAULT_ATOM_CAP,
     TransformInapplicable,
@@ -135,16 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    m = load_model(path)
-    violations = validate(m)
-    if violations:
-        raise ModelError("; ".join(violations))
-    return m
-
-
 def _cmd_check(args) -> int:
-    m = _load(args.model)
+    m = load_model(args.model)
     if args.lang == "ail":
         if args.hms_state is not None:
             raise ModelError("--hms-state needs --lang hms")
@@ -202,7 +194,7 @@ def _cmd_check(args) -> int:
 def _cmd_transform(args) -> int:
     if args.dump == "":
         raise ModelError("--dump needs a file path")
-    m = _load(args.model)
+    m = load_model(args.model)
     if args.dump is None:
         print(transform_summary(hms_transform(m, atom_cap=args.atom_cap)))
         return EXIT_TRUE

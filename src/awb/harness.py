@@ -310,10 +310,10 @@ def gen_formula(
         body = sample_body(rng, aware, depth)
         if atoms_of(body) == frozenset(aware):
             return wrap(agent, body), None
-    chain: PropFormula = Atom(aware[0])
+    conj: PropFormula = Atom(aware[0])
     for p in aware[1:]:
-        chain = And(chain, Atom(p))
-    return wrap(agent, chain), "body"
+        conj = And(conj, Atom(p))
+    return wrap(agent, conj), "body"
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,8 @@ def direct_truth_states(
     ``at[reps[c]]``, ``at`` being that space's world -> state table. Each
     clause returns its vocabulary with its masks, so no clause's atoms are
     recomputed; ``A[i]`` reads only its body's atoms, once. The variant is
-    checked first, as :func:`truth_set` checks it."""
+    checked first, and an undeclared atom or agent is refused with
+    :func:`truth_set`'s text."""
     _check_variant(variant)
     rows = s.rows
 
@@ -347,6 +348,8 @@ def direct_truth_states(
         if isinstance(node, Prop):
             return rec(node.body)
         if isinstance(node, Atom):
+            if node.name not in s.atom_set:
+                raise ModelError(f"unknown atom {node.name!r}")
             bit = 1 << s.atoms.index(node.name)
             masks = {}
             for v, row in rows.items():
@@ -366,9 +369,13 @@ def direct_truth_states(
             return vocab, {v: mask & right[v] for v, mask in left.items() if vocab <= v}
         if isinstance(node, Aware):
             vocab = atoms_of(node.body)
+            if not vocab <= s.atom_set:
+                rec(node.body)  # refuses the first undeclared atom, as truth_set does
             aware = s.awareness.get(node.agent)
             if aware is None:
-                raise ValueError(f"no subjective space for agent {node.agent!r}")
+                raise ValueError(
+                    f"no subjective space for agent {node.agent!r} at {s._state(rows[vocab], 0)}"
+                )
             return vocab, {v: full(v) if vocab <= aware & v else 0 for v in rows if vocab <= v}
         if isinstance(node, Implicit):
             vocab, masks = rec(node.body)
@@ -872,10 +879,10 @@ def run_suite(cfg: TrialConfig) -> Report:
     for trial in range(cfg.trials):
         seed = trial_seed(cfg.seed, trial)
         rng = random.Random(seed)
-        m = gen_model(rng, cfg)
         try:
+            m = gen_model(rng, cfg)
             s = hms_transform(m)
-        except TransformInapplicable as exc:
+        except (ModelError, TransformInapplicable) as exc:
             raise AssertionError(f"generator produced an invalid model: {exc}") from exc
         w = rng.choice(m.worlds)
         f, fallback = gen_formula(rng, m, w, cfg.require_a_condition, cfg.body_depth)

@@ -6,10 +6,11 @@ valuation (atom -> set of worlds). Every equivalence relation in this
 package is represented as a labelling, a map from each world to a label
 with two worlds related when their labels are equal, or as its classes,
 never as a pair list, so "is an equivalence relation" holds by
-construction; :func:`validate` reports the residual semantic constraints
-(block overlap, awareness invariance along indistinguishability,
-namespace containment) as data rather than raising. The two relations of
-the composed operator are :meth:`EpistemicModel.indist_labels` and
+construction. The residual semantic constraints (block overlap, awareness
+invariance along indistinguishability, namespace containment) are judged
+once, by :func:`validate`, which the constructor calls: a model that
+exists is valid, and no reader checks it again. The two relations of the
+composed operator are :meth:`EpistemicModel.indist_labels` and
 :func:`awareness_classes`.
 
 Input ergonomics, applied at construction time:
@@ -47,9 +48,10 @@ class ModelError(ValueError):
 class EpistemicModel:
     """Finite epistemic model with per-agent awareness.
 
-    Construction normalizes input (see module docstring) but does not check
-    the semantic invariants; run :func:`validate` for that. All query
-    functions assume a model that validates cleanly.
+    Construction normalizes input (see module docstring) and ends by
+    judging the result with :func:`validate`: an invalid model is refused
+    with a :class:`ModelError` listing its violations, joined by ``; ``.
+    So a built model is valid, and the query functions read it as such.
     """
 
     def __init__(
@@ -100,6 +102,9 @@ class EpistemicModel:
                 self.awareness[i] = dict(zip(self.worlds, map(frozenset, names)))
 
         self._world_index = {w: k for k, w in enumerate(self.worlds)}
+        violations = validate(self)
+        if violations:
+            raise ModelError("; ".join(violations))
 
     # -- lookups -------------------------------------------------------------
 
@@ -115,18 +120,11 @@ class EpistemicModel:
             raise ModelError(f"unknown world {world!r}")
 
     def indist_labels(self, agent: str) -> dict:
-        """Each world's position in ``indist_blocks[agent]``. When the
-        blocks are not a partition of the world set (a block names an
-        unknown world, or a world lies in two blocks), refuses with the
-        model's :func:`validate` violations, joined by ``; ``."""
+        """Each world's position in ``indist_blocks[agent]``, which the
+        constructor has checked to partition the world set."""
         if agent not in self.indist_blocks:
             raise ModelError(f"unknown agent {agent!r}")
-        blocks = self.indist_blocks[agent]
-        labels = {w: b for b, block in enumerate(blocks) for w in block}
-        # No world is in two blocks when there is one label per block member.
-        if len(labels) != sum(map(len, blocks)) or not labels.keys() <= self._world_index.keys():
-            raise ModelError("; ".join(validate(self)))
-        return labels
+        return {w: b for b, block in enumerate(self.indist_blocks[agent]) for w in block}
 
     def world_order(self, world: str) -> int:
         return self._world_index[world]
@@ -314,7 +312,8 @@ def load_model(path: str) -> EpistemicModel:
 def validate(m: EpistemicModel) -> list:
     """Check every model invariant; returns a list of human-readable
     violations (empty means valid), in model order. Violations are data,
-    not exceptions.
+    not exceptions: this is the constructor's judge, which raises them as
+    one :class:`ModelError`, so on a built model the list is empty.
 
     Each agent is first checked by four whole-table tests, and its blocks
     and awareness rows are walked only when one of them fails:

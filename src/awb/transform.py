@@ -1,6 +1,6 @@
 """Construction of the quotient state-space structure of an epistemic model.
 
-For a validated model with constant awareness, the transform builds one
+For a model with constant awareness, the transform builds one
 space per subset of the atom alphabet by quotienting the world set by
 agreement on that subset. Projections between spaces are inherited from
 class membership (a class of a richer space sits inside exactly one class
@@ -73,26 +73,23 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .hms import HmsStructure, SpaceRow, _select, vocab_key
-from .model import EpistemicModel, ModelError, awareness_variation, validate
+from .model import EpistemicModel, ModelError, awareness_variation
 
 DEFAULT_ATOM_CAP = 12
 
 
 class TransformInapplicable(ValueError):
-    """The model does not meet the transform's preconditions."""
-
-    def __init__(self, reasons):
-        self.reasons = list(reasons)
-        super().__init__("; ".join(self.reasons))
+    """The model does not meet the transform's preconditions: an agent's
+    awareness varies across worlds, or the atom count exceeds the cap."""
 
 
 def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStructure:
     """Build the full quotient structure of ``m``.
 
     Raises :class:`~awb.model.ModelError` when ``atom_cap`` is negative,
-    and :class:`TransformInapplicable` when the model fails validation,
-    when any agent's awareness varies across worlds, or when the atom count
-    exceeds ``atom_cap``.
+    and :class:`TransformInapplicable` when any agent's awareness varies
+    across worlds or when the atom count exceeds ``atom_cap``. The model
+    itself is valid, as its constructor refuses any other.
 
     The result holds one row per space (see the module docstring), and
     once on the structure each world's valuation bits and each agent's
@@ -105,27 +102,18 @@ def hms_transform(m: EpistemicModel, atom_cap: int = DEFAULT_ATOM_CAP) -> HmsStr
     """
     if atom_cap < 0:
         raise ModelError("atom_cap must be >= 0")
-    violations = validate(m)
-    if violations:
-        raise TransformInapplicable(
-            ["model fails validation: " + v for v in violations]
-        )
     witness = awareness_variation(m)
     if witness is not None:
         i, w, v = witness
         raise TransformInapplicable(
-            [
-                f"awareness of agent {i!r} varies across worlds: "
-                f"{sorted(m.awareness[i][w])} at {w!r} but "
-                f"{sorted(m.awareness[i][v])} at {v!r}"
-            ]
+            f"awareness of agent {i!r} varies across worlds: "
+            f"{sorted(m.awareness[i][w])} at {w!r} but "
+            f"{sorted(m.awareness[i][v])} at {v!r}"
         )
     if len(m.atoms) > atom_cap:
         raise TransformInapplicable(
-            [
-                f"{len(m.atoms)} atoms would give {2 ** len(m.atoms)} spaces, "
-                f"over the cap of {atom_cap}; raise atom_cap to force it"
-            ]
+            f"{len(m.atoms)} atoms would give {2 ** len(m.atoms)} spaces, "
+            f"over the cap of {atom_cap}; raise atom_cap to force it"
         )
 
     return _quotient(m)

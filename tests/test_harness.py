@@ -5,6 +5,7 @@ import random
 import pytest
 
 from awb import hms
+from awb.cli import EXIT_INTERNAL, main
 from awb.formula import Atom, Prop, parse_ail, parse_hms, translate
 from awb.harness import (
     Report,
@@ -635,6 +636,25 @@ class TestRunSuite:
         monkeypatch.setattr("awb.harness.gen_formula", lambda rng, m, w, req, depth: (f, None))
         tp = run_suite(TrialConfig(seed=1, trials=3)).conjectures["truth_preservation"]
         assert (tp.passed, tp.failed, tp.skipped) == (0, 0, 3)
+
+    def test_generator_fault_is_internal(self, monkeypatch, capsys):
+        # an invalid generated model is refused while it is built; the suite
+        # reports that as its own fault, not as an input error
+        def gen(rng, cfg):
+            return EpistemicModel(
+                ("p",), ("a",), ("w1", "w2"), indist={"a": [["w1", "w2"], ["w1"]]}
+            )
+
+        monkeypatch.setattr("awb.harness.gen_model", gen)
+        message = (
+            "generator produced an invalid model: "
+            "agent 'a': partition blocks overlap at world 'w1'"
+        )
+        with pytest.raises(AssertionError) as exc:
+            run_suite(TrialConfig(seed=1, trials=1))
+        assert str(exc.value) == message
+        assert main(["verify", "--trials", "1"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == f"error: internal error: AssertionError: {message}\n"
 
     def test_zero_trials(self):
         report = run_suite(TrialConfig(seed=1, trials=0))

@@ -16,7 +16,7 @@ from awb.model import (
     sat_implicit_raw,
     validate,
 )
-from awb.transform import TransformInapplicable, hms_transform
+from awb.transform import hms_transform
 from conftest import label_blocks, members
 
 
@@ -67,6 +67,34 @@ class TestConstruction:
             EpistemicModel(("p",), ("a",), ("w1",), valuation={"z": []})
         with pytest.raises(ModelError):
             EpistemicModel(("p",), ("a",), ("w1",), indist={"b": []})
+
+
+class TestConstructorJudges:
+    """The constructor refuses an invalid model with ``validate``'s
+    violations, joined by ``; ``, so no reader is ever given one: no query
+    answers it, and none fails on it with a ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "worlds, valuation, aware, message",
+        [
+            (("w1", "w2"), {}, {"w1": ["p"], "w2": []},
+             "agent 'a': awareness differs inside indistinguishability block {w1, w2}"),
+            (("w1", "w2"), {}, dict.fromkeys(("w1", "w2"), ["p", "z"]),
+             "agent 'a': awareness at 'w1' mentions undeclared atoms ['z']; "
+             "agent 'a': awareness at 'w2' mentions undeclared atoms ['z']"),
+            (("w1", "w2"), {"p": ["w1", "w9"]}, {},
+             "valuation of atom 'p' mentions unknown worlds ['w9']"),
+            ((), {}, {}, "model has no worlds"),
+        ],
+        ids=["awareness-varies-in-block", "undeclared-aware-atom", "stray-valued-world",
+             "no-worlds"],
+    )
+    def test_invalid_model_refused(self, worlds, valuation, aware, message):
+        with pytest.raises(ModelError) as exc:
+            EpistemicModel(
+                ("p",), ("a",), worlds, valuation, {"a": [list(worlds)]}, {"a": aware}
+            )
+        assert str(exc.value) == message
 
 
 class TestJson:
@@ -145,20 +173,25 @@ class TestValidate:
         assert validate(M2) == []
 
     def test_awareness_invariance_violation(self, M1):
-        bad = with_awareness(M1, "a", {"w1": ["p"], "w2": []})
-        msgs = validate(bad)
-        assert any("awareness differs" in msg and "a" in msg for msg in msgs)
+        with pytest.raises(ModelError) as exc:
+            with_awareness(M1, "a", {"w1": ["p"], "w2": []})
+        assert str(exc.value) == (
+            "agent 'a': awareness differs inside indistinguishability block {w1, w2}"
+        )
 
     def test_overlapping_blocks_reported(self):
-        m = EpistemicModel(
-            ("p",), ("a",), ("w1", "w2"), indist={"a": [["w1", "w2"], ["w1"]]}
-        )
-        msgs = validate(m)
-        assert any("overlap" in msg for msg in msgs)
+        with pytest.raises(ModelError) as exc:
+            EpistemicModel(("p",), ("a",), ("w1", "w2"), indist={"a": [["w1", "w2"], ["w1"]]})
+        assert str(exc.value) == "agent 'a': partition blocks overlap at world 'w1'"
 
     def test_violations_are_data_not_exceptions(self, M1):
-        bad = with_awareness(M1, "a", {"w1": ["p"], "w2": []})
-        assert isinstance(validate(bad), list)
+        # the constructor raises the list; validate itself returns it, here
+        # on a model altered after it was built
+        with pytest.raises(ModelError) as exc:
+            with_awareness(M1, "a", {"w1": ["p"], "w2": []})
+        m = with_awareness(M1, "a", {"w1": ["p"], "w2": ["p"]})
+        m.awareness["a"]["w2"] = frozenset()
+        assert validate(m) == [str(exc.value)]
 
 
 class TestWholeTableIntake:
@@ -206,12 +239,13 @@ class TestWholeTableIntake:
     def test_violations_pinned(self, worlds, blocks, aware, violations):
         # agent a is valid, so agent b's faults are all there is to report
         names = tuple(f"w{k}" for k in range(1, worlds + 1))
-        m = EpistemicModel(
-            ("p", "q"), ("a", "b"), names, {"p": ["w1"]},
-            {"a": [list(names)], "b": blocks},
-            {"a": dict.fromkeys(names, ["q"]), "b": aware},
-        )
-        assert validate(m) == violations
+        with pytest.raises(ModelError) as exc:
+            EpistemicModel(
+                ("p", "q"), ("a", "b"), names, {"p": ["w1"]},
+                {"a": [list(names)], "b": blocks},
+                {"a": dict.fromkeys(names, ["q"]), "b": aware},
+            )
+        assert str(exc.value) == "; ".join(violations)
 
     def test_valid_model_is_not_walked(self, monkeypatch):
         # awareness differs between blocks but not inside one: the model is
@@ -228,9 +262,9 @@ class TestWholeTableIntake:
         assert validate(m) == []
 
     def test_identical_block_twice_refused_by_the_modal_clause(self):
-        m = EpistemicModel(("p",), ("a",), ("w1", "w2"), indist={"a": [["w2", "w1"]] * 2})
+        # refused when built, so no modal clause is ever given it
         with pytest.raises(ModelError) as exc:
-            sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
+            EpistemicModel(("p",), ("a",), ("w1", "w2"), indist={"a": [["w2", "w1"]] * 2})
         assert str(exc.value) == (
             "agent 'a': partition blocks overlap at world 'w1'; "
             "agent 'a': partition blocks overlap at world 'w2'"
@@ -266,9 +300,9 @@ class TestWholeTableIntake:
 
 class TestPartitionRefusals:
     """A model whose indistinguishability blocks overlap, repeat a block or
-    name an unknown world is reported by ``validate`` and refused, with
-    that list, by the AIL modal clause and by the transform, never
-    answered."""
+    name an unknown world is refused when it is built, with ``validate``'s
+    list, so neither the AIL modal clause nor the transform ever answers
+    it."""
 
     @pytest.mark.parametrize(
         "blocks, violations",
@@ -283,17 +317,12 @@ class TestPartitionRefusals:
         ids=["overlap", "unknown-world", "block-twice"],
     )
     def test_refused(self, blocks, violations):
-        m = EpistemicModel(
-            ("p",), ("a",), ("w1", "w2"), {"p": ["w1"]}, {"a": blocks},
-            {"a": {"w1": ["p"], "w2": ["p"]}},
-        )
-        assert validate(m) == violations
         with pytest.raises(ModelError) as exc:
-            sat_ail(m, "w1", parse_ail("X[a] I[a] X[a] p"))
+            EpistemicModel(
+                ("p",), ("a",), ("w1", "w2"), {"p": ["w1"]}, {"a": blocks},
+                {"a": {"w1": ["p"], "w2": ["p"]}},
+            )
         assert str(exc.value) == "; ".join(violations)
-        with pytest.raises(TransformInapplicable) as exc:
-            hms_transform(m)
-        assert exc.value.reasons == ["model fails validation: " + v for v in violations]
 
 
 class TestPartitions:
@@ -433,9 +462,10 @@ class TestSatisfaction:
                                 sat_implicit_raw(m, v, i, f.body) for v in block
                             )
 
-    def test_constant_awareness(self, M1):
+    def test_constant_awareness(self, M1, M2):
         assert awareness_variation(M1) is None
+        # M2's worlds sit in separate blocks, so its awareness may vary
         assert awareness_variation(
-            with_awareness(M1, "a", {"w1": ["p"], "w2": ["p", "q"]})
+            with_awareness(M2, "a", {"w1": ["p"], "w2": ["p", "q"]})
         ) == ("a", "w1", "w2")
         assert awareness_variation(EpistemicModel(("p",), ("a",), ("w1",))) is None

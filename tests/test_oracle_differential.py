@@ -23,6 +23,7 @@ from awb.formula import (
 )
 from awb.harness import (
     TrialConfig,
+    check_eventhood,
     direct_truth_states,
     gen_formula,
     gen_model,
@@ -32,6 +33,7 @@ from awb.harness import (
 from awb.hms import VARIANTS, decode_masks, extension, sat_hms, truth_set
 from awb.model import (
     EpistemicModel,
+    ModelError,
     a_condition,
     awareness_classes,
     awareness_variation,
@@ -371,6 +373,25 @@ class TestRefusalsAgree:
         with pytest.raises(TypeError) as exc:
             call(f)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("A[a] zz", ModelError, "unknown atom 'zz'"),
+            ("I[a] zz", ModelError, "unknown atom 'zz'"),
+            ("zz", ModelError, "unknown atom 'zz'"),
+            ("A[a] (p & ~zz)", ModelError, "unknown atom 'zz'"),
+            ("A[zz] p", ValueError, "no subjective space for agent 'zz' at w1@p"),
+            ("A[zz] (p & q)", ValueError, "no subjective space for agent 'zz' at w1@p,q"),
+        ],
+    )
+    def test_undeclared_name_refused_by_every_route(self, T1, text, error, message):
+        # the direct route refuses what the event algebra refuses, with its text
+        f = parse_hms(text)
+        for call in (truth_set, direct_truth_states, check_eventhood):
+            with pytest.raises(error) as exc:
+                call(T1, f)
+            assert type(exc.value) is error and str(exc.value) == message
 
     @pytest.mark.parametrize(
         "call, message", [(children, "not a formula node: "), (format_formula, "not a formula: ")]
