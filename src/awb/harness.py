@@ -7,7 +7,8 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 * ``structure``: the structural battery over the quotient structure, an
   independent set of laws (the space lattice, the worlds' valuation bits,
   row shapes, class agreement on in-vocabulary atoms with distinct
-  valuations for distinct states, each possibility mask equal to the
+  valuations for distinct states, block labels that cut the worlds as the
+  model's blocks do, each possibility mask already computed equal to the
   model's lifted indistinguishability, and subjective-vocabulary
   arithmetic) from which the projection laws and the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
@@ -501,7 +502,15 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        tables, ``awareness`` and ``block_labels``, name exactly the
        model's agents. Each agent's labels are one int per world below the
        world count, so lifting them into a row that passes law 3 reads no
-       index past its tables.
+       index past its tables, and they cut the worlds as the agent's
+       blocks in the model do. That is checked by counting, in O(worlds):
+       the set of (model block, label) pairs over the worlds maps onto the
+       model's blocks, none of which is empty, and onto the labels used,
+       so it has at least as many members as either. It has as many as the
+       blocks exactly when each block meets one label only, that is, each
+       block lies inside one label's worlds; and as many as the labels
+       exactly when each label's worlds lie inside one block. Both together
+       make the two partitions equal.
     3. Each row: its ``reps`` and ``state_at`` tables are
        tuples, its key and its world -> state table have the right shape,
        every entry of ``state_at`` is an int (not a float or a ``bool``,
@@ -529,21 +538,31 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        that agree on it have classes whose representatives' bits within
        the vocabulary are their common bits, by class agreement, so those
        are equal, and by distinctness the classes are one.
-    5. Possibility, per agent and per row: the row's masks, read through
-       :meth:`~awb.hms.HmsStructure.cells`, are one per state, and each
-       cell is the lift of the model's indistinguishability, which the
-       battery makes itself. For an agent with blocks ``B`` (read
-       from ``m.indist_labels``), the lift at a state ``x`` is the set of
-       states ``y`` of ``x``'s space such that one block meets both
-       ``class(x)`` and ``class(y)``. Possibility sets are checked as the
-       masks they are stored as: a cell must be an int equal to the mask
-       of its lift, which has bit ``k`` set for each state ``k`` of the
-       lift. A cell that is not an int, or that sets a bit past its
-       ``n`` states (``cell >> n != 0``, which also refuses a negative
-       int), is named as such. The mask -> set map that reads bit ``k``
-       as state ``k`` is a bijection from the ints ``0 <= cell < 2^n``
-       onto the subsets of an ``n``-state space, so the cell equals the
-       lift's mask exactly when its set equals the lift.
+    5. Possibility, per agent and per row: every mask the row's cache
+       already holds is the lift of the model's indistinguishability,
+       which the battery makes itself. For an agent with blocks ``B``
+       (read from ``m.indist_labels``, once per agent for laws 2 and 5),
+       the lift at a state ``x`` is the set of states ``y`` of ``x``'s
+       space such that one block meets both ``class(x)`` and
+       ``class(y)``. The cached masks must be one per state, and each
+       must be an int equal to the mask of its lift, which has bit ``k``
+       set for each state ``k`` of the lift. A cell that is not an int, or
+       that sets a bit past its ``n`` states (``cell >> n != 0``, which
+       also refuses a negative int), is named as such. The mask -> set map
+       that reads bit ``k`` as state ``k`` is a bijection from the ints
+       ``0 <= cell < 2^n`` onto the subsets of an ``n``-state space, so
+       the cell equals the lift's mask exactly when its set equals the
+       lift. A mask the cache does not hold is made, on its first read, by
+       :meth:`~awb.hms.HmsStructure.cells` from the structure's labels, as
+       the lift of the labels' blocks by that method's definition; by law
+       2 those blocks are the model's, so it is the same lift. So every
+       mask the structure hands out is the lift, and on a fresh transform,
+       whose cache is empty, nothing is lifted here. Whether ``cells``
+       computes the lift it is defined to is judged by independent routes,
+       not by a second copy of its loop: in the tests by differentials
+       against the brute-force ``oracles.raw_poss``, and in each trial by
+       truth preservation, whose source side reads the model's relation
+       through ``reach_composed``.
     6. Subjective vocabulary, per agent: the structure's awareness set is
        the model's (constant) awareness. The structure reads the
        subjective vocabulary at any state as that set intersected with the
@@ -640,10 +659,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     agents = set(m.agents)
     if s.awareness.keys() != agents or s.block_labels.keys() != agents:
         return fail("per-agent tables name other agents than the model's")
+    # blocks[i][k]: the model's indistinguishability block of world k
+    blocks = {}
     for i in m.agents:
         labels = s.block_labels[i]
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
+        label = m.indist_labels(i)
+        block = blocks[i] = [label[w] for w in m.worlds]
+        # as many (block, label) pairs as blocks and as labels: each cuts
+        # the worlds as the other does
+        if not len(set(zip(block, labels))) == len(m.indist_blocks[i]) == len(set(labels)):
+            return fail("block labels cut the worlds unlike the model's blocks", agent=i)
 
     # Laws 3 and 4 read a row's two tables as tuples of entries
     for vocab, row in rows.items():
@@ -698,14 +725,17 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(set(want)) != len(want):
             return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
+    # Law 5 compares only the masks a row's cache holds with the lift; any
+    # other mask is made, when read, from the labels law 2 has checked.
     # (agent, vocab, row, cells, lift), in the order of the checks
     lifted = []
     cells_agree = True
     for i in m.agents:
-        label = m.indist_labels(i)
-        # block[k]: the indistinguishability block of world k
-        block = [label[w] for w in m.worlds]
+        block = blocks[i]
         for vocab, row in rows.items():
+            cells = row.poss.get(i)
+            if cells is None:
+                continue
             # met[b]: the mask of the states whose classes block b meets
             met = [0] * len(m.indist_blocks[i])
             for b, c in zip(block, row.state_at):
@@ -713,7 +743,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             lift = [0] * len(row.reps)
             for b, c in zip(block, row.state_at):
                 lift[c] |= met[b]
-            cells, lift = s.cells(row, i), tuple(lift)
+            lift = tuple(lift)
             cells_agree = cells_agree and cells == lift
             lifted.append((i, vocab, row, cells, lift))
     if not (cells_agree and _all_ints([entry[3] for entry in lifted])):

@@ -322,6 +322,16 @@ class TestOracleMemo:
                 ("vocab_pairs", frozenset({"p", "q"})),
             }
 
+    def test_projection_refuses_a_state_spanning_two_classes(self, M1):
+        # w1 and w2 differ on p, so no {p}-class holds the forged state
+        # {w1, w2}: a true quotient never asks this, and the oracle says so
+        import awb.oracles as oracles
+
+        forged = (frozenset({"p", "q"}), frozenset({"w1", "w2"}))
+        with pytest.raises(AssertionError) as exc:
+            oracles._project(oracles._Memo(M1), forged, {"p"})
+        assert str(exc.value) == "projection of ['w1', 'w2'] to ['p'] hit 0 classes"
+
 
 def _evaluators(m, s):
     """Every evaluator of each formula language, optimized and brute-force,

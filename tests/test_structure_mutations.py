@@ -7,7 +7,11 @@ the worlds' valuation bits, and
 rebuilds it through the ``HmsStructure`` constructor; the battery must
 reject it with the reason that names the fault. A forged mask is put in a
 row's cache, where :meth:`~awb.hms.HmsStructure.cells` reads it instead of
-lifting the structure's own labelling. The cases use only the
+lifting the structure's own labelling: the battery compares only the
+masks a cache holds with the lift, and checks the labelling itself
+against the model's blocks. Faults of the code that fills a cache are left
+to the routes independent of it, and a test below shows ``verify``'s truth
+preservation catching three of them. The cases use only the
 constructor, the structure's public interface, its per-space rows, its
 world bits and its per-agent tables, not the battery's internals, so a
 cheap battery and an
@@ -26,8 +30,8 @@ import random
 import pytest
 
 from awb import oracles
-from awb.harness import TrialConfig, check_structure, gen_model
-from awb.hms import vocab_key
+from awb.harness import TrialConfig, check_structure, gen_model, run_suite
+from awb.hms import HmsStructure, vocab_key
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 from conftest import rebuild
@@ -188,13 +192,45 @@ def all_seeing_agent(s):
     return rebuild(s, rows=rows)
 
 
-def one_block_labels(s):
-    """Agent a's world -> block labels put every world in one block, and
-    every row's cache is empty, so the masks are lifted from those labels:
-    a sees every state, although a's partition tells w1 from w2."""
+def with_labels(s, agent, labels):
+    """A copy of ``s`` in which the agent's world -> block labels are
+    ``labels`` and every row's cache is empty, so the masks are lifted from
+    those labels when read."""
     rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
-    labels = {**s.block_labels, "a": (0,) * len(s.worlds)}
-    return rebuild(s, rows=rows, block_labels=labels)
+    return rebuild(s, rows=rows, block_labels={**s.block_labels, agent: tuple(labels)})
+
+
+def one_block_labels(s):
+    """Agent a's world -> block labels put every world in one block,
+    merging w1's block with w2's: lifted, a would see every state,
+    although a's partition tells w1 from w2."""
+    return with_labels(s, "a", (0,) * len(s.worlds))
+
+
+def merged_blocks(s):
+    """Agent a's blocks {x, y1} and {y2, z} merged under one label that is
+    not 0."""
+    return with_labels(s, "a", (2, 2, 2, 2))
+
+
+def split_block(s):
+    """Agent a's one block {w1, w2} split into {w1} and {w2}."""
+    return with_labels(s, "a", (0, 1))
+
+
+def crossed_blocks(s):
+    """Agent a's worlds cut into two blocks of two, {x, y2} and {y1, z},
+    as many as the model's but across them."""
+    return with_labels(s, "a", (0, 1, 0, 1))
+
+
+def one_cached_wrong_row(s):
+    """Only the {q} row's cache holds masks, and there agent a sees both
+    states, although a tells w1, where q holds, from w2; every other row's
+    cache is empty."""
+    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
+    rows[Q] = rows[Q]._replace(poss={"a": (3, 3)})
+    return rebuild(s, rows=rows)
 
 
 def wrong_alpha(s):
@@ -302,7 +338,11 @@ MUTATIONS = [
     ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
     ("T2", all_seeing_agent, "possibility set is not the lifted indistinguishability"),
-    ("T2", one_block_labels, "possibility set is not the lifted indistinguishability"),
+    ("T2", one_cached_wrong_row, "possibility set is not the lifted indistinguishability"),
+    ("T2", one_block_labels, "block labels cut the worlds unlike the model's blocks"),
+    ("divergent", merged_blocks, "block labels cut the worlds unlike the model's blocks"),
+    ("T1", split_block, "block labels cut the worlds unlike the model's blocks"),
+    ("divergent", crossed_blocks, "block labels cut the worlds unlike the model's blocks"),
     ("T1", float_state_entry, "world -> state row names no state of its space"),
     ("T1", bool_state_entry, "world -> state row names no state of its space"),
     ("T1", none_table("reps"), "row shape inconsistent with its space"),
@@ -329,6 +369,64 @@ def test_battery_rejects_mutant(structures, which, mutate, reason):
     status, detail = check_structure(m, mutate(s))
     assert status == "fail"
     assert detail["reason"] == reason
+
+
+@pytest.mark.parametrize(
+    "which, labels", [("T1", (1, 1)), ("T2", (1, 0)), ("divergent", (3, 3, 0, 0))]
+)
+def test_battery_passes_relabelled_blocks(structures, which, labels):
+    """Agent a's blocks under other ints, the partition kept, pass, and the
+    masks lifted from them are the structure's own."""
+    m, s = structures[which]
+    relabelled = with_labels(s, "a", labels)
+    assert check_structure(m, relabelled) == ("pass", {})
+    for vocab, row in s.rows.items():
+        assert relabelled.cells(relabelled.rows[vocab], "a") == s.cells(row, "a")
+
+
+def reach_takes_last_block(labels, row):
+    """A kernel that keeps, at each state, only the last block's reach."""
+    met = [0] * len(labels)
+    for b, c in zip(labels, row.state_at):
+        met[b] |= 1 << c
+    reach = [0] * len(row.reps)
+    for b, c in zip(labels, row.state_at):
+        reach[c] = met[b]
+    return tuple(reach)
+
+
+def met_takes_last_class(labels, row):
+    """A kernel in which a block meets only the last class it reaches."""
+    met = [0] * len(labels)
+    for b, c in zip(labels, row.state_at):
+        met[b] = 1 << c
+    reach = [0] * len(row.reps)
+    for b, c in zip(labels, row.state_at):
+        reach[c] |= met[b]
+    return tuple(reach)
+
+
+def identity_masks(labels, row):
+    """A kernel in which each state sees only itself."""
+    return tuple(1 << c for c in range(len(row.reps)))
+
+
+@pytest.mark.parametrize("kernel", [reach_takes_last_block, met_takes_last_class, identity_masks])
+def test_verify_catches_a_faulty_cells_kernel(monkeypatch, kernel):
+    """The battery lifts only the masks a row's cache holds, so a fault in
+    the kernel that fills the cache is left to the routes independent of
+    it: each of these faulty kernels passes the battery on every trial and
+    fails truth preservation on some."""
+
+    def cells(self, row, agent, x=None):
+        if agent not in row.poss:
+            row.poss[agent] = kernel(self.block_labels[agent], row)
+        return row.poss[agent]
+
+    monkeypatch.setattr(HmsStructure, "cells", cells)
+    report = run_suite(TrialConfig(seed=42, trials=2000, shrink=False))
+    assert report.conjectures["structure"].failed == 0
+    assert report.conjectures["truth_preservation"].failed > 0
 
 
 def recut(rng, m, s, vocab):

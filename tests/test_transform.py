@@ -16,7 +16,14 @@ import awb
 import awb.transform as transform_module
 from awb import oracles
 from awb.formula import atoms_of, parse_hms
-from awb.harness import TrialConfig, check_structure, gen_model, trial_seed
+from awb.harness import (
+    TrialConfig,
+    check_structure,
+    conjecture_table,
+    gen_formula,
+    gen_model,
+    trial_seed,
+)
 from awb.hms import Event, implicit_event, sat_hms, truth_set, vocab_key
 from awb.model import EpistemicModel, ModelError, model_from_dict, model_to_dict
 from awb.transform import (
@@ -208,10 +215,26 @@ class TestLazyCells:
             sat_hms(s, s.locate(w, vocab), f, variant)
         assert held(s) == {(vocab, agent)}
 
-    def test_battery_computes_every_cell(self, ladder):
+    def test_battery_computes_no_cell(self, ladder):
+        # a fresh cache holds no mask, and the battery lifts only cached ones
         s = hms_transform(ladder)
         assert check_structure(ladder, s) == ("pass", {})
-        assert held(s) == every_cell(s)
+        assert held(s) == set()
+
+    def test_trial_computes_only_what_it_reads(self):
+        # each trial's checks compute at most the masks of the formula's
+        # agent in the formula's space, which only an I[i] clause reads
+        cfg = TrialConfig()
+        table = conjecture_table(cfg)
+        for k in range(300):
+            rng = random.Random(trial_seed(cfg.seed, k))
+            m = gen_model(rng, cfg)
+            s = hms_transform(m)
+            w = rng.choice(m.worlds)
+            f, _ = gen_formula(rng, m, w, cfg.require_a_condition, cfg.body_depth)
+            for reads_trial, check in table.values():
+                check(m, s, *((w, f) if reads_trial else (None, None)))
+            assert held(s) <= {(atoms_of(f), getattr(f, "agent", None))}
 
     def test_dump_computes_every_cell(self, ladder):
         s = hms_transform(ladder)
