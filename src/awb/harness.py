@@ -65,13 +65,11 @@ from .formula import (
 from .hms import (
     DEFAULT_VARIANT,
     VARIANTS,
-    Event,
     HmsStructure,
     _check_variant,
     base_states,
     decode_masks,
     extension_masks,
-    implicit_event,
     sat_hms,
     truth_set,
     vocab_key,
@@ -704,9 +702,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if first:
             return fail("world -> state row names no state of its space", space=key)
 
-    # Laws 4 and 5 compare each row's whole table with the battery's own.
-    # Only when a table differs, or in law 5 some entry is not an int, is
-    # it walked to name the first fault.
+    # Law 4 compares each row's whole table with the battery's own. Only
+    # when a table differs is it walked to name the first fault.
     bit_of = {p: 1 << b for b, p in enumerate(m.atoms)}
     for vocab, row in rows.items():
         vocab_bits = sum(map(bit_of.__getitem__, vocab))
@@ -725,11 +722,9 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         if len(set(want)) != len(want):
             return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
 
-    # Law 5 compares only the masks a row's cache holds with the lift; any
-    # other mask is made, when read, from the labels law 2 has checked.
-    # (agent, vocab, row, cells, lift), in the order of the checks
-    lifted = []
-    cells_agree = True
+    # Law 5 walks only the masks a row's cache holds, against the lift, and
+    # names the first fault; any other mask is made, when read, from the
+    # labels law 2 has checked.
     for i in m.agents:
         block = blocks[i]
         for vocab, row in rows.items():
@@ -743,11 +738,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             lift = [0] * len(row.reps)
             for b, c in zip(block, row.state_at):
                 lift[c] |= met[b]
-            lift = tuple(lift)
-            cells_agree = cells_agree and cells == lift
-            lifted.append((i, vocab, row, cells, lift))
-    if not (cells_agree and _all_ints([entry[3] for entry in lifted])):
-        for i, vocab, row, cells, lift in lifted:
             if len(cells) != len(lift):
                 return fail("row shape inconsistent with its space", space=vocab_key(vocab))
             for c, (cell, want) in enumerate(zip(cells, lift)):
@@ -775,13 +765,15 @@ def _all_ints(tables) -> bool:
     return set(map(type, chain.from_iterable(tables))) <= {int}
 
 
-def compare_variants(s: HmsStructure, agent: str, e: Event) -> CheckResult:
-    """Whether the two implicit-operator variants agree on one event."""
-    pw = implicit_event(s, agent, e, "pointwise")
-    cu = implicit_event(s, agent, e, "cell-union")
+def compare_variants(s: HmsStructure, agent: str, body: Formula) -> CheckResult:
+    """Whether the two implicit-operator variants agree on the event of
+    ``body``: each is read off the truth set of ``I[agent] body`` in that
+    variant."""
+    pw, cu = (truth_set(s, Implicit(agent, body), v) for v in ("pointwise", "cell-union"))
     if pw.base == cu.base:
         return "pass", {"agent": agent}
-    extra = sorted(base_states(s, Event(e.vocab, cu.base & ~pw.base)))
+    e = truth_set(s, body)
+    extra = sorted(base_states(s, replace(cu, base=cu.base & ~pw.base)))
     base = base_states(s, e)
     # the possibility sets inside the base, with their owners in state order
     cells = [(y, s.possibility(agent, y)) for y in s.states(e.vocab)]
@@ -860,9 +852,8 @@ def shrink_counterexample(m, w, f, still_fails, max_rounds: int = 10):
 def check_variant_agreement(m: EpistemicModel, s: HmsStructure, f: AilFormula) -> CheckResult:
     """The two implicit-operator variants agree, for every agent, on the
     event of the formula's body; the detail is the first failing agent's."""
-    body_event = truth_set(s, f.body)
     for agent in m.agents:
-        status, detail = compare_variants(s, agent, body_event)
+        status, detail = compare_variants(s, agent, f.body)
         if status == "fail":
             return status, detail
     return "pass", {}

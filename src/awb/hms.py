@@ -32,13 +32,17 @@ inside that vocabulary's space, the set kept as a mask of the space's state
 indices. Its extension is the up-closure: the union, over every space whose
 vocabulary contains the base vocabulary, of the projection preimage of the
 base. Events with an empty base keep their base vocabulary, so
-complementation stays space-relative. Every operator works on masks;
-:func:`truth_set` and :func:`sat_hms` share one recursion over the
-operators' kernels, and an event's base is decoded to states only at the
-interface, by :func:`decode_masks`. :func:`extension_masks` is the one
-up-closure, as one mask per richer space: it keeps each state of a richer
-space whose representative's base-space state has its bit set in the base
-mask. :func:`extension` decodes it to states.
+complementation stays space-relative. The operators (atom, negation,
+conjunction, awareness and implicit knowledge) are private kernels on
+masks with no public entry of their own: :func:`truth_set` is the one
+route from a formula to its event, by one recursion over the formula that
+it shares with :func:`sat_hms`. A nesting the parser refuses, such as a
+modal operator under another, is reached by handing it a constructed
+tree. An event's base is decoded to states only at the interface, by
+:func:`decode_masks`. :func:`extension_masks` is the one up-closure, as
+one mask per richer space: it keeps each state of a richer space whose
+representative's base-space state has its bit set in the base mask.
+:func:`extension` decodes it to states.
 
 The implicit-knowledge event operator comes in two variants that coincide
 when the possibility correspondence partitions the base space and can
@@ -241,9 +245,10 @@ class HmsStructure:
         key, reps, worlds = row.key, row.reps, self.worlds
         return [tuple.__new__(StateId, (key, c, worlds[reps[c]])) for c in picked]
 
-    def states(self, vocab: FrozenSet[str]) -> Tuple[StateId, ...]:
+    def states(self, vocab: Iterable[str]) -> Tuple[StateId, ...]:
         """The states of a space in index order, as a fresh tuple on each
-        call."""
+        call. The vocabulary is read as a set, as :meth:`locate` reads it."""
+        vocab = frozenset(vocab)
         try:
             row = self.rows[vocab]
             return tuple(self._states(row, range(len(row.reps))))
@@ -287,12 +292,14 @@ class HmsStructure:
             raise ModelError(f"unknown world {world!r}")
         return self._state(row, row.state_at[k])
 
-    def project(self, x: StateId, vocab: FrozenSet[str]) -> StateId:
+    def project(self, x: StateId, vocab: Iterable[str]) -> StateId:
         """Projection of a state onto a space with a smaller vocabulary.
         Well-defined because class membership only coarsens downward: the
         result is the target-space class containing ``x``'s members. A
-        plain tuple equal to a state projects as that state."""
+        plain tuple equal to a state projects as that state. The vocabulary
+        is read as a set, as :meth:`locate` reads it."""
         row = self._row_of(x)
+        vocab = frozenset(vocab)
         if not vocab <= _parse_vocab_key(row.key):
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"
@@ -365,9 +372,10 @@ class HmsStructure:
 # ---------------------------------------------------------------------------
 #
 # Each operator is a kernel on a (base vocabulary, base row, base mask)
-# triple. The public operators check their events and call the kernels;
-# ``truth_set`` and ``sat_hms`` share one recursion over them, which builds
-# no Event and checks nothing per node.
+# triple, and none has a public wrapper: ``truth_set`` and ``sat_hms`` share
+# one recursion over the kernels, ``_truth``, which builds no Event and
+# checks nothing per node. ``truth_set`` alone turns its triple into an
+# Event.
 
 Based = Tuple[FrozenSet[str], SpaceRow, int]
 
@@ -438,14 +446,6 @@ def _implicit(
     return vocab, row, reduce(or_, [cell for cell in cells if cell | mask == mask], 0)
 
 
-def _based(s: HmsStructure, e: Event) -> Based:
-    return e.vocab, s.check_event(e), e.base
-
-
-def _event(b: Based) -> Event:
-    return Event(b[0], b[2])
-
-
 def decode_masks(s: HmsStructure, masks: Mapping[FrozenSet[str], int]) -> FrozenSet[StateId]:
     """The states named by per-space masks: bit ``c`` of ``masks[V]`` names
     state ``c`` of ``V``'s space. Event bases and up-closures are read back
@@ -490,41 +490,6 @@ def extension(s: HmsStructure, e: Event) -> FrozenSet[StateId]:
     return decode_masks(s, extension_masks(s, e))
 
 
-def event_not(s: HmsStructure, e: Event) -> Event:
-    """Complement within the base space; the base vocabulary is kept."""
-    return _event(_not(*_based(s, e)))
-
-
-def event_and(s: HmsStructure, e1: Event, e2: Event) -> Event:
-    """Intersection, rebased onto the union of the two base vocabularies:
-    each base is lifted to the joined space by projection preimage and the
-    lifts are intersected."""
-    return _event(_and(s, _based(s, e1), _based(s, e2)))
-
-
-def event_atom(s: HmsStructure, p: str) -> Event:
-    """The event of an atom: based in the singleton-vocabulary space, with
-    base states exactly those whose member worlds make the atom true, read
-    off the atom's bit in each representative's ``world_bits`` entry."""
-    return _event(_atom(s, p))
-
-
-def aware_event(s: HmsStructure, agent: str, e: Event) -> Event:
-    """Awareness operator: keeps the base vocabulary; the new base holds
-    the states whose subjective vocabulary covers the base vocabulary.
-    Awareness is constant, so that is the whole base space or nothing."""
-    return _event(_aware(s, agent, *_based(s, e)))
-
-
-def implicit_event(
-    s: HmsStructure, agent: str, e: Event, variant: str = DEFAULT_VARIANT
-) -> Event:
-    """Implicit-knowledge operator, in the requested variant (see module
-    docstring). Both keep the base vocabulary."""
-    _check_variant(variant)
-    return _event(_implicit(s, agent, variant, *_based(s, e)))
-
-
 # ---------------------------------------------------------------------------
 # Satisfaction
 # ---------------------------------------------------------------------------
@@ -559,7 +524,8 @@ def truth_set(s: HmsStructure, f: Formula, variant: str = DEFAULT_VARIANT) -> Ev
     over the event algebra. Its base vocabulary equals the formula's atom
     set."""
     _check_variant(variant)
-    return _event(_truth(s, f, variant))
+    vocab, _, mask = _truth(s, f, variant)
+    return Event(vocab, mask)
 
 
 def sat_hms(

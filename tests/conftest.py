@@ -1,7 +1,10 @@
+from functools import reduce
+
 import pytest
 
 from awb.fixtures import m1, m2
-from awb.hms import Event, HmsStructure, base_states, parse_state_ref
+from awb.formula import And, Atom, Not
+from awb.hms import Event, HmsStructure, base_states, parse_state_ref, truth_set
 from awb.model import EpistemicModel
 from awb.transform import hms_transform
 
@@ -69,6 +72,33 @@ def event_on(vocab, states):
     vocab = frozenset(vocab)
     assert all(x.vocab == vocab for x in states)
     return Event(vocab, sum(1 << x.index for x in set(states)))
+
+
+def formula_on(s, vocab, states):
+    """A propositional tree whose event in structure ``s`` is
+    ``event_on(vocab, states)``, for a non-empty ``vocab`` (no formula has
+    an empty one): the disjunction, over the given states, of the
+    conjunction of the literals over ``vocab`` that the state's
+    representative makes true, or a contradiction over ``vocab`` for no
+    state. No two states of a space agree on its vocabulary, so each
+    conjunction holds at its own state alone; the event is checked
+    before the tree is returned."""
+    atoms = sorted(vocab)
+    assert atoms, "no formula has an empty vocabulary"
+
+    def literals(x):
+        bits = s.world_bits[s.world_index[x.rep]]
+        return reduce(
+            And, [Atom(p) if bits >> s.atoms.index(p) & 1 else Not(Atom(p)) for p in atoms]
+        )
+
+    if states:
+        f = Not(reduce(And, [Not(literals(x)) for x in sorted(states)]))
+    else:
+        every = reduce(And, map(Atom, atoms))
+        f = And(every, Not(every))
+    assert truth_set(s, f) == event_on(vocab, states)
+    return f
 
 
 def base_of(s, e):

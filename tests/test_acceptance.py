@@ -20,17 +20,7 @@ import awb
 from awb.fixtures import m1, m2
 from awb.formula import atoms_of, parse_ail, parse_hms, translate
 from awb.harness import TrialConfig, gen_formula, gen_model, run_suite, trial_seed
-from awb.hms import (
-    VARIANTS,
-    aware_event,
-    event_and,
-    event_atom,
-    event_not,
-    extension,
-    implicit_event,
-    sat_hms,
-    truth_set,
-)
+from awb.hms import VARIANTS, extension, sat_hms, truth_set
 from awb.model import reach_composed, sat_ail
 from awb.oracles import (
     all_vocabs,
@@ -199,25 +189,20 @@ def _golden_fixture_checks():
     ]
 
     # complement, conjunction
-    assert event_not(T1, ep) == event_on(P, {T1.locate("w2", P)})
-    assert base_of(T1, event_and(T1, ep, eq)) == frozenset({T1.locate("w1", P | Q)})
-    both_routes(M1, T1, "~p")
-    both_routes(M1, T1, "p & q")
+    assert both_routes(M1, T1, "~p") == event_on(P, {T1.locate("w2", P)})
+    assert base_of(T1, both_routes(M1, T1, "p & q")) == frozenset({T1.locate("w1", P | Q)})
 
     # awareness events
     ea = both_routes(M1, T1, "A[a] p")
     assert sorted(str(x) for x in base_of(T1, ea)) == ["w1@p", "w2@p"]
-    assert base_of(T1, aware_event(T1, "a", eq)) == frozenset()
-    both_routes(M1, T1, "A[a] q")
+    assert base_of(T1, both_routes(M1, T1, "A[a] q")) == frozenset()
 
     # implicit events under both variants
     for variant in VARIANTS:
-        assert base_of(T1, implicit_event(T1, "a", ep, variant)) == frozenset()
-        both_routes(M1, T1, "I[a] p", variant)
+        assert base_of(T1, both_routes(M1, T1, "I[a] p", variant)) == frozenset()
     b1 = T2.locate("w1", Q)
-    eq2 = event_atom(T2, "q")
-    assert implicit_event(T2, "a", eq2, "cell-union") == event_on(Q, {b1})
-    both_routes(M2, T2, "I[a] q", "cell-union")
+    assert both_routes(M2, T2, "q") == event_on(Q, {b1})
+    assert both_routes(M2, T2, "I[a] q", "cell-union") == event_on(Q, {b1})
 
 
 def test_criterion_5_golden_fixtures_dual_route(announce):

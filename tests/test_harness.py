@@ -296,16 +296,21 @@ class TestChecks:
     def test_compare_variants_witnesses(self, divergent_model):
         s = hms_transform(divergent_model)
         vocab = frozenset({"p", "q"})
+        # the body's event: the two p-true classes of the top space
+        body = parse_hms("p & (q | ~q)").body
         base = frozenset({s.locate("x", vocab), s.locate("y1", vocab)})
-        status, detail = compare_variants(s, "a", event_on(vocab, base))
+        assert truth_set(s, body) == event_on(vocab, base)
+        status, detail = compare_variants(s, "a", body)
         assert status == "fail"
+        assert detail["event_base"] == sorted(str(x) for x in base)
         assert detail["only_cell_union"] == [str(s.locate("y1", vocab))]
         for owners in detail["witness_cells"].values():
             assert owners  # every extra state names the cell that admitted it
 
     def test_compare_variants_pass(self, T1):
         e = event_on({"p"}, {T1.locate("w1", frozenset({"p"}))})
-        assert compare_variants(T1, "a", e)[0] == "pass"
+        assert truth_set(T1, Atom("p")) == e
+        assert compare_variants(T1, "a", Atom("p"))[0] == "pass"
 
     def test_eventhood_on_fixtures(self, T1, T2):
         from awb.formula import parse_hms

@@ -2,27 +2,22 @@ import random
 
 import pytest
 
-from awb.formula import And, Atom, Aware, Not, Prop, parse_hms, translate
+from awb.formula import And, Atom, Aware, Implicit, Not, children, parse_hms, translate
 from awb.hms import (
     VARIANTS,
     Event,
     HmsStructure,
     StateId,
-    aware_event,
     base_states,
     decode_masks,
-    event_and,
-    event_atom,
-    event_not,
     extension,
-    implicit_event,
     parse_state_ref,
     sat_hms,
     truth_set,
     vocab_key,
 )
 from awb.model import ModelError
-from conftest import all_states, base_of, event_on, marked, members, resolve
+from conftest import all_states, base_of, event_on, formula_on, marked, members, resolve
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -34,20 +29,55 @@ def ids(states):
     return sorted(str(x) for x in states)
 
 
+def random_models(M1, M2, divergent_model, rng):
+    """The fixtures and 200 random models drawn from ``rng`` at the default
+    trial configuration."""
+    from awb.harness import TrialConfig, gen_model
+
+    cfg = TrialConfig()
+    return [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(200)]
+
+
 def random_cases(M1, M2, divergent_model, seed, formulas=3):
     """The fixtures and 200 seeded random models, each with its structure
     and a few random translated formulas (propositional, awareness and
     implicit-knowledge forms over all of the model's atoms)."""
-    from awb.harness import TrialConfig, gen_formula, gen_model
+    from awb.harness import gen_formula
     from awb.transform import hms_transform
 
     rng = random.Random(seed)
-    cfg = TrialConfig()
-    models = [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(200)]
-    for m in models:
+    for m in random_models(M1, M2, divergent_model, rng):
         s = hms_transform(m)
         for _ in range(formulas):
             yield s, translate(gen_formula(rng, m, rng.choice(m.worlds), False)[0])
+
+
+def nested_tree(rng, m, depth):
+    """A random tree of ``Atom``, ``Not``, ``And``, ``Aware`` and
+    ``Implicit`` nodes over ``m``'s atoms and agents, at most ``depth``
+    operators deep. Modal nodes nest anywhere, under a modal node and
+    under either connective, as the parser never builds them."""
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return Atom(rng.choice(m.atoms))
+    if kind == 1:
+        return Not(nested_tree(rng, m, depth - 1))
+    if kind == 2:
+        return And(nested_tree(rng, m, depth - 1), nested_tree(rng, m, depth - 1))
+    modal = Aware if kind == 3 else Implicit
+    return modal(rng.choice(m.agents), nested_tree(rng, m, depth - 1))
+
+
+def modal_parents(f):
+    """The node types directly above a modal node of ``f``."""
+    out, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        for kid in children(node):
+            if type(kid) in (Aware, Implicit):
+                out.add(type(node))
+            stack.append(kid)
+    return out
 
 
 @pytest.fixture
@@ -146,33 +176,34 @@ class TestExtension:
 
 
 class TestEventAlgebra:
+    # each operator's event, built by truth_set on a formula tree
+
     def test_not_golden(self, T1, t1_states):
-        e = event_on(P, {t1_states["a1"]})
-        assert event_not(T1, e) == event_on(P, {t1_states["a2"]})
+        assert truth_set(T1, parse_hms("~p")) == event_on(P, {t1_states["a2"]})
 
     def test_double_negation(self, T1, t1_states):
         e = event_on(P, {t1_states["a1"]})
-        assert event_not(T1, event_not(T1, e)) == e
+        assert truth_set(T1, parse_hms("p")) == e
+        assert truth_set(T1, parse_hms("~~p")) == e
 
-    def test_not_of_full_bottom(self, T1, t1_states):
-        e = event_on(EMPTY, {t1_states["c0"]})
-        assert event_not(T1, e) == event_on(EMPTY, ())
+    def test_not_of_tautology_keeps_its_space(self, T1):
+        # an empty base keeps its base vocabulary
+        assert truth_set(T1, parse_hms("~(p | ~p)")) == event_on(P, ())
 
     def test_and_golden(self, T1, t1_states):
-        e = event_and(T1, event_atom(T1, "p"), event_atom(T1, "q"))
-        assert e == event_on(PQ, {t1_states["d1"]})
+        assert truth_set(T1, parse_hms("p & q")) == event_on(PQ, {t1_states["d1"]})
 
     def test_and_idempotent_and_complement(self, T1):
         for p in ("p", "q"):
-            e = event_atom(T1, p)
-            assert event_and(T1, e, e) == e
-            assert base_of(T1, event_and(T1, e, event_not(T1, e))) == frozenset()
+            e = truth_set(T1, Atom(p))
+            assert truth_set(T1, And(Atom(p), Atom(p))) == e
+            assert base_of(T1, truth_set(T1, And(Atom(p), Not(Atom(p))))) == frozenset()
 
     def test_atom_golden(self, T1, t1_states):
-        ep = event_atom(T1, "p")
+        ep = truth_set(T1, Atom("p"))
         assert ep == event_on(P, {t1_states["a1"]})
         assert extension(T1, ep) == {t1_states["a1"], t1_states["d1"]}
-        eq = event_atom(T1, "q")
+        eq = truth_set(T1, Atom("q"))
         assert eq == event_on(Q, {t1_states["b1"]})
         assert extension(T1, eq) == {
             t1_states["b1"],
@@ -183,7 +214,7 @@ class TestEventAlgebra:
     def test_atom_extension_is_stored_valuation(self, T1, T2):
         for s in (T1, T2):
             for p in s.atoms:
-                assert extension(s, event_atom(s, p)) == marked(s, p)
+                assert extension(s, truth_set(s, Atom(p))) == marked(s, p)
 
     def test_atom_false_everywhere(self):
         from awb.model import EpistemicModel
@@ -191,19 +222,18 @@ class TestEventAlgebra:
 
         m = EpistemicModel(("p",), ("a",), ("w1",), valuation={"p": []})
         s = hms_transform(m)
-        assert event_atom(s, "p") == event_on(P, ())
+        assert truth_set(s, Atom("p")) == event_on(P, ())
 
     def test_de_morgan_on_joined_space(self, T1):
-        e1, e2 = event_atom(T1, "p"), event_atom(T1, "q")
-        neg_and = event_not(T1, event_and(T1, e1, e2))
+        neg_and = truth_set(T1, parse_hms("~(p & q)"))
         joined = frozenset(T1.states(PQ))
-        lifted = base_of(T1, event_and(T1, e1, e2))
+        lifted = base_of(T1, truth_set(T1, parse_hms("p & q")))
         assert base_of(T1, neg_and) == joined - lifted
 
 
 class TestAwareEvent:
     def test_aware_of_p_fills_space(self, T1, t1_states):
-        e = aware_event(T1, "a", event_atom(T1, "p"))
+        e = truth_set(T1, parse_hms("A[a] p"))
         assert base_of(T1, e) == {t1_states["a1"], t1_states["a2"]}
         assert extension(T1, e) == {
             t1_states["a1"],
@@ -213,50 +243,61 @@ class TestAwareEvent:
         }
 
     def test_aware_of_q_empty(self, T1):
-        assert base_of(T1, aware_event(T1, "a", event_atom(T1, "q"))) == frozenset()
+        assert base_of(T1, truth_set(T1, parse_hms("A[a] q"))) == frozenset()
 
-    def test_empty_vocab_always_aware(self, T1, t1_states):
-        e = event_on(EMPTY, {t1_states["c0"]})
-        assert base_of(T1, aware_event(T1, "a", e)) == {t1_states["c0"]}
+    def test_aware_ignores_the_base(self, T1, t1_states):
+        # awareness reads the body's vocabulary only: an empty base in a
+        # space the agent is aware of still gives the whole space
+        e = truth_set(T1, parse_hms("A[a] ~(p | ~p)"))
+        assert base_of(T1, e) == {t1_states["a1"], t1_states["a2"]}
+
+
+def implicit_on(s, agent, vocab, states, variant):
+    """The implicit-knowledge event of ``agent`` over the event based in
+    ``vocab`` on ``states``, read off ``truth_set`` of ``I[agent]`` over a
+    tree with that event."""
+    return truth_set(s, Implicit(agent, formula_on(s, vocab, states)), variant)
 
 
 class TestImplicitEvent:
-    def test_cell_union_golden_t1(self, T1, t1_states):
-        e = event_on(P, {t1_states["a1"]})
-        assert base_of(T1, implicit_event(T1, "a", e, "cell-union")) == frozenset()
-        assert base_of(T1, implicit_event(T1, "a", e, "pointwise")) == frozenset()
+    def test_cell_union_golden_t1(self, T1):
+        for variant in VARIANTS:
+            assert base_of(T1, truth_set(T1, parse_hms("I[a] p"), variant)) == frozenset()
 
     def test_cell_union_golden_t2(self, T2):
         b1 = T2.locate("w1", Q)
-        e = event_on(Q, {b1})
-        assert implicit_event(T2, "a", e, "cell-union") == event_on(Q, {b1})
+        assert truth_set(T2, Atom("q")) == event_on(Q, {b1})
+        assert truth_set(T2, parse_hms("I[a] q"), "cell-union") == event_on(Q, {b1})
 
     def test_full_event_fixed_point(self, T1, T2):
         for s in (T1, T2):
             for vocab in (P, Q, PQ):
-                full = event_on(vocab, s.states(vocab))
+                full = s.states(vocab)
                 for agent in s.agents:
-                    for variant in ("pointwise", "cell-union"):
-                        assert implicit_event(s, agent, full, variant) == full
+                    for variant in VARIANTS:
+                        e = implicit_on(s, agent, vocab, full, variant)
+                        assert e == event_on(vocab, full)
 
     def test_pointwise_subset_of_cell_union(self, T1, T2, divergent_model):
+        # every space but the empty vocabulary's, in which no formula is based
         from awb.transform import hms_transform
 
         structures = [T1, T2, hms_transform(divergent_model)]
         for s in structures:
             for vocab in s.vocabs:
+                if not vocab:
+                    continue
                 space = s.states(vocab)
                 for k in range(len(space) + 1):
-                    base = frozenset(space[:k])
-                    e = event_on(vocab, base)
                     for agent in s.agents:
-                        pw = base_of(s, implicit_event(s, agent, e, "pointwise"))
-                        cu = base_of(s, implicit_event(s, agent, e, "cell-union"))
+                        pw = base_of(s, implicit_on(s, agent, vocab, space[:k], "pointwise"))
+                        cu = base_of(s, implicit_on(s, agent, vocab, space[:k], "cell-union"))
                         assert pw <= cu
 
     def test_unknown_variant_rejected(self, T1):
+        # a modal node under a connective, as the parser never builds it
         with pytest.raises(ValueError):
-            implicit_event(T1, "a", event_atom(T1, "p"), "mystery")
+            truth_set(T1, Not(Implicit("a", Atom("p"))), "mystery")
 
     @pytest.mark.parametrize("text", ["p", "~p", "p & q", "A[a] p", "I[a] p"])
     def test_unknown_variant_refused_for_every_shape(self, T1, text):
@@ -271,38 +312,39 @@ class TestImplicitEvent:
     def test_masks_match_set_reference(self, M1, M2, divergent_model):
         # Both variants, computed on the stored masks, against their
         # definitions on the decoded possibility sets: the fixtures and 200
-        # seeded random models, every space and agent, with the empty and
-        # full bases and up to eight random ones.
-        from awb.harness import TrialConfig, gen_model
+        # seeded random models, every space but the empty vocabulary's and
+        # every agent, with the empty and full bases and up to eight random
+        # ones.
         from awb.transform import hms_transform
 
         rng = random.Random(9090)
-        cfg = TrialConfig()
-        models = [M1, M2, divergent_model] + [gen_model(rng, cfg) for _ in range(200)]
-        for m in models:
+        for m in random_models(M1, M2, divergent_model, rng):
             s = hms_transform(m)
-            for vocab, row in s.rows.items():
+            for vocab in s.vocabs:
+                if not vocab:
+                    continue
                 space = s.states(vocab)
                 bases = [frozenset(), frozenset(space)]
                 bases += [frozenset(x for x in space if rng.random() < 0.5) for _ in range(8)]
                 for agent in s.agents:
                     cells = {x: s.possibility(agent, x) for x in space}
                     for base in bases:
-                        e = event_on(vocab, base)
                         pointwise = frozenset(x for x in space if cells[x] <= base)
                         covered = frozenset().union(*(c for c in cells.values() if c <= base))
-                        assert implicit_event(s, agent, e, "pointwise") == event_on(vocab, pointwise)
-                        assert implicit_event(s, agent, e, "cell-union") == event_on(vocab, covered)
+                        for variant, want in (("pointwise", pointwise), ("cell-union", covered)):
+                            e = implicit_on(s, agent, vocab, base, variant)
+                            assert e == event_on(vocab, want)
 
     def test_variants_diverge_on_nontransitive_lift(self, divergent_model):
         from awb.transform import hms_transform
 
         s = hms_transform(divergent_model)
-        # base: the two p-true classes of the top space
+        # body: the two p-true classes of the top space
+        body = parse_hms("p & (q | ~q)").body
         base = frozenset({s.locate("x", PQ), s.locate("y1", PQ)})
-        e = event_on(PQ, base)
-        pw = base_of(s, implicit_event(s, "a", e, "pointwise"))
-        cu = base_of(s, implicit_event(s, "a", e, "cell-union"))
+        assert truth_set(s, body) == event_on(PQ, base)
+        pw = base_of(s, truth_set(s, Implicit("a", body), "pointwise"))
+        cu = base_of(s, truth_set(s, Implicit("a", body), "cell-union"))
         assert pw < cu
         assert s.locate("y1", PQ) in cu - pw
 
@@ -354,6 +396,25 @@ class TestTruthSets:
                         assert type(value) is bool
                         assert value == (x in ext) == (x in direct), (str(x), f, variant)
 
+    def test_nested_trees_match_raw_event(self, M1, M2, divergent_model):
+        # trees the parser refuses, a modal node under a modal node, a
+        # negation or a conjunction, against the brute-force oracle
+        from awb.oracles import raw_event
+        from awb.transform import hms_transform
+
+        rng = random.Random(3232)
+        parents = set()
+        for m in random_models(M1, M2, divergent_model, rng):
+            s = hms_transform(m)
+            for _ in range(5):
+                f = nested_tree(rng, m, 4)
+                parents |= modal_parents(f)
+                for variant in VARIANTS:
+                    e = truth_set(s, f, variant)
+                    got = e.vocab, {members(s, x) for x in base_of(s, e)}
+                    assert got == raw_event(m, f, variant), (str(f), variant)
+        assert parents == {Not, And, Aware, Implicit}
+
     def test_unknown_state_rejected(self, T1, T2):
         foreign = T2.locate("w2", Q)
         with pytest.raises(ValueError):
@@ -362,21 +423,6 @@ class TestTruthSets:
     def test_vocab_key(self):
         assert vocab_key(EMPTY) == ""
         assert vocab_key({"q", "p"}) == "p,q"
-
-
-def composed(s, f, variant):
-    """The event of ``f`` built from the public operators alone."""
-    if isinstance(f, Atom):
-        return event_atom(s, f.name)
-    if isinstance(f, Not):
-        return event_not(s, composed(s, f.child, variant))
-    if isinstance(f, And):
-        return event_and(s, composed(s, f.left, variant), composed(s, f.right, variant))
-    if isinstance(f, Prop):
-        return composed(s, f.body, variant)
-    if isinstance(f, Aware):
-        return aware_event(s, f.agent, composed(s, f.body, variant))
-    return implicit_event(s, f.agent, composed(s, f.body, variant), variant)
 
 
 class TestMaskInterface:
@@ -392,34 +438,16 @@ class TestMaskInterface:
     @pytest.mark.parametrize("name", BAD_BASES)
     def test_check_event_refuses(self, T1, name):
         bad = Event(P, self.BAD_BASES[name](T1))
-        good = event_atom(T1, "q")
-        calls = [
-            (T1.check_event, bad),
-            (base_states, T1, bad),
-            (extension, T1, bad),
-            (event_not, T1, bad),
-            (event_and, T1, bad, good),
-            (event_and, T1, good, bad),
-            (aware_event, T1, "a", bad),
-            (implicit_event, T1, "a", bad, "pointwise"),
-            (implicit_event, T1, "a", bad, "cell-union"),
-        ]
-        for call, *args in calls:
+        for call, *args in ((T1.check_event, bad), (base_states, T1, bad), (extension, T1, bad)):
             assert refusal(ValueError, call, *args) == "event base is not a state mask of space {p}"
 
     def test_unknown_space_refused(self, T1):
         bad = Event(frozenset({"zz"}), 0)
-        assert refusal(ValueError, event_not, T1, bad) == "event based on unknown space {zz}"
+        for call, *args in ((T1.check_event, bad), (base_states, T1, bad), (extension, T1, bad)):
+            assert refusal(ValueError, call, *args) == "event based on unknown space {zz}"
 
     def test_last_state_accepted(self, T1, t1_states):
         assert base_states(T1, Event(P, 0b10)) == {t1_states["a2"]}
-
-    def test_operators_compose_to_truth_set(self, M1, M2, divergent_model):
-        for s, f in random_cases(M1, M2, divergent_model, 5353):
-            for variant in VARIANTS:
-                e = truth_set(s, f, variant)
-                assert type(e.base) is int
-                assert composed(s, f, variant) == e, (f, variant)
 
 
 class TestStoredAtomEvents:
@@ -433,7 +461,7 @@ class TestStoredAtomEvents:
         s = hms_transform(M1)
         x = s.locate("w1", P)
         for answered in (False, True):
-            assert refusal(ModelError, event_atom, s, "z") == "unknown atom 'z'"
+            assert refusal(ModelError, truth_set, s, Atom("z")) == "unknown atom 'z'"
             assert refusal(ModelError, truth_set, s, parse_hms("p & z")) == "unknown atom 'z'"
             assert refusal(ModelError, sat_hms, s, x, parse_hms("I[a] ~z")) == "unknown atom 'z'"
             assert set(s.atom_events) == ({"p", "q"} if answered else {"p"})
@@ -460,7 +488,7 @@ class TestStoredAtomEvents:
         assert len(s.atom_events) <= len(m.atoms)
         fresh = hms_transform(m)
         for p, (vocab, _, mask) in s.atom_events.items():
-            assert Event(vocab, mask) == event_atom(fresh, p)
+            assert Event(vocab, mask) == truth_set(fresh, Atom(p))
 
     def test_reused_structure_answers_as_fresh_and_brute(self, M1, M2, divergent_model):
         # one structure per model answers a seeded run of formulas in both

@@ -24,7 +24,7 @@ from awb.harness import (
     gen_model,
     trial_seed,
 )
-from awb.hms import Event, implicit_event, sat_hms, truth_set, vocab_key
+from awb.hms import sat_hms, truth_set, vocab_key
 from awb.model import EpistemicModel, ModelError, model_from_dict, model_to_dict
 from awb.transform import (
     DEFAULT_ATOM_CAP,
@@ -120,6 +120,24 @@ class TestLocateAndProject:
         x = T1.locate("w1", P)
         with pytest.raises(ValueError):
             T1.project(x, PQ)
+
+    @pytest.mark.parametrize("as_given", [set, list, tuple, frozenset])
+    def test_vocabulary_read_as_a_set(self, T1, as_given):
+        # states and project read a vocabulary as locate does
+        x = T1.locate("w2", PQ)
+        for vocab in (EMPTY, P, Q, PQ):
+            given = as_given(sorted(vocab))
+            assert T1.states(given) == T1.states(vocab)
+            assert T1.project(x, given) == T1.project(x, vocab) == T1.locate("w2", given)
+
+    def test_vocabulary_refusals_read_as_a_set(self, T1):
+        x = T1.locate("w1", P)
+        with pytest.raises(ModelError) as exc:
+            T1.states({"z"})
+        assert str(exc.value) == "no space with vocabulary {z}"
+        with pytest.raises(ValueError) as exc:
+            T1.project(x, ["q", "p"])
+        assert str(exc.value) == "cannot project w1@p to {p,q}: not a sub-vocabulary"
 
 
 class TestPossibility:
@@ -253,7 +271,7 @@ class TestLazyCells:
                 s.possibility("c", x)
             assert str(exc.value) == f"no possibility set for agent 'c' at {x}"
             with pytest.raises(ValueError) as exc:
-                implicit_event(s, "c", Event(P, 1))
+                truth_set(s, f)
             assert str(exc.value) == f"no possibility set for agent 'c' at {first}"
             with pytest.raises(ValueError) as exc:
                 sat_hms(s, x, f)
