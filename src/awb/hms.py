@@ -77,6 +77,14 @@ def vocab_key(vocab: Iterable[str]) -> str:
     return ",".join(sorted(vocab))
 
 
+def _vocab_set(vocab: Iterable[str]) -> FrozenSet[str]:
+    """A vocabulary given as atom names, read as a set. A bare string is
+    refused, as ``frozenset`` would read it as its characters."""
+    if isinstance(vocab, str):
+        raise TypeError(f"not a vocabulary: {vocab!r}")
+    return frozenset(vocab)
+
+
 @lru_cache(maxsize=4096)
 def _parse_vocab_key(key: str) -> FrozenSet[str]:
     return frozenset(key.split(",")) if key else frozenset()
@@ -248,7 +256,7 @@ class HmsStructure:
     def states(self, vocab: Iterable[str]) -> Tuple[StateId, ...]:
         """The states of a space in index order, as a fresh tuple on each
         call. The vocabulary is read as a set, as :meth:`locate` reads it."""
-        vocab = frozenset(vocab)
+        vocab = _vocab_set(vocab)
         try:
             row = self.rows[vocab]
             return tuple(self._states(row, range(len(row.reps))))
@@ -283,8 +291,10 @@ class HmsStructure:
 
     def locate(self, world: str, vocab: Iterable[str]) -> StateId:
         """The state of the given space whose class contains the world,
-        read off the space's world -> state row."""
-        vocab = frozenset(vocab)
+        read off the space's world -> state row. The vocabulary is read as
+        a set of atom names; a bare string is refused, not read as its
+        characters."""
+        vocab = _vocab_set(vocab)
         require_declared(vocab, self.atom_set)
         k = self.world_index.get(world)
         row = self.rows.get(vocab)
@@ -299,7 +309,7 @@ class HmsStructure:
         plain tuple equal to a state projects as that state. The vocabulary
         is read as a set, as :meth:`locate` reads it."""
         row = self._row_of(x)
-        vocab = frozenset(vocab)
+        vocab = _vocab_set(vocab)
         if not vocab <= _parse_vocab_key(row.key):
             raise ValueError(
                 f"cannot project {x} to {{{vocab_key(vocab)}}}: not a sub-vocabulary"

@@ -130,6 +130,20 @@ class TestLocateAndProject:
             assert T1.states(given) == T1.states(vocab)
             assert T1.project(x, given) == T1.project(x, vocab) == T1.locate("w2", given)
 
+    @pytest.mark.parametrize("reader", ["states", "locate", "project"])
+    @pytest.mark.parametrize("given", ["pq", "p", ""])
+    def test_string_vocabulary_refused(self, T1, reader, given):
+        # "pq" is not read as {p, q}: an atom may be named pq
+        x = T1.locate("w1", PQ)
+        call = {
+            "states": lambda: T1.states(given),
+            "locate": lambda: T1.locate("w1", given),
+            "project": lambda: T1.project(x, given),
+        }[reader]
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == f"not a vocabulary: {given!r}"
+
     def test_vocabulary_refusals_read_as_a_set(self, T1):
         x = T1.locate("w1", P)
         with pytest.raises(ModelError) as exc:
