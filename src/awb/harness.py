@@ -8,9 +8,8 @@ then runs each conjecture of one table (:func:`conjecture_table`) per trial:
   independent set of laws (the space lattice, the worlds' valuation bits,
   row shapes, class agreement on in-vocabulary atoms with distinct
   valuations for distinct states, block labels that cut the worlds as the
-  model's blocks do, each possibility mask already computed equal to the
-  model's lifted indistinguishability, and subjective-vocabulary
-  arithmetic) from which the projection laws and the rest follow;
+  model's blocks do, and subjective-vocabulary arithmetic) from which the
+  projection laws, the possibility sets and the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
   extension, so it is the up-closure of its own base-space slice; both
@@ -492,15 +491,18 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        trust the builder's enumeration.
     2. World order, valuation and agents: the structure orders the worlds
        as the model does, as the rows, the world bits and the block labels
-       are indexed by world position. Its ``world_bits`` is a tuple of one
-       int per world (not a float or a ``bool``), and each entry is its
-       world's valuation bits over the model's atom order: bit ``k`` is set
-       exactly when atom ``k`` is true there, so a missing bit, an extra
-       one and a bit past the atoms are all wrong marks. Its per-agent
-       tables, ``awareness`` and ``block_labels``, name exactly the
-       model's agents. Each agent's labels are one int per world below the
-       world count, so lifting them into a row that passes law 3 reads no
-       index past its tables, and they cut the worlds as the agent's
+       are indexed by world position. It declares the model's atoms and
+       agents in the model's order: its world bits are read over its atom
+       order (the atom kernel reads atom ``p``'s bit at ``p``'s position in
+       ``s.atoms``), and the dump lists its agents. Its ``world_bits`` is a
+       tuple of one int per world (not a float or a ``bool``), and each
+       entry is its world's valuation bits over the model's atom order: bit
+       ``k`` is set exactly when atom ``k`` is true there, so a missing
+       bit, an extra one and a bit past the atoms are all wrong marks. Its
+       per-agent tables, ``awareness`` and ``block_labels``, name exactly
+       the model's agents. Each agent's labels are one int per world below
+       the world count, so lifting them into a row that passes law 3 reads
+       no index past its tables, and they cut the worlds as the agent's
        blocks in the model do. That is checked by counting, in O(worlds):
        the set of (model block, label) pairs over the worlds maps onto the
        model's blocks, none of which is empty, and onto the labels used,
@@ -536,32 +538,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        that agree on it have classes whose representatives' bits within
        the vocabulary are their common bits, by class agreement, so those
        are equal, and by distinctness the classes are one.
-    5. Possibility, per agent and per row: every mask the row's cache
-       already holds is the lift of the model's indistinguishability,
-       which the battery makes itself. For an agent with blocks ``B``
-       (read from ``m.indist_labels``, once per agent for laws 2 and 5),
-       the lift at a state ``x`` is the set of states ``y`` of ``x``'s
-       space such that one block meets both ``class(x)`` and
-       ``class(y)``. The cached masks must be one per state, and each
-       must be an int equal to the mask of its lift, which has bit ``k``
-       set for each state ``k`` of the lift. A cell that is not an int, or
-       that sets a bit past its ``n`` states (``cell >> n != 0``, which
-       also refuses a negative int), is named as such. The mask -> set map
-       that reads bit ``k`` as state ``k`` is a bijection from the ints
-       ``0 <= cell < 2^n`` onto the subsets of an ``n``-state space, so
-       the cell equals the lift's mask exactly when its set equals the
-       lift. A mask the cache does not hold is made, on its first read, by
-       :meth:`~awb.hms.HmsStructure.cells` from the structure's labels, as
-       the lift of the labels' blocks by that method's definition; by law
-       2 those blocks are the model's, so it is the same lift. So every
-       mask the structure hands out is the lift, and on a fresh transform,
-       whose cache is empty, nothing is lifted here. Whether ``cells``
-       computes the lift it is defined to is judged by independent routes,
-       not by a second copy of its loop: in the tests by differentials
-       against the brute-force ``oracles.raw_poss``, and in each trial by
-       truth preservation, whose source side reads the model's relation
-       through ``reach_composed``.
-    6. Subjective vocabulary, per agent: the structure's awareness set is
+    5. Subjective vocabulary, per agent: the structure's awareness set is
        the model's (constant) awareness. The structure reads the
        subjective vocabulary at any state as that set intersected with the
        state's space vocabulary, so at every state it is the model's
@@ -581,6 +558,21 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       they are equal. Surjectivity: a state ``y`` of ``psi`` holds some
       world ``w``, which lies in the class of some ``x`` of ``phi``;
       ``project(x, psi)`` then holds ``w`` too, so it is ``y``.
+    * Possibility, per agent and per space: every mask the structure hands
+      out is the lift of the model's indistinguishability. For an agent,
+      the lift at a state ``x`` is the set of states ``y`` of ``x``'s
+      space such that one of the agent's blocks meets both ``class(x)``
+      and ``class(y)``, as a mask with bit ``k`` set for each state ``k``
+      of the lift. A structure's masks have one producer,
+      :meth:`~awb.hms.HmsStructure.cells`, which makes them from the
+      structure's own labels, in rows that pass law 3, as the lift of the
+      labels' blocks by that method's definition; by law 2 those blocks
+      are the model's, so it is the same lift. No caller can hand a
+      structure masks of its own. Whether ``cells`` computes the lift it
+      is defined to is judged by independent routes, not by a second copy
+      of its loop: in the tests by differentials against the brute-force
+      ``oracles.raw_poss``, and in each trial by truth preservation, whose
+      source side reads the model's relation through ``reach_composed``.
     * Reflexivity: a state ``x`` has a world ``w`` (3), and ``w``'s block
       meets ``class(x)`` at ``w``, so ``x`` is in its own lift.
     * Symmetry in every space: ``x`` sees ``y`` exactly when one block
@@ -614,7 +606,7 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       representatives' bits within the vocabulary are distinct values
       inside the vocabulary's bits (4).
     * Subjective spaces exist: a subjective vocabulary is a subset of its
-      space's vocabulary, hence of the atoms (1, 6), and every subset is a
+      space's vocabulary, hence of the atoms (1, 5), and every subset is a
       row (1).
     """
     def fail(reason: str, *at, **extra) -> CheckResult:
@@ -636,6 +628,12 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     # the worlds as the model does.
     if tuple(s.worlds) != m.worlds:
         return fail("world order differs from the model's")
+    # The world bits are read over the atom order, and the dump names the
+    # agents in the structure's order.
+    if tuple(s.atoms) != m.atoms:
+        return fail("atom order differs from the model's")
+    if tuple(s.agents) != m.agents:
+        return fail("agent order differs from the model's")
     # world_bits[k]: the atoms true at world k, as bits over the atom order
     at = s.world_index  # the model's world order, as checked
     n_worlds = len(m.worlds)
@@ -657,14 +655,13 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     agents = set(m.agents)
     if s.awareness.keys() != agents or s.block_labels.keys() != agents:
         return fail("per-agent tables name other agents than the model's")
-    # blocks[i][k]: the model's indistinguishability block of world k
-    blocks = {}
     for i in m.agents:
         labels = s.block_labels[i]
         if len(labels) != n_worlds or not all(type(b) is int and 0 <= b < n_worlds for b in labels):
             return fail("block labels are not one block index per world", agent=i)
         label = m.indist_labels(i)
-        block = blocks[i] = [label[w] for w in m.worlds]
+        # block[k]: the model's indistinguishability block of world k
+        block = [label[w] for w in m.worlds]
         # as many (block, label) pairs as blocks and as labels: each cuts
         # the worlds as the other does
         if not len(set(zip(block, labels))) == len(m.indist_blocks[i]) == len(set(labels)):
@@ -674,8 +671,8 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
     for vocab, row in rows.items():
         if not type(row.reps) is type(row.state_at) is tuple:
             return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-    # Law 3 keys a dict by the state_at entries and laws 4 and 5 index by
-    # them, where 1.0 and True would pass for 1
+    # Law 3 keys a dict by the state_at entries and law 4 indexes by them,
+    # where 1.0 and True would pass for 1
     if not _all_ints([row.state_at for row in rows.values()]):
         vocab = next(v for v, row in rows.items() if not _all_ints([row.state_at]))
         return fail("world -> state row names no state of its space", space=vocab_key(vocab))
@@ -721,34 +718,6 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
             )
         if len(set(want)) != len(want):
             return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
-
-    # Law 5 walks only the masks a row's cache holds, against the lift, and
-    # names the first fault; any other mask is made, when read, from the
-    # labels law 2 has checked.
-    for i in m.agents:
-        block = blocks[i]
-        for vocab, row in rows.items():
-            cells = row.poss.get(i)
-            if cells is None:
-                continue
-            # met[b]: the mask of the states whose classes block b meets
-            met = [0] * len(m.indist_blocks[i])
-            for b, c in zip(block, row.state_at):
-                met[b] |= 1 << c
-            lift = [0] * len(row.reps)
-            for b, c in zip(block, row.state_at):
-                lift[c] |= met[b]
-            if len(cells) != len(lift):
-                return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-            for c, (cell, want) in enumerate(zip(cells, lift)):
-                if type(cell) is not int:
-                    return fail("row shape inconsistent with its space", row, c, agent=i)
-                if cell != want:
-                    if cell >> len(lift):
-                        return fail("possibility set leaves its space", row, c, agent=i)
-                    return fail(
-                        "possibility set is not the lifted indistinguishability", row, c, agent=i
-                    )
 
     for i in m.agents:
         if s.awareness[i] != m.awareness[i][m.worlds[0]]:

@@ -16,11 +16,13 @@ states out (:meth:`HmsStructure.states`, ``locate``, ``project``,
 ``possibility``, :func:`decode_masks` and its callers), fresh on each
 call. An agent's possibility sets in a space
 are lifted from that labelling on first read, as masks of state indices,
-and cached in the row; :meth:`HmsStructure.cells` is their one reader.
-An atom's event is likewise made on first read and kept in the
-structure's ``atom_events``, whose one reader is the atom kernel. These
-are the only tables a structure fills after its build: possibility masks
-per agent and row, and atom events per atom, all valuation and model data.
+and kept in the structure's ``poss_masks``; :meth:`HmsStructure.cells` is
+their one producer, reader and filler, so a structure hands out no mask it
+did not lift from its own labels. An atom's event is likewise made on
+first read and kept in the structure's ``atom_events``, whose one reader
+is the atom kernel. These are the only tables a structure fills after its
+build: possibility masks per agent and space, and atom events per atom,
+all valuation and model data.
 Nothing keyed by a formula is kept, so every query runs each connective
 and modal kernel of its formula.
 The event algebra walks the rows by state index, and projects a state by
@@ -165,19 +167,15 @@ class SpaceRow(NamedTuple):
     structure's ``world_bits`` entry of its representative, masked by the
     row's vocabulary. The row's vocabulary is its key in the structure's
     ``rows``. An :class:`Event` based in this space holds its base as a mask
-    over the same state indices.
-
-    ``poss`` is a plain dict that caches, per agent, the tuple of the
-    row's possibility masks by state index: bit ``k`` of a state's mask is
-    set when state ``k`` of this row is possible there. It is read and
-    filled only through :meth:`HmsStructure.cells`; a row made from
-    another by ``_replace`` shares its cache unless given its own.
+    over the same state indices. A row holds only its space's partition:
+    its possibility masks are kept by the structure, which lifts them from
+    its own labels (:meth:`HmsStructure.cells`), so rows shared by two
+    structures share no masks.
     """
 
     key: str
     reps: Tuple[int, ...]
     state_at: Tuple[int, ...]
-    poss: Dict[str, Tuple[int, ...]]
 
 
 class HmsStructure:
@@ -200,11 +198,14 @@ class HmsStructure:
     the agent's subjective vocabulary at every state of that space; and
     ``block_labels[i]``, the indistinguishability block of each world in
     world order, which :meth:`cells` lifts into a row's possibility masks.
-    On first read the structure fills two tables and no other: each row's
-    possibility masks per agent (``SpaceRow.poss``, through :meth:`cells`)
-    and ``atom_events``, each declared atom's event as a based triple,
-    filled by the atom kernel; an undeclared atom is refused and never
-    stored. Nothing keyed by a formula is kept.
+    On first read the structure fills two tables and no other:
+    ``poss_masks``, keyed by agent and then by space key, each agent's
+    tuple of possibility masks in a space by state index (bit ``k`` of a
+    state's mask is set when state ``k`` of its space is possible there),
+    filled only by :meth:`cells`; and ``atom_events``, each declared
+    atom's event as a based triple, filled by the atom kernel; an
+    undeclared atom is refused and never stored. Nothing keyed by a
+    formula is kept.
     Consistency between the tables is the builder's responsibility (the
     verification harness checks every structural invariant independently).
     A state passed in is looked up by its space key and index and must
@@ -236,6 +237,7 @@ class HmsStructure:
         self.vocabs = tuple(rows)
         self.atom_set = frozenset(atoms)
         self.world_index = {w: k for k, w in enumerate(worlds)}
+        self.poss_masks: Dict[str, Dict[str, Tuple[int, ...]]] = {i: {} for i in block_labels}
         self.atom_events: Dict[str, Based] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -323,17 +325,19 @@ class HmsStructure:
         self, row: SpaceRow, agent: str, x: Optional[StateId] = None
     ) -> Tuple[int, ...]:
         """The agent's possibility masks in ``row``, by state index: the one
-        reader of possibility masks. An agent the structure lacks is
-        refused, naming ``x`` (by default the row's first state), before the
-        row's cache is looked at. Otherwise the cached tuple is returned or,
-        on the first read, made, cached and returned: a state's mask is the
-        union of the classes met by the indistinguishability blocks that
-        meet its own class."""
+        producer and reader of possibility masks. An agent the structure
+        lacks is refused, naming ``x`` (by default the row's first state),
+        before ``poss_masks`` is looked at. Otherwise the agent's tuple for
+        the row's space is returned from ``poss_masks`` or, on the first
+        read, made from the agent's labels, kept there and returned: a
+        state's mask is the union of the classes met by the
+        indistinguishability blocks that meet its own class."""
         labels = self.block_labels.get(agent)
         if labels is None:
             x = self._state(row, 0) if x is None else x
             raise ValueError(f"no possibility set for agent {agent!r} at {x}")
-        cells = row.poss.get(agent)
+        held = self.poss_masks[agent]
+        cells = held.get(row.key)
         if cells is None:
             # met[b]: the mask of the classes block b meets; labels are
             # below the block count, which is at most the world count
@@ -343,7 +347,7 @@ class HmsStructure:
             reach = [0] * len(row.reps)
             for b, c in zip(labels, row.state_at):
                 reach[c] |= met[b]
-            cells = row.poss[agent] = tuple(reach)
+            cells = held[row.key] = tuple(reach)
         return cells
 
     def possibility(self, agent: str, x: StateId) -> FrozenSet[StateId]:

@@ -20,12 +20,13 @@ representative is the first world of its class, and the row keeps that
 world's position. For each agent and space,
 every indistinguishability block gets the mask of the class indices it
 meets, and a state's possibility set is the union of the masks of the
-blocks that meet its own class. That mask is what the row caches: bit
-``k`` set means state ``k`` of the space is possible, and no set of
+blocks that meet its own class. That mask is what the structure keeps:
+bit ``k`` set means state ``k`` of the space is possible, and no set of
 states is built. The masks are not made by the build but on first read,
-one agent of one row at a time, by
-:meth:`~awb.hms.HmsStructure.cells` from the agent's world -> block
-labels, which the build stores once on the structure: a cold ``check``
+one agent of one space at a time, by
+:meth:`~awb.hms.HmsStructure.cells`, their one producer, from the agent's
+world -> block labels, which the build stores once on the structure, and
+kept in the structure's ``poss_masks``: a cold ``check``
 reads at most one agent's masks in one space, and making them all costs
 about as much as the rest of the build. Each agent's awareness set is
 stored once on the structure too; its subjective vocabulary in a space is
@@ -39,9 +40,8 @@ per build, before the loop over spaces (``_space_table``).
 The tables are per space, not per object: each space is one
 :class:`~awb.hms.SpaceRow` holding its key and two tuples of ints by
 index (each state's representative as a world position, and each world's
-state index, which is the space's partition stored once), plus a cache
-of each agent's tuple of possibility masks, empty when built. A build
-thus makes no state
+state index, which is the space's partition stored once), and nothing
+else. A build thus makes no state
 objects: the structure makes a :class:`~awb.hms.StateId` from its row
 only when it hands that state out. Nor does it make ``(vocabulary,
 world)`` or ``(agent, state)`` key tuples, member sets, possibility sets,
@@ -133,8 +133,9 @@ def _space_table(atoms: Tuple[str, ...]) -> List[tuple]:
 
 def _quotient(m: EpistemicModel) -> HmsStructure:
     """The tables of :func:`hms_transform`, for a model that meets its
-    preconditions; each row's possibility masks are left to be lifted on
-    first read (:meth:`~awb.hms.HmsStructure.cells`)."""
+    preconditions. A row holds only its space's partition: the
+    possibility masks are left to be lifted on first read
+    (:meth:`~awb.hms.HmsStructure.cells`)."""
     atoms, worlds = m.atoms, m.worlds
     world_index = {w: k for k, w in enumerate(worlds)}
     bits = [0] * len(worlds)
@@ -162,7 +163,7 @@ def _quotient(m: EpistemicModel) -> HmsStructure:
                 c = first[r] = len(reps)
                 reps.append(k)
             cls.append(c)
-        rows[vocab] = SpaceRow(key, tuple(reps), tuple(cls), {})
+        rows[vocab] = SpaceRow(key, tuple(reps), tuple(cls))
 
     return HmsStructure(atoms, m.agents, worlds, tuple(bits), rows, awareness, block_labels)
 

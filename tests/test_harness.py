@@ -25,7 +25,7 @@ from awb.harness import (
 from awb.hms import VARIANTS, decode_masks, extension, extension_masks, truth_set
 from awb.model import EpistemicModel, a_condition, awareness_variation, validate
 from awb.transform import hms_transform
-from conftest import all_states, event_on, rebuild
+from conftest import event_on, rebuild
 
 
 class TestTrialSeed:
@@ -120,17 +120,8 @@ def missing_agent_tables(s):
 
 
 def out_of_range_labels(s):
-    """A copy of ``s`` whose block label for w2 is past the world count,
-    with every row's cache empty, so the labels are lifted."""
-    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
-    return rebuild(s, rows=rows, block_labels={"a": (0, len(s.worlds))})
-
-
-def short_cells(s):
-    """A copy of ``s`` whose {p} row caches one mask too few for agent a."""
-    p = frozenset({"p"})
-    row = s.rows[p]
-    return rebuild(s, rows={**s.rows, p: row._replace(poss={"a": s.cells(row, "a")[:-1]})})
+    """A copy of ``s`` whose block label for w2 is past the world count."""
+    return rebuild(s, block_labels={"a": (0, len(s.worlds))})
 
 
 class TestChecks:
@@ -149,19 +140,6 @@ class TestChecks:
         assert status == "fail"
         assert detail["reason"] == "valuation marks the wrong worlds"
         assert "world" in detail and "atom" in detail
-
-    def test_structure_catches_broken_possibility(self, M1, T1):
-        victim = next(x for x in all_states(T1) if len(T1.possibility("a", x)) > 1)
-        row = T1.rows[victim.vocab]
-        cells = list(T1.cells(row, "a"))
-        cells[victim.index] &= ~(1 << victim.index)
-        rows = dict(T1.rows)
-        rows[victim.vocab] = row._replace(poss={"a": tuple(cells)})
-        broken = rebuild(T1, rows=rows)
-        status, detail = check_structure(M1, broken)
-        assert status == "fail"
-        assert detail["reason"] == "possibility set is not the lifted indistinguishability"
-        assert detail["state"] == str(victim)
 
     def test_structure_catches_misshaped_row(self, M1, T1):
         # a world -> state row one world short is refused by name, not
@@ -193,11 +171,6 @@ class TestChecks:
                 {"reason": "block labels are not one block index per world", "agent": "a"},
                 id="out-of-range-labels",
             ),
-            pytest.param(
-                short_cells,
-                {"reason": "row shape inconsistent with its space", "space": "p"},
-                id="short-cells",
-            ),
         ],
     )
     def test_structure_catches_misshaped_possibility_table(self, M1, T1, edit, detail):
@@ -220,7 +193,7 @@ class TestChecks:
         # row is a consistent one-state partition in every other respect
         p = frozenset({"p"})
         rows = dict(T1.rows)
-        rows[p] = T1.rows[p]._replace(reps=(0,), state_at=(0, 0), poss={"a": (1,)})
+        rows[p] = T1.rows[p]._replace(reps=(0,), state_at=(0, 0))
         broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",

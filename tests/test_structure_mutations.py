@@ -1,17 +1,17 @@
 """Mutation suite for the structural battery.
 
 Each case corrupts a correct quotient structure (of the ``m1``/``m2``
-fixtures or of the divergent model), in one table, in one agent's
-possibility masks across every row, in one agent's per-agent tables or in
-the worlds' valuation bits, and
+fixtures or of the divergent model), in one table of one row, in one
+agent's per-agent tables, in the worlds' valuation bits or in the
+structure's declared atoms or agents, and
 rebuilds it through the ``HmsStructure`` constructor; the battery must
-reject it with the reason that names the fault. A forged mask is put in a
-row's cache, where :meth:`~awb.hms.HmsStructure.cells` reads it instead of
-lifting the structure's own labelling: the battery compares only the
-masks a cache holds with the lift, and checks the labelling itself
-against the model's blocks. Faults of the code that fills a cache are left
-to the routes independent of it, and a test below shows ``verify``'s truth
-preservation catching three of them. The cases use only the
+reject it with the reason that names the fault. No case forges a
+possibility mask: a structure has no input for one, as
+:meth:`~awb.hms.HmsStructure.cells` lifts every mask from the structure's
+own labelling, which the battery checks against the model's blocks.
+Faults of ``cells`` itself are left to the routes independent of it, and
+a test below shows ``verify``'s truth preservation catching three of them.
+The cases use only the
 constructor, the structure's public interface, its per-space rows, its
 world bits and its per-agent tables, not the battery's internals, so a
 cheap battery and an
@@ -32,7 +32,6 @@ import pytest
 from awb import oracles
 from awb.harness import TrialConfig, check_structure, gen_model, run_suite
 from awb.hms import HmsStructure, vocab_key
-from awb.model import EpistemicModel
 from awb.transform import hms_transform
 from conftest import rebuild
 P = frozenset({"p"})
@@ -41,15 +40,10 @@ PQ = frozenset({"p", "q"})
 
 
 def with_row(s, vocab, **fields):
-    """A copy of ``s`` in which the row of ``vocab`` has the given fields.
-    Unless ``poss`` is given, the row's cache holds every agent's masks of
-    the row as it was: an edit of one table leaves the masks as they were,
-    not lifted anew from an edited partition, and ``s``'s cache is not
-    shared."""
+    """A copy of ``s`` in which the row of ``vocab`` has the given fields;
+    its possibility masks are lifted anew from the edited row when read."""
     rows = dict(s.rows)
-    row = rows[vocab]
-    poss = {i: s.cells(row, i) for i in s.agents}
-    rows[vocab] = row._replace(**{"poss": poss, **fields})
+    rows[vocab] = rows[vocab]._replace(**fields)
     return rebuild(s, rows=rows)
 
 
@@ -58,25 +52,9 @@ def with_awareness(s, agent, aware):
     return rebuild(s, awareness={**s.awareness, agent: aware})
 
 
-def with_mask(s, agent, x, mask):
-    """A copy of ``s`` in which the agent's possibility mask at ``x`` is
-    ``mask``."""
-    row = s.rows[x.vocab]
-    cells = list(s.cells(row, agent))
-    cells[x.index] = mask
-    return with_row(s, x.vocab, poss={**row.poss, agent: tuple(cells)})
-
-
-def with_cell(s, agent, x, cell):
-    """A copy of ``s`` in which the agent's possibility set at ``x`` is
-    ``cell``, encoded as the mask of its states' indices."""
-    return with_mask(s, agent, x, sum(1 << y.index for y in set(cell)))
-
-
 def with_rep(s, x, entry):
     """A copy of ``s`` in which the ``reps`` entry of state ``x`` is
-    ``entry``: a world position, or a malformed value. Possibility masks
-    name states by index, so they stay as they are."""
+    ``entry``: a world position, or a malformed value."""
     reps = list(s.rows[x.vocab].reps)
     reps[x.index] = entry
     return with_row(s, x.vocab, reps=tuple(reps))
@@ -144,60 +122,10 @@ def worldless_state(s):
     return with_state_at(s, P, w2=s.locate("w1", P).index)
 
 
-def poss_missing_state(s):
-    x, y = s.locate("w1", P), s.locate("w2", P)
-    return with_cell(s, "a", x, s.possibility("a", x) - {y})
-
-
-def poss_past_last_state(s):
-    """Sets the bit one past the {p} row's last state in the possibility
-    mask at w1."""
-    x = s.locate("w1", P)
-    return with_mask(s, "a", x, s.cells(s.rows[P], "a")[x.index] | 1 << len(s.states(P)))
-
-
-def negative_poss_cell(s):
-    """A negative int, whose two's-complement bits run past every state."""
-    return with_mask(s, "a", s.locate("w1", P), -1)
-
-
-def set_valued_cell(s):
-    """The possibility set at w1 in {p} stored as a set of states instead of
-    a mask."""
-    x = s.locate("w1", P)
-    return with_mask(s, "a", x, s.possibility("a", x))
-
-
-def asymmetric_top_cell(s):
-    """w2's top state joins w1's possibility set, but not the reverse."""
-    return with_cell(s, "a", s.locate("w1", PQ), {s.locate("w1", PQ), s.locate("w2", PQ)})
-
-
-def poss_beyond_fiber(s):
-    """w2's {q} state joins w1's {q} possibility set, which no top state
-    projecting to w1's {q} state can see."""
-    return with_cell(s, "a", s.locate("w1", Q), {s.locate("w1", Q), s.locate("w2", Q)})
-
-
-def all_seeing_agent(s):
-    """Agent a sees every state of every space: reflexive, symmetric and
-    the union over every top fiber, but not the lift of a's partition,
-    which tells w1 from w2."""
-    rows = {
-        vocab: row._replace(
-            poss={**row.poss, "a": (2 ** len(row.reps) - 1,) * len(row.reps)}
-        )
-        for vocab, row in s.rows.items()
-    }
-    return rebuild(s, rows=rows)
-
-
 def with_labels(s, agent, labels):
     """A copy of ``s`` in which the agent's world -> block labels are
-    ``labels`` and every row's cache is empty, so the masks are lifted from
-    those labels when read."""
-    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
-    return rebuild(s, rows=rows, block_labels={**s.block_labels, agent: tuple(labels)})
+    ``labels``, from which its masks are lifted when read."""
+    return rebuild(s, block_labels={**s.block_labels, agent: tuple(labels)})
 
 
 def one_block_labels(s):
@@ -222,15 +150,6 @@ def crossed_blocks(s):
     """Agent a's worlds cut into two blocks of two, {x, y2} and {y1, z},
     as many as the model's but across them."""
     return with_labels(s, "a", (0, 1, 0, 1))
-
-
-def one_cached_wrong_row(s):
-    """Only the {q} row's cache holds masks, and there agent a sees both
-    states, although a tells w1, where q holds, from w2; every other row's
-    cache is empty."""
-    rows = {vocab: row._replace(poss={}) for vocab, row in s.rows.items()}
-    rows[Q] = rows[Q]._replace(poss={"a": (3, 3)})
-    return rebuild(s, rows=rows)
 
 
 def wrong_alpha(s):
@@ -280,6 +199,19 @@ def list_valuation(s):
     return rebuild(s, world_bits=list(s.world_bits))
 
 
+def reordered_atoms(s):
+    """The structure declares the atoms as (q, p), so its world bits, over
+    the model's atom order, are read with p and q swapped: p reads true at
+    w2, where it is false."""
+    return rebuild(s, atoms=s.atoms[::-1])
+
+
+def extra_declared_agent(s):
+    """The structure declares an agent b the model lacks, with no tables of
+    its own."""
+    return rebuild(s, agents=s.agents + ("b",))
+
+
 def dropped_space(s):
     return rebuild(s, rows={v: row for v, row in s.rows.items() if v != P})
 
@@ -297,7 +229,7 @@ def split_class(s):
     """The one-state {p} row split in two, {w1} and {w2}, with every other
     table consistent with the cut: both worlds agree on p, so the space is
     cut finer than agreement on its vocabulary."""
-    return with_row(s, P, reps=(0, 1), state_at=(0, 1), poss={"a": (1, 2)})
+    return with_row(s, P, reps=(0, 1), state_at=(0, 1))
 
 
 def empty_space(s):
@@ -321,12 +253,6 @@ MUTATIONS = [
     ("T1", representative_past_last_world, "state representative is outside its class"),
     ("T1", negative_representative, "state representative is outside its class"),
     ("T1", worldless_state, "state has no world"),
-    ("T1", poss_missing_state, "possibility set is not the lifted indistinguishability"),
-    ("T2", poss_past_last_state, "possibility set leaves its space"),
-    ("T2", negative_poss_cell, "possibility set leaves its space"),
-    ("T1", set_valued_cell, "row shape inconsistent with its space"),
-    ("T2", asymmetric_top_cell, "possibility set is not the lifted indistinguishability"),
-    ("T2", poss_beyond_fiber, "possibility set is not the lifted indistinguishability"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong worlds"),
     ("T2", valuation_bit_past_atoms, "valuation marks the wrong worlds"),
@@ -334,11 +260,11 @@ MUTATIONS = [
     ("divergent", bool_valuation, "world valuation is not one int per world"),
     ("T2", short_valuation, "world valuation is not one int per world"),
     ("T2", list_valuation, "world valuation is not one int per world"),
+    ("T1", reordered_atoms, "atom order differs from the model's"),
+    ("T1", extra_declared_agent, "agent order differs from the model's"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
     ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
     ("T2", split_class, "two states of a space agree on its vocabulary"),
-    ("T2", all_seeing_agent, "possibility set is not the lifted indistinguishability"),
-    ("T2", one_cached_wrong_row, "possibility set is not the lifted indistinguishability"),
     ("T2", one_block_labels, "block labels cut the worlds unlike the model's blocks"),
     ("divergent", merged_blocks, "block labels cut the worlds unlike the model's blocks"),
     ("T1", split_block, "block labels cut the worlds unlike the model's blocks"),
@@ -413,15 +339,16 @@ def identity_masks(labels, row):
 
 @pytest.mark.parametrize("kernel", [reach_takes_last_block, met_takes_last_class, identity_masks])
 def test_verify_catches_a_faulty_cells_kernel(monkeypatch, kernel):
-    """The battery lifts only the masks a row's cache holds, so a fault in
-    the kernel that fills the cache is left to the routes independent of
-    it: each of these faulty kernels passes the battery on every trial and
-    fails truth preservation on some."""
+    """The battery lifts no possibility mask, so a fault in the kernel
+    that makes them is left to the routes independent of it: each of these
+    faulty kernels, keeping its masks in the structure's table, passes the
+    battery on every trial and fails truth preservation on some."""
 
     def cells(self, row, agent, x=None):
-        if agent not in row.poss:
-            row.poss[agent] = kernel(self.block_labels[agent], row)
-        return row.poss[agent]
+        held = self.poss_masks[agent]
+        if row.key not in held:
+            held[row.key] = kernel(self.block_labels[agent], row)
+        return held[row.key]
 
     monkeypatch.setattr(HmsStructure, "cells", cells)
     report = run_suite(TrialConfig(seed=42, trials=2000, shrink=False))
@@ -432,67 +359,35 @@ def test_verify_catches_a_faulty_cells_kernel(monkeypatch, kernel):
 def recut(rng, m, s, vocab):
     """A copy of ``s`` in which the row of ``vocab`` is cut by a random
     labelling of the worlds, its other tables consistent with the cut:
-    states in order of their first world, each rep its least world, and
-    each possibility mask kept while the state count is unchanged (else
-    each state sees only itself)."""
+    states in order of their first world, each rep its least world."""
     index = {}
     state_at = tuple(index.setdefault(rng.randrange(len(m.worlds)), len(index)) for _ in m.worlds)
     first = [state_at.index(c) for c in range(len(index))]
-    row = s.rows[vocab]
-    own = tuple(1 << c for c in range(len(first)))
-    poss = {}
-    for i in m.agents:
-        cells = s.cells(row, i)
-        poss[i] = cells if len(cells) == len(first) else own
-    return with_row(s, vocab, reps=tuple(first), state_at=state_at, poss=poss)
-
-
-def foreign_poss(rng, m, s, agent):
-    """A copy of ``s`` in which the agent's possibility masks in every row
-    are those of the quotient of a copy of ``m`` whose partition for the
-    agent is the fibers of a random labelling of the worlds. Any partition
-    is valid, as ``gen_model``'s awareness is constant."""
-    labels = [rng.randrange(len(m.worlds)) for _ in m.worlds]
-    blocks = [[w for w, lab in zip(m.worlds, labels) if lab == b] for b in sorted(set(labels))]
-    other = EpistemicModel(
-        m.atoms, m.agents, m.worlds, m.valuation, {**m.indist_blocks, agent: blocks}, m.awareness
-    )
-    foreign = hms_transform(other)
-    rows = {
-        vocab: row._replace(poss={**row.poss, agent: foreign.cells(foreign.rows[vocab], agent)})
-        for vocab, row in s.rows.items()
-    }
-    return rebuild(s, rows=rows)
+    return with_row(s, vocab, reps=tuple(first), state_at=state_at)
 
 
 def random_edit(rng, m, s):
     """A copy of ``s`` with one random edit, of one table, of one agent's
-    possibility masks in every row, of one agent's awareness set or of one
-    world's valuation bits, which may leave them as they were. Every choice
-    is drawn from an ordered sequence, so the edits do not depend on the
-    hash seed."""
+    awareness set or of one world's valuation bits, which may leave them as
+    they were. Every choice is drawn from an ordered sequence, so the edits
+    do not depend on the hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
-    row = s.rows[vocab]
-    n = len(row.reps)
+    n = len(s.rows[vocab].reps)
     x = rng.choice(s.states(vocab))
     agent = rng.choice(m.agents)
-    kind = rng.randrange(7)
+    kind = rng.randrange(5)
     if kind == 0:
         return with_state_at(s, vocab, **{rng.choice(m.worlds): rng.randrange(n + 1)})
     if kind == 1:
-        return with_mask(s, agent, x, s.cells(row, agent)[x.index] ^ 1 << rng.randrange(n + 1))
-    if kind == 2:
         world = rng.choice(m.worlds)
         flip = 1 << rng.randrange(len(m.atoms))
         return with_bits(s, world, s.world_bits[m.worlds.index(world)] ^ flip)
-    if kind == 3:
+    if kind == 2:
         return renamed(s, x, rng.choice(m.worlds))
-    if kind == 4:
+    if kind == 3:
         aware = frozenset(p for p in m.atoms if rng.random() < 0.5)
         return with_awareness(s, agent, aware)
-    if kind == 5:
-        return recut(rng, m, s, vocab)
-    return foreign_poss(rng, m, s, agent)
+    return recut(rng, m, s, vocab)
 
 
 def test_battery_pass_means_the_true_quotient():

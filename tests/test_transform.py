@@ -33,7 +33,7 @@ from awb.transform import (
     hms_transform,
     transform_summary,
 )
-from conftest import all_states, marked, members
+from conftest import all_states, marked, members, rebuild
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -192,8 +192,14 @@ class TestPossibility:
 
 def held(s):
     """The (vocabulary, agent) pairs whose possibility masks have been
-    computed: a row's table stores an agent's masks once read."""
-    return {(vocab, i) for vocab, row in s.rows.items() for i in row.poss}
+    computed: the structure's table stores an agent's masks in a space once
+    read."""
+    return {
+        (vocab, i)
+        for i, table in s.poss_masks.items()
+        for vocab, row in s.rows.items()
+        if row.key in table
+    }
 
 
 def every_cell(s):
@@ -248,7 +254,7 @@ class TestLazyCells:
         assert held(s) == {(vocab, agent)}
 
     def test_battery_computes_no_cell(self, ladder):
-        # a fresh cache holds no mask, and the battery lifts only cached ones
+        # the battery lifts no mask
         s = hms_transform(ladder)
         assert check_structure(ladder, s) == ("pass", {})
         assert held(s) == set()
@@ -268,6 +274,20 @@ class TestLazyCells:
                 check(m, s, *((w, f) if reads_trial else (None, None)))
             assert held(s) <= {(atoms_of(f), getattr(f, "agent", None))}
 
+    def test_structures_sharing_rows_share_no_masks(self, M1):
+        # a structure made from another's rows, with its own labels, lifts
+        # its own masks rather than reading the other's
+        s = hms_transform(M1)
+        f = parse_hms("I[a] p")
+        x, y = s.states(P)
+        assert s.possibility("a", x) == {x, y}
+        other = rebuild(s, block_labels={"a": (0, 1)})
+        assert other.rows is s.rows
+        assert truth_set(other, f).base == 1
+        assert other.possibility("a", x) == {x}
+        assert truth_set(s, f).base == 0
+        assert s.possibility("a", x) == {x, y}
+
     def test_dump_computes_every_cell(self, ladder):
         s = hms_transform(ladder)
         dump_transform(s)
@@ -278,9 +298,9 @@ class TestLazyCells:
         row = s.rows[P]
         first, *_, x = s.states(P)
         f = parse_hms("I[c] p")
-        for forged in ({}, {"c": (1,) * len(row.reps)}):
+        for forged in ({}, {row.key: (1,) * len(row.reps)}):
             # a mask table forged for an agent the structure lacks is not read
-            row.poss.update(forged)
+            s.poss_masks["c"] = dict(forged)
             with pytest.raises(ValueError) as exc:
                 s.possibility("c", x)
             assert str(exc.value) == f"no possibility set for agent 'c' at {x}"
@@ -290,7 +310,7 @@ class TestLazyCells:
             with pytest.raises(ValueError) as exc:
                 sat_hms(s, x, f)
             assert str(exc.value) == f"no possibility set for agent 'c' at {first}"
-            assert row.poss == forged
+            assert s.poss_masks["c"] == forged
 
     @settings(max_examples=150, deadline=None)
     @given(small_models())
