@@ -4,11 +4,11 @@ The harness repeatedly generates a small random epistemic model with
 constant awareness, a random formula, and the model's quotient structure,
 then runs each conjecture of one table (:func:`conjecture_table`) per trial:
 
-* ``structure``: the structural battery over the quotient structure, an
-  independent set of laws (the space lattice, the worlds' valuation bits,
-  row shapes, class agreement on in-vocabulary atoms with distinct
-  valuations for distinct states, block labels that cut the worlds as the
-  model's blocks do, and subjective-vocabulary arithmetic) from which the
+* ``structure``: the structural battery over the quotient structure, three
+  independent laws (the space lattice; the model's tables: worlds, atoms,
+  agents, the worlds' valuation bits, block labels that cut the worlds as
+  the model's blocks do, and awareness; and each row equal, whole, to the
+  quotient of its vocabulary numbered by first occurrence) from which the
   projection laws, the possibility sets and the rest follow;
 * ``eventhood``: the per-state satisfaction set of the translated formula,
   computed by direct structural recursion, equals the event-algebra
@@ -41,7 +41,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (
@@ -441,17 +441,17 @@ def check_eventhood(
     difference: a pass names no state.
 
     The whole set is then also the up-closure of its base-space slice, on
-    every structure whose rows pass the battery's per-space checks (law 3
-    of :func:`check_structure`), so that is not compared again. Those
-    checks require each entry ``reps[c]`` of the base row to be a world
-    position that the row sends to ``c``, so ``at[reps[c]] == c`` for
-    every state index ``c``, ``at`` being that row's world -> state table.
-    :func:`extension_masks` sets bit ``c`` of the base space's mask when
-    bit ``at[reps[c]]`` of the base mask is set, that is, bit ``c``; and
-    ``check_event`` has refused a mask with a bit past the row. So the
-    base-space mask of the up-closure of ``ts`` is ``ts.base`` itself, and
-    once the direct masks equal the up-closure's, the direct base-space
-    mask is ``ts.base`` too and its up-closure is the direct masks.
+    every structure whose rows pass law 3 of :func:`check_structure`, so
+    that is not compared again. That law makes each entry ``reps[c]`` of
+    the base row the first world position that the row sends to ``c``, so
+    ``at[reps[c]] == c`` for every state index ``c``, ``at`` being that
+    row's world -> state table. :func:`extension_masks` sets bit ``c`` of
+    the base space's mask when bit ``at[reps[c]]`` of the base mask is
+    set, that is, bit ``c``; and ``check_event`` has refused a mask with a
+    bit past the row. So the base-space mask of the up-closure of ``ts`` is
+    ``ts.base`` itself, and once the direct masks equal the up-closure's,
+    the direct base-space mask is ``ts.base`` too and its up-closure is the
+    direct masks.
     """
     ts = truth_set(s, f, variant)
     if ts.vocab != atoms_of(f):
@@ -489,9 +489,10 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        distinct dict keys and the atoms are distinct, so the keys are all
        ``2^a`` subsets. The count is made here, so the battery does not
        trust the builder's enumeration.
-    2. World order, valuation and agents: the structure orders the worlds
-       as the model does, as the rows, the world bits and the block labels
-       are indexed by world position. It declares the model's atoms and
+    2. The model's tables: worlds, atoms, agents, world bits, block labels
+       and awareness. The structure orders the worlds as the model does,
+       as the rows, the world bits and the block labels are indexed by
+       world position. It declares the model's atoms and
        agents in the model's order: its world bits are read over its atom
        order (the atom kernel reads atom ``p``'s bit at ``p``'s position in
        ``s.atoms``), and the dump lists its agents. Its ``world_bits`` is a
@@ -510,46 +511,48 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
        blocks exactly when each block meets one label only, that is, each
        block lies inside one label's worlds; and as many as the labels
        exactly when each label's worlds lie inside one block. Both together
-       make the two partitions equal.
-    3. Each row: its ``reps`` and ``state_at`` tables are
-       tuples, its key and its world -> state table have the right shape,
-       every entry of ``state_at`` is an int (not a float or a ``bool``,
-       which would pass for one as a dict key or an index) and the index of
-       a state of its space, every state has at least one world, and each
-       entry ``reps[c]`` is an int world position, the least position that
-       ``state_at`` sends to ``c``. A state ``x`` handed out is decoded
-       from its row, so its space key and index are its row's and its
-       ``rep`` is the world at ``reps[x.index]``. Below, the class of a
-       state ``x`` is the set of worlds ``state_at`` sends to ``x``. So the
-       classes of a space are non-empty, pairwise disjoint and cover the
-       worlds, each state's class holds its ``rep``, and ``project(x, V)``,
-       the state of ``V`` at ``x.rep``'s position in ``V``'s world -> state
-       row, is the state of ``V`` whose class holds ``x.rep``.
-    4. Valuation, as two laws per row. A state's valuation is, by
-       construction, the ``world_bits`` entry of its ``reps`` entry masked
-       by the row's vocabulary, so by law 2 it is its representative's
-       valuation within the vocabulary. Class agreement: the worlds of a
-       class agree on every atom of their space's vocabulary, so the rep's
-       bits within the vocabulary are every member's. Distinctness: the
-       representatives' bits within the vocabulary are pairwise distinct
-       across a row's states. Together the two make each space's classes
-       exactly the classes of agreement on its vocabulary. Two worlds of
-       one class agree on the vocabulary, by class agreement. Two worlds
-       that agree on it have classes whose representatives' bits within
-       the vocabulary are their common bits, by class agreement, so those
-       are equal, and by distinctness the classes are one.
-    5. Subjective vocabulary, per agent: the structure's awareness set is
+       make the two partitions equal. Each agent's ``awareness`` set is
        the model's (constant) awareness. The structure reads the
        subjective vocabulary at any state as that set intersected with the
        state's space vocabulary, so at every state it is the model's
        awareness intersected with the space.
+    3. Rows: each row is the quotient of its vocabulary ``V``, numbered as
+       the transform numbers it. First its shape: its ``reps`` and
+       ``state_at`` are tuples, its key is ``vocab_key(V)``, ``state_at``
+       has one entry per world, and every entry of both tables is an int,
+       not a float or a ``bool``, which compare equal to an int and so
+       would pass the comparison that follows. Then both tables equal the
+       canonical row, which the battery computes from its own world bits:
+       the distinct values of the worlds' bits within ``V`` are numbered by
+       first occurrence in world order, ``state_at[k]`` is world ``k``'s
+       number and ``reps[c]`` is the position of the first world numbered
+       ``c``. A fault names the first world whose entry differs, or else
+       the first state whose representative differs. A state ``x`` handed
+       out is decoded from its row, so its space key and index are its
+       row's and its ``rep`` is the world at ``reps[x.index]``. Below, the
+       class of a state ``x`` is the set of worlds ``state_at`` sends to
+       ``x``. So the classes of a space are exactly the classes of
+       agreement on its vocabulary: they are non-empty, pairwise disjoint
+       and cover the worlds; two worlds share a class exactly when their
+       bits within ``V`` are equal; each state's ``rep`` is the least world
+       of its class; and the states are numbered in the order of their
+       ``rep``, which the dump and every state index pin. A state's
+       valuation is, by construction, the ``world_bits`` entry of its
+       ``rep`` masked by ``V``, so by law 2 it is every member's valuation
+       within ``V``, and two states of a space have distinct valuations.
+       ``project(x, V)``, the state of ``V`` at ``x.rep``'s position in
+       ``V``'s world -> state row, is the state of ``V`` whose class holds
+       ``x.rep``. A row with these classes and representatives under any
+       other numbering fails. The brute-force reference for the classes,
+       ``oracles.raw_space``, is compared with the transform's in the
+       tests.
 
     The laws the battery does not check follow:
 
     * Projections (Heifetz, Meier & Schipper, J. Econ. Theory 130, 2006).
       Inclusion, for every contained pair ``psi <= phi`` and state ``x``
       of ``phi``: the worlds of ``class(x)`` agree with ``x.rep`` on
-      ``phi`` (4), hence on ``psi``, so they lie in the ``psi``-class of
+      ``phi`` (3), hence on ``psi``, so they lie in the ``psi``-class of
       ``x.rep``, which is ``class(project(x, psi))`` (3). Identity on the
       own space: ``project(x, phi)`` holds ``x.rep``, as ``x`` does, so it
       is ``x``. Composition: for ``ups <= psi <= phi``, both
@@ -602,21 +605,15 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
       top case bounds every term.
     * Non-empty possibility sets: each holds its own state (reflexivity).
     * Space size: a row has at most one state per world, since each state
-      has its own least world (3), and at most ``2^|V|`` states, since its
-      representatives' bits within the vocabulary are distinct values
-      inside the vocabulary's bits (4).
+      has its own least world (3), and at most ``2^|V|`` states, since
+      their valuations within the vocabulary are distinct values inside
+      the vocabulary's bits (3).
     * Subjective spaces exist: a subjective vocabulary is a subset of its
-      space's vocabulary, hence of the atoms (1, 5), and every subset is a
+      space's vocabulary, hence of the atoms (1, 2), and every subset is a
       row (1).
     """
-    def fail(reason: str, *at, **extra) -> CheckResult:
-        # at: a row and a state index, naming that state last, as the
-        # structure would name it
-        detail = {"reason": reason, **extra}
-        if at:
-            row, c = at
-            detail["state"] = f"{m.worlds[row.reps[c]]}@{row.key}"
-        return "fail", detail
+    def fail(reason: str, **extra) -> CheckResult:
+        return "fail", {"reason": reason, **extra}
 
     rows = s.rows
     atom_set = frozenset(m.atoms)
@@ -666,64 +663,38 @@ def check_structure(m: EpistemicModel, s: HmsStructure) -> CheckResult:
         # the worlds as the other does
         if not len(set(zip(block, labels))) == len(m.indist_blocks[i]) == len(set(labels)):
             return fail("block labels cut the worlds unlike the model's blocks", agent=i)
-
-    # Laws 3 and 4 read a row's two tables as tuples of entries
-    for vocab, row in rows.items():
-        if not type(row.reps) is type(row.state_at) is tuple:
-            return fail("row shape inconsistent with its space", space=vocab_key(vocab))
-    # Law 3 keys a dict by the state_at entries and law 4 indexes by them,
-    # where 1.0 and True would pass for 1
-    if not _all_ints([row.state_at for row in rows.values()]):
-        vocab = next(v for v, row in rows.items() if not _all_ints([row.state_at]))
-        return fail("world -> state row names no state of its space", space=vocab_key(vocab))
-    for vocab, row in rows.items():
-        key = vocab_key(vocab)
-        if not row.reps:
-            return fail("empty space", space=key)
-        if row.key != key or len(row.state_at) != n_worlds:
-            return fail("row shape inconsistent with its space", space=key)
-        # first[c]: the position of the first world the row sends to c
-        first: dict = {}
-        for k, c in enumerate(row.state_at):
-            first.setdefault(c, k)
-        for c, r in enumerate(row.reps):
-            if type(r) is not int or not 0 <= r < n_worlds:
-                return fail("state representative is outside its class", space=key, index=c)
-            k = first.pop(c, None)
-            if k is None:
-                return fail("state has no world", row, c)
-            if r != k:
-                if row.state_at[r] == c:
-                    return fail("state representative is not the least member", row, c)
-                return fail("state representative is outside its class", row, c)
-        if first:
-            return fail("world -> state row names no state of its space", space=key)
-
-    # Law 4 compares each row's whole table with the battery's own. Only
-    # when a table differs is it walked to name the first fault.
-    bit_of = {p: 1 << b for b, p in enumerate(m.atoms)}
-    for vocab, row in rows.items():
-        vocab_bits = sum(map(bit_of.__getitem__, vocab))
-        # want[c]: the bits of state c's rep within the vocabulary
-        want = [world_bits[k] & vocab_bits for k in row.reps]
-        # by world: its state's rep's bits, and its own, within the vocabulary
-        have = [want[c] for c in row.state_at]
-        own = [bits & vocab_bits for bits in world_bits]
-        if have != own:
-            k = next(k for k, bits in enumerate(own) if have[k] != bits)
-            diff = have[k] ^ own[k]
-            atom = m.atoms[(diff & -diff).bit_length() - 1]
-            return fail(
-                "class members disagree on an in-vocabulary atom", row, row.state_at[k], atom=atom
-            )
-        if len(set(want)) != len(want):
-            return fail("two states of a space agree on its vocabulary", space=vocab_key(vocab))
-
-    for i in m.agents:
         if s.awareness[i] != m.awareness[i][m.worlds[0]]:
             return fail(
                 "subjective vocabulary is not awareness intersected with the space", agent=i
             )
+
+    # Each row equals, table for table, the quotient of its vocabulary
+    # that the battery computes from its own world bits.
+    bit_of = {p: 1 << b for b, p in enumerate(m.atoms)}
+    for vocab, row in rows.items():
+        key = vocab_key(vocab)
+        reps, state_at = row.reps, row.state_at
+        # ints first: 1.0 and True compare equal to 1
+        if not (
+            type(reps) is type(state_at) is tuple
+            and row.key == key
+            and len(state_at) == n_worlds
+            and _all_ints([reps, state_at])
+        ):
+            return fail("row shape inconsistent with its space", space=key)
+        vocab_bits = sum(map(bit_of.__getitem__, vocab))
+        # number[v]: the state of the worlds whose bits within the
+        # vocabulary are v, numbered by first occurrence in world order
+        number: dict = {}
+        want_at = tuple([number.setdefault(bits & vocab_bits, len(number)) for bits in world_bits])
+        if state_at != want_at:
+            k = next(k for k, c in enumerate(state_at) if c != want_at[k])
+            return fail("row is not the quotient of its vocabulary", space=key, world=m.worlds[k])
+        # each state's representative is its first world
+        want_reps = tuple(map(want_at.index, range(len(number))))
+        if reps != want_reps:
+            c = next(c for c, (r, want) in enumerate(zip_longest(reps, want_reps)) if r != want)
+            return fail("row is not the quotient of its vocabulary", space=key, index=c)
 
     return "pass", {}
 

@@ -185,7 +185,7 @@ class TestChecks:
         broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",
-            {"reason": "world -> state row names no state of its space", "space": ""},
+            {"reason": "row is not the quotient of its vocabulary", "space": "", "world": "w2"},
         )
 
     def test_structure_catches_class_mixing_an_atom(self, M1, T1):
@@ -197,11 +197,7 @@ class TestChecks:
         broken = rebuild(T1, rows=rows)
         assert check_structure(M1, broken) == (
             "fail",
-            {
-                "reason": "class members disagree on an in-vocabulary atom",
-                "atom": "p",
-                "state": "w1@p",
-            },
+            {"reason": "row is not the quotient of its vocabulary", "space": "p", "world": "w2"},
         )
 
     def test_structure_catches_reordered_worlds(self, M1, T1):

@@ -3,33 +3,39 @@
 Each case corrupts a correct quotient structure (of the ``m1``/``m2``
 fixtures or of the divergent model), in one table of one row, in one
 agent's per-agent tables, in the worlds' valuation bits or in the
-structure's declared atoms or agents, and
-rebuilds it through the ``HmsStructure`` constructor; the battery must
-reject it with the reason that names the fault. No case forges a
-possibility mask: a structure has no input for one, as
+structure's declared atoms or agents, and rebuilds it through the
+``HmsStructure`` constructor; the battery must reject it with the reason
+that names the fault. A row fault reads ``row shape inconsistent with its
+space`` when a table is the wrong kind, length or key or holds an entry
+that is not an int, and ``row is not the quotient of its vocabulary``
+otherwise: the battery compares each row whole with the quotient the
+model defines, numbering included, so a row that holds the right classes
+under another numbering is refused as well. No case forges a possibility
+mask: a structure has no input for one, as
 :meth:`~awb.hms.HmsStructure.cells` lifts every mask from the structure's
 own labelling, which the battery checks against the model's blocks.
 Faults of ``cells`` itself are left to the routes independent of it, and
-a test below shows ``verify``'s truth preservation catching three of them.
-The cases use only the
-constructor, the structure's public interface, its per-space rows, its
-world bits and its per-agent tables, not the battery's internals, so a
-cheap battery and an
+a test below shows ``verify``'s truth preservation catching three of
+them; another shows ``verify``'s battery catching a transform that
+numbers every row backwards. The cases use only the constructor, the
+structure's public interface, its per-space rows, its world bits and its
+per-agent tables, not the battery's internals, so a cheap battery and an
 exhaustive one that read the same row layout face the same mutants, and
 passing both shows that both catch the same faults. A change to the row
 layout changes the mutants with it.
 
-A seeded test also makes random edits to generated structures and checks
-that every edited structure the battery passes has the laws the battery
-derives rather than checks, and the possibility sets of the brute-force
-oracle.
+A seeded test also makes random edits to generated structures, one kind
+of which renumbers a row's states, and checks that every edited
+structure the battery passes has the transform's own rows, the laws the
+battery derives rather than checks, and the possibility sets of the
+brute-force oracle.
 """
 
 import random
 
 import pytest
 
-from awb import oracles
+from awb import oracles, transform
 from awb.harness import TrialConfig, check_structure, gen_model, run_suite
 from awb.hms import HmsStructure, vocab_key
 from awb.transform import hms_transform
@@ -102,6 +108,13 @@ def float_representative(s):
     world position, but not an int."""
     x = s.locate("w2", P)
     return with_rep(s, x, float(s.rows[P].reps[x.index]))
+
+
+def bool_representative(s):
+    """The representative of w2's {p} state stored as a bool: equal to its
+    world position, 1, but not an int."""
+    x = s.locate("w2", P)
+    return with_rep(s, x, bool(s.rows[P].reps[x.index]))
 
 
 def representative_past_last_world(s):
@@ -232,6 +245,14 @@ def split_class(s):
     return with_row(s, P, reps=(0, 1), state_at=(0, 1))
 
 
+def renumbered_states(s):
+    """The two states of the {q} row numbered the other way round, each
+    class and its representative kept: the row is a partition into the
+    agreement classes on q, but not numbered by first occurrence, so
+    w1's state has index 1."""
+    return with_row(s, Q, reps=(1, 0), state_at=(1, 0))
+
+
 def empty_space(s):
     """The {p} row with no states."""
     return with_row(s, P, reps=())
@@ -247,12 +268,14 @@ def none_table(field):
 
 
 MUTATIONS = [
-    ("T1", swapped_state_of, "state representative is outside its class"),
-    ("divergent", wrong_representative, "state representative is not the least member"),
-    ("T1", float_representative, "state representative is outside its class"),
-    ("T1", representative_past_last_world, "state representative is outside its class"),
-    ("T1", negative_representative, "state representative is outside its class"),
-    ("T1", worldless_state, "state has no world"),
+    ("T1", swapped_state_of, "row is not the quotient of its vocabulary"),
+    ("divergent", wrong_representative, "row is not the quotient of its vocabulary"),
+    ("T1", float_representative, "row shape inconsistent with its space"),
+    ("T1", bool_representative, "row shape inconsistent with its space"),
+    ("T1", representative_past_last_world, "row is not the quotient of its vocabulary"),
+    ("T1", negative_representative, "row is not the quotient of its vocabulary"),
+    ("T1", worldless_state, "row is not the quotient of its vocabulary"),
+    ("T2", renumbered_states, "row is not the quotient of its vocabulary"),
     ("T1", wrong_alpha, "subjective vocabulary is not awareness intersected with the space"),
     ("T2", mis_marked_valuation, "valuation marks the wrong worlds"),
     ("T2", valuation_bit_past_atoms, "valuation marks the wrong worlds"),
@@ -263,19 +286,18 @@ MUTATIONS = [
     ("T1", reordered_atoms, "atom order differs from the model's"),
     ("T1", extra_declared_agent, "agent order differs from the model's"),
     ("divergent", dropped_space, "space family does not cover the vocabulary lattice"),
-    ("divergent", unnested_classes, "class members disagree on an in-vocabulary atom"),
-    ("T2", split_class, "two states of a space agree on its vocabulary"),
+    ("divergent", unnested_classes, "row is not the quotient of its vocabulary"),
+    ("T2", split_class, "row is not the quotient of its vocabulary"),
     ("T2", one_block_labels, "block labels cut the worlds unlike the model's blocks"),
     ("divergent", merged_blocks, "block labels cut the worlds unlike the model's blocks"),
     ("T1", split_block, "block labels cut the worlds unlike the model's blocks"),
     ("divergent", crossed_blocks, "block labels cut the worlds unlike the model's blocks"),
-    ("T1", float_state_entry, "world -> state row names no state of its space"),
-    ("T1", bool_state_entry, "world -> state row names no state of its space"),
+    ("T1", float_state_entry, "row shape inconsistent with its space"),
+    ("T1", bool_state_entry, "row shape inconsistent with its space"),
     ("T1", none_table("reps"), "row shape inconsistent with its space"),
     ("T1", none_table("state_at"), "row shape inconsistent with its space"),
-    ("T1", empty_space, "empty space"),
+    ("T1", empty_space, "row is not the quotient of its vocabulary"),
 ]
-
 
 @pytest.fixture
 def structures(M1, M2, T1, T2, divergent_model):
@@ -356,6 +378,36 @@ def test_verify_catches_a_faulty_cells_kernel(monkeypatch, kernel):
     assert report.conjectures["truth_preservation"].failed > 0
 
 
+def renumbered(row, order):
+    """``row`` with each state ``c`` renumbered ``order[c]``, each class and
+    its representative kept."""
+    reps = [0] * len(order)
+    for c, r in enumerate(row.reps):
+        reps[order[c]] = r
+    return row._replace(reps=tuple(reps), state_at=tuple(order[c] for c in row.state_at))
+
+
+def reversed_numbering(build):
+    """A builder that numbers every row's states in the reverse of
+    ``build``'s order."""
+
+    def quotient(m):
+        s = build(m)
+        rows = {v: renumbered(row, range(len(row.reps))[::-1]) for v, row in s.rows.items()}
+        return rebuild(s, rows=rows)
+
+    return quotient
+
+
+def test_verify_catches_renumbered_states(monkeypatch):
+    """A transform whose rows hold the right classes under another
+    numbering writes wrong dumps and state indices, and the battery fails
+    it on every trial with a space of two states or more."""
+    monkeypatch.setattr(transform, "_quotient", reversed_numbering(transform._quotient))
+    report = run_suite(TrialConfig(seed=42, trials=500, shrink=False))
+    assert report.conjectures["structure"].failed > 0
+
+
 def recut(rng, m, s, vocab):
     """A copy of ``s`` in which the row of ``vocab`` is cut by a random
     labelling of the worlds, its other tables consistent with the cut:
@@ -367,15 +419,15 @@ def recut(rng, m, s, vocab):
 
 
 def random_edit(rng, m, s):
-    """A copy of ``s`` with one random edit, of one table, of one agent's
-    awareness set or of one world's valuation bits, which may leave them as
-    they were. Every choice is drawn from an ordered sequence, so the edits
-    do not depend on the hash seed."""
+    """A copy of ``s`` with one random edit, of one table, of one row's
+    numbering, of one agent's awareness set or of one world's valuation
+    bits, which may leave them as they were. Every choice is drawn from an
+    ordered sequence, so the edits do not depend on the hash seed."""
     vocab = rng.choice(sorted(s.rows, key=vocab_key))
     n = len(s.rows[vocab].reps)
     x = rng.choice(s.states(vocab))
     agent = rng.choice(m.agents)
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:
         return with_state_at(s, vocab, **{rng.choice(m.worlds): rng.randrange(n + 1)})
     if kind == 1:
@@ -387,16 +439,20 @@ def random_edit(rng, m, s):
     if kind == 3:
         aware = frozenset(p for p in m.atoms if rng.random() < 0.5)
         return with_awareness(s, agent, aware)
-    return recut(rng, m, s, vocab)
+    if kind == 4:
+        return recut(rng, m, s, vocab)
+    order = list(range(n))
+    rng.shuffle(order)
+    return rebuild(s, rows={**s.rows, vocab: renumbered(s.rows[vocab], order)})
 
 
 def test_battery_pass_means_the_true_quotient():
-    """The laws the battery derives rather than checks hold on every edited
-    structure it passes: each space's classes are the agreement classes on
-    its vocabulary, projection carries each possibility set into the
-    possibility set of the projected state, for every contained pair of
-    spaces, and each possibility set is the oracle's, as sets of
-    classes."""
+    """Every edited structure the battery passes has the transform's rows,
+    and the laws the battery derives rather than checks hold on it: each
+    space's classes are the agreement classes on its vocabulary,
+    projection carries each possibility set into the possibility set of
+    the projected state, for every contained pair of spaces, and each
+    possibility set is the oracle's, as sets of classes."""
     rng = random.Random(1414)
     cfg = TrialConfig(max_worlds=4, max_atoms=3, max_agents=2)
     verdicts = {"pass": 0, "fail": 0}
@@ -409,6 +465,7 @@ def test_battery_pass_means_the_true_quotient():
         verdicts[status] += 1
         if status == "fail":
             continue
+        assert s.rows == hms_transform(m).rows
         # each world's bits name exactly the atoms true there
         assert s.world_bits == tuple(
             sum(1 << b for b, p in enumerate(m.atoms) if w in m.valuation[p]) for w in m.worlds
